@@ -8,6 +8,12 @@ is undirected.
 
 Conventions: gains and losses in dB, powers in dBm, distances in meters.
 An outage link carries -inf dB SNR and is never a selection candidate.
+
+Stream invariant: every pair consumes its draws whatever its visibility. A
+batch of pairs takes one uniform per pair, then one shadowing normal per pair,
+then (with fading on) one fading normal per pair, so the stream a repetition
+leaves behind depends only on how many pairs it drew. The arithmetic past the
+visibility draw runs only on the pairs that are not in outage.
 """
 from __future__ import annotations
 
@@ -103,20 +109,84 @@ def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
+def _outage_probability(d: np.ndarray, params: ChannelParams) -> np.ndarray:
+    return np.maximum(0.0, 1.0 - np.exp(-params.outage_slope_per_m * d + params.outage_intercept))
+
+
+def _los_probability(d: np.ndarray, p_out: np.ndarray, params: ChannelParams) -> np.ndarray:
+    return (1.0 - p_out) * np.exp(-params.los_decay_per_m * d)
+
+
 def los_probabilities(d_m, params: ChannelParams = ChannelParams()):
     """Closed-form (P_LOS, P_NLOS, P_OUTAGE) at distance ``d_m`` (scalar or array)."""
     d = np.asarray(d_m, dtype=float)
-    p_out = np.maximum(0.0, 1.0 - np.exp(-params.outage_slope_per_m * d + params.outage_intercept))
-    p_los = (1.0 - p_out) * np.exp(-params.los_decay_per_m * d)
+    p_out = _outage_probability(d, params)
+    p_los = _los_probability(d, p_out, params)
     p_nlos = 1.0 - p_out - p_los
     return p_los, p_nlos, p_out
 
 
+def _visibility(d: np.ndarray, u: np.ndarray, params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Split flat pairs by their uniforms ``u``: (indices not in outage, LOS mask over those).
+
+    The LOS probability is evaluated only on the pairs that are not in outage.
+    """
+    p_out = _outage_probability(d, params)
+    live = np.flatnonzero(u >= p_out)
+    p_out_live = p_out[live]
+    los = u[live] < p_out_live + _los_probability(d[live], p_out_live, params)
+    return live, los
+
+
+def _budget(
+    d: np.ndarray, los: np.ndarray, shadow: np.ndarray, fading: np.ndarray | None, params: ChannelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """(pathloss, shadowing) of visible pairs from their standard-normal draws."""
+    d_eff = np.maximum(d, 1.0)  # keep the log finite below 1 m
+    alpha = np.where(los, params.los_alpha_db, params.nlos_alpha_db)
+    exponent = np.where(los, params.los_exponent, params.nlos_exponent)
+    sigma = np.where(los, params.los_sigma_db, params.nlos_sigma_db)
+    pathloss = alpha + 10.0 * exponent * np.log10(d_eff)
+    shadowing = sigma * shadow
+    if fading is not None:
+        shadowing = shadowing + params.fading_sigma_db * fading
+    return pathloss, shadowing
+
+
+def _draw_pairs(d: np.ndarray, params: ChannelParams, rng: np.random.Generator):
+    """One channel draw per entry of ``d``: (live, los, pathloss, shadowing).
+
+    ``live`` holds the flat indices of the entries not in outage (ascending),
+    ``los`` marks the LOS ones among them, and pathloss/shadowing are given
+    for those entries only. The draws follow the stream invariant.
+    """
+    d = d.ravel()
+    u = rng.random(d.size)
+    shadow = rng.standard_normal(d.size)
+    fading = rng.standard_normal(d.size) if params.fading_sigma_db > 0.0 else None
+    live, los = _visibility(d, u, params)
+    pathloss, shadowing = _budget(
+        d[live], los, shadow[live], None if fading is None else fading[live], params
+    )
+    return live, los, pathloss, shadowing
+
+
+def _spread(size: int, live: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
+    """Length-``size`` array with ``values`` at the ``live`` indices and ``fill`` elsewhere."""
+    out = np.full(size, fill, dtype=values.dtype)
+    out[live] = values
+    return out
+
+
+def _los_codes(size: int, live: np.ndarray, los: np.ndarray) -> np.ndarray:
+    codes = np.where(los, LosState.LOS, LosState.NLOS).astype(np.int8)
+    return _spread(size, live, codes, LosState.OUTAGE)
+
+
 def _sample_los_codes(d: np.ndarray, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     """Visibility codes for an array of distances, one uniform draw per link."""
-    p_los, _, p_out = los_probabilities(d, params)
-    u = rng.random(d.shape)
-    return np.where(u < p_out, LosState.OUTAGE, np.where(u < p_out + p_los, LosState.LOS, LosState.NLOS)).astype(np.int8)
+    live, los = _visibility(d.ravel(), rng.random(d.size), params)
+    return _los_codes(d.size, live, los).reshape(d.shape)
 
 
 def draw_los_state(d_m: float, params: ChannelParams, rng: np.random.Generator) -> LosState:
@@ -126,38 +196,15 @@ def draw_los_state(d_m: float, params: ChannelParams, rng: np.random.Generator) 
     return LosState(int(code))
 
 
-def _sample_pathloss_arrays(
-    d: np.ndarray, codes: np.ndarray, params: ChannelParams, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """(pathloss, shadowing) arrays; outage entries get +inf loss and zero shadowing.
-
-    Shadowing normals are drawn for every entry regardless of state so the
-    stream consumption does not depend on the realized visibility pattern.
-    """
-    los = codes == LosState.LOS
-    out = codes == LosState.OUTAGE
-    d_eff = np.maximum(d, 1.0)  # keep the log finite below 1 m
-    alpha = np.where(los, params.los_alpha_db, params.nlos_alpha_db)
-    exponent = np.where(los, params.los_exponent, params.nlos_exponent)
-    sigma = np.where(los, params.los_sigma_db, params.nlos_sigma_db)
-    pathloss = alpha + 10.0 * exponent * np.log10(d_eff)
-    shadowing = sigma * rng.standard_normal(d.shape)
-    if params.fading_sigma_db > 0.0:
-        shadowing = shadowing + params.fading_sigma_db * rng.standard_normal(d.shape)
-    pathloss = np.where(out, np.inf, pathloss)
-    shadowing = np.where(out, 0.0, shadowing)
-    return pathloss, shadowing
-
-
 def pathloss_db(
     d_m: float, los: LosState, params: ChannelParams, rng: np.random.Generator
 ) -> tuple[float, float]:
     """One (pathloss, shadowing) draw for a single link."""
     if los == LosState.OUTAGE:
         return math.inf, 0.0
-    pl, sh = _sample_pathloss_arrays(
-        np.asarray([d_m]), np.asarray([int(los)], dtype=np.int8), params, rng
-    )
+    shadow = rng.standard_normal(1)
+    fading = rng.standard_normal(1) if params.fading_sigma_db > 0.0 else None
+    pl, sh = _budget(np.asarray([d_m]), np.asarray([los == LosState.LOS]), shadow, fading, params)
     return float(pl[0]), float(sh[0])
 
 
@@ -267,35 +314,32 @@ def link_table(
     rng: np.random.Generator,
 ) -> LinkTable:
     """Draw the full pairwise link realization for one repetition."""
-    pos = deployment.positions_by_id()
-    n = len(pos)
+    x, y = deployment.positions_by_id().T
+    n = len(x)
     src, dst = np.triu_indices(n, k=1)
-    d = np.hypot(pos[src, 0] - pos[dst, 0], pos[src, 1] - pos[dst, 1])
-    codes = _sample_los_codes(d, params, rng)
-    pathloss, shadowing = _sample_pathloss_arrays(d, codes, params, rng)
+    d = np.hypot(x[src] - x[dst], y[src] - y[dst])
+    live, los, live_pathloss, live_shadowing = _draw_pairs(d, params, rng)
 
     # Evenly spaced sectors always cover the direct bearing and steering is
     # ideal, so both endpoint gains sit at the coherent peak.
     gain = 10.0 * math.log10(radio.array_elements)
-    tx_gain = np.full(d.shape, gain)
-    rx_gain = np.full(d.shape, gain)
     noise = noise_power_dbm(radio.bandwidth_hz, radio.noise_figure_db)
-    pair_snr = radio.tx_power_dbm + tx_gain + rx_gain - pathloss - shadowing - noise
+    live_snr = radio.tx_power_dbm + gain + gain - live_pathloss - live_shadowing - noise
 
     snr = np.full((n, n), -np.inf)
-    snr[src, dst] = pair_snr
-    snr[dst, src] = pair_snr
+    snr[src[live], dst[live]] = live_snr
+    snr[dst[live], src[live]] = live_snr
     return LinkTable(
         snr=snr,
         src=src,
         dst=dst,
         distance_m=d,
-        los=codes,
-        pathloss_db=pathloss,
-        shadowing_db=shadowing,
-        tx_gain_dbi=tx_gain,
-        rx_gain_dbi=rx_gain,
-        pair_snr_db=pair_snr,
+        los=_los_codes(d.size, live, los),
+        pathloss_db=_spread(d.size, live, live_pathloss, np.inf),
+        shadowing_db=_spread(d.size, live, live_shadowing, 0.0),
+        tx_gain_dbi=np.full(d.shape, gain),
+        rx_gain_dbi=np.full(d.shape, gain),
+        pair_snr_db=_spread(d.size, live, live_snr, -np.inf),
         noise_dbm=noise,
         tx_power_dbm=radio.tx_power_dbm,
     )
@@ -315,9 +359,8 @@ def associate_min_pathloss(
     d = np.hypot(
         ue[:, None, 0] - gnb_pos[None, :, 0], ue[:, None, 1] - gnb_pos[None, :, 1]
     )
-    codes = _sample_los_codes(d, params, rng)
-    pathloss, shadowing = _sample_pathloss_arrays(d, codes, params, rng)
-    total = pathloss + shadowing
+    live, _, pathloss, shadowing = _draw_pairs(d, params, rng)
+    total = _spread(d.size, live, pathloss + shadowing, np.inf).reshape(d.shape)
     serving = np.argmin(total, axis=1)
     serving[~np.isfinite(np.min(total, axis=1))] = -1
     return serving

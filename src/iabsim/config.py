@@ -9,6 +9,7 @@ The canonical echo emitted into result bundles parses back to an identical
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -50,11 +51,18 @@ def _reject_unknown(section: str, doc: dict, allowed: set[str]) -> None:
             )
 
 
-def _number(section: str, doc: dict, key: str, default):
+def _number(section: str, doc: dict, key: str, default, integer: bool = False):
+    """The finite number at ``key``; with ``integer``, an integral one returned as int."""
     value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{section}.{key}' must be a number, got {value!r}")
-    return value
+    if not math.isfinite(value):
+        raise ConfigError(f"'{section}.{key}' must be finite, got {value!r}")
+    if integer:
+        if value != int(value):
+            raise ConfigError(f"'{section}.{key}' must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 def _parse_wbf(raw, where: str) -> WbfConfig:
@@ -81,11 +89,11 @@ def _parse_wbf(raw, where: str) -> WbfConfig:
     try:
         return WbfConfig(
             kind=kind,
-            n_ht=int(_number(f"{where}.wbf", raw, "n_ht", defaults.n_ht)),
-            k=float(_number(f"{where}.wbf", raw, "k", defaults.k)),
-            gamma=float(_number(f"{where}.wbf", raw, "gamma", defaults.gamma)),
-            gamma_gap_db=float(_number(f"{where}.wbf", raw, "gamma_gap_db", defaults.gamma_gap_db)),
-            gamma_h_db=float(_number(f"{where}.wbf", raw, "gamma_h_db", defaults.gamma_h_db)),
+            n_ht=_number(f"{where}.wbf", raw, "n_ht", defaults.n_ht, integer=True),
+            k=_number(f"{where}.wbf", raw, "k", defaults.k),
+            gamma=_number(f"{where}.wbf", raw, "gamma", defaults.gamma),
+            gamma_gap_db=_number(f"{where}.wbf", raw, "gamma_gap_db", defaults.gamma_gap_db),
+            gamma_h_db=_number(f"{where}.wbf", raw, "gamma_h_db", defaults.gamma_h_db),
         )
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -162,22 +170,22 @@ def parse_config(source) -> SimConfig:
     _reject_unknown("run", run, _RUN_KEYS)
 
     region = Region(
-        width_m=float(_number("deployment", dep, "region_width_m", 1000.0)),
-        height_m=float(_number("deployment", dep, "region_height_m", 1000.0)),
+        width_m=_number("deployment", dep, "region_width_m", 1000.0),
+        height_m=_number("deployment", dep, "region_height_m", 1000.0),
     )
     radio = RadioConfig(
-        fc_ghz=float(_number("radio", radio_doc, "fc_ghz", 28.0)),
-        bandwidth_hz=float(_number("radio", radio_doc, "B_hz", 400e6)),
-        tx_power_dbm=float(_number("radio", radio_doc, "ptx_dbm", 30.0)),
-        noise_figure_db=float(_number("radio", radio_doc, "nf_db", 5.0)),
-        array_elements=int(_number("radio", radio_doc, "M", 64)),
-        sectors=int(_number("radio", radio_doc, "S", 3)),
-        snr_threshold_db=float(_number("radio", radio_doc, "gamma_th_db", 5.0)),
+        fc_ghz=_number("radio", radio_doc, "fc_ghz", 28.0),
+        bandwidth_hz=_number("radio", radio_doc, "B_hz", 400e6),
+        tx_power_dbm=_number("radio", radio_doc, "ptx_dbm", 30.0),
+        noise_figure_db=_number("radio", radio_doc, "nf_db", 5.0),
+        array_elements=_number("radio", radio_doc, "M", 64, integer=True),
+        sectors=_number("radio", radio_doc, "S", 3, integer=True),
+        snr_threshold_db=_number("radio", radio_doc, "gamma_th_db", 5.0),
     )
     channel_defaults = ChannelParams()
     channel = ChannelParams(
         **{
-            key: float(_number("channel", chan, key, getattr(channel_defaults, key)))
+            key: _number("channel", chan, key, getattr(channel_defaults, key))
             for key in sorted(_CHANNEL_KEYS)
         }
     )
@@ -192,16 +200,16 @@ def parse_config(source) -> SimConfig:
         raise ConfigError(f"'run.oracle' must be a boolean, got {oracle!r}")
 
     return SimConfig(
-        lambda_g=float(_number("deployment", dep, "lambda_g", 30.0)),
-        p_w=float(_number("deployment", dep, "p_w", 0.3)),
-        lambda_ue=float(_number("deployment", dep, "lambda_ue", 100.0)),
+        lambda_g=_number("deployment", dep, "lambda_g", 30.0),
+        p_w=_number("deployment", dep, "p_w", 0.3),
+        lambda_ue=_number("deployment", dep, "lambda_ue", 100.0),
         region=region,
         radio=radio,
         channel=channel,
         policies=policies,
-        repetitions=int(_number("run", run, "repetitions", 1000)),
-        master_seed=int(_number("run", run, "master_seed", 1)),
-        max_hops=int(_number("run", run, "max_hops", 30)),
+        repetitions=_number("run", run, "repetitions", 1000, integer=True),
+        master_seed=_number("run", run, "master_seed", 1, integer=True),
+        max_hops=_number("run", run, "max_hops", 30, integer=True),
         oracle_enabled=oracle,
     )
 

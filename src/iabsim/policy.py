@@ -147,13 +147,11 @@ def candidate_set(
     """
     row = link_snr_db[current_id]
     out = []
-    for node_id in range(deployment.n_gnbs):
+    for node_id in np.flatnonzero(row >= snr_threshold_db).tolist():
         if node_id == current_id or node_id in visited:
             continue
-        snr = float(row[node_id])
-        if snr >= snr_threshold_db:
-            g = deployment.node(node_id)
-            out.append(Candidate(node_id, snr, g.is_wired, g.attached_count, g.position))
+        g = deployment.node(node_id)
+        out.append(Candidate(node_id, float(row[node_id]), g.is_wired, g.attached_count, g.position))
     return out
 
 

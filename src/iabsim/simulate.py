@@ -68,6 +68,8 @@ class SimConfig:
             raise ConfigError(f"deployment.p_w must lie strictly in (0, 1), got {self.p_w}")
         if self.max_hops < 1:
             raise ConfigError(f"run.max_hops must be >= 1, got {self.max_hops}")
+        if self.master_seed < 0:
+            raise ConfigError(f"run.master_seed must be >= 0, got {self.master_seed}")
         if not self.policies:
             raise ConfigError("at least one policy must be configured")
         labels = [p.label for p in self.policies]
@@ -108,7 +110,6 @@ def _best_bottleneck_value(
     wired: list[bool], link_snr_db: np.ndarray, origin_id: int, snr_threshold_db: float
 ) -> float | None:
     """Max-min Dijkstra for the value only; None when no wired node is reachable."""
-    n = len(wired)
     heap = [(-math.inf, origin_id)]
     settled = set()
     while heap:
@@ -119,12 +120,9 @@ def _best_bottleneck_value(
         if wired[node]:
             return -neg_b
         row = link_snr_db[node]
-        for nxt in range(n):
-            if nxt in settled:
-                continue
-            w = float(row[nxt])
-            if w >= snr_threshold_db:
-                heapq.heappush(heap, (max(neg_b, -w), nxt))
+        for nxt in np.flatnonzero(row >= snr_threshold_db).tolist():
+            if nxt not in settled:
+                heapq.heappush(heap, (max(neg_b, -float(row[nxt])), nxt))
     return None
 
 
@@ -173,9 +171,8 @@ def widest_path_oracle(
                 policy=None,
                 wbf=None,
             )
-        row = link_snr_db[node]
-        for nxt in range(n):
-            if nxt not in settled and float(row[nxt]) >= best:
+        for nxt in np.flatnonzero(link_snr_db[node] >= best).tolist():
+            if nxt not in settled:
                 heapq.heappush(heap, (hops + 1, path + (nxt,)))
     raise AssertionError("unreachable: phase 1 proved a wired node reachable")
 
@@ -331,10 +328,15 @@ class EmpiricalCdf:
         """Inverse CDF (type-1): smallest sample v with F(v) >= q."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile level must be in [0, 1], got {q}")
-        if q == 0.0:
-            return float(self.values[0])
-        idx = min(self.n - 1, math.ceil(q * self.n) - 1)
-        return float(self.values[idx])
+        # F(v_k) is the float k/n, and ceil(q*n) can miss the smallest k with
+        # k/n >= q by one either way, so step to it.
+        n = self.n
+        k = min(max(math.ceil(q * n), 1), n)
+        while k > 1 and (k - 1) / n >= q:
+            k -= 1
+        while k < n and k / n < q:
+            k += 1
+        return float(self.values[k - 1])
 
     @property
     def mean(self) -> float:

@@ -5,8 +5,79 @@ sharing no code with the package internals.
 """
 import math
 
-from iabsim.geometry import nearest_wired
+import numpy as np
+
+from iabsim.channel import LinkTable, LosState
 from iabsim.policy import PolicyKind, WbfKind
+
+
+def _dense_pair_draws(d, params, rng):
+    """Three-state law and budget evaluated on every pair, outage included.
+
+    Returns (codes, pathloss, shadowing) shaped like ``d``; outage pairs get
+    +inf pathloss and zero shadowing.
+    """
+    p_out = np.maximum(0.0, 1.0 - np.exp(-params.outage_slope_per_m * d + params.outage_intercept))
+    p_los = (1.0 - p_out) * np.exp(-params.los_decay_per_m * d)
+    u = rng.random(d.shape)
+    codes = np.where(
+        u < p_out, LosState.OUTAGE, np.where(u < p_out + p_los, LosState.LOS, LosState.NLOS)
+    ).astype(np.int8)
+    los = codes == LosState.LOS
+    out = codes == LosState.OUTAGE
+    alpha = np.where(los, params.los_alpha_db, params.nlos_alpha_db)
+    exponent = np.where(los, params.los_exponent, params.nlos_exponent)
+    sigma = np.where(los, params.los_sigma_db, params.nlos_sigma_db)
+    pathloss = alpha + 10.0 * exponent * np.log10(np.maximum(d, 1.0))
+    shadowing = sigma * rng.standard_normal(d.shape)
+    if params.fading_sigma_db > 0.0:
+        shadowing = shadowing + params.fading_sigma_db * rng.standard_normal(d.shape)
+    return codes, np.where(out, np.inf, pathloss), np.where(out, 0.0, shadowing)
+
+
+def dense_link_table(deployment, radio, params, rng):
+    """The pairwise link table with every budget term computed for every pair."""
+    pos = deployment.positions_by_id()
+    n = len(pos)
+    src, dst = np.triu_indices(n, k=1)
+    d = np.hypot(pos[src, 0] - pos[dst, 0], pos[src, 1] - pos[dst, 1])
+    codes, pathloss, shadowing = _dense_pair_draws(d, params, rng)
+    gain = 10.0 * math.log10(radio.array_elements)
+    tx_gain = np.full(d.shape, gain)
+    rx_gain = np.full(d.shape, gain)
+    noise = -174.0 + 10.0 * math.log10(radio.bandwidth_hz) + radio.noise_figure_db
+    pair_snr = radio.tx_power_dbm + tx_gain + rx_gain - pathloss - shadowing - noise
+    snr = np.full((n, n), -np.inf)
+    snr[src, dst] = pair_snr
+    snr[dst, src] = pair_snr
+    return LinkTable(
+        snr=snr,
+        src=src,
+        dst=dst,
+        distance_m=d,
+        los=codes,
+        pathloss_db=pathloss,
+        shadowing_db=shadowing,
+        tx_gain_dbi=tx_gain,
+        rx_gain_dbi=rx_gain,
+        pair_snr_db=pair_snr,
+        noise_dbm=noise,
+        tx_power_dbm=radio.tx_power_dbm,
+    )
+
+
+def dense_associate_min_pathloss(ue_positions, deployment, params, rng):
+    """Serving gNB per UE from a full (UE, gNB) pathloss matrix; -1 if all in outage."""
+    if not ue_positions:
+        return np.empty(0, dtype=np.int64)
+    gnb = deployment.positions_by_id()
+    ue = np.array([[p.x, p.y] for p in ue_positions])
+    d = np.hypot(ue[:, None, 0] - gnb[None, :, 0], ue[:, None, 1] - gnb[None, :, 1])
+    _, pathloss, shadowing = _dense_pair_draws(d, params, rng)
+    total = pathloss + shadowing
+    serving = np.argmin(total, axis=1)
+    serving[~np.isfinite(np.min(total, axis=1))] = -1
+    return serving
 
 
 def enumerate_widest(mat, wired, origin, threshold):
@@ -66,7 +137,10 @@ def reference_greedy_trace(kind, dep, mat, threshold, wbf, max_hops, bandwidth_h
             pool = admissible
             if kind == PolicyKind.PA:
                 cur = dep.node(current).position
-                target = dep.node(nearest_wired(current, dep)).position
+                target = min(
+                    (g for g in dep.gnbs if g.is_wired),
+                    key=lambda g: (math.hypot(g.position.x - cur.x, g.position.y - cur.y), g.id),
+                ).position
                 forward = [
                     j
                     for j in admissible

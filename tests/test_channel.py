@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import dense_associate_min_pathloss, dense_link_table
 
 from iabsim.channel import (
     ChannelParams,
@@ -330,3 +331,70 @@ class TestRadioConfig:
 
     def test_sector_halfwidth(self):
         assert RadioConfig(sectors=3).sector_halfwidth_rad == pytest.approx(math.pi / 3)
+
+
+def scattered_deployment(seed, n, side=1000.0):
+    """n gNBs dropped uniformly on a square; every third one wired, origin 1."""
+    pts = np.random.default_rng(seed).uniform(0, side, (n, 2))
+    gnbs = [GnbNode(i, Position(*map(float, pts[i])), i % 3 == 0) for i in range(n)]
+    return Deployment(Region(side, side), gnbs, 1)
+
+
+def far_and_near_ues(seed, count, side=1000.0):
+    """UEs inside the region plus UEs 5 km away, whose every link is in outage."""
+    pts = np.random.default_rng(seed).uniform(0, side, (count, 2))
+    near = [Position(*map(float, p)) for p in pts]
+    far = [Position(float(p[0]) + 5000.0, float(p[1])) for p in pts[: count // 2]]
+    return near + far
+
+
+class TestSparseKernelMatchesDenseReference:
+    """The outage-sparse kernel must match the dense formulation bit for bit."""
+
+    CASES = {
+        "default": ChannelParams(),
+        "fading": ChannelParams(fading_sigma_db=3.0),
+        "no_outage": ChannelParams(outage_slope_per_m=0.0),
+    }
+
+    @pytest.mark.parametrize("n", [2, 30, 480])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_link_table(self, n, case):
+        params = self.CASES[case]
+        dep = scattered_deployment(n, n)
+        rng_new, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
+        new = link_table(dep, RadioConfig(), params, rng_new)
+        ref = dense_link_table(dep, RadioConfig(), params, rng_ref)
+        for name, value in vars(ref).items():
+            got = getattr(new, name)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype, name
+                assert np.array_equal(got, value), name
+            else:
+                assert got == value, name
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        if case == "no_outage":
+            assert (new.los != LosState.OUTAGE).all()
+
+    @pytest.mark.parametrize("n", [2, 30, 480])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_association(self, n, case):
+        params = self.CASES[case]
+        dep = scattered_deployment(n + 1, n)
+        ues = far_and_near_ues(n + 2, 40)
+        rng_new, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
+        new = associate_min_pathloss(ues, dep, params, rng_new)
+        ref = dense_associate_min_pathloss(ues, dep, params, rng_ref)
+        assert new.dtype == ref.dtype
+        assert np.array_equal(new, ref)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        if case != "no_outage":
+            assert (new[40:] == -1).all()  # the far UEs see only outage links
+        assert (new[:40] >= 0).any()
+
+    def test_empty_ue_list(self):
+        dep = scattered_deployment(3, 5)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert associate_min_pathloss([], dep, ChannelParams(), rng).size == 0
+        assert rng.bit_generator.state == before

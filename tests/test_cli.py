@@ -105,6 +105,23 @@ class TestMain:
         assert run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert "p_w" in capsys.readouterr().err
 
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        assert run_cli(["--seed", "-1", "--reps", "2", "--out", str(tmp_path / "o")]) == 1
+        assert "master_seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_nan_config_value_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text('{"deployment": {"lambda_g": NaN}}')
+        assert run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert "deployment.lambda_g" in capsys.readouterr().err
+
+    def test_fractional_repetitions_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"run": {"repetitions": 2.9}}))
+        assert run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert "run.repetitions" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = run_cli(["--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")])
         assert code == 2

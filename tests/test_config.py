@@ -110,6 +110,39 @@ class TestValidation:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{not json")
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "section,key", [("deployment", "lambda_g"), ("radio", "gamma_th_db"), ("channel", "los_sigma_db")]
+    )
+    def test_non_finite_value_names_the_key(self, section, key, text):
+        # JSON text so the parser's NaN/Infinity literals are what arrives
+        with pytest.raises(ConfigError, match=f"'{section}.{key}' must be finite"):
+            parse_config('{"%s": {"%s": %s}}' % (section, key, text))
+
+    @pytest.mark.parametrize(
+        "doc,key",
+        [
+            ({"run": {"repetitions": 2.9}}, "run.repetitions"),
+            ({"run": {"max_hops": 3.5}}, "run.max_hops"),
+            ({"run": {"master_seed": 1.5}}, "run.master_seed"),
+            ({"radio": {"M": 64.9}}, "radio.M"),
+            ({"radio": {"S": 2.5}}, "radio.S"),
+            ({"policies": [{"policy": "HQF", "wbf": {"kind": "polynomial", "n_ht": 1.5}}]}, "wbf.n_ht"),
+        ],
+    )
+    def test_non_integral_integer_key_names_the_key(self, doc, key):
+        with pytest.raises(ConfigError, match=f"{key}' must be an integer"):
+            parse_config(doc)
+
+    def test_integral_float_accepted_for_integer_key(self):
+        cfg = parse_config({"run": {"repetitions": 12.0}, "radio": {"M": 256.0}})
+        assert cfg.repetitions == 12 and isinstance(cfg.repetitions, int)
+        assert cfg.radio.array_elements == 256 and isinstance(cfg.radio.array_elements, int)
+
+    def test_negative_master_seed(self):
+        with pytest.raises(ConfigError, match="master_seed"):
+            parse_config({"run": {"master_seed": -1}})
+
 
 class TestRoundTrip:
     def test_parse_echo_parse_is_fixed_point(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from oracles import enumerate_widest
@@ -203,6 +205,27 @@ class TestEmpiricalCdf:
         assert cdf.quantile(0.25) == 10
         assert cdf.quantile(1.0) == 40
         assert cdf.quantile(0.0) == 10
+
+    def test_quantile_is_smallest_order_statistic_reaching_level(self):
+        # ceil(q*n) in floating point overshoots by one on 22 of these pairs,
+        # e.g. q = 0.28, n = 25 where F(7th) = 7/25 = 0.28 already
+        overshot = 0
+        for n in range(1, 200):
+            cdf = EmpiricalCdf(np.arange(1.0, n + 1))
+            for i in range(1, 101):
+                q = i / 100
+                k = int(cdf.quantile(q))
+                assert k / n >= q and (k == 1 or (k - 1) / n < q), (q, n)
+                assert cdf.evaluate(float(k)) >= q
+                overshot += k != min(n, math.ceil(q * n))
+        assert overshot == 22
+        assert EmpiricalCdf(np.arange(1.0, 26)).quantile(0.28) == 7.0
+
+    def test_quantile_levels_in_summaries_unchanged(self):
+        for n in range(1, 5001):
+            cdf = EmpiricalCdf(np.arange(1.0, n + 1))
+            for q in (0.5, 0.95):
+                assert cdf.quantile(q) == min(n, math.ceil(q * n))
 
     def test_steps_end_at_one(self):
         cdf = empirical_cdf([2, 2, 7])
