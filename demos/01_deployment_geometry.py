@@ -28,7 +28,10 @@ donor_id = nearest_wired(origin.id, deployment)
 donor = deployment.node(donor_id)
 print(f"\nnearest wired donor: id {donor_id}, {distance(origin.position, donor.position):.0f} m away")
 
-forward = half_plane_filter(origin.position, donor.position, relays)
+pos = deployment.positions
+relay_ids = [g.id for g in relays]
+keep = half_plane_filter(pos[origin.id], pos[donor_id], pos[relay_ids])
+forward = [g for g, kept in zip(relays, keep) if kept]
 print(f"half-plane filter toward the donor keeps {len(forward)} of {len(relays)} relays")
 for g in forward[:5]:
     print(f"  kept relay {g.id} at ({g.position.x:.0f}, {g.position.y:.0f})")

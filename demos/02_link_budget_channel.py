@@ -8,9 +8,9 @@ import numpy as np
 
 from iabsim import (
     ChannelParams,
-    GnbNode,
-    Position,
+    Deployment,
     RadioConfig,
+    Region,
     link_state,
     los_probabilities,
     noise_power_dbm,
@@ -39,12 +39,12 @@ for d in (20, 50, 100, 150, 200, 300):
 
 print("\n=== Realized link SNR vs distance (one draw each) ===")
 rng = np.random.default_rng(7)
-boresights = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
+boresights = [[0.0, 2 * math.pi / 3, 4 * math.pi / 3]] * 2
 print(f"{'d [m]':>6} {'state':>7} {'pathloss':>9} {'SNR [dB]':>9} {'rate 1 user':>12}")
 for d in (10, 50, 100, 150, 200, 300):
-    a = GnbNode(0, Position(0.0, 0.0), False, boresights)
-    b = GnbNode(1, Position(float(d), 0.0), True, boresights)
-    ls = link_state(a, b, radio, params, rng)
+    pair = Deployment(Region(), [(0.0, 0.0), (float(d), 0.0)], [False, True], 0,
+                      sector_boresights=np.array(boresights))
+    ls = link_state(pair.node(0), pair.node(1), radio, params, rng)
     rate = shannon_rate(radio.bandwidth_hz, ls.snr_db, 1)
     pl = "inf" if math.isinf(ls.pathloss_db) else f"{ls.pathloss_db:.1f}"
     snr = "-inf" if math.isinf(ls.snr_db) else f"{ls.snr_db:.1f}"

@@ -24,7 +24,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import TWO_PI, Deployment, GnbNode, Position, bearing, distance
+from .geometry import TWO_PI, Deployment, GnbNode, bearing, distance
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -153,6 +153,18 @@ def _budget(
     return pathloss, shadowing
 
 
+def pair_draws(size: int, params: ChannelParams, rng: np.random.Generator):
+    """The draws of ``size`` pairs in stream-invariant order: (uniforms, shadowing, fading or None).
+
+    Calling it and dropping the result moves ``rng`` past pairs whose channel
+    no one reads, to where evaluating them would have left it.
+    """
+    u = rng.random(size)
+    shadow = rng.standard_normal(size)
+    fading = rng.standard_normal(size) if params.fading_sigma_db > 0.0 else None
+    return u, shadow, fading
+
+
 def _draw_pairs(d: np.ndarray, params: ChannelParams, rng: np.random.Generator):
     """One channel draw per entry of ``d``: (live, los, pathloss, shadowing).
 
@@ -161,9 +173,7 @@ def _draw_pairs(d: np.ndarray, params: ChannelParams, rng: np.random.Generator):
     for those entries only. The draws follow the stream invariant.
     """
     d = d.ravel()
-    u = rng.random(d.size)
-    shadow = rng.standard_normal(d.size)
-    fading = rng.standard_normal(d.size) if params.fading_sigma_db > 0.0 else None
+    u, shadow, fading = pair_draws(d.size, params, rng)
     live, los = _visibility(d, u, params)
     pathloss, shadowing = _budget(
         d[live], los, shadow[live], None if fading is None else fading[live], params
@@ -314,7 +324,7 @@ def link_table(
     rng: np.random.Generator,
 ) -> LinkTable:
     """Draw the full pairwise link realization for one repetition."""
-    x, y = deployment.positions_by_id().T
+    x, y = deployment.positions.T
     n = len(x)
     src, dst = np.triu_indices(n, k=1)
     d = np.hypot(x[src] - x[dst], y[src] - y[dst])
@@ -346,19 +356,16 @@ def link_table(
 
 
 def associate_min_pathloss(
-    ue_positions: list[Position],
+    ue_positions: np.ndarray,
     deployment: Deployment,
     params: ChannelParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Index of the serving gNB per UE (lowest realized pathloss), -1 if all in outage."""
-    if not ue_positions:
+    """Serving gNB per row of the (k, 2) ``ue_positions`` (lowest realized pathloss); -1 if all in outage."""
+    if len(ue_positions) == 0:
         return np.empty(0, dtype=np.int64)
-    gnb_pos = deployment.positions_by_id()
-    ue = np.array([[p.x, p.y] for p in ue_positions])
-    d = np.hypot(
-        ue[:, None, 0] - gnb_pos[None, :, 0], ue[:, None, 1] - gnb_pos[None, :, 1]
-    )
+    ue, gnb = ue_positions, deployment.positions
+    d = np.hypot(ue[:, None, 0] - gnb[None, :, 0], ue[:, None, 1] - gnb[None, :, 1])
     live, _, pathloss, shadowing = _draw_pairs(d, params, rng)
     total = _spread(d.size, live, pathloss + shadowing, np.inf).reshape(d.shape)
     serving = np.argmin(total, axis=1)

@@ -176,11 +176,12 @@ def main(argv=None) -> int:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
         cfg = _apply_overrides(cfg, args)
+        # A world law that cannot be sampled (see sample_world) shows up here.
+        result = run_campaign(cfg, workers=args.workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    result = run_campaign(cfg, workers=args.workers)
     summary = aggregate(cfg, result)
     bundle = ResultBundle(
         config_doc=config_document(cfg),

@@ -14,6 +14,8 @@ import numpy as np
 from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
+# Redraws a conditioned sample may take before its law is judged unreachable.
+MAX_REDRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -24,10 +26,9 @@ class Region:
     height_m: float = 1000.0
 
     def __post_init__(self):
-        if self.width_m <= 0 or self.height_m <= 0:
-            raise ConfigError(
-                f"region sides must be positive, got {self.width_m} x {self.height_m} m"
-            )
+        for key, side in (("region_width_m", self.width_m), ("region_height_m", self.height_m)):
+            if not (math.isfinite(side) and side > 0):
+                raise ConfigError(f"deployment.{key} must be positive and finite, got {side}")
 
     @property
     def area_km2(self) -> float:
@@ -53,81 +54,116 @@ def bearing(a: Position, b: Position) -> float:
     return math.atan2(b.y - a.y, b.x - a.x)
 
 
-@dataclass
 class GnbNode:
-    """One base station: a wired donor or a wireless relay.
+    """View of row ``id`` of a deployment's arrays: one wired donor or wireless relay.
 
-    ``attached_count`` is the number of terminals currently served by the node;
-    it feeds the rate-based selection policy and is filled in after user
-    association.
+    Views are made on demand by :meth:`Deployment.node` and
+    :attr:`Deployment.gnbs`; setting ``attached_count`` (the number of
+    terminals the node serves) writes into ``Deployment.attached``.
     """
 
-    id: int
-    position: Position
-    is_wired: bool
-    sector_boresights: tuple[float, ...] = (0.0,)
-    attached_count: int = 0
+    __slots__ = ("_deployment", "id")
+
+    def __init__(self, deployment: "Deployment", node_id: int):
+        self._deployment = deployment
+        self.id = node_id
+
+    @property
+    def position(self) -> Position:
+        return Position(*self._deployment.positions[self.id].tolist())
+
+    @property
+    def is_wired(self) -> bool:
+        return bool(self._deployment.wired[self.id])
+
+    @property
+    def sector_boresights(self) -> tuple[float, ...]:
+        return tuple(self._deployment.sector_boresights[self.id].tolist())
+
+    @property
+    def attached_count(self) -> int:
+        return int(self._deployment.attached[self.id])
+
+    @attached_count.setter
+    def attached_count(self, value: int) -> None:
+        self._deployment.attached[self.id] = value
 
 
-@dataclass
+@dataclass(eq=False)
 class Deployment:
-    """One realized topology over a region.
+    """One realized topology over a region, stored as arrays indexed by node id.
 
-    Node ids are always the contiguous range 0..n-1 (list order is free), so
-    they double as row indices into pairwise link matrices.
+    Row i of ``positions`` (n, 2), ``wired`` (n,), ``attached`` (n,) and
+    ``sector_boresights`` (n, S) describes gNB i, so ids are also row indices
+    into pairwise link matrices. ``attached`` counts the terminals each node
+    serves (zeros unless user association filled it in); ``ue_positions`` is
+    (k, 2).
     """
 
     region: Region
-    gnbs: list[GnbNode]
+    positions: np.ndarray
+    wired: np.ndarray
     origin_id: int
-    ue_positions: list[Position] = field(default_factory=list)
+    attached: np.ndarray | None = None
+    sector_boresights: np.ndarray | None = None
+    ue_positions: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
     def __post_init__(self):
-        if sorted(g.id for g in self.gnbs) != list(range(len(self.gnbs))):
-            raise ConfigError("gNB ids must be unique and form the range 0..n-1")
-        self._by_id = {g.id: g for g in self.gnbs}
-        n_wired = sum(g.is_wired for g in self.gnbs)
-        if n_wired == 0 or n_wired == len(self.gnbs):
+        self.positions = np.asarray(self.positions, dtype=float)
+        self.wired = np.asarray(self.wired, dtype=bool)
+        n = self.wired.size
+        if self.positions.shape != (n, 2):
+            raise ConfigError(f"positions must be an (n, 2) array for n = {n} gNBs")
+        if self.attached is None:
+            self.attached = np.zeros(n, dtype=np.int64)
+        if self.sector_boresights is None:
+            self.sector_boresights = np.zeros((n, 1))
+        n_wired = int(self.wired.sum())
+        if n_wired == 0 or n_wired == n:
             raise ConfigError("deployment needs at least one wired and one wireless gNB")
         if self.node(self.origin_id).is_wired:
             raise ConfigError("origin must be a wireless gNB")
 
     def node(self, node_id: int) -> GnbNode:
-        return self._by_id[node_id]
+        if not 0 <= node_id < self.n_gnbs:
+            raise IndexError(f"no gNB with id {node_id} among {self.n_gnbs}")
+        return GnbNode(self, node_id)
+
+    @property
+    def gnbs(self) -> list[GnbNode]:
+        return [GnbNode(self, i) for i in range(self.n_gnbs)]
 
     @property
     def n_gnbs(self) -> int:
-        return len(self.gnbs)
+        return self.wired.size
 
     @property
     def wired_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(g.id for g in self.gnbs if g.is_wired))
-
-    def positions_by_id(self) -> np.ndarray:
-        """(n, 2) array of coordinates, row index == node id."""
-        pos = np.empty((self.n_gnbs, 2))
-        for g in self.gnbs:
-            pos[g.id, 0] = g.position.x
-            pos[g.id, 1] = g.position.y
-        return pos
+        return tuple(np.flatnonzero(self.wired).tolist())
 
 
-def sample_ppp(density_per_km2: float, region: Region, rng: np.random.Generator) -> list[Position]:
-    """Homogeneous Poisson scatter: Poisson(density * area) points, i.i.d. uniform."""
+def sample_ppp(density_per_km2: float, region: Region, rng: np.random.Generator) -> np.ndarray:
+    """Homogeneous Poisson scatter: Poisson(density * area) i.i.d. uniform points, as (k, 2)."""
     if density_per_km2 <= 0:
         raise ConfigError(f"density must be positive, got {density_per_km2} per km^2")
     count = int(rng.poisson(density_per_km2 * region.area_km2))
     xs = rng.uniform(0.0, region.width_m, count)
     ys = rng.uniform(0.0, region.height_m, count)
-    return [Position(float(x), float(y)) for x, y in zip(xs, ys)]
+    return np.column_stack((xs, ys))
 
 
-def _sector_boresights(offset: float, sectors: int) -> tuple[float, ...]:
-    return tuple((offset + TWO_PI * s / sectors) % TWO_PI for s in range(sectors))
+def _closest(ids: np.ndarray, positions: np.ndarray, point: np.ndarray) -> int:
+    """The id among ``ids`` nearest to ``point``, lowest id on ties.
+
+    Distances go through ``math.hypot``: ``np.hypot`` rounds some of them
+    differently in the last bit, which can reorder near-ties.
+    """
+    dx, dy = (point - positions[ids]).T.tolist()
+    return min(zip(map(math.hypot, dx, dy), ids.tolist()))[1]
 
 
 def assign_roles(
-    positions: list[Position],
+    positions: np.ndarray,
     p_w: float,
     region: Region,
     rng: np.random.Generator,
@@ -135,12 +171,14 @@ def assign_roles(
 ) -> Deployment:
     """Mark each node wired with probability ``p_w`` and pick the origin relay.
 
-    Role vectors are redrawn until both a wired and a wireless node exist.
-    Each node gets ``sectors`` evenly spaced boresights sharing one uniform
-    random rotation. The origin is the wireless node nearest the region center
-    (lowest id on ties), which keeps evaluated paths away from the border.
+    Role vectors are redrawn until both a wired and a wireless node exist, at
+    most ``MAX_REDRAWS`` times. Each node gets ``sectors`` evenly spaced
+    boresights sharing one uniform random rotation. The origin is the wireless
+    node nearest the region center (lowest id on ties), which keeps evaluated
+    paths away from the border.
     """
-    if not positions:
+    positions = np.asarray(positions, dtype=float)
+    if positions.size == 0:
         raise ConfigError("cannot assign roles to an empty position list")
     if not 0.0 < p_w < 1.0:
         raise ConfigError(f"p_w must lie strictly in (0, 1), got {p_w}")
@@ -150,47 +188,41 @@ def assign_roles(
     if n < 2:
         raise ConfigError("need at least two gNBs to split into wired and wireless")
 
-    while True:
+    for _ in range(MAX_REDRAWS):
         wired = rng.random(n) < p_w
         if 0 < int(wired.sum()) < n:
             break
+    else:
+        raise ConfigError(
+            f"deployment.p_w = {p_w}: {MAX_REDRAWS} role draws over {n} gNBs "
+            "gave no mix of wired and wireless nodes"
+        )
     offsets = rng.uniform(0.0, TWO_PI, n)
-
-    gnbs = [
-        GnbNode(i, pos, bool(wired[i]), _sector_boresights(float(offsets[i]), sectors))
-        for i, pos in enumerate(positions)
-    ]
-    center = region.center
-    origin = min(
-        (g for g in gnbs if not g.is_wired),
-        key=lambda g: (distance(g.position, center), g.id),
-    )
-    return Deployment(region=region, gnbs=gnbs, origin_id=origin.id)
+    boresights = (offsets[:, None] + TWO_PI * np.arange(sectors) / sectors) % TWO_PI
+    center = np.array((region.width_m / 2.0, region.height_m / 2.0))
+    origin = _closest((~wired).nonzero()[0], positions, center)
+    return Deployment(region, positions, wired, origin, sector_boresights=boresights)
 
 
 def nearest_wired(node_id: int, deployment: Deployment) -> int:
     """Id of the wired gNB closest to ``node_id`` (lowest id on ties)."""
-    src = deployment.node(node_id).position
-    wired = [g for g in deployment.gnbs if g.is_wired]
-    if not wired:
+    wired = deployment.wired.nonzero()[0]
+    if wired.size == 0:
         raise ValueError("deployment has no wired gNB")
-    best = min(wired, key=lambda g: (distance(g.position, src), g.id))
-    return best.id
+    return _closest(wired, deployment.positions, deployment.positions[node_id])
 
 
-def half_plane_filter(current: Position, wired_target: Position, candidates: list) -> list:
-    """Keep candidates strictly on the wired side of the perpendicular at ``current``.
+def half_plane_filter(current, wired_target, points) -> list[bool]:
+    """Per point (x, y), whether it lies strictly on the wired side of the perpendicular at ``current``.
 
-    A candidate j survives iff (p_j - p_current) . (p_wired - p_current) > 0;
-    points exactly on the dividing line are dropped. Works on anything with a
-    ``position`` attribute.
+    Point j is kept iff (p_j - p_current) . (p_wired - p_current) > 0; points
+    exactly on the dividing line are dropped. Takes coordinate pairs, e.g. the
+    rows of ``positions[ids].tolist()``: per point, plain float arithmetic is
+    cheaper than array calls on the few candidates of one hop.
     """
-    ux = wired_target.x - current.x
-    uy = wired_target.y - current.y
+    cx, cy = current
+    ux = wired_target[0] - cx
+    uy = wired_target[1] - cy
     if ux == 0.0 and uy == 0.0:
         raise ValueError("wired_target must differ from current position")
-    return [
-        c
-        for c in candidates
-        if (c.position.x - current.x) * ux + (c.position.y - current.y) * uy > 0.0
-    ]
+    return [(x - cx) * ux + (y - cy) * uy > 0.0 for x, y in points]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import shannon_rate
 from .errors import ConfigError
-from .geometry import Deployment, Position, half_plane_filter, nearest_wired
+from .geometry import Deployment, half_plane_filter, nearest_wired
 
 
 class WbfKind(Enum):
@@ -81,7 +81,6 @@ class Candidate:
     raw_snr_db: float
     is_wired: bool
     attached_count: int
-    position: Position
 
 
 @dataclass(frozen=True)
@@ -146,13 +145,11 @@ def candidate_set(
     Returned in ascending id order for determinism.
     """
     row = link_snr_db[current_id]
-    out = []
-    for node_id in np.flatnonzero(row >= snr_threshold_db).tolist():
-        if node_id == current_id or node_id in visited:
-            continue
-        g = deployment.node(node_id)
-        out.append(Candidate(node_id, float(row[node_id]), g.is_wired, g.attached_count, g.position))
-    return out
+    ids = (row >= snr_threshold_db).nonzero()[0]
+    columns = zip(
+        ids.tolist(), row[ids].tolist(), deployment.wired[ids].tolist(), deployment.attached[ids].tolist()
+    )
+    return [Candidate(*c) for c in columns if c[0] != current_id and c[0] not in visited]
 
 
 def _argbest(candidates: list[Candidate], metric) -> int:
@@ -192,13 +189,18 @@ def select_pa(
 
     The dividing line is perpendicular to the segment toward the nearest wired
     donor. If no candidate makes forward progress, selection falls back to
-    plain HQF over the full set rather than failing.
+    plain HQF over the full set rather than failing; so it does when the
+    current node shares its donor's position, where no direction is forward.
     """
     if not candidates:
         raise ValueError("select_pa needs a nonempty candidate set")
-    target = deployment.node(nearest_wired(current_id, deployment))
-    current = deployment.node(current_id).position
-    forward = half_plane_filter(current, target.position, candidates)
+    pos = deployment.positions
+    current = pos[current_id].tolist()
+    target = pos[nearest_wired(current_id, deployment)].tolist()
+    forward = []
+    if current != target:
+        keep = half_plane_filter(current, target, pos[[c.node_id for c in candidates]].tolist())
+        forward = [c for c, kept in zip(candidates, keep) if kept]
     return select_hqf(forward or candidates, n_hops, wbf)
 
 
@@ -266,7 +268,7 @@ def build_path(
         bottleneck = min(bottleneck, float(link_snr_db[current, chosen]))
         current = chosen
         n_hops += 1
-        if deployment.node(chosen).is_wired:
+        if deployment.wired[chosen]:
             outcome = PathOutcome.SUCCESS
             break
     return PathResult(

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, RadioConfig, associate_min_pathloss, link_table
+from .channel import ChannelParams, RadioConfig, associate_min_pathloss, link_table, pair_draws
 from .errors import ConfigError
-from .geometry import Deployment, Region, assign_roles, sample_ppp
+from .geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
 from .policy import PathOutcome, PathResult, PolicyKind, WbfConfig, build_path
 
 
@@ -60,6 +60,9 @@ class SimConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ConfigError(f"run.repetitions must be >= 1, got {self.repetitions}")
+        for key in ("lambda_g", "lambda_ue"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"deployment.{key} must be finite, got {getattr(self, key)}")
         if self.lambda_g <= 0:
             raise ConfigError(f"deployment.lambda_g must be positive, got {self.lambda_g}")
         if self.lambda_ue < 0:
@@ -90,18 +93,32 @@ def repetition_rng(master_seed: int, rep_index: int) -> np.random.Generator:
 
 
 def sample_world(cfg: SimConfig, rng: np.random.Generator):
-    """One full realization: deployment, UE association and link table."""
-    while True:
+    """One full realization: deployment, UE loads and link table.
+
+    The gNB drop is redrawn until it holds two nodes, at most ``MAX_REDRAWS``
+    times. UE association fills ``deployment.attached`` only when some
+    configured policy is MLR, the one policy that reads the loads; otherwise
+    the loads stay 0. The UE drop and the UE-gNB channel draws are made
+    either way, so the link table, and every policy, sees the same stream
+    whichever policies are configured.
+    """
+    for _ in range(MAX_REDRAWS):
         points = sample_ppp(cfg.lambda_g, cfg.region, rng)
         if len(points) >= 2:
             break
+    else:
+        raise ConfigError(
+            f"deployment.lambda_g = {cfg.lambda_g}: {MAX_REDRAWS} drops in a row "
+            "held fewer than two gNBs"
+        )
     deployment = assign_roles(points, cfg.p_w, cfg.region, rng, sectors=cfg.radio.sectors)
     if cfg.lambda_ue > 0:
-        deployment.ue_positions = sample_ppp(cfg.lambda_ue, cfg.region, rng)
-        serving = associate_min_pathloss(deployment.ue_positions, deployment, cfg.channel, rng)
-        counts = np.bincount(serving[serving >= 0], minlength=deployment.n_gnbs)
-        for g in deployment.gnbs:
-            g.attached_count = int(counts[g.id])
+        ues = deployment.ue_positions = sample_ppp(cfg.lambda_ue, cfg.region, rng)
+        if any(spec.kind == PolicyKind.MLR for spec in cfg.policies):
+            serving = associate_min_pathloss(ues, deployment, cfg.channel, rng)
+            deployment.attached = np.bincount(serving[serving >= 0], minlength=deployment.n_gnbs)
+        else:
+            pair_draws(len(ues) * deployment.n_gnbs, cfg.channel, rng)
     links = link_table(deployment, cfg.radio, cfg.channel, rng)
     return deployment, links
 
@@ -142,8 +159,7 @@ def widest_path_oracle(
     second search extending a path strictly worsens its key, so the first
     wired node popped is the tie-broken optimum.
     """
-    n = deployment.n_gnbs
-    wired = [deployment.node(i).is_wired for i in range(n)]
+    wired = deployment.wired.tolist()
     best = _best_bottleneck_value(wired, link_snr_db, origin_id, snr_threshold_db)
     if best is None:
         return PathResult(

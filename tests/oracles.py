@@ -37,7 +37,7 @@ def _dense_pair_draws(d, params, rng):
 
 def dense_link_table(deployment, radio, params, rng):
     """The pairwise link table with every budget term computed for every pair."""
-    pos = deployment.positions_by_id()
+    pos = deployment.positions
     n = len(pos)
     src, dst = np.triu_indices(n, k=1)
     d = np.hypot(pos[src, 0] - pos[dst, 0], pos[src, 1] - pos[dst, 1])
@@ -68,10 +68,10 @@ def dense_link_table(deployment, radio, params, rng):
 
 def dense_associate_min_pathloss(ue_positions, deployment, params, rng):
     """Serving gNB per UE from a full (UE, gNB) pathloss matrix; -1 if all in outage."""
-    if not ue_positions:
+    if len(ue_positions) == 0:
         return np.empty(0, dtype=np.int64)
-    gnb = deployment.positions_by_id()
-    ue = np.array([[p.x, p.y] for p in ue_positions])
+    gnb = deployment.positions
+    ue = np.asarray(ue_positions)
     d = np.hypot(ue[:, None, 0] - gnb[None, :, 0], ue[:, None, 1] - gnb[None, :, 1])
     _, pathloss, shadowing = _dense_pair_draws(d, params, rng)
     total = pathloss + shadowing

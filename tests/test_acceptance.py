@@ -22,7 +22,7 @@ from iabsim.channel import (
 )
 from iabsim.cli import main
 from iabsim.config import WBF_PRESETS
-from iabsim.geometry import Deployment, GnbNode, Position, Region
+from iabsim.geometry import Deployment, Region
 from iabsim.policy import PolicyKind, WbfConfig, WbfKind, wbf_exp, wbf_poly
 from iabsim.simulate import (
     PolicySpec,
@@ -186,8 +186,7 @@ def test_c07_oracle_correctness(desk):
             for j in range(i + 1, n):
                 if rng.random() < 0.7:
                     mat[i, j] = mat[j, i] = float(rng.uniform(-10, 40))
-        gnbs = [GnbNode(i, Position(*map(float, coords[i])), wired[i]) for i in range(n)]
-        dep = Deployment(Region(1000, 1000), gnbs, 0)
+        dep = Deployment(Region(1000, 1000), coords, wired, 0)
         res = widest_path_oracle(dep, mat, 0, 5.0)
         best = enumerate_widest(mat, wired, 0, 5.0)
         if best is None:
@@ -261,8 +260,7 @@ def test_c10_channel_closure():
     rng = np.random.default_rng(77)
     n = 1415
     coords = rng.uniform(0, 500, (n, 2))
-    gnbs = [GnbNode(i, Position(*map(float, coords[i])), i % 2 == 0) for i in range(n)]
-    deployment = Deployment(Region(500, 500), gnbs, 1)
+    deployment = Deployment(Region(500, 500), coords, np.arange(n) % 2 == 0, 1)
     radio = RadioConfig()
     no_outage = ChannelParams(outage_slope_per_m=0.0)
     table = link_table(deployment, radio, no_outage, rng)
@@ -280,8 +278,8 @@ def test_c10_channel_closure():
     closure_ok = n_links >= 1_000_000 and float(residual.max()) < 1e-9
 
     # with the default outage model, outage pairs must carry -inf SNR
-    small = [GnbNode(i, Position(*map(float, p)), i % 3 == 0) for i, p in enumerate(rng.uniform(0, 2000, (60, 2)))]
-    wide = link_table(Deployment(Region(2000, 2000), small, 1), radio, ChannelParams(), rng)
+    small = Deployment(Region(2000, 2000), rng.uniform(0, 2000, (60, 2)), np.arange(60) % 3 == 0, 1)
+    wide = link_table(small, radio, ChannelParams(), rng)
     from iabsim.channel import LosState
 
     outage_pairs = wide.los == LosState.OUTAGE

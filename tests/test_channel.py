@@ -19,7 +19,7 @@ from iabsim.channel import (
     upa_gain_db,
 )
 from iabsim.errors import ConfigError
-from iabsim.geometry import Deployment, GnbNode, Position, Region
+from iabsim.geometry import Deployment, Region
 
 # shadowing off, LOS guaranteed at any range (no decay, no outage)
 DETERMINISTIC_LOS = ChannelParams(
@@ -28,8 +28,15 @@ DETERMINISTIC_LOS = ChannelParams(
 NO_SHADOWING = ChannelParams(los_sigma_db=0.0, nlos_sigma_db=0.0)
 
 
-def three_sector_node(node_id, x, y, wired=False):
-    return GnbNode(node_id, Position(x, y), wired, (0.0, 2 * math.pi / 3, 4 * math.pi / 3))
+def three_sector_world(points, wired, origin_id):
+    boresights = np.tile([0.0, 2 * math.pi / 3, 4 * math.pi / 3], (len(points), 1))
+    return Deployment(Region(600, 600), points, wired, origin_id, sector_boresights=boresights)
+
+
+def three_sector_pair(x, y):
+    """Views of a relay at (0, 0) and a wired donor at (x, y), three sectors each."""
+    dep = three_sector_world([(0.0, 0.0), (x, y)], [False, True], 0)
+    return dep.node(0), dep.node(1)
 
 
 class TestNoisePower:
@@ -161,8 +168,7 @@ class TestLinkState:
     def test_reference_budget_one_meter(self):
         # 30 + 18.0618 + 18.0618 - 61.4 - (-82.9794) = 87.703 dB
         rng = np.random.default_rng(3)
-        i = three_sector_node(0, 0.0, 0.0)
-        j = three_sector_node(1, 1.0, 0.0, wired=True)
+        i, j = three_sector_pair(1.0, 0.0)
         ls = link_state(i, j, RadioConfig(), DETERMINISTIC_LOS, rng)
         assert ls.los == LosState.LOS
         assert ls.snr_db == pytest.approx(87.70299956639812, abs=1e-9)
@@ -175,8 +181,7 @@ class TestLinkState:
         noise = noise_power_dbm(radio.bandwidth_hz, radio.noise_figure_db)
         for _ in range(300):
             x, y = rng.uniform(10, 500, 2)
-            i = three_sector_node(0, 0.0, 0.0)
-            j = three_sector_node(1, float(x), float(y))
+            i, j = three_sector_pair(float(x), float(y))
             ls = link_state(i, j, radio, ChannelParams(), rng)
             if ls.los == LosState.OUTAGE:
                 assert ls.snr_db == -math.inf
@@ -198,13 +203,12 @@ class TestLinkState:
         d_cross = 10 ** ((pl_at_threshold - 61.4) / 20.0)
         assert d_cross == pytest.approx(13650.54460165097, rel=1e-9)
         rng = np.random.default_rng(5)
-        i = three_sector_node(0, 0.0, 0.0)
-        j = three_sector_node(1, 1000.0, 1000.0)
+        i, j = three_sector_pair(1000.0, 1000.0)
         ls = link_state(i, j, radio, DETERMINISTIC_LOS, rng)
         assert ls.snr_db > 5.0
 
     def test_same_node_rejected(self):
-        i = three_sector_node(0, 0.0, 0.0)
+        i, _ = three_sector_pair(1.0, 0.0)
         with pytest.raises(ValueError):
             link_state(i, i, RadioConfig(), ChannelParams(), np.random.default_rng(0))
 
@@ -212,9 +216,7 @@ class TestLinkState:
 class TestLinkTable:
     def make_deployment(self, rng, n=12):
         pts = rng.uniform(0, 600, (n, 2))
-        wired = [i % 3 == 0 for i in range(n)]
-        gnbs = [three_sector_node(i, float(pts[i, 0]), float(pts[i, 1]), wired[i]) for i in range(n)]
-        return Deployment(Region(600, 600), gnbs, 1)
+        return three_sector_world(pts, [i % 3 == 0 for i in range(n)], 1)
 
     def test_symmetry_shared_draw(self):
         rng = np.random.default_rng(6)
@@ -275,19 +277,15 @@ class TestLinkTable:
     def test_association_counts(self):
         rng = np.random.default_rng(9)
         dep = self.make_deployment(rng)
-        ues = [Position(float(x), float(y)) for x, y in rng.uniform(0, 600, (40, 2))]
+        ues = rng.uniform(0, 600, (40, 2))
         serving = associate_min_pathloss(ues, dep, ChannelParams(), rng)
         assert serving.shape == (40,)
         assert ((serving >= -1) & (serving < dep.n_gnbs)).all()
 
     def test_association_prefers_near_node_without_shadowing(self):
         rng = np.random.default_rng(10)
-        gnbs = [
-            three_sector_node(0, 0.0, 0.0, True),
-            three_sector_node(1, 500.0, 0.0, False),
-        ]
-        dep = Deployment(Region(600, 600), gnbs, 1)
-        ues = [Position(10.0, 0.0), Position(490.0, 0.0)]
+        dep = three_sector_world([(0.0, 0.0), (500.0, 0.0)], [True, False], 1)
+        ues = np.array([(10.0, 0.0), (490.0, 0.0)])
         serving = associate_min_pathloss(ues, dep, DETERMINISTIC_LOS, rng)
         assert serving.tolist() == [0, 1]
 
@@ -336,16 +334,13 @@ class TestRadioConfig:
 def scattered_deployment(seed, n, side=1000.0):
     """n gNBs dropped uniformly on a square; every third one wired, origin 1."""
     pts = np.random.default_rng(seed).uniform(0, side, (n, 2))
-    gnbs = [GnbNode(i, Position(*map(float, pts[i])), i % 3 == 0) for i in range(n)]
-    return Deployment(Region(side, side), gnbs, 1)
+    return Deployment(Region(side, side), pts, np.arange(n) % 3 == 0, 1)
 
 
 def far_and_near_ues(seed, count, side=1000.0):
     """UEs inside the region plus UEs 5 km away, whose every link is in outage."""
     pts = np.random.default_rng(seed).uniform(0, side, (count, 2))
-    near = [Position(*map(float, p)) for p in pts]
-    far = [Position(float(p[0]) + 5000.0, float(p[1])) for p in pts[: count // 2]]
-    return near + far
+    return np.concatenate((pts, pts[: count // 2] + (5000.0, 0.0)))
 
 
 class TestSparseKernelMatchesDenseReference:

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from iabsim.cli import ResultBundle, main, write_results
 from iabsim.config import config_document, parse_config
 from iabsim.simulate import aggregate, empirical_cdf, run_campaign
@@ -121,6 +123,15 @@ class TestMain:
         cfg_path.write_text(json.dumps({"run": {"repetitions": 2.9}}))
         assert run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert "run.repetitions" in capsys.readouterr().err
+
+    def test_unsampleable_density_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sparse.json"
+        cfg_path.write_text(json.dumps({"deployment": {"lambda_g": 1e-4}, "run": {"repetitions": 1}}))
+        with pytest.warns(UserWarning):
+            code = run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "deployment.lambda_g" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = run_cli(["--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")])

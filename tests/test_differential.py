@@ -7,7 +7,7 @@ widest-path oracle are exercised against the loop references in ``oracles``.
 import numpy as np
 from oracles import enumerate_widest, reference_greedy_trace
 
-from iabsim.geometry import Deployment, GnbNode, Position, Region
+from iabsim.geometry import Deployment, Region
 from iabsim.policy import PolicyKind, WbfConfig, WbfKind, build_path
 from iabsim.simulate import widest_path_oracle
 
@@ -21,23 +21,25 @@ BIASES = (
 
 
 def tied_world(rng):
-    """A world of 3..8 gNBs on distinct grid points, SNRs drawn from a few integers."""
+    """A world of 3..8 gNBs on grid points (some shared), SNRs drawn from a few integers.
+
+    Points on one grid cell put a node on its nearest wired donor now and then,
+    where PA has no forward direction.
+    """
     n = int(rng.integers(3, 9))
-    cells = rng.choice(25, size=n, replace=False)
+    cells = rng.integers(0, 16, n)
     wired = rng.random(n) < 0.4
     wired[0] = False
     if not wired.any():
         wired[int(rng.integers(1, n))] = True
-    gnbs = [
-        GnbNode(i, Position(float(c % 5), float(c // 5)), bool(wired[i]), attached_count=int(a))
-        for i, (c, a) in enumerate(zip(cells, rng.integers(0, 3, n)))
-    ]
+    positions = np.column_stack((cells % 4, cells // 4))
+    attached = rng.integers(0, 3, n)
     values = rng.integers(3, 10, (n, n)).astype(float)
     values[rng.random((n, n)) < 0.3] = -np.inf
     mat = np.triu(values, 1)
     mat = np.where(np.tri(n, dtype=bool), mat.T, mat)
     np.fill_diagonal(mat, -np.inf)
-    return Deployment(Region(5.0, 5.0), gnbs, 0), mat, wired.tolist()
+    return Deployment(Region(5.0, 5.0), positions, wired, 0, attached=attached), mat, wired.tolist()
 
 
 def test_policies_and_oracle_match_references_under_ties():

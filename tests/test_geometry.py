@@ -5,9 +5,8 @@ import pytest
 
 from iabsim.errors import ConfigError
 from iabsim.geometry import (
+    MAX_REDRAWS,
     Deployment,
-    GnbNode,
-    Position,
     Region,
     assign_roles,
     distance,
@@ -20,12 +19,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def make_deployment(coords, wired_flags, origin_id, region=None):
-    region = region or Region(1000.0, 1000.0)
-    gnbs = [
-        GnbNode(i, Position(float(x), float(y)), bool(w))
-        for i, ((x, y), w) in enumerate(zip(coords, wired_flags))
-    ]
-    return Deployment(region, gnbs, origin_id)
+    return Deployment(region or Region(1000.0, 1000.0), coords, wired_flags, origin_id)
 
 
 class TestRegion:
@@ -37,6 +31,14 @@ class TestRegion:
     def test_degenerate_rejected(self, w, h):
         with pytest.raises(ConfigError):
             Region(w, h)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["region_width_m", "region_height_m"])
+    def test_non_finite_side_names_the_key(self, key, bad):
+        sides = {"width_m": 10.0, "height_m": 10.0}
+        sides[key.removeprefix("region_")] = bad
+        with pytest.raises(ConfigError, match=f"deployment.{key}"):
+            Region(**sides)
 
 
 class TestSamplePpp:
@@ -78,11 +80,11 @@ class TestSamplePpp:
     def test_positions_uniform(self):
         rng = np.random.default_rng(4)
         region = Region(2000, 500)
-        pts = []
-        while len(pts) < 20000:
-            pts.extend(sample_ppp(50.0, region, rng))
-        xs = np.array([p.x for p in pts])
-        ys = np.array([p.y for p in pts])
+        batches = []
+        while sum(map(len, batches)) < 20000:
+            batches.append(sample_ppp(50.0, region, rng))
+        pts = np.concatenate(batches)
+        xs, ys = pts.T
         assert xs.min() >= 0 and xs.max() <= 2000
         assert ys.min() >= 0 and ys.max() <= 500
         assert xs.mean() == pytest.approx(1000, abs=3 * 2000 / math.sqrt(12 * len(pts)))
@@ -106,30 +108,28 @@ class TestAssignRoles:
 
         rng = np.random.default_rng(5)
         region = Region(1000, 1000)
-        positions = [Position(float(x), float(y)) for x, y in rng.uniform(0, 1000, (n_nodes, 2))]
+        positions = rng.uniform(0, 1000, (n_nodes, 2))
         trials = 100_000
         wired_counts = np.empty(trials)
         for t in range(trials):
             dep = assign_roles(positions, p_w, region, rng)
-            wired_counts[t] = sum(g.is_wired for g in dep.gnbs)
+            wired_counts[t] = dep.wired.sum()
         band = 3 * math.sqrt(var_t / trials)
         assert abs(wired_counts.mean() - mean_t) < band
 
     def test_low_wired_fraction_mean(self):
         rng = np.random.default_rng(6)
         region = Region(1000, 1000)
-        positions = [Position(float(x), float(y)) for x, y in rng.uniform(0, 1000, (40, 2))]
+        positions = rng.uniform(0, 1000, (40, 2))
         trials = 5000
-        counts = np.array(
-            [sum(g.is_wired for g in assign_roles(positions, 0.1, region, rng).gnbs) for _ in range(trials)]
-        )
+        counts = np.array([assign_roles(positions, 0.1, region, rng).wired.sum() for _ in range(trials)])
         # truncation is negligible at n=40: compare against n*p directly
         assert counts.mean() == pytest.approx(4.0, abs=3 * math.sqrt(40 * 0.1 * 0.9 / trials))
 
     def test_two_nodes_always_split(self):
         rng = np.random.default_rng(7)
         region = Region(1000, 1000)
-        positions = [Position(100, 100), Position(900, 900)]
+        positions = [(100, 100), (900, 900)]
         for _ in range(50):
             dep = assign_roles(positions, 0.5, region, rng)
             flags = sorted(g.is_wired for g in dep.gnbs)
@@ -139,20 +139,20 @@ class TestAssignRoles:
         rng = np.random.default_rng(8)
         region = Region(1000, 1000)
         with pytest.raises(ConfigError):
-            assign_roles([], 0.3, region, rng)
+            assign_roles(np.empty((0, 2)), 0.3, region, rng)
         with pytest.raises(ConfigError):
-            assign_roles([Position(1, 1)], 0.3, region, rng)
+            assign_roles([(1, 1)], 0.3, region, rng)
 
     @pytest.mark.parametrize("p_w", [0.0, 1.0, -0.1, 1.5])
     def test_invalid_fraction_rejected(self, p_w):
         rng = np.random.default_rng(9)
         with pytest.raises(ConfigError):
-            assign_roles([Position(1, 1), Position(2, 2)], p_w, Region(1000, 1000), rng)
+            assign_roles([(1, 1), (2, 2)], p_w, Region(1000, 1000), rng)
 
     def test_origin_is_wireless_and_nearest_center(self):
         rng = np.random.default_rng(10)
         region = Region(1000, 1000)
-        positions = [Position(float(x), float(y)) for x, y in rng.uniform(0, 1000, (25, 2))]
+        positions = rng.uniform(0, 1000, (25, 2))
         for _ in range(30):
             dep = assign_roles(positions, 0.3, region, rng)
             origin = dep.node(dep.origin_id)
@@ -165,7 +165,7 @@ class TestAssignRoles:
     def test_boresights_evenly_spaced_shared_offset(self):
         rng = np.random.default_rng(11)
         region = Region(1000, 1000)
-        positions = [Position(float(x), float(y)) for x, y in rng.uniform(0, 1000, (6, 2))]
+        positions = rng.uniform(0, 1000, (6, 2))
         dep = assign_roles(positions, 0.5, region, rng, sectors=3)
         for g in dep.gnbs:
             assert len(g.sector_boresights) == 3
@@ -175,7 +175,7 @@ class TestAssignRoles:
     def test_offsets_differ_between_nodes(self):
         rng = np.random.default_rng(12)
         region = Region(1000, 1000)
-        positions = [Position(float(x), float(y)) for x, y in rng.uniform(0, 1000, (6, 2))]
+        positions = rng.uniform(0, 1000, (6, 2))
         dep = assign_roles(positions, 0.5, region, rng, sectors=3)
         firsts = {g.sector_boresights[0] for g in dep.gnbs}
         assert len(firsts) == len(dep.gnbs)
@@ -195,90 +195,112 @@ class TestNearestWired:
         assert nearest_wired(0, dep) == 1
 
     def test_permutation_invariant(self):
+        # relabeling the nodes relabels the answer
         rng = np.random.default_rng(13)
         for _ in range(50):
             coords = rng.uniform(0, 1000, (8, 2))
-            wired = [False, True, True, False, True, False, False, True]
-            gnbs = [GnbNode(i, Position(*map(float, coords[i])), wired[i]) for i in range(8)]
+            wired = np.array([False, True, True, False, True, False, False, True])
             region = Region(1000, 1000)
-            base = nearest_wired(0, Deployment(region, list(gnbs), 0))
+            base = nearest_wired(0, Deployment(region, coords, wired, 0))
             order = rng.permutation(8)
-            shuffled = Deployment(region, [gnbs[i] for i in order], 0)
-            assert nearest_wired(0, shuffled) == base
+            new_id = np.argsort(order)
+            shuffled = Deployment(region, coords[order], wired[order], int(new_id[0]))
+            assert nearest_wired(int(new_id[0]), shuffled) == new_id[base]
 
 
 class TestHalfPlaneFilter:
     def test_behind_excluded(self):
-        dep = make_deployment([(0, 0), (100, 0), (-50, 10)], [False, True, False], 0)
-        kept = half_plane_filter(Position(0, 0), Position(100, 0), [dep.node(2)])
-        assert kept == []
+        assert half_plane_filter((0, 0), (100, 0), [(-50, 10)]) == [False]
 
     def test_barely_forward_kept(self):
-        node = GnbNode(1, Position(1, 500), False)
-        kept = half_plane_filter(Position(0, 0), Position(100, 0), [node])
-        assert kept == [node]
+        assert half_plane_filter((0, 0), (100, 0), [(1, 500)]) == [True]
 
     def test_on_boundary_excluded(self):
         # projection exactly zero: (0,123).(100,0) = 0
-        node = GnbNode(1, Position(0, 123), False)
-        assert half_plane_filter(Position(0, 0), Position(100, 0), [node]) == []
+        assert half_plane_filter((0, 0), (100, 0), [(0, 123)]) == [False]
 
     def test_coincident_target_rejected(self):
         with pytest.raises(ValueError):
-            half_plane_filter(Position(5, 5), Position(5, 5), [])
+            half_plane_filter((5, 5), (5, 5), [])
+
+    def test_array_rows_match_lists(self):
+        rng = np.random.default_rng(19)
+        current, target = rng.uniform(-100, 100, (2, 2))
+        points = rng.uniform(-200, 200, (20, 2))
+        assert half_plane_filter(current, target, points) == half_plane_filter(
+            current.tolist(), target.tolist(), points.tolist()
+        )
 
     def test_kept_iff_positive_projection(self):
         rng = np.random.default_rng(14)
         for _ in range(200):
-            current = Position(*map(float, rng.uniform(-100, 100, 2)))
-            target = Position(current.x + float(rng.uniform(1, 50)), current.y + float(rng.uniform(1, 50)))
-            nodes = [GnbNode(i, Position(*map(float, rng.uniform(-200, 200, 2))), False) for i in range(10)]
-            kept = {g.id for g in half_plane_filter(current, target, nodes)}
-            ux, uy = target.x - current.x, target.y - current.y
-            for g in nodes:
-                proj = (g.position.x - current.x) * ux + (g.position.y - current.y) * uy
-                assert (g.id in kept) == (proj > 0)
+            current = rng.uniform(-100, 100, 2)
+            target = current + rng.uniform(1, 50, 2)
+            points = rng.uniform(-200, 200, (10, 2))
+            kept = half_plane_filter(current.tolist(), target.tolist(), points.tolist())
+            ux, uy = target - current
+            for (x, y), k in zip(points.tolist(), kept):
+                proj = (x - current[0]) * ux + (y - current[1]) * uy
+                assert k == (proj > 0)
 
     def test_rotation_invariant(self):
         # rotating everything about the current node preserves membership
         rng = np.random.default_rng(15)
         for _ in range(100):
-            cx, cy = map(float, rng.uniform(-50, 50, 2))
-            current = Position(cx, cy)
-            target = Position(cx + float(rng.uniform(1, 40)), cy + float(rng.uniform(-40, 40)))
-            nodes = [GnbNode(i, Position(*map(float, rng.uniform(-100, 100, 2))), False) for i in range(8)]
+            current = rng.uniform(-50, 50, 2)
+            target = current + np.array([rng.uniform(1, 40), rng.uniform(-40, 40)])
+            points = rng.uniform(-100, 100, (8, 2))
             theta = float(rng.uniform(0, TWO_PI))
-            cos_t, sin_t = math.cos(theta), math.sin(theta)
+            rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
 
-            def rot(p):
-                dx, dy = p.x - cx, p.y - cy
-                return Position(cx + cos_t * dx - sin_t * dy, cy + sin_t * dx + cos_t * dy)
+            def turn(p):
+                return current + (p - current) @ rot.T
 
-            rotated_nodes = [GnbNode(g.id, rot(g.position), False) for g in nodes]
-            before = {g.id for g in half_plane_filter(current, target, nodes)}
-            after = {g.id for g in half_plane_filter(current, rot(target), rotated_nodes)}
+            before = half_plane_filter(current, target, points.tolist())
+            after = half_plane_filter(current, turn(target), turn(points).tolist())
             assert before == after
 
 
 class TestDeployment:
-    def test_requires_contiguous_ids(self):
-        gnbs = [GnbNode(0, Position(0, 0), True), GnbNode(2, Position(1, 1), False)]
-        with pytest.raises(ConfigError):
-            Deployment(Region(10, 10), gnbs, 2)
-
     def test_requires_both_roles(self):
-        gnbs = [GnbNode(0, Position(0, 0), True), GnbNode(1, Position(1, 1), True)]
         with pytest.raises(ConfigError):
-            Deployment(Region(10, 10), gnbs, 0)
+            Deployment(Region(10, 10), [(0, 0), (1, 1)], [True, True], 0)
 
     def test_origin_must_be_wireless(self):
-        gnbs = [GnbNode(0, Position(0, 0), True), GnbNode(1, Position(1, 1), False)]
         with pytest.raises(ConfigError):
-            Deployment(Region(10, 10), gnbs, 0)
+            Deployment(Region(10, 10), [(0, 0), (1, 1)], [True, False], 0)
 
-    def test_positions_by_id_ignores_list_order(self):
-        gnbs = [GnbNode(1, Position(10, 20), False), GnbNode(0, Position(1, 2), True)]
-        dep = Deployment(Region(100, 100), gnbs, 1)
-        pos = dep.positions_by_id()
-        assert pos[0].tolist() == [1, 2]
-        assert pos[1].tolist() == [10, 20]
+    def test_positions_must_match_roles(self):
+        with pytest.raises(ConfigError):
+            Deployment(Region(10, 10), [(0, 0), (1, 1), (2, 2)], [True, False], 1)
+
+    def test_node_views_read_the_arrays(self):
+        positions = np.random.default_rng(16).uniform(0, 100, (7, 2))
+        dep = assign_roles(positions, 0.4, Region(100, 100), np.random.default_rng(17), sectors=2)
+        assert [g.id for g in dep.gnbs] == list(range(7))
+        for i in range(dep.n_gnbs):
+            g = dep.node(i)
+            assert (g.position.x, g.position.y) == tuple(dep.positions[i])
+            assert g.is_wired is bool(dep.wired[i])
+            assert g.sector_boresights == tuple(dep.sector_boresights[i])
+            assert g.attached_count == 0
+        assert dep.wired_ids == tuple(np.flatnonzero(dep.wired))
+        with pytest.raises(IndexError):
+            dep.node(7)
+
+    def test_attached_count_writes_through(self):
+        dep = make_deployment([(0, 0), (1, 0), (2, 0)], [False, True, False], 0)
+        dep.node(2).attached_count = 5
+        for g in dep.gnbs:
+            g.attached_count += g.id
+        assert dep.attached.tolist() == [0, 1, 7]
+        assert dep.node(2).attached_count == 7
+
+
+class TestRedrawBound:
+    def test_role_redraws_stop_with_named_key(self):
+        # two nodes at p_w = 1e-9: a mixed role vector is practically never drawn
+        rng = np.random.default_rng(18)
+        with pytest.raises(ConfigError, match="deployment.p_w") as err:
+            assign_roles([(0, 0), (1, 1)], 1e-9, Region(10, 10), rng)
+        assert str(MAX_REDRAWS) in str(err.value)

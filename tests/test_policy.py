@@ -5,7 +5,7 @@ import pytest
 from oracles import reference_greedy_trace
 
 from iabsim.errors import ConfigError
-from iabsim.geometry import Deployment, GnbNode, Position, Region
+from iabsim.geometry import Deployment, Region, half_plane_filter, nearest_wired
 from iabsim.policy import (
     Candidate,
     PathOutcome,
@@ -31,22 +31,18 @@ AGGRESSIVE_EXP = WbfConfig(WbfKind.EXPONENTIAL, n_ht=1, gamma=3.0, gamma_gap_db=
 NO_BIAS = WbfConfig()
 
 
-def cand(node_id, snr, wired=False, attached=1, x=0.0, y=0.0):
-    return Candidate(node_id, snr, wired, attached, Position(x, y))
+def cand(node_id, snr, wired=False, attached=1):
+    return Candidate(node_id, snr, wired, attached)
 
 
 def make_world(coords, wired_flags, snr, origin_id=0):
     """Deployment plus a symmetric SNR matrix; None entries become -inf."""
-    gnbs = [
-        GnbNode(i, Position(float(x), float(y)), bool(w))
-        for i, ((x, y), w) in enumerate(zip(coords, wired_flags))
-    ]
-    n = len(gnbs)
+    n = len(coords)
     mat = np.full((n, n), -np.inf)
     for (i, j), v in snr.items():
         mat[i, j] = v
         mat[j, i] = v
-    return Deployment(Region(1000, 1000), gnbs, origin_id), mat
+    return Deployment(Region(1000, 1000), coords, wired_flags, origin_id), mat
 
 
 class TestBiasFunctions:
@@ -253,15 +249,25 @@ class TestSelectPa:
             if not cands:
                 continue
             chosen = select_pa(0, cands, dep, 0, NO_BIAS)
-            from iabsim.geometry import half_plane_filter, nearest_wired
-
-            target = dep.node(nearest_wired(0, dep)).position
-            forward = {c.node_id for c in half_plane_filter(dep.node(0).position, target, cands)}
-            if forward:
+            pos = dep.positions
+            ids = [c.node_id for c in cands]
+            if any(half_plane_filter(pos[0], pos[nearest_wired(0, dep)], pos[ids])):
+                target = dep.node(nearest_wired(0, dep)).position
                 cur = dep.node(0).position
                 chosen_pos = dep.node(chosen).position
                 proj = (chosen_pos.x - cur.x) * (target.x - cur.x) + (chosen_pos.y - cur.y) * (target.y - cur.y)
                 assert proj > 0
+
+    def test_donor_at_same_position_falls_back_to_hqf(self):
+        # node 0 shares its spot with donor 1, which is out of reach: no
+        # direction is forward, so PA ranks the full set as HQF does
+        coords = [(1, 1), (1, 1), (5, 1), (-5, 1)]
+        snr = {(0, 2): 6.0, (0, 3): 9.0, (2, 1): 7.0, (3, 1): 8.0}
+        dep, mat = make_world(coords, [False, True, False, False], snr)
+        cands = candidate_set(0, dep, mat, {0}, 5.0)
+        assert select_pa(0, cands, dep, 0, NO_BIAS) == select_hqf(cands, 0, NO_BIAS) == 3
+        res = build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0)
+        assert res.hops == reference_greedy_trace(PolicyKind.PA, dep, mat, 5.0, NO_BIAS, 30)[0] == (3, 1)
 
 
 class TestSelectMlr:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from oracles import enumerate_widest
 
-from iabsim.channel import RadioConfig
+from iabsim.channel import ChannelParams, RadioConfig
 from iabsim.errors import ConfigError
-from iabsim.geometry import Deployment, GnbNode, Position, Region
+from iabsim.geometry import Deployment, Region
 from iabsim.policy import PathOutcome, PolicyKind
 from iabsim.simulate import (
     EmpiricalCdf,
@@ -25,16 +25,12 @@ SMALL = SimConfig(repetitions=30, master_seed=123, oracle_enabled=True)
 
 
 def make_graph(coords, wired_flags, snr, origin_id=0):
-    gnbs = [
-        GnbNode(i, Position(float(x), float(y)), bool(w))
-        for i, ((x, y), w) in enumerate(zip(coords, wired_flags))
-    ]
-    n = len(gnbs)
+    n = len(coords)
     mat = np.full((n, n), -np.inf)
     for (i, j), v in snr.items():
         mat[i, j] = v
         mat[j, i] = v
-    return Deployment(Region(1000, 1000), gnbs, origin_id), mat
+    return Deployment(Region(1000, 1000), coords, wired_flags, origin_id), mat
 
 
 class TestSimConfig:
@@ -58,6 +54,12 @@ class TestSimConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["lambda_g", "lambda_ue"])
+    def test_non_finite_density_names_the_key(self, key, bad):
+        with pytest.raises(ConfigError, match=f"deployment.{key}"):
+            SimConfig(**{key: bad})
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigError):
@@ -114,6 +116,56 @@ class TestRepetitionStreams:
         assert links.snr.shape == (dep.n_gnbs, dep.n_gnbs)
         total_attached = sum(g.attached_count for g in dep.gnbs)
         assert total_attached <= len(dep.ue_positions)
+
+
+NO_MLR = (PolicySpec(PolicyKind.HQF), PolicySpec(PolicyKind.WF), PolicySpec(PolicyKind.PA))
+WITH_MLR = NO_MLR + (PolicySpec(PolicyKind.MLR),)
+
+
+class TestAssociationSkip:
+    """Without an MLR policy no load is computed, yet the realization stays paired."""
+
+    def test_policy_arrays_equal_with_and_without_mlr(self):
+        base = dict(lambda_g=60.0, repetitions=25, master_seed=9, oracle_enabled=True)
+        without = run_campaign(SimConfig(policies=NO_MLR, **base))
+        with_mlr = run_campaign(SimConfig(policies=WITH_MLR, **base))
+        for label in without.labels:
+            for field in ("outcome", "hop_count", "bottleneck_db"):
+                assert np.array_equal(getattr(without, field)[label], getattr(with_mlr, field)[label])
+        assert np.array_equal(without.oracle_bottleneck_db, with_mlr.oracle_bottleneck_db, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"channel": ChannelParams(fading_sigma_db=3.0)}, {"lambda_ue": 1e-3}],
+        ids=["plain", "fading", "no_ues"],
+    )
+    def test_stream_and_links_equal_with_and_without_mlr(self, overrides):
+        for rep in range(5):
+            worlds, states = [], []
+            for policies in (NO_MLR, WITH_MLR):
+                rng = repetition_rng(3, rep)
+                worlds.append(sample_world(SimConfig(policies=policies, **overrides), rng))
+                states.append(rng.bit_generator.state)
+            (dep_a, links_a), (dep_b, links_b) = worlds
+            assert states[0] == states[1]
+            assert np.array_equal(links_a.snr, links_b.snr)
+            assert np.array_equal(dep_a.positions, dep_b.positions)
+            assert np.array_equal(dep_a.ue_positions, dep_b.ue_positions)
+            assert not dep_a.attached.any()
+            if "lambda_ue" in overrides:
+                assert len(dep_a.ue_positions) == 0
+
+    def test_loads_filled_only_for_mlr(self):
+        dep, _ = sample_world(SimConfig(policies=WITH_MLR), repetition_rng(3, 0))
+        assert 0 < dep.attached.sum() <= len(dep.ue_positions)
+
+
+class TestRedrawBound:
+    def test_sparse_drop_stops_with_named_key(self):
+        with pytest.warns(UserWarning):
+            cfg = SimConfig(lambda_g=1e-4, repetitions=1)
+        with pytest.raises(ConfigError, match="deployment.lambda_g"):
+            sample_world(cfg, repetition_rng(1, 0))
 
 
 class TestWidestPathOracle:
