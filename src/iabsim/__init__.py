@@ -40,19 +40,12 @@ from .geometry import (
     sample_ppp,
 )
 from .policy import (
-    Candidate,
     PathOutcome,
     PathResult,
     PolicyKind,
     WbfConfig,
     WbfKind,
-    biased_metric,
     build_path,
-    candidate_set,
-    select_hqf,
-    select_mlr,
-    select_pa,
-    select_wf,
     wbf_exp,
     wbf_poly,
     wired_bias_db,
@@ -65,7 +58,6 @@ from .simulate import (
     PolicySummary,
     SimConfig,
     aggregate,
-    empirical_cdf,
     repetition_rng,
     run_campaign,
     run_repetition,
@@ -86,14 +78,12 @@ __all__ = [
     "upa_gain_db", "link_state", "link_table", "associate_min_pathloss",
     "shannon_rate",
     # policy
-    "WbfKind", "WbfConfig", "PolicyKind", "PathOutcome", "Candidate", "PathResult",
-    "wbf_poly", "wbf_exp", "wired_bias_db", "biased_metric", "candidate_set",
-    "select_hqf", "select_wf", "select_pa", "select_mlr", "build_path",
+    "WbfKind", "WbfConfig", "PolicyKind", "PathOutcome", "PathResult",
+    "wbf_poly", "wbf_exp", "wired_bias_db", "build_path",
     # simulate
     "SimConfig", "PolicySpec", "EmpiricalCdf", "CampaignResult",
     "CampaignSummary", "PolicySummary", "repetition_rng", "sample_world",
-    "run_repetition", "run_campaign", "widest_path_oracle", "empirical_cdf",
-    "aggregate",
+    "run_repetition", "run_campaign", "widest_path_oracle", "aggregate",
     # config
     "parse_config", "config_document", "WBF_PRESETS",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,20 +86,35 @@ def _cdf_csv_text(cdf: EmpiricalCdf | None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _replace_text(path: Path, text: str) -> None:
+    """Write ``text`` under a temporary name beside ``path``, then rename it into place."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text, newline="\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_results(bundle: ResultBundle, out_dir) -> list[Path]:
-    """Emit summary.json and the per-policy CDF tables; returns written paths."""
+    """Emit the per-policy CDF tables, then summary.json; returns written paths.
+
+    An old summary.json is removed first and every file is renamed into place
+    whole, so a summary on disk always sits next to the complete tables of its
+    own run, even when writing stops partway.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(_bundle_doc(bundle), indent=2) + "\n", newline="\n")
-    written.append(summary_path)
+    summary_path.unlink(missing_ok=True)
+    tables = []
     for label, s in bundle.summary.policies.items():
         for suffix, cdf in (("hops_cdf", s.hops_cdf), ("snr_cdf", s.snr_cdf)):
             path = out / f"{label}_{suffix}.csv"
-            path.write_text(_cdf_csv_text(cdf), newline="\n")
-            written.append(path)
-    return written
+            _replace_text(path, _cdf_csv_text(cdf))
+            tables.append(path)
+    _replace_text(summary_path, json.dumps(_bundle_doc(bundle), indent=2) + "\n")
+    return [summary_path, *tables]
 
 
 class _Parser(argparse.ArgumentParser):

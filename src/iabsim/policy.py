@@ -1,10 +1,11 @@
-"""Hop-by-hop backhaul parent selection.
+"""Hop-by-hop backhaul parent selection: one ranking kernel with a per-policy key.
 
-Four greedy rules are implemented: highest-quality-first (HQF), wired-first
-(WF), position-aware (PA) and maximum-local-rate (MLR). All of them admit a
-candidate only if its raw link SNR clears the threshold, never revisit a node,
-and may rank wired donors with an additive dB bonus that grows with the number
-of hops already traveled (the wired bias). The bias alters ranking only; link
+The greedy rules highest-quality-first (HQF), wired-first (WF),
+position-aware (PA) and maximum-local-rate (MLR) differ only in how a node
+ranks its admissible parents. Every hop admits the unvisited nodes whose raw
+link SNR clears the threshold and takes the one with the highest key. Wired
+donors may be ranked with an additive dB bonus that grows with the number of
+hops already traveled (the wired bias). The bias alters ranking only; link
 feasibility is always judged on the raw SNR.
 """
 from __future__ import annotations
@@ -74,16 +75,6 @@ WBF_NONE = WbfConfig()
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """One admissible next hop as seen from the current node."""
-
-    node_id: int
-    raw_snr_db: float
-    is_wired: bool
-    attached_count: int
-
-
-@dataclass(frozen=True)
 class PathResult:
     """Outcome of one path construction.
 
@@ -126,101 +117,38 @@ def wired_bias_db(n_hops: int, cfg: WbfConfig) -> float:
     return wbf_exp(n_hops, cfg)
 
 
-def biased_metric(candidate: Candidate, n_hops: int, wbf: WbfConfig) -> float:
-    """Ranking metric: raw SNR, plus the wired bias for wired candidates."""
-    if candidate.is_wired and wbf.kind != WbfKind.NONE:
-        return candidate.raw_snr_db + wired_bias_db(n_hops, wbf)
-    return candidate.raw_snr_db
+def _ranking_key(policy: PolicyKind, wbf: WbfConfig, n_hops: int, bandwidth_hz: float):
+    """The key a hop maximises over candidates ``(id, raw SNR, wired, load)``.
 
-
-def candidate_set(
-    current_id: int,
-    deployment: Deployment,
-    link_snr_db: np.ndarray,
-    visited: set[int],
-    snr_threshold_db: float,
-) -> list[Candidate]:
-    """Admissible parents of ``current_id``: unvisited nodes at or above threshold.
-
-    Returned in ascending id order for determinism.
+    HQF and PA rank by the biased SNR and MLR by the Shannon rate of the
+    biased SNR split across the node's load; ties go to wired nodes, then to
+    the lowest id. WF ranks wired nodes first, by raw SNR: with no wired node
+    in reach no bias applies and the wired flag is constant, which is HQF.
+    The rate is computed on Python floats: a vectorized log2/power may round
+    differently and flip near-ties.
     """
-    row = link_snr_db[current_id]
-    ids = (row >= snr_threshold_db).nonzero()[0]
-    columns = zip(
-        ids.tolist(), row[ids].tolist(), deployment.wired[ids].tolist(), deployment.attached[ids].tolist()
-    )
-    return [Candidate(*c) for c in columns if c[0] != current_id and c[0] not in visited]
+    bias = wired_bias_db(n_hops, wbf)
+    if policy == PolicyKind.WF:
+        return lambda c: (c[2], c[1], -c[0])
+    if policy == PolicyKind.MLR:
+        return lambda c: (shannon_rate(bandwidth_hz, c[1] + bias if c[2] else c[1], c[3]), c[2], -c[0])
+    return lambda c: (c[1] + bias if c[2] else c[1], c[2], -c[0])
 
 
-def _argbest(candidates: list[Candidate], metric) -> int:
-    """Highest metric; ties go to wired candidates, then to the lowest id."""
-    best = max(candidates, key=lambda c: (metric(c), c.is_wired, -c.node_id))
-    return best.node_id
-
-
-def select_hqf(candidates: list[Candidate], n_hops: int, wbf: WbfConfig) -> int:
-    """Pick the candidate with the highest (bias-adjusted) SNR."""
-    if not candidates:
-        raise ValueError("select_hqf needs a nonempty candidate set")
-    return _argbest(candidates, lambda c: biased_metric(c, n_hops, wbf))
-
-
-def select_wf(candidates: list[Candidate], n_hops: int, wbf: WbfConfig) -> int:
-    """Pick a wired donor whenever one is admissible, otherwise fall back to HQF.
-
-    With several wired donors in reach, take the one with the highest raw SNR.
-    """
-    if not candidates:
-        raise ValueError("select_wf needs a nonempty candidate set")
-    wired = [c for c in candidates if c.is_wired]
-    if wired:
-        return max(wired, key=lambda c: (c.raw_snr_db, -c.node_id)).node_id
-    return select_hqf(candidates, n_hops, wbf)
-
-
-def select_pa(
-    current_id: int,
-    candidates: list[Candidate],
-    deployment: Deployment,
-    n_hops: int,
-    wbf: WbfConfig,
-) -> int:
-    """HQF restricted to candidates on the wired side of the current node.
+def _forward(current_id: int, candidates: list[tuple], deployment: Deployment) -> list[tuple]:
+    """PA's pool: the candidates on the wired side of the current node.
 
     The dividing line is perpendicular to the segment toward the nearest wired
-    donor. If no candidate makes forward progress, selection falls back to
-    plain HQF over the full set rather than failing; so it does when the
-    current node shares its donor's position, where no direction is forward.
+    donor. Empty when the current node shares its donor's position, where no
+    direction is forward.
     """
-    if not candidates:
-        raise ValueError("select_pa needs a nonempty candidate set")
     pos = deployment.positions
     current = pos[current_id].tolist()
     target = pos[nearest_wired(current_id, deployment)].tolist()
-    forward = []
-    if current != target:
-        keep = half_plane_filter(current, target, pos[[c.node_id for c in candidates]].tolist())
-        forward = [c for c, kept in zip(candidates, keep) if kept]
-    return select_hqf(forward or candidates, n_hops, wbf)
-
-
-def select_mlr(
-    candidates: list[Candidate],
-    bandwidth_hz: float,
-    n_hops: int,
-    wbf: WbfConfig,
-) -> int:
-    """Pick the candidate with the highest achievable share of the Shannon rate.
-
-    Each candidate's band is split across its attached terminals; the wired
-    bias (if any) is applied to the SNR before the rate computation.
-    """
-    if not candidates:
-        raise ValueError("select_mlr needs a nonempty candidate set")
-    return _argbest(
-        candidates,
-        lambda c: shannon_rate(bandwidth_hz, biased_metric(c, n_hops, wbf), c.attached_count),
-    )
+    if current == target:
+        return []
+    keep = half_plane_filter(current, target, pos[[c[0] for c in candidates]].tolist())
+    return [c for c, kept in zip(candidates, keep) if kept]
 
 
 def build_path(
@@ -251,18 +179,18 @@ def build_path(
     n_hops = 0
     outcome = PathOutcome.MAX_HOPS
     while n_hops < max_hops:
-        candidates = candidate_set(current, deployment, link_snr_db, visited, snr_threshold_db)
+        row = link_snr_db[current]
+        ids = np.flatnonzero(row >= snr_threshold_db)
+        columns = zip(
+            ids.tolist(), row[ids].tolist(), deployment.wired[ids].tolist(), deployment.attached[ids].tolist()
+        )
+        candidates = [c for c in columns if c[0] not in visited]
         if not candidates:
             outcome = PathOutcome.NO_CANDIDATE
             break
-        if policy == PolicyKind.HQF:
-            chosen = select_hqf(candidates, n_hops, wbf)
-        elif policy == PolicyKind.WF:
-            chosen = select_wf(candidates, n_hops, wbf)
-        elif policy == PolicyKind.PA:
-            chosen = select_pa(current, candidates, deployment, n_hops, wbf)
-        else:
-            chosen = select_mlr(candidates, bandwidth_hz, n_hops, wbf)
+        # PA falls back to the full set when nothing makes forward progress
+        pool = (policy == PolicyKind.PA and _forward(current, candidates, deployment)) or candidates
+        chosen = max(pool, key=_ranking_key(policy, wbf, n_hops, bandwidth_hz))[0]
         hops.append(chosen)
         visited.add(chosen)
         bottleneck = min(bottleneck, float(link_snr_db[current, chosen]))

@@ -364,12 +364,6 @@ class EmpiricalCdf:
         return uniq, np.cumsum(counts) / self.n
 
 
-def empirical_cdf(values) -> EmpiricalCdf:
-    if len(values) == 0:
-        raise ValueError("cannot build an empirical CDF from an empty sample")
-    return EmpiricalCdf(values)
-
-
 @dataclass
 class PolicySummary:
     """Aggregated statistics for one policy over a campaign.
@@ -416,8 +410,8 @@ def aggregate(cfg: SimConfig, result: CampaignResult) -> CampaignSummary:
         snr_stats = (None, None, None)
         gap = None
         if successes > 0:
-            hops_cdf = empirical_cdf(result.hop_count[lab][ok])
-            snr_cdf = empirical_cdf(result.bottleneck_db[lab][ok])
+            hops_cdf = EmpiricalCdf(result.hop_count[lab][ok])
+            snr_cdf = EmpiricalCdf(result.bottleneck_db[lab][ok])
             hop_stats = (hops_cdf.mean, hops_cdf.quantile(0.5), hops_cdf.quantile(0.95))
             snr_stats = (snr_cdf.mean, snr_cdf.quantile(0.5), snr_cdf.quantile(0.95))
             if result.oracle_outcome is not None:

@@ -1,11 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from iabsim.cli import ResultBundle, main, write_results
 from iabsim.config import config_document, parse_config
-from iabsim.simulate import aggregate, empirical_cdf, run_campaign
+from iabsim.simulate import EmpiricalCdf, aggregate, run_campaign
 
 
 def run_cli(argv):
@@ -37,7 +38,7 @@ class TestWriteResults:
     def test_singleton_cdf_exact_bytes(self, tmp_path):
         # one success with 2 hops must produce exactly "2,1.000000"
         bundle = self.make_bundle(policies=("HQF",))
-        bundle.summary.policies["HQF"].hops_cdf = empirical_cdf([2])
+        bundle.summary.policies["HQF"].hops_cdf = EmpiricalCdf([2])
         write_results(bundle, tmp_path)
         text = (tmp_path / "HQF_hops_cdf.csv").read_text()
         assert text.splitlines()[0] == "value,cdf"
@@ -66,6 +67,28 @@ class TestWriteResults:
         write_results(bundle, out_b)
         for path_a in out_a.iterdir():
             assert read_bytes(path_a) == read_bytes(out_b / path_a.name)
+
+    def test_failed_table_write_leaves_no_summary(self, tmp_path, monkeypatch):
+        bundle = self.make_bundle()
+        write_results(bundle, tmp_path)  # an earlier run's summary.json is on disk
+        real_write_text = Path.write_text
+        csv_writes = []
+
+        def failing_write_text(path, *args, **kwargs):
+            if ".csv" in path.name:
+                csv_writes.append(path.name)
+                if len(csv_writes) == 2:
+                    raise OSError("disk full")
+            return real_write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_write_text)
+        with pytest.raises(OSError, match="disk full"):
+            write_results(bundle, tmp_path)
+        monkeypatch.undo()
+        assert not (tmp_path / "summary.json").exists()
+        assert not list(tmp_path.glob(".*.tmp"))
+        write_results(bundle, tmp_path)
+        assert (tmp_path / "summary.json").exists()
 
     def test_summary_embeds_reproducible_config(self, tmp_path):
         bundle = self.make_bundle()

@@ -7,18 +7,11 @@ from oracles import reference_greedy_trace
 from iabsim.errors import ConfigError
 from iabsim.geometry import Deployment, Region, half_plane_filter, nearest_wired
 from iabsim.policy import (
-    Candidate,
     PathOutcome,
     PolicyKind,
     WbfConfig,
     WbfKind,
-    biased_metric,
     build_path,
-    candidate_set,
-    select_hqf,
-    select_mlr,
-    select_pa,
-    select_wf,
     wbf_exp,
     wbf_poly,
     wired_bias_db,
@@ -31,10 +24,6 @@ AGGRESSIVE_EXP = WbfConfig(WbfKind.EXPONENTIAL, n_ht=1, gamma=3.0, gamma_gap_db=
 NO_BIAS = WbfConfig()
 
 
-def cand(node_id, snr, wired=False, attached=1):
-    return Candidate(node_id, snr, wired, attached)
-
-
 def make_world(coords, wired_flags, snr, origin_id=0):
     """Deployment plus a symmetric SNR matrix; None entries become -inf."""
     n = len(coords)
@@ -43,6 +32,27 @@ def make_world(coords, wired_flags, snr, origin_id=0):
         mat[i, j] = v
         mat[j, i] = v
     return Deployment(Region(1000, 1000), coords, wired_flags, origin_id), mat
+
+
+def choose(policy, links, wired=(), wbf=NO_BIAS, loads=None, relays=0, threshold=5.0):
+    """The parent ``build_path`` picks at one hop of a hand-built world.
+
+    ``links`` maps candidate id -> raw SNR from the deciding node; ``wired``
+    and ``loads`` (id -> attached count) describe the candidates. The decider
+    is the origin 0, or the end of a chain 0 -> 1 -> ... -> ``relays`` of
+    30 dB wireless links, so the bias sees ``relays`` traveled hops. One more
+    wired node, out of everyone's reach, makes the deployment valid.
+    """
+    n = max(links) + 2
+    snr = {(i, i + 1): 30.0 for i in range(relays)}
+    snr.update({(relays, j): v for j, v in links.items()})
+    flags = [i in wired for i in range(n - 1)] + [True]
+    dep, mat = make_world([(100.0 * i, 0.0) for i in range(n)], flags, snr)
+    for i, load in (loads or {}).items():
+        dep.attached[i] = load
+    hops = build_path(0, policy, wbf, dep, mat, threshold).hops
+    assert hops[:relays] == tuple(range(1, relays + 1))
+    return hops[relays]
 
 
 class TestBiasFunctions:
@@ -107,100 +117,130 @@ class TestBiasFunctions:
 
 
 class TestBiasedMetric:
+    # the ranking metric is the raw SNR plus, for wired nodes only, the bias;
+    # a wireless node one ulp above a metric beats the wired node, one equal to it loses the tie
+
     def test_wired_gets_bias(self):
-        c = cand(1, 6.0, wired=True)
-        assert biased_metric(c, 1, CONSERVATIVE_POLY) == pytest.approx(6.0 + 5 / 6 + 2)
+        metric = 6.0 + wired_bias_db(1, CONSERVATIVE_POLY)
+        assert metric == pytest.approx(6.0 + 5 / 6 + 2)
+        links = {2: 6.0, 3: metric}
+        assert choose(PolicyKind.HQF, links, wired={2}, wbf=CONSERVATIVE_POLY, relays=1) == 2
+        links[3] = math.nextafter(metric, math.inf)
+        assert choose(PolicyKind.HQF, links, wired={2}, wbf=CONSERVATIVE_POLY, relays=1) == 3
 
     def test_wireless_unchanged(self):
-        c = cand(1, 6.0, wired=False)
-        assert biased_metric(c, 1, AGGRESSIVE_EXP) == 6.0
+        # a 47 dB bias lifts the wired node from -41 dB exactly to 6 dB; the
+        # wireless node keeps its raw 6 dB and so loses the tie
+        assert wired_bias_db(1, AGGRESSIVE_EXP) == 47.0
+        links = {2: -41.0, 3: 6.0}
+        kw = dict(wired={2}, wbf=AGGRESSIVE_EXP, relays=1, threshold=-50.0)
+        assert choose(PolicyKind.HQF, links, **kw) == 2
+        links[3] = math.nextafter(6.0, math.inf)
+        assert choose(PolicyKind.HQF, links, **kw) == 3
 
     def test_disabled_bias(self):
-        c = cand(1, 6.0, wired=True)
-        assert biased_metric(c, 3, NO_BIAS) == 6.0
+        links = {4: 6.0, 5: 6.0}
+        assert choose(PolicyKind.HQF, links, wired={4}, relays=3) == 4
+        links[5] = math.nextafter(6.0, math.inf)
+        assert choose(PolicyKind.HQF, links, wired={4}, relays=3) == 5
 
 
 class TestCandidateSet:
-    def make(self):
-        coords = [(0, 0), (100, 0), (0, 100), (100, 100)]
-        wired = [False, True, False, False]
-        snr = {(0, 1): 4.9, (0, 2): 5.0, (0, 3): 20.0}
-        return make_world(coords, wired, snr)
-
     def test_threshold_is_inclusive(self):
-        dep, mat = self.make()
-        ids = [c.node_id for c in candidate_set(0, dep, mat, {0}, 5.0)]
-        assert ids == [2, 3]  # 4.9 dB excluded, 5.0 dB kept
+        # WF takes a wired node whenever one is admissible: at 4.9 dB it is not, at 5.0 dB it is
+        assert choose(PolicyKind.WF, {1: 4.9, 2: 5.0}, wired={1}) == 2
+        assert choose(PolicyKind.WF, {1: 5.0, 2: 20.0}, wired={1}) == 1
 
     def test_visited_excluded(self):
-        dep, mat = self.make()
-        ids = [c.node_id for c in candidate_set(0, dep, mat, {0, 2}, 5.0)]
-        assert ids == [3]
+        # the relay's strongest links go back to the origin and to itself; neither is taken
+        coords = [(0, 0), (100, 0), (200, 0)]
+        dep, mat = make_world(coords, [False, False, True], {(0, 1): 30.0, (1, 2): 6.0})
+        mat[1, 1] = mat[0, 0] = 50.0
+        for kind in PolicyKind:
+            assert build_path(0, kind, NO_BIAS, dep, mat, 5.0).hops == (1, 2), kind
 
     def test_all_outage_empty(self):
-        coords = [(0, 0), (100, 0)]
-        dep, mat = make_world(coords, [False, True], {})
-        assert candidate_set(0, dep, mat, {0}, 5.0) == []
+        coords = [(0, 0), (100, 0), (200, 0)]
+        for snr in ({}, {(0, 1): 4.9, (0, 2): -3.0}):
+            dep, mat = make_world(coords, [False, True, False], snr)
+            for kind in PolicyKind:
+                res = build_path(0, kind, NO_BIAS, dep, mat, 5.0)
+                assert res.outcome == PathOutcome.NO_CANDIDATE
+                assert res.hops == ()
 
     def test_carries_node_attributes(self):
-        dep, mat = self.make()
-        dep.node(3).attached_count = 4
-        by_id = {c.node_id: c for c in candidate_set(0, dep, mat, {0}, 5.0)}
-        assert by_id[3].attached_count == 4
-        assert not by_id[3].is_wired
-        assert by_id[3].raw_snr_db == 20.0
+        # the kernel reads each candidate's load (MLR), wired flag (WF) and raw SNR (bottleneck)
+        links = {2: 5.0, 3: 20.0}
+        assert choose(PolicyKind.MLR, links) == 3
+        assert choose(PolicyKind.MLR, links, loads={3: 4}) == 2  # log2(101)/4 < log2(1 + 10^0.5)
+        assert choose(PolicyKind.WF, links, wired={2}) == 2
+        coords = [(0, 0), (100, 0), (200, 0), (300, 0)]
+        dep, mat = make_world(coords, [False, True, False, False], {(0, 1): 4.9, (0, 2): 5.0, (0, 3): 20.0})
+        res = build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0)
+        assert res.hops == (3,)
+        assert res.bottleneck_snr_db == 20.0
 
 
 class TestSelectHqf:
     def test_plain_argmax(self):
-        cands = [cand(0, 7.0), cand(1, 10.0), cand(2, 6.0)]
-        assert select_hqf(cands, 0, NO_BIAS) == 1
+        assert choose(PolicyKind.HQF, {1: 7.0, 2: 10.0, 3: 6.0}) == 2
 
     def test_bias_flips_choice_to_wired(self):
-        cands = [cand(0, 10.0, wired=False), cand(1, 6.0, wired=True)]
+        links = {2: 10.0, 3: 6.0}
         strong = WbfConfig(WbfKind.POLYNOMIAL, n_ht=1, k=1.0, gamma_gap_db=5.0, gamma_h_db=0.0)
-        assert select_hqf(cands, 0, NO_BIAS) == 0
-        assert select_hqf(cands, 1, strong) == 1  # 6 + 5 = 11 > 10
+        assert choose(PolicyKind.HQF, links, wired={3}, relays=1) == 2
+        assert choose(PolicyKind.HQF, links, wired={3}, wbf=strong) == 2  # no bias before the first hop
+        assert choose(PolicyKind.HQF, links, wired={3}, wbf=strong, relays=1) == 3  # 6 + 5 = 11 > 10
 
     def test_tie_prefers_wired(self):
-        cands = [cand(0, 10.0, wired=False), cand(1, 10.0, wired=True)]
-        assert select_hqf(cands, 0, NO_BIAS) == 1
+        assert choose(PolicyKind.HQF, {1: 10.0, 2: 10.0}, wired={2}) == 2
 
     def test_tie_then_lowest_id(self):
-        cands = [cand(3, 10.0), cand(1, 10.0), cand(2, 10.0)]
-        assert select_hqf(cands, 0, NO_BIAS) == 1
+        assert choose(PolicyKind.HQF, {1: 10.0, 2: 10.0, 3: 10.0}) == 1
+        assert choose(PolicyKind.HQF, {2: 10.0, 3: 10.0, 4: 10.0}, wired={3, 4}) == 3
 
     def test_shift_invariance_without_bias(self):
+        # shifting every SNR and the threshold together changes no walk
         rng = np.random.default_rng(1)
         for _ in range(100):
-            n = int(rng.integers(2, 8))
-            snrs = rng.uniform(-5, 40, n)
-            wired = rng.random(n) < 0.4
-            cands = [cand(i, float(snrs[i]), bool(wired[i])) for i in range(n)]
-            shifted = [cand(i, float(snrs[i]) + 17.25, bool(wired[i])) for i in range(n)]
-            assert select_hqf(cands, 0, NO_BIAS) == select_hqf(shifted, 0, NO_BIAS)
+            n = int(rng.integers(3, 8))
+            coords = rng.uniform(0, 1000, (n, 2)).tolist()
+            wired = [False] + [bool(b) for b in rng.random(n - 1) < 0.4]
+            wired[-1] = True
+            snr = {(i, j): float(rng.uniform(-5, 40)) for i in range(n) for j in range(i + 1, n)}
+            dep, mat = make_world(coords, wired, snr)
+            for kind in (PolicyKind.HQF, PolicyKind.WF, PolicyKind.PA):
+                base = build_path(0, kind, NO_BIAS, dep, mat, 5.0)
+                shifted = build_path(0, kind, NO_BIAS, dep, mat + 17.25, 5.0 + 17.25)
+                assert shifted.hops == base.hops, kind
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            select_hqf([], 0, NO_BIAS)
+        # an empty admissible set is never ranked: every policy stops with NO_CANDIDATE
+        coords = [(500, 500), (600, 500), (900, 900)]
+        dep, mat = make_world(coords, [False, False, True], {(0, 1): 8.0, (1, 2): 4.0})
+        for kind in PolicyKind:
+            res = build_path(0, kind, CONSERVATIVE_POLY, dep, mat, 5.0)
+            assert res.outcome == PathOutcome.NO_CANDIDATE
+            assert res.hops == (1,)
 
 
 class TestSelectWf:
     def test_wired_beats_stronger_wireless(self):
-        cands = [cand(0, 12.0, wired=False), cand(1, 6.0, wired=True)]
-        assert select_wf(cands, 0, NO_BIAS) == 1
+        assert choose(PolicyKind.WF, {1: 12.0, 2: 6.0}, wired={2}) == 2
 
     def test_best_raw_snr_among_wired(self):
-        cands = [cand(0, 6.0, wired=True), cand(1, 9.0, wired=True), cand(2, 30.0)]
-        assert select_wf(cands, 0, NO_BIAS) == 1
+        links = {1: 6.0, 2: 9.0, 3: 30.0}
+        assert choose(PolicyKind.WF, links, wired={1, 2}) == 2
+        assert choose(PolicyKind.WF, links, wired={1, 2}, wbf=AGGRESSIVE_EXP) == 2
 
     def test_falls_back_to_hqf(self):
-        cands = [cand(0, 7.0), cand(1, 10.0)]
-        assert select_wf(cands, 0, NO_BIAS) == select_hqf(cands, 0, NO_BIAS) == 1
+        links = {2: 7.0, 3: 10.0}
+        for wbf in (NO_BIAS, CONSERVATIVE_POLY):
+            assert choose(PolicyKind.WF, links, wbf=wbf, relays=1) == 3
+            assert choose(PolicyKind.HQF, links, wbf=wbf, relays=1) == 3
 
     def test_wired_tie_lowest_id(self):
-        cands = [cand(4, 6.0, wired=True), cand(2, 6.0, wired=True)]
-        assert select_wf(cands, 0, NO_BIAS) == 2
+        assert choose(PolicyKind.WF, {2: 6.0, 4: 6.0, 5: 9.0}, wired={2, 4}) == 2
 
 
 class TestSelectPa:
@@ -213,27 +253,23 @@ class TestSelectPa:
 
     def test_forward_half_plane_wins_over_stronger_behind(self):
         dep, mat = self.make()
-        cands = candidate_set(0, dep, mat, {0}, 5.0)
-        # node 3 has 20 dB but lies behind the divide; node 2 forward at 6 dB
-        assert select_pa(0, cands, dep, 0, NO_BIAS) in (1, 2)
-        chosen = select_pa(0, cands, dep, 0, NO_BIAS)
-        assert chosen == 2 or mat[0, chosen] >= 6.0
+        # node 3 has 20 dB but lies behind the divide; the forward pool is
+        # {1: 5.5 dB wired, 2: 6.0 dB}, so with no bias node 2 wins
+        assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0).hops == (2, 1)
+        assert build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0).hops[0] == 3
 
     def test_fallback_when_nothing_forward(self):
         coords = [(500, 500), (800, 500), (200, 480)]
         wired = [False, True, False]
         snr = {(0, 2): 20.0, (2, 1): 7.0}  # wired out of reach of origin
         dep, mat = make_world(coords, wired, snr)
-        cands = candidate_set(0, dep, mat, {0}, 5.0)
-        assert [c.node_id for c in cands] == [2]
-        assert select_pa(0, cands, dep, 0, NO_BIAS) == 2
+        assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0).hops == (2, 1)
 
     def test_wired_target_in_reach_is_chosen(self):
         coords = [(500, 500), (600, 500)]
         wired = [False, True]
         dep, mat = make_world(coords, wired, {(0, 1): 9.0})
-        cands = candidate_set(0, dep, mat, {0}, 5.0)
-        assert select_pa(0, cands, dep, 0, NO_BIAS) == 1
+        assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0).hops == (1,)
 
     def test_forward_progress_when_filter_nonempty(self):
         rng = np.random.default_rng(2)
@@ -245,16 +281,16 @@ class TestSelectPa:
                 wired[1] = True
             snr = {(0, j): float(rng.uniform(5, 30)) for j in range(1, n)}
             dep, mat = make_world(coords.tolist(), wired, snr)
-            cands = candidate_set(0, dep, mat, {0}, 5.0)
-            if not cands:
+            hops = build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0).hops
+            ids = [j for j in range(1, n) if mat[0, j] >= 5.0]
+            assert bool(hops) == bool(ids)
+            if not hops:
                 continue
-            chosen = select_pa(0, cands, dep, 0, NO_BIAS)
             pos = dep.positions
-            ids = [c.node_id for c in cands]
             if any(half_plane_filter(pos[0], pos[nearest_wired(0, dep)], pos[ids])):
                 target = dep.node(nearest_wired(0, dep)).position
                 cur = dep.node(0).position
-                chosen_pos = dep.node(chosen).position
+                chosen_pos = dep.node(hops[0]).position
                 proj = (chosen_pos.x - cur.x) * (target.x - cur.x) + (chosen_pos.y - cur.y) * (target.y - cur.y)
                 assert proj > 0
 
@@ -264,9 +300,8 @@ class TestSelectPa:
         coords = [(1, 1), (1, 1), (5, 1), (-5, 1)]
         snr = {(0, 2): 6.0, (0, 3): 9.0, (2, 1): 7.0, (3, 1): 8.0}
         dep, mat = make_world(coords, [False, True, False, False], snr)
-        cands = candidate_set(0, dep, mat, {0}, 5.0)
-        assert select_pa(0, cands, dep, 0, NO_BIAS) == select_hqf(cands, 0, NO_BIAS) == 3
         res = build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0)
+        assert res.hops == build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0).hops
         assert res.hops == reference_greedy_trace(PolicyKind.PA, dep, mat, 5.0, NO_BIAS, 30)[0] == (3, 1)
 
 
@@ -274,21 +309,26 @@ class TestSelectMlr:
     def test_rate_beats_snr_under_load(self):
         # 10 dB with 4 attached loses to 7 dB with 1 attached:
         # log2(11)/4 = 0.865 per Hz vs log2(1+10^0.7) = 2.588 per Hz
-        cands = [cand(0, 10.0, attached=4), cand(1, 7.0, attached=1)]
-        assert select_mlr(cands, 400e6, 0, NO_BIAS) == 1
+        assert choose(PolicyKind.MLR, {1: 10.0, 2: 7.0}, loads={1: 4, 2: 1}) == 2
+        assert choose(PolicyKind.HQF, {1: 10.0, 2: 7.0}, loads={1: 4, 2: 1}) == 1
 
     def test_equal_snr_lower_load_wins(self):
-        cands = [cand(0, 9.0, attached=1), cand(1, 9.0, attached=2)]
-        assert select_mlr(cands, 400e6, 0, NO_BIAS) == 0
+        assert choose(PolicyKind.MLR, {1: 9.0, 2: 9.0}, loads={1: 2, 2: 1}) == 2
+        assert choose(PolicyKind.MLR, {1: 9.0, 2: 9.0}, loads={1: 1, 2: 2}) == 1
+        # an unloaded node counts as one terminal, so loads 0 and 1 tie on rate
+        assert choose(PolicyKind.MLR, {1: 9.0, 2: 9.0}, wired={2}, loads={1: 0, 2: 1}) == 2
 
     def test_singleton(self):
-        assert select_mlr([cand(5, 6.0)], 400e6, 0, NO_BIAS) == 5
+        assert choose(PolicyKind.MLR, {5: 6.0}) == 5
 
     def test_bias_applied_before_rate(self):
-        cands = [cand(0, 12.0, wired=False, attached=1), cand(1, 6.0, wired=True, attached=1)]
+        # a 10 dB bias lifts the wired node to a 16 dB rate; shared by four
+        # terminals that rate (log2(1 + 10^1.6)/4 = 1.34) loses to 12 dB alone (4.07)
+        links = {1: 12.0, 2: 6.0}
         strong = WbfConfig(WbfKind.EXPONENTIAL, n_ht=1, gamma=1.0, gamma_gap_db=10.0, gamma_h_db=0.0)
-        assert select_mlr(cands, 400e6, 0, NO_BIAS) == 0
-        assert select_mlr(cands, 400e6, 1, strong) == 1
+        assert choose(PolicyKind.MLR, links, wired={2}) == 1
+        assert choose(PolicyKind.MLR, links, wired={2}, wbf=strong) == 2
+        assert choose(PolicyKind.MLR, links, wired={2}, wbf=strong, loads={2: 4}) == 1
 
 
 class TestBuildPath:

@@ -13,7 +13,6 @@ from iabsim.simulate import (
     PolicySpec,
     SimConfig,
     aggregate,
-    empirical_cdf,
     repetition_rng,
     run_campaign,
     run_repetition,
@@ -230,20 +229,20 @@ class TestWidestPathOracle:
 
 class TestEmpiricalCdf:
     def test_counting_definition(self):
-        cdf = empirical_cdf([1, 1, 2, 3])
+        cdf = EmpiricalCdf([1, 1, 2, 3])
         assert cdf.evaluate(1) == 0.5
         assert cdf.evaluate(2) == 0.75
         assert cdf.evaluate(3) == 1.0
 
     def test_bounds(self):
-        cdf = empirical_cdf([1, 1, 2, 3])
+        cdf = EmpiricalCdf([1, 1, 2, 3])
         assert cdf.evaluate(0.999) == 0.0
         assert cdf.evaluate(3.0001) == 1.0
 
     def test_right_continuity_and_monotonicity(self):
         rng = np.random.default_rng(12)
         values = rng.normal(0, 5, 500)
-        cdf = empirical_cdf(values)
+        cdf = EmpiricalCdf(values)
         xs = np.linspace(values.min() - 1, values.max() + 1, 1000)
         fx = cdf.evaluate(xs)
         assert (np.diff(fx) >= 0).all()
@@ -252,7 +251,7 @@ class TestEmpiricalCdf:
             assert cdf.evaluate(v - 1e-9) < cdf.evaluate(v) + 1e-12
 
     def test_quantiles(self):
-        cdf = empirical_cdf([10, 20, 30, 40])
+        cdf = EmpiricalCdf([10, 20, 30, 40])
         assert cdf.quantile(0.5) == 20
         assert cdf.quantile(0.25) == 10
         assert cdf.quantile(1.0) == 40
@@ -280,14 +279,14 @@ class TestEmpiricalCdf:
                 assert cdf.quantile(q) == min(n, math.ceil(q * n))
 
     def test_steps_end_at_one(self):
-        cdf = empirical_cdf([2, 2, 7])
+        cdf = EmpiricalCdf([2, 2, 7])
         values, probs = cdf.steps()
         assert values.tolist() == [2, 7]
         assert probs.tolist() == [2 / 3, 1.0]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
+        with pytest.raises(ValueError, match="at least one sample"):
+            EmpiricalCdf([])
 
 
 class TestCampaignAggregation:
