@@ -11,19 +11,14 @@ __version__ = "0.1.0"
 
 from .channel import (
     ChannelParams,
-    LinkState,
     LinkTable,
     LosState,
     RadioConfig,
     associate_min_pathloss,
-    draw_los_state,
-    link_state,
     link_table,
     los_probabilities,
     noise_power_dbm,
-    pathloss_db,
     shannon_rate,
-    upa_gain_db,
 )
 from .config import WBF_PRESETS, config_document, parse_config
 from .errors import ConfigError
@@ -33,7 +28,6 @@ from .geometry import (
     Position,
     Region,
     assign_roles,
-    bearing,
     distance,
     half_plane_filter,
     nearest_wired,
@@ -71,11 +65,10 @@ __all__ = [
     # geometry
     "Region", "Position", "GnbNode", "Deployment",
     "sample_ppp", "assign_roles", "nearest_wired", "half_plane_filter",
-    "distance", "bearing",
+    "distance",
     # channel
-    "RadioConfig", "ChannelParams", "LosState", "LinkState", "LinkTable",
-    "noise_power_dbm", "los_probabilities", "draw_los_state", "pathloss_db",
-    "upa_gain_db", "link_state", "link_table", "associate_min_pathloss",
+    "RadioConfig", "ChannelParams", "LosState", "LinkTable",
+    "noise_power_dbm", "los_probabilities", "link_table", "associate_min_pathloss",
     "shannon_rate",
     # policy
     "WbfKind", "WbfConfig", "PolicyKind", "PathOutcome", "PathResult",

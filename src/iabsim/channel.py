@@ -1,10 +1,10 @@
-"""Large-scale mmWave link model with planar-array beamforming.
+"""Large-scale mmWave link model with a fixed coherent array gain 10*log10(M) per endpoint.
 
 The model is deliberately cluster-free: a three-state visibility draw
 (LOS / NLOS / outage), a floating-intercept pathloss with lognormal shadowing,
-and a uniform-planar-array gain with perfect beam steering. One channel draw
-is shared by both directions of a gNB pair, so the resulting backhaul graph
-is undirected.
+and the coherent peak gain of an M-element planar array at both ends, as with
+ideal beam steering. One channel draw is shared by both directions of a gNB
+pair, so the resulting backhaul graph is undirected.
 
 Conventions: gains and losses in dB, powers in dBm, distances in meters.
 An outage link carries -inf dB SNR and is never a selection candidate.
@@ -18,13 +18,13 @@ visibility draw runs only on the pairs that are not in outage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import TWO_PI, Deployment, GnbNode, bearing, distance
+from .geometry import Deployment
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -35,11 +35,18 @@ class LosState(IntEnum):
     OUTAGE = 2
 
 
+def _require_finite(key: str, value) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RadioConfig:
-    """Radio front-end parameters shared by every gNB."""
+    """Radio front-end parameters shared by every gNB.
 
-    fc_ghz: float = 28.0
+    ``sectors`` only orients ``Deployment.sector_boresights``; no link reads it.
+    """
+
     bandwidth_hz: float = 400e6
     tx_power_dbm: float = 30.0
     noise_figure_db: float = 5.0
@@ -48,6 +55,11 @@ class RadioConfig:
     snr_threshold_db: float = 5.0
 
     def __post_init__(self):
+        for name, key in (
+            ("bandwidth_hz", "B_hz"), ("tx_power_dbm", "ptx_dbm"), ("noise_figure_db", "nf_db"),
+            ("array_elements", "M"), ("sectors", "S"), ("snr_threshold_db", "gamma_th_db"),
+        ):
+            _require_finite(f"radio.{key}", getattr(self, name))
         if self.bandwidth_hz <= 0:
             raise ConfigError(f"radio.B_hz must be positive, got {self.bandwidth_hz}")
         if self.sectors < 1:
@@ -57,10 +69,6 @@ class RadioConfig:
             raise ConfigError(
                 f"radio.M must be a perfect square (planar array), got {self.array_elements}"
             )
-
-    @property
-    def sector_halfwidth_rad(self) -> float:
-        return math.pi / self.sectors
 
 
 @dataclass(frozen=True)
@@ -83,23 +91,11 @@ class ChannelParams:
     outage_slope_per_m: float = 1.0 / 30.0
     outage_intercept: float = 5.2
     los_decay_per_m: float = 1.0 / 67.1
-    floor_gain_dbi: float = -10.0
     fading_sigma_db: float = 0.0
 
-
-@dataclass(frozen=True)
-class LinkState:
-    """Directed view of one realized gNB-to-gNB link."""
-
-    src: int
-    dst: int
-    distance_m: float
-    los: LosState
-    pathloss_db: float
-    shadowing_db: float
-    tx_gain_dbi: float
-    rx_gain_dbi: float
-    snr_db: float
+    def __post_init__(self):
+        for field in fields(self):
+            _require_finite(f"channel.{field.name}", getattr(self, field.name))
 
 
 def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
@@ -193,114 +189,14 @@ def _los_codes(size: int, live: np.ndarray, los: np.ndarray) -> np.ndarray:
     return _spread(size, live, codes, LosState.OUTAGE)
 
 
-def _sample_los_codes(d: np.ndarray, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
-    """Visibility codes for an array of distances, one uniform draw per link."""
-    live, los = _visibility(d.ravel(), rng.random(d.size), params)
-    return _los_codes(d.size, live, los).reshape(d.shape)
-
-
-def draw_los_state(d_m: float, params: ChannelParams, rng: np.random.Generator) -> LosState:
-    if d_m <= 0:
-        raise ValueError(f"distance must be positive, got {d_m}")
-    code = _sample_los_codes(np.asarray([d_m]), params, rng)[0]
-    return LosState(int(code))
-
-
-def pathloss_db(
-    d_m: float, los: LosState, params: ChannelParams, rng: np.random.Generator
-) -> tuple[float, float]:
-    """One (pathloss, shadowing) draw for a single link."""
-    if los == LosState.OUTAGE:
-        return math.inf, 0.0
-    shadow = rng.standard_normal(1)
-    fading = rng.standard_normal(1) if params.fading_sigma_db > 0.0 else None
-    pl, sh = _budget(np.asarray([d_m]), np.asarray([los == LosState.LOS]), shadow, fading, params)
-    return float(pl[0]), float(sh[0])
-
-
-def _wrap_pi(angle):
-    """Wrap angle(s) to (-pi, pi]."""
-    return -((-np.asarray(angle) + math.pi) % TWO_PI - math.pi)
-
-
-def upa_gain_db(
-    array_elements: int,
-    steer_rad: float,
-    actual_rad: float,
-    sector_halfwidth_rad: float,
-    floor_gain_dbi: float = -10.0,
-) -> float:
-    """Azimuth beamforming gain of a square planar array steered to ``steer_rad``.
-
-    Angles are relative to the serving sector's boresight. Directions outside
-    the sector get the floor gain, as does any direction whose array factor
-    falls below it (nulls included). At perfect alignment the gain is
-    10*log10(M) exactly.
-    """
-    root = math.isqrt(int(array_elements))
-    if root * root != array_elements or array_elements < 1:
-        raise ConfigError(f"array_elements must be a perfect square, got {array_elements}")
-    if abs(float(_wrap_pi(actual_rad))) > sector_halfwidth_rad:
-        return floor_gain_dbi
-    psi = math.pi * (math.sin(actual_rad) - math.sin(steer_rad))
-    den = root * math.sin(psi / 2.0)
-    if abs(den) < 1e-12:
-        af = 1.0  # coherent sum (broadside or grating direction)
-    else:
-        ratio = math.sin(root * psi / 2.0) / den
-        af = ratio * ratio
-    if af <= 0.0:
-        return floor_gain_dbi
-    return max(10.0 * math.log10(array_elements * af), floor_gain_dbi)
-
-
-def _endpoint_gain_db(node: GnbNode, toward_rad: float, radio: RadioConfig, params: ChannelParams) -> float:
-    """Gain of ``node`` toward a bearing, using its angularly closest sector."""
-    offsets = [abs(float(_wrap_pi(toward_rad - b))) for b in node.sector_boresights]
-    best = min(range(len(offsets)), key=lambda i: (offsets[i], i))
-    local = float(_wrap_pi(toward_rad - node.sector_boresights[best]))
-    return upa_gain_db(
-        radio.array_elements, local, local, radio.sector_halfwidth_rad, params.floor_gain_dbi
-    )
-
-
-def link_state(
-    i: GnbNode,
-    j: GnbNode,
-    radio: RadioConfig,
-    params: ChannelParams,
-    rng: np.random.Generator,
-) -> LinkState:
-    """Sample one directed link i -> j.
-
-    Both endpoints steer the sector closest to the direct bearing exactly at
-    that bearing. Note that Monte Carlo repetitions build links through
-    :func:`link_table`, which draws once per node pair and mirrors the result
-    so that both directions share the same realization.
-    """
-    if i.id == j.id:
-        raise ValueError("link endpoints must differ")
-    d = distance(i.position, j.position)
-    los = draw_los_state(d, params, rng)
-    pl, sh = pathloss_db(d, los, params, rng)
-    fwd = bearing(i.position, j.position)
-    tx_gain = _endpoint_gain_db(i, fwd, radio, params)
-    rx_gain = _endpoint_gain_db(j, float(_wrap_pi(fwd + math.pi)), radio, params)
-    noise = noise_power_dbm(radio.bandwidth_hz, radio.noise_figure_db)
-    if los == LosState.OUTAGE:
-        snr = -math.inf
-    else:
-        snr = radio.tx_power_dbm + tx_gain + rx_gain - pl - sh - noise
-    return LinkState(i.id, j.id, d, los, pl, sh, tx_gain, rx_gain, snr)
-
-
 @dataclass
 class LinkTable:
     """Shared channel realization for all gNB pairs of one deployment.
 
     ``snr`` is an (n, n) symmetric matrix in dB with -inf on the diagonal and
     on outage pairs. The flat per-pair arrays (upper triangle, ``src < dst``)
-    retain every budget component for auditing the link-budget identity.
+    and the per-endpoint ``gain_dbi`` retain every budget component for
+    auditing the link-budget identity.
     """
 
     snr: np.ndarray
@@ -310,9 +206,8 @@ class LinkTable:
     los: np.ndarray
     pathloss_db: np.ndarray
     shadowing_db: np.ndarray
-    tx_gain_dbi: np.ndarray
-    rx_gain_dbi: np.ndarray
     pair_snr_db: np.ndarray
+    gain_dbi: float
     noise_dbm: float
     tx_power_dbm: float
 
@@ -330,8 +225,7 @@ def link_table(
     d = np.hypot(x[src] - x[dst], y[src] - y[dst])
     live, los, live_pathloss, live_shadowing = _draw_pairs(d, params, rng)
 
-    # Evenly spaced sectors always cover the direct bearing and steering is
-    # ideal, so both endpoint gains sit at the coherent peak.
+    # Steering is ideal, so both endpoint gains sit at the coherent peak.
     gain = 10.0 * math.log10(radio.array_elements)
     noise = noise_power_dbm(radio.bandwidth_hz, radio.noise_figure_db)
     live_snr = radio.tx_power_dbm + gain + gain - live_pathloss - live_shadowing - noise
@@ -347,9 +241,8 @@ def link_table(
         los=_los_codes(d.size, live, los),
         pathloss_db=_spread(d.size, live, live_pathloss, np.inf),
         shadowing_db=_spread(d.size, live, live_shadowing, 0.0),
-        tx_gain_dbi=np.full(d.shape, gain),
-        rx_gain_dbi=np.full(d.shape, gain),
         pair_snr_db=_spread(d.size, live, live_snr, -np.inf),
+        gain_dbi=gain,
         noise_dbm=noise,
         tx_power_dbm=radio.tx_power_dbm,
     )

@@ -99,14 +99,16 @@ def _replace_text(path: Path, text: str) -> None:
 def write_results(bundle: ResultBundle, out_dir) -> list[Path]:
     """Emit the per-policy CDF tables, then summary.json; returns written paths.
 
-    An old summary.json is removed first and every file is renamed into place
-    whole, so a summary on disk always sits next to the complete tables of its
-    own run, even when writing stops partway.
+    An old summary.json and every old CDF table are removed first and every
+    file is renamed into place whole, so a summary on disk always sits next to
+    the complete tables of its own run and no others, even when writing stops
+    partway.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary_path = out / "summary.json"
-    summary_path.unlink(missing_ok=True)
+    for old in (summary_path, *out.glob("*_hops_cdf.csv"), *out.glob("*_snr_cdf.csv")):
+        old.unlink(missing_ok=True)
     tables = []
     for label, s in bundle.summary.policies.items():
         for suffix, cdf in (("hops_cdf", s.hops_cdf), ("snr_cdf", s.snr_cdf)):

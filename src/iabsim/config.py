@@ -28,12 +28,11 @@ WBF_PRESETS: dict[str, WbfConfig] = {
 }
 
 _DEPLOYMENT_KEYS = {"lambda_g", "p_w", "lambda_ue", "region_width_m", "region_height_m"}
-_RADIO_KEYS = {"fc_ghz", "B_hz", "ptx_dbm", "nf_db", "M", "S", "gamma_th_db"}
+_RADIO_KEYS = {"B_hz", "ptx_dbm", "nf_db", "M", "S", "gamma_th_db"}
 _CHANNEL_KEYS = {
     "los_alpha_db", "los_exponent", "los_sigma_db",
     "nlos_alpha_db", "nlos_exponent", "nlos_sigma_db",
-    "outage_slope_per_m", "outage_intercept", "los_decay_per_m",
-    "floor_gain_dbi", "fading_sigma_db",
+    "outage_slope_per_m", "outage_intercept", "los_decay_per_m", "fading_sigma_db",
 }
 _RUN_KEYS = {"repetitions", "master_seed", "max_hops", "oracle"}
 _POLICY_KEYS = {"policy", "wbf", "label"}
@@ -174,7 +173,6 @@ def parse_config(source) -> SimConfig:
         height_m=_number("deployment", dep, "region_height_m", 1000.0),
     )
     radio = RadioConfig(
-        fc_ghz=_number("radio", radio_doc, "fc_ghz", 28.0),
         bandwidth_hz=_number("radio", radio_doc, "B_hz", 400e6),
         tx_power_dbm=_number("radio", radio_doc, "ptx_dbm", 30.0),
         noise_figure_db=_number("radio", radio_doc, "nf_db", 5.0),
@@ -225,7 +223,6 @@ def config_document(cfg: SimConfig) -> dict:
             "region_height_m": cfg.region.height_m,
         },
         "radio": {
-            "fc_ghz": cfg.radio.fc_ghz,
             "B_hz": cfg.radio.bandwidth_hz,
             "ptx_dbm": cfg.radio.tx_power_dbm,
             "nf_db": cfg.radio.noise_figure_db,

@@ -49,11 +49,6 @@ def distance(a: Position, b: Position) -> float:
     return math.hypot(b.x - a.x, b.y - a.y)
 
 
-def bearing(a: Position, b: Position) -> float:
-    """Angle of the a -> b direction, radians in (-pi, pi]."""
-    return math.atan2(b.y - a.y, b.x - a.x)
-
-
 class GnbNode:
     """View of row ``id`` of a deployment's arrays: one wired donor or wireless relay.
 

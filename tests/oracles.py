@@ -43,10 +43,8 @@ def dense_link_table(deployment, radio, params, rng):
     d = np.hypot(pos[src, 0] - pos[dst, 0], pos[src, 1] - pos[dst, 1])
     codes, pathloss, shadowing = _dense_pair_draws(d, params, rng)
     gain = 10.0 * math.log10(radio.array_elements)
-    tx_gain = np.full(d.shape, gain)
-    rx_gain = np.full(d.shape, gain)
     noise = -174.0 + 10.0 * math.log10(radio.bandwidth_hz) + radio.noise_figure_db
-    pair_snr = radio.tx_power_dbm + tx_gain + rx_gain - pathloss - shadowing - noise
+    pair_snr = radio.tx_power_dbm + gain + gain - pathloss - shadowing - noise
     snr = np.full((n, n), -np.inf)
     snr[src, dst] = pair_snr
     snr[dst, src] = pair_snr
@@ -58,9 +56,8 @@ def dense_link_table(deployment, radio, params, rng):
         los=codes,
         pathloss_db=pathloss,
         shadowing_db=shadowing,
-        tx_gain_dbi=tx_gain,
-        rx_gain_dbi=rx_gain,
         pair_snr_db=pair_snr,
+        gain_dbi=gain,
         noise_dbm=noise,
         tx_power_dbm=radio.tx_power_dbm,
     )

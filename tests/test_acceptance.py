@@ -18,7 +18,6 @@ from iabsim.channel import (
     link_table,
     noise_power_dbm,
     shannon_rate,
-    upa_gain_db,
 )
 from iabsim.cli import main
 from iabsim.config import WBF_PRESETS
@@ -99,10 +98,24 @@ def test_c02_rate_anchor():
 
 
 def test_c03_array_gain_anchor():
-    g64 = upa_gain_db(64, 0.0, 0.0, math.pi)
-    g256 = upa_gain_db(256, 0.0, 0.0, math.pi)
-    ok = abs(g64 - 18.0618) < 1e-4 and abs(g256 - 24.0824) < 1e-4
-    report("C3 array-gain anchor", ok, f"M=64 -> {g64:.5f} dBi, M=256 -> {g256:.5f} dBi")
+    # the per-endpoint gain link_table applies, and the SNR shift it puts on one drawn link
+    pair = Deployment(Region(100, 100), [(0.0, 0.0), (10.0, 0.0)], [False, True], 0)
+    t64, t256 = (
+        link_table(pair, RadioConfig(array_elements=m), ChannelParams(), np.random.default_rng(3))
+        for m in (64, 256)
+    )
+    g64, g256 = t64.gain_dbi, t256.gain_dbi
+    shift = float(t256.pair_snr_db[0] - t64.pair_snr_db[0])
+    ok = (
+        abs(g64 - 18.0618) < 1e-4
+        and abs(g256 - 24.0824) < 1e-4
+        and abs(shift - 2 * (g256 - g64)) < 1e-9
+    )
+    report(
+        "C3 array-gain anchor",
+        ok,
+        f"M=64 -> {g64:.5f} dBi, M=256 -> {g256:.5f} dBi, link SNR shift {shift:.5f} dB",
+    )
 
 
 def test_c04_policy_ordering_at_desk_scale(desk):
@@ -271,8 +284,7 @@ def test_c10_channel_closure():
         + table.shadowing_db
         + noise
         - radio.tx_power_dbm
-        - table.tx_gain_dbi
-        - table.rx_gain_dbi
+        - 2 * table.gain_dbi
     )
     n_links = table.pair_snr_db.size
     closure_ok = n_links >= 1_000_000 and float(residual.max()) < 1e-9
@@ -286,7 +298,7 @@ def test_c10_channel_closure():
     outage_ok = outage_pairs.any() and (wide.pair_snr_db[outage_pairs] == -np.inf).all()
 
     # three-state frequencies vs the closed-form law, 1e6 draws per distance
-    from iabsim.channel import _sample_los_codes
+    from iabsim.channel import _visibility
 
     freq_ok = True
     details = []
@@ -295,9 +307,14 @@ def test_c10_channel_closure():
         p_out = max(0.0, 1.0 - math.exp(-d / 30.0 + 5.2))
         p_los = (1.0 - p_out) * math.exp(-d / 67.1)
         p_nlos = 1.0 - p_out - p_los
-        codes = _sample_los_codes(np.full(n_draws, d), ChannelParams(), rng)
+        live, los = _visibility(np.full(n_draws, d), rng.random(n_draws), ChannelParams())
+        counts = {
+            LosState.LOS: int(los.sum()),
+            LosState.NLOS: int(live.size - los.sum()),
+            LosState.OUTAGE: n_draws - live.size,
+        }
         for state, p in ((LosState.LOS, p_los), (LosState.NLOS, p_nlos), (LosState.OUTAGE, p_out)):
-            freq = float(np.mean(codes == state))
+            freq = counts[state] / n_draws
             sigma = math.sqrt(p * (1.0 - p) / n_draws)
             freq_ok &= abs(freq - p) <= 3.0 * sigma + 1e-12
         details.append(f"d={d:.0f}m ok")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,15 +9,12 @@ from iabsim.channel import (
     ChannelParams,
     LosState,
     RadioConfig,
+    _visibility,
     associate_min_pathloss,
-    draw_los_state,
-    link_state,
     link_table,
     los_probabilities,
     noise_power_dbm,
-    pathloss_db,
     shannon_rate,
-    upa_gain_db,
 )
 from iabsim.errors import ConfigError
 from iabsim.geometry import Deployment, Region
@@ -25,18 +23,22 @@ from iabsim.geometry import Deployment, Region
 DETERMINISTIC_LOS = ChannelParams(
     los_sigma_db=0.0, nlos_sigma_db=0.0, los_decay_per_m=0.0, outage_slope_per_m=0.0
 )
-NO_SHADOWING = ChannelParams(los_sigma_db=0.0, nlos_sigma_db=0.0)
+# shadowing off, NLOS at any range beyond a millimeter (LOS share exp(-1e3 d), no outage)
+FORCED_NLOS = ChannelParams(
+    los_sigma_db=0.0, nlos_sigma_db=0.0, los_decay_per_m=1e3, outage_slope_per_m=0.0
+)
+# outage probability 1 - exp(-d/30 - 1000) == 1 at any range
+FORCED_OUTAGE = ChannelParams(outage_intercept=-1e3)
 
 
-def three_sector_world(points, wired, origin_id):
-    boresights = np.tile([0.0, 2 * math.pi / 3, 4 * math.pi / 3], (len(points), 1))
-    return Deployment(Region(600, 600), points, wired, origin_id, sector_boresights=boresights)
+def world(points, wired, origin_id):
+    return Deployment(Region(600, 600), points, wired, origin_id)
 
 
-def three_sector_pair(x, y):
-    """Views of a relay at (0, 0) and a wired donor at (x, y), three sectors each."""
-    dep = three_sector_world([(0.0, 0.0), (x, y)], [False, True], 0)
-    return dep.node(0), dep.node(1)
+def pair_table(x, y, params, seed=0, radio=RadioConfig()):
+    """Link table of a relay at (0, 0) and a wired donor at (x, y): one pair."""
+    dep = world([(0.0, 0.0), (x, y)], [False, True], 0)
+    return link_table(dep, radio, params, np.random.default_rng(seed))
 
 
 class TestNoisePower:
@@ -86,109 +88,84 @@ class TestLosModel:
         p_nlos = 1.0 - p_los - p_out
         rng = np.random.default_rng(42)
         n = 1_000_000
-        states = np.array([int(draw_los_state(d, params, rng)) for _ in range(1000)])
-        # scalar API spot check plus a vectorized bulk check through link draws
-        from iabsim.channel import _sample_los_codes
-
-        codes = _sample_los_codes(np.full(n, d), params, rng)
+        # a spot check on the first 1000 uniforms, then the bulk check on the next 1e6
+        live, los = _visibility(np.full(1000, d), rng.random(1000), params)
+        assert (np.diff(live) > 0).all() and los.shape == live.shape
+        live, los = _visibility(np.full(n, d), rng.random(n), params)
+        counts = {
+            LosState.LOS: int(los.sum()),
+            LosState.NLOS: int(live.size - los.sum()),
+            LosState.OUTAGE: n - live.size,
+        }
         for value, p in ((LosState.LOS, p_los), (LosState.NLOS, p_nlos), (LosState.OUTAGE, p_out)):
-            freq = np.mean(codes == value)
+            freq = counts[value] / n
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(freq - p) < 3 * sigma + 1e-12, (value, freq, p)
-        assert set(states) <= {0, 1, 2}
-
-    def test_invalid_distance(self):
-        with pytest.raises(ValueError):
-            draw_los_state(0.0, ChannelParams(), np.random.default_rng(0))
 
 
 class TestPathloss:
     def test_los_intercept_at_one_meter(self):
-        pl, sh = pathloss_db(1.0, LosState.LOS, NO_SHADOWING, np.random.default_rng(0))
-        assert pl == pytest.approx(61.4, abs=1e-12)
-        assert sh == 0.0
+        table = pair_table(1.0, 0.0, DETERMINISTIC_LOS)
+        assert table.los[0] == LosState.LOS
+        assert table.pathloss_db[0] == pytest.approx(61.4, abs=1e-12)
+        assert table.shadowing_db[0] == 0.0
 
     def test_los_closed_form_100m(self):
-        pl, _ = pathloss_db(100.0, LosState.LOS, NO_SHADOWING, np.random.default_rng(0))
-        assert pl == pytest.approx(61.4 + 10 * 2.0 * 2.0, abs=1e-12)  # 101.4 dB
+        table = pair_table(100.0, 0.0, DETERMINISTIC_LOS)
+        assert table.los[0] == LosState.LOS
+        assert table.pathloss_db[0] == pytest.approx(61.4 + 10 * 2.0 * 2.0, abs=1e-12)  # 101.4 dB
 
     def test_nlos_closed_form_100m(self):
-        pl, _ = pathloss_db(100.0, LosState.NLOS, NO_SHADOWING, np.random.default_rng(0))
-        assert pl == pytest.approx(72.0 + 10 * 2.92 * 2.0, abs=1e-12)  # 130.4 dB
+        table = pair_table(100.0, 0.0, FORCED_NLOS)
+        assert table.los[0] == LosState.NLOS
+        assert table.pathloss_db[0] == pytest.approx(72.0 + 10 * 2.92 * 2.0, abs=1e-12)  # 130.4 dB
 
     def test_outage_is_infinite(self):
-        pl, sh = pathloss_db(50.0, LosState.OUTAGE, ChannelParams(), np.random.default_rng(0))
-        assert pl == math.inf and sh == 0.0
+        table = pair_table(50.0, 0.0, FORCED_OUTAGE)
+        assert table.los[0] == LosState.OUTAGE
+        assert table.pathloss_db[0] == math.inf and table.shadowing_db[0] == 0.0
+        assert table.snr[0, 1] == table.snr[1, 0] == -math.inf
 
     def test_sub_meter_clamped(self):
-        pl, _ = pathloss_db(0.01, LosState.LOS, NO_SHADOWING, np.random.default_rng(0))
-        assert pl == pytest.approx(61.4, abs=1e-12)
+        table = pair_table(0.01, 0.0, DETERMINISTIC_LOS)
+        assert table.pathloss_db[0] == pytest.approx(61.4, abs=1e-12)
 
     def test_shadowing_moments(self):
+        # 200 nodes -> 19900 pairs, every one NLOS, shadowing sigma 8.7 dB
         rng = np.random.default_rng(1)
-        draws = np.array([pathloss_db(100.0, LosState.NLOS, ChannelParams(), rng)[1] for _ in range(20000)])
-        assert draws.mean() == pytest.approx(0.0, abs=3 * 8.7 / math.sqrt(20000))
+        pts = rng.uniform(0, 600, (200, 2))
+        dep = Deployment(Region(600, 600), pts, np.arange(200) % 3 == 0, 1)
+        params = ChannelParams(los_decay_per_m=1e3, outage_slope_per_m=0.0)
+        table = link_table(dep, RadioConfig(), params, rng)
+        assert (table.los == LosState.NLOS).all()
+        draws = table.shadowing_db
+        assert draws.mean() == pytest.approx(0.0, abs=3 * 8.7 / math.sqrt(draws.size))
         assert draws.std() == pytest.approx(8.7, rel=0.05)
 
 
-class TestUpaGain:
-    def test_aligned_gain_64(self):
-        assert upa_gain_db(64, 0.3, 0.3, math.pi) == pytest.approx(18.061799739838872, abs=1e-9)
-
-    def test_aligned_gain_256(self):
-        assert upa_gain_db(256, -0.7, -0.7, math.pi) == pytest.approx(24.082399653118496, abs=1e-9)
-
-    def test_first_null_floored(self):
-        # sin(actual) - sin(steer) = 2/sqrt(M) zeroes the 8-element array factor
-        actual = math.asin(0.25)
-        assert upa_gain_db(64, 0.0, actual, math.pi, floor_gain_dbi=-10.0) == -10.0
-
-    def test_out_of_sector_floored(self):
-        assert upa_gain_db(64, 0.0, 2.0, math.pi / 3, floor_gain_dbi=-10.0) == -10.0
-
-    def test_aligned_gain_exact_across_sector(self):
-        # steering equals arrival anywhere in the sector -> exactly 10*log10(M)
-        for theta in np.linspace(-math.pi / 3, math.pi / 3, 25):
-            assert upa_gain_db(64, float(theta), float(theta), math.pi / 3) == 10 * math.log10(64)
-
-    def test_gain_never_exceeds_coherent_peak(self):
-        # normalized array factor <= 1 for every steering/arrival pair
-        rng = np.random.default_rng(2)
-        for _ in range(2000):
-            steer, actual = rng.uniform(-math.pi, math.pi, 2)
-            g = upa_gain_db(64, float(steer), float(actual), math.pi)
-            assert g <= 10 * math.log10(64) + 1e-9
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ConfigError):
-            upa_gain_db(60, 0.0, 0.0, math.pi)
-
-
 class TestLinkState:
+    """The budget of a single link, drawn by ``link_table`` on a two-node world."""
+
     def test_reference_budget_one_meter(self):
         # 30 + 18.0618 + 18.0618 - 61.4 - (-82.9794) = 87.703 dB
-        rng = np.random.default_rng(3)
-        i, j = three_sector_pair(1.0, 0.0)
-        ls = link_state(i, j, RadioConfig(), DETERMINISTIC_LOS, rng)
-        assert ls.los == LosState.LOS
-        assert ls.snr_db == pytest.approx(87.70299956639812, abs=1e-9)
-        assert ls.tx_gain_dbi == pytest.approx(18.061799739838872, abs=1e-9)
-        assert ls.rx_gain_dbi == pytest.approx(18.061799739838872, abs=1e-9)
+        table = pair_table(1.0, 0.0, DETERMINISTIC_LOS, seed=3)
+        assert table.los[0] == LosState.LOS
+        assert table.snr[0, 1] == pytest.approx(87.70299956639812, abs=1e-9)
+        assert table.gain_dbi == pytest.approx(18.061799739838872, abs=1e-9)
 
     def test_budget_identity(self):
         rng = np.random.default_rng(4)
         radio = RadioConfig()
         noise = noise_power_dbm(radio.bandwidth_hz, radio.noise_figure_db)
-        for _ in range(300):
+        for seed in range(300):
             x, y = rng.uniform(10, 500, 2)
-            i, j = three_sector_pair(float(x), float(y))
-            ls = link_state(i, j, radio, ChannelParams(), rng)
-            if ls.los == LosState.OUTAGE:
-                assert ls.snr_db == -math.inf
+            table = pair_table(float(x), float(y), ChannelParams(), seed=seed)
+            if table.los[0] == LosState.OUTAGE:
+                assert table.snr[0, 1] == -math.inf
             else:
                 residual = (
-                    ls.snr_db + ls.pathloss_db + ls.shadowing_db + noise
-                    - radio.tx_power_dbm - ls.tx_gain_dbi - ls.rx_gain_dbi
+                    table.snr[0, 1] + table.pathloss_db[0] + table.shadowing_db[0] + noise
+                    - radio.tx_power_dbm - 2 * table.gain_dbi
                 )
                 assert abs(residual) < 1e-9
 
@@ -202,21 +179,14 @@ class TestLinkState:
         assert pl_at_threshold == pytest.approx(144.10299956639813, abs=1e-9)
         d_cross = 10 ** ((pl_at_threshold - 61.4) / 20.0)
         assert d_cross == pytest.approx(13650.54460165097, rel=1e-9)
-        rng = np.random.default_rng(5)
-        i, j = three_sector_pair(1000.0, 1000.0)
-        ls = link_state(i, j, radio, DETERMINISTIC_LOS, rng)
-        assert ls.snr_db > 5.0
-
-    def test_same_node_rejected(self):
-        i, _ = three_sector_pair(1.0, 0.0)
-        with pytest.raises(ValueError):
-            link_state(i, i, RadioConfig(), ChannelParams(), np.random.default_rng(0))
+        table = pair_table(1000.0, 1000.0, DETERMINISTIC_LOS, seed=5, radio=radio)
+        assert table.snr[0, 1] > 5.0
 
 
 class TestLinkTable:
     def make_deployment(self, rng, n=12):
         pts = rng.uniform(0, 600, (n, 2))
-        return three_sector_world(pts, [i % 3 == 0 for i in range(n)], 1)
+        return world(pts, [i % 3 == 0 for i in range(n)], 1)
 
     def test_symmetry_shared_draw(self):
         rng = np.random.default_rng(6)
@@ -237,21 +207,10 @@ class TestLinkTable:
             + table.shadowing_db[finite]
             + table.noise_dbm
             - table.tx_power_dbm
-            - table.tx_gain_dbi[finite]
-            - table.rx_gain_dbi[finite]
+            - 2 * table.gain_dbi
         )
         assert np.abs(residual).max() < 1e-9
         assert (table.pair_snr_db[~finite] == -np.inf).all()
-
-    def test_matches_scalar_link_state_when_deterministic(self):
-        # with shadowing off and LOS forced both code paths must agree exactly
-        rng = np.random.default_rng(8)
-        dep = self.make_deployment(rng)
-        radio = RadioConfig()
-        table = link_table(dep, radio, DETERMINISTIC_LOS, rng)
-        for src, dst in [(0, 1), (2, 5), (3, 11)]:
-            ls = link_state(dep.node(src), dep.node(dst), radio, DETERMINISTIC_LOS, rng)
-            assert table.snr[src, dst] == pytest.approx(ls.snr_db, abs=1e-9)
 
     def test_optional_fading_widens_spread_but_keeps_closure(self):
         rng_a = np.random.default_rng(20)
@@ -267,8 +226,7 @@ class TestLinkTable:
             + faded.shadowing_db[finite]
             + faded.noise_dbm
             - faded.tx_power_dbm
-            - faded.tx_gain_dbi[finite]
-            - faded.rx_gain_dbi[finite]
+            - 2 * faded.gain_dbi
         )
         assert np.abs(residual).max() < 1e-9
         both = finite & np.isfinite(plain.pair_snr_db)
@@ -284,7 +242,7 @@ class TestLinkTable:
 
     def test_association_prefers_near_node_without_shadowing(self):
         rng = np.random.default_rng(10)
-        dep = three_sector_world([(0.0, 0.0), (500.0, 0.0)], [True, False], 1)
+        dep = world([(0.0, 0.0), (500.0, 0.0)], [True, False], 1)
         ues = np.array([(10.0, 0.0), (490.0, 0.0)])
         serving = associate_min_pathloss(ues, dep, DETERMINISTIC_LOS, rng)
         assert serving.tolist() == [0, 1]
@@ -327,8 +285,29 @@ class TestRadioConfig:
         with pytest.raises(ConfigError):
             RadioConfig(sectors=0)
 
-    def test_sector_halfwidth(self):
-        assert RadioConfig(sectors=3).sector_halfwidth_rad == pytest.approx(math.pi / 3)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field, key",
+        [
+            ("bandwidth_hz", "radio.B_hz"),
+            ("tx_power_dbm", "radio.ptx_dbm"),
+            ("noise_figure_db", "radio.nf_db"),
+            ("array_elements", "radio.M"),
+            ("sectors", "radio.S"),
+            ("snr_threshold_db", "radio.gamma_th_db"),
+        ],
+    )
+    def test_non_finite_field_names_the_key(self, field, key, value):
+        with pytest.raises(ConfigError, match=rf"{key} must be finite"):
+            RadioConfig(**{field: value})
+
+
+class TestChannelParams:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ChannelParams)])
+    def test_non_finite_field_names_the_key(self, field, value):
+        with pytest.raises(ConfigError, match=rf"channel\.{field} must be finite"):
+            ChannelParams(**{field: value})
 
 
 def scattered_deployment(seed, n, side=1000.0):

@@ -90,6 +90,12 @@ class TestWriteResults:
         write_results(bundle, tmp_path)
         assert (tmp_path / "summary.json").exists()
 
+    def test_rewrite_with_fewer_policies_drops_old_tables(self, tmp_path):
+        write_results(self.make_bundle(policies=("HQF", "MLR")), tmp_path)
+        written = write_results(self.make_bundle(policies=("HQF",)), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in written)
+        assert sorted(p.name for p in written) == ["HQF_hops_cdf.csv", "HQF_snr_cdf.csv", "summary.json"]
+
     def test_summary_embeds_reproducible_config(self, tmp_path):
         bundle = self.make_bundle()
         write_results(bundle, tmp_path)
@@ -140,6 +146,20 @@ class TestMain:
         cfg_path.write_text('{"deployment": {"lambda_g": NaN}}')
         assert run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert "deployment.lambda_g" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"radio": {"fc_ghz": 28}}, "radio.fc_ghz"),
+            ({"channel": {"floor_gain_dbi": -10}}, "channel.floor_gain_dbi"),
+        ],
+    )
+    def test_removed_config_key_exits_1(self, tmp_path, capsys, doc, key):
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_fractional_repetitions_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

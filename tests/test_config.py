@@ -15,7 +15,6 @@ class TestDefaults:
         assert cfg.radio.array_elements == 64
         assert cfg.radio.sectors == 3
         assert cfg.radio.bandwidth_hz == 400e6
-        assert cfg.radio.fc_ghz == 28.0
         assert cfg.radio.tx_power_dbm == 30.0
         assert cfg.radio.noise_figure_db == 5.0
         assert cfg.radio.snr_threshold_db == 5.0
@@ -142,6 +141,17 @@ class TestValidation:
     def test_negative_master_seed(self):
         with pytest.raises(ConfigError, match="master_seed"):
             parse_config({"run": {"master_seed": -1}})
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"radio": {"fc_ghz": 28}}, "radio.fc_ghz"),
+            ({"channel": {"floor_gain_dbi": -10}}, "channel.floor_gain_dbi"),
+        ],
+    )
+    def test_removed_key_is_unknown(self, doc, key):
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}'"):
+            parse_config(doc)
 
 
 class TestRoundTrip:
