@@ -14,16 +14,21 @@ batch of pairs takes one uniform per pair, then one shadowing normal per pair,
 then (with fading on) one fading normal per pair, so the stream a repetition
 leaves behind depends only on how many pairs it drew. The arithmetic past the
 visibility draw runs only on the pairs that are not in outage.
+
+The link table makes the draws of every gNB pair up front, when it is built,
+and evaluates a pair's channel when a row holding it is first read, so the
+stream does not depend on which rows the walks and the oracle read.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_number
 from .geometry import Deployment
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -33,11 +38,6 @@ class LosState(IntEnum):
     LOS = 0
     NLOS = 1
     OUTAGE = 2
-
-
-def _require_finite(key: str, value) -> None:
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,14 @@ class RadioConfig:
     snr_threshold_db: float = 5.0
 
     def __post_init__(self):
-        for name, key in (
-            ("bandwidth_hz", "B_hz"), ("tx_power_dbm", "ptx_dbm"), ("noise_figure_db", "nf_db"),
-            ("array_elements", "M"), ("sectors", "S"), ("snr_threshold_db", "gamma_th_db"),
-        ):
-            _require_finite(f"radio.{key}", getattr(self, name))
-        if self.bandwidth_hz <= 0:
-            raise ConfigError(f"radio.B_hz must be positive, got {self.bandwidth_hz}")
-        if self.sectors < 1:
-            raise ConfigError(f"radio.S must be >= 1, got {self.sectors}")
+        require_number("radio.B_hz", self.bandwidth_hz, above=0)
+        require_number("radio.ptx_dbm", self.tx_power_dbm)
+        require_number("radio.nf_db", self.noise_figure_db)
+        require_number("radio.M", self.array_elements, integer=True, at_least=1)
+        require_number("radio.S", self.sectors, integer=True, at_least=1)
+        require_number("radio.gamma_th_db", self.snr_threshold_db)
         root = math.isqrt(int(self.array_elements))
-        if self.array_elements < 1 or root * root != self.array_elements:
+        if root * root != self.array_elements:
             raise ConfigError(
                 f"radio.M must be a perfect square (planar array), got {self.array_elements}"
             )
@@ -95,7 +92,7 @@ class ChannelParams:
 
     def __post_init__(self):
         for field in fields(self):
-            _require_finite(f"channel.{field.name}", getattr(self, field.name))
+            require_number(f"channel.{field.name}", getattr(self, field.name))
 
 
 def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
@@ -161,22 +158,6 @@ def pair_draws(size: int, params: ChannelParams, rng: np.random.Generator):
     return u, shadow, fading
 
 
-def _draw_pairs(d: np.ndarray, params: ChannelParams, rng: np.random.Generator):
-    """One channel draw per entry of ``d``: (live, los, pathloss, shadowing).
-
-    ``live`` holds the flat indices of the entries not in outage (ascending),
-    ``los`` marks the LOS ones among them, and pathloss/shadowing are given
-    for those entries only. The draws follow the stream invariant.
-    """
-    d = d.ravel()
-    u, shadow, fading = pair_draws(d.size, params, rng)
-    live, los = _visibility(d, u, params)
-    pathloss, shadowing = _budget(
-        d[live], los, shadow[live], None if fading is None else fading[live], params
-    )
-    return live, los, pathloss, shadowing
-
-
 def _spread(size: int, live: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
     """Length-``size`` array with ``values`` at the ``live`` indices and ``fill`` elsewhere."""
     out = np.full(size, fill, dtype=values.dtype)
@@ -189,27 +170,90 @@ def _los_codes(size: int, live: np.ndarray, los: np.ndarray) -> np.ndarray:
     return _spread(size, live, codes, LosState.OUTAGE)
 
 
-@dataclass
 class LinkTable:
     """Shared channel realization for all gNB pairs of one deployment.
 
-    ``snr`` is an (n, n) symmetric matrix in dB with -inf on the diagonal and
-    on outage pairs. The flat per-pair arrays (upper triangle, ``src < dst``)
-    and the per-endpoint ``gain_dbi`` retain every budget component for
-    auditing the link-budget identity.
+    ``table[i]`` is row i of the symmetric SNR matrix in dB, with -inf on the
+    diagonal and on outage pairs; a row is evaluated on its first read and
+    cached. ``snr`` is the whole (n, n) matrix. It and the flat per-pair
+    arrays (upper triangle, ``src < dst``), with ``gain_dbi``, ``noise_dbm``
+    and ``tx_power_dbm``, retain every budget component for auditing the
+    link-budget identity; reading any of them evaluates every pair once.
     """
 
-    snr: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    distance_m: np.ndarray
-    los: np.ndarray
-    pathloss_db: np.ndarray
-    shadowing_db: np.ndarray
-    pair_snr_db: np.ndarray
-    gain_dbi: float
-    noise_dbm: float
-    tx_power_dbm: float
+    def __init__(self, positions, draws, params: ChannelParams, gain_dbi, noise_dbm, tx_power_dbm):
+        self.positions = positions
+        self.n = len(positions)
+        self.uniforms, self.shadow_normals, self.fading_normals = draws
+        self.params = params
+        self.gain_dbi = gain_dbi
+        self.noise_dbm = noise_dbm
+        self.tx_power_dbm = tx_power_dbm
+        self._rows: dict[int, np.ndarray] = {}
+
+    def _evaluate(self, k: np.ndarray, a, b):
+        """Channel of the pairs (a, b) whose draws sit at flat index k.
+
+        Returns (distance, live, los, pathloss, shadowing, snr); ``live`` holds
+        the positions of the pairs not in outage, and the last four are given
+        for those pairs only. The distance does not depend on which end comes
+        first, to the bit: x[b] - x[a] is exactly -(x[a] - x[b]).
+        """
+        x, y = self.positions.T
+        d = np.hypot(x[a] - x[b], y[a] - y[b])
+        live, los = _visibility(d, self.uniforms[k], self.params)
+        k_live = k[live]
+        fading = None if self.fading_normals is None else self.fading_normals[k_live]
+        pathloss, shadowing = _budget(d[live], los, self.shadow_normals[k_live], fading, self.params)
+        snr = self.tx_power_dbm + self.gain_dbi + self.gain_dbi - pathloss - shadowing - self.noise_dbm
+        return d, live, los, pathloss, shadowing, snr
+
+    @cached_property
+    def _row_offsets(self) -> np.ndarray:
+        """c with c[a] + b the flat upper-triangle index of the pair (a, b), a < b."""
+        a = np.arange(self.n)
+        return a * (2 * self.n - a - 1) // 2 - a - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        row = self._rows.get(i)
+        if row is None:
+            others = np.arange(self.n - 1)
+            others[i:] += 1
+            c = self._row_offsets
+            k = np.concatenate((c[:i] + i, c[i] + others[i:]))  # pairs (j, i) for j < i, then (i, j)
+            _, live, _, _, _, snr = self._evaluate(k, others, i)
+            row = self._rows[i] = np.full(self.n, -np.inf)
+            row[others[live]] = snr
+        return row
+
+    @cached_property
+    def _whole(self) -> dict[str, np.ndarray]:
+        """Every pair evaluated once: the (n, n) matrix and the flat upper-triangle arrays."""
+        n = self.n
+        src, dst = np.triu_indices(n, k=1)
+        d, live, los, pathloss, shadowing, snr = self._evaluate(np.arange(src.size), src, dst)
+        matrix = np.full((n, n), -np.inf)
+        matrix[src[live], dst[live]] = snr
+        matrix[dst[live], src[live]] = snr
+        return {
+            "snr": matrix,
+            "src": src,
+            "dst": dst,
+            "distance_m": d,
+            "los": _los_codes(d.size, live, los),
+            "pathloss_db": _spread(d.size, live, pathloss, np.inf),
+            "shadowing_db": _spread(d.size, live, shadowing, 0.0),
+            "pair_snr_db": _spread(d.size, live, snr, -np.inf),
+        }
+
+    snr = property(lambda self: self._whole["snr"])
+    src = property(lambda self: self._whole["src"])
+    dst = property(lambda self: self._whole["dst"])
+    distance_m = property(lambda self: self._whole["distance_m"])
+    los = property(lambda self: self._whole["los"])
+    pathloss_db = property(lambda self: self._whole["pathloss_db"])
+    shadowing_db = property(lambda self: self._whole["shadowing_db"])
+    pair_snr_db = property(lambda self: self._whole["pair_snr_db"])
 
 
 def link_table(
@@ -218,34 +262,13 @@ def link_table(
     params: ChannelParams,
     rng: np.random.Generator,
 ) -> LinkTable:
-    """Draw the full pairwise link realization for one repetition."""
-    x, y = deployment.positions.T
-    n = len(x)
-    src, dst = np.triu_indices(n, k=1)
-    d = np.hypot(x[src] - x[dst], y[src] - y[dst])
-    live, los, live_pathloss, live_shadowing = _draw_pairs(d, params, rng)
-
+    """Draw the pairwise link realization for one repetition; rows are evaluated when read."""
+    n = deployment.n_gnbs
+    draws = pair_draws(n * (n - 1) // 2, params, rng)
     # Steering is ideal, so both endpoint gains sit at the coherent peak.
     gain = 10.0 * math.log10(radio.array_elements)
     noise = noise_power_dbm(radio.bandwidth_hz, radio.noise_figure_db)
-    live_snr = radio.tx_power_dbm + gain + gain - live_pathloss - live_shadowing - noise
-
-    snr = np.full((n, n), -np.inf)
-    snr[src[live], dst[live]] = live_snr
-    snr[dst[live], src[live]] = live_snr
-    return LinkTable(
-        snr=snr,
-        src=src,
-        dst=dst,
-        distance_m=d,
-        los=_los_codes(d.size, live, los),
-        pathloss_db=_spread(d.size, live, live_pathloss, np.inf),
-        shadowing_db=_spread(d.size, live, live_shadowing, 0.0),
-        pair_snr_db=_spread(d.size, live, live_snr, -np.inf),
-        gain_dbi=gain,
-        noise_dbm=noise,
-        tx_power_dbm=radio.tx_power_dbm,
-    )
+    return LinkTable(deployment.positions, draws, params, gain, noise, radio.tx_power_dbm)
 
 
 def associate_min_pathloss(
@@ -258,9 +281,12 @@ def associate_min_pathloss(
     if len(ue_positions) == 0:
         return np.empty(0, dtype=np.int64)
     ue, gnb = ue_positions, deployment.positions
-    d = np.hypot(ue[:, None, 0] - gnb[None, :, 0], ue[:, None, 1] - gnb[None, :, 1])
-    live, _, pathloss, shadowing = _draw_pairs(d, params, rng)
-    total = _spread(d.size, live, pathloss + shadowing, np.inf).reshape(d.shape)
+    d = np.hypot(ue[:, None, 0] - gnb[None, :, 0], ue[:, None, 1] - gnb[None, :, 1]).ravel()
+    u, shadow, fading = pair_draws(d.size, params, rng)
+    live, los = _visibility(d, u, params)
+    fading = None if fading is None else fading[live]
+    pathloss, shadowing = _budget(d[live], los, shadow[live], fading, params)
+    total = _spread(d.size, live, pathloss + shadowing, np.inf).reshape(len(ue), len(gnb))
     serving = np.argmin(total, axis=1)
     serving[~np.isfinite(np.min(total, axis=1))] = -1
     return serving

@@ -9,7 +9,6 @@ The canonical echo emitted into result bundles parses back to an identical
 from __future__ import annotations
 
 import json
-import math
 import re
 from pathlib import Path
 
@@ -51,16 +50,16 @@ def _reject_unknown(section: str, doc: dict, allowed: set[str]) -> None:
 
 
 def _number(section: str, doc: dict, key: str, default, integer: bool = False):
-    """The finite number at ``key``; with ``integer``, an integral one returned as int."""
+    """The number at ``key``; with ``integer``, an integral float is returned as int.
+
+    Finiteness, integrality and ranges are checked where the config
+    dataclasses are built.
+    """
     value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{section}.{key}' must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"'{section}.{key}' must be finite, got {value!r}")
     if integer:
-        if value != int(value):
-            raise ConfigError(f"'{section}.{key}' must be an integer, got {value!r}")
-        return int(value)
+        return int(value) if isinstance(value, float) and value.is_integer() else value
     return float(value)
 
 

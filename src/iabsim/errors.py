@@ -1,2 +1,18 @@
+import math
+
+
 class ConfigError(ValueError):
     """Invalid configuration value or document; message names the offending key."""
+
+
+def require_number(key: str, value, *, integer: bool = False, at_least=None, above=None) -> None:
+    """Raise a ConfigError naming ``key`` unless ``value`` is finite, integral when
+    ``integer`` is set, ``>= at_least`` and ``> above`` (bounds that are given)."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    if integer and value != int(value):
+        raise ConfigError(f"{key} must be an integer, got {value}")
+    if at_least is not None and value < at_least:
+        raise ConfigError(f"{key} must be >= {at_least}, got {value}")
+    if above is not None and value <= above:
+        raise ConfigError(f"{key} must be > {above}, got {value}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_number
 
 TWO_PI = 2.0 * math.pi
 # Redraws a conditioned sample may take before its law is judged unreachable.
@@ -26,9 +26,8 @@ class Region:
     height_m: float = 1000.0
 
     def __post_init__(self):
-        for key, side in (("region_width_m", self.width_m), ("region_height_m", self.height_m)):
-            if not (math.isfinite(side) and side > 0):
-                raise ConfigError(f"deployment.{key} must be positive and finite, got {side}")
+        require_number("deployment.region_width_m", self.width_m, above=0)
+        require_number("deployment.region_height_m", self.height_m, above=0)
 
     @property
     def area_km2(self) -> float:

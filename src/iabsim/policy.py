@@ -16,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import shannon_rate
-from .errors import ConfigError
+from .channel import LinkTable, shannon_rate
+from .errors import ConfigError, require_number
 from .geometry import Deployment, half_plane_filter, nearest_wired
 
 
@@ -59,16 +59,11 @@ class WbfConfig:
     gamma_h_db: float = 2.0
 
     def __post_init__(self):
-        if self.n_ht < 1:
-            raise ConfigError(f"wbf.n_ht must be >= 1, got {self.n_ht}")
-        if self.k <= 0:
-            raise ConfigError(f"wbf.k must be positive, got {self.k}")
-        if self.gamma < 1.0:
-            raise ConfigError(
-                f"wbf.gamma must be >= 1 (the bias must not decay with hops), got {self.gamma}"
-            )
-        if self.gamma_gap_db < 0 or self.gamma_h_db < 0:
-            raise ConfigError("wbf.gamma_gap_db and wbf.gamma_h_db must be >= 0")
+        require_number("wbf.n_ht", self.n_ht, integer=True, at_least=1)
+        require_number("wbf.k", self.k, above=0)
+        require_number("wbf.gamma", self.gamma, at_least=1)  # the bias must not decay with hops
+        require_number("wbf.gamma_gap_db", self.gamma_gap_db, at_least=0)
+        require_number("wbf.gamma_h_db", self.gamma_h_db, at_least=0)
 
 
 WBF_NONE = WbfConfig()
@@ -156,7 +151,7 @@ def build_path(
     policy: PolicyKind,
     wbf: WbfConfig,
     deployment: Deployment,
-    link_snr_db: np.ndarray,
+    link_snr_db: LinkTable | np.ndarray,
     snr_threshold_db: float,
     max_hops: int = 30,
     bandwidth_hz: float = 400e6,
@@ -165,7 +160,8 @@ def build_path(
 
     The traveled hop count fed to the bias starts at 0 for the first selection.
     Terminates with SUCCESS on choosing a wired node, NO_CANDIDATE when no
-    admissible parent remains, or MAX_HOPS.
+    admissible parent remains, or MAX_HOPS. ``link_snr_db`` is read one row
+    at a time, as ``link_snr_db[i]``: a ``LinkTable`` or an (n, n) array.
     """
     if deployment.node(origin_id).is_wired:
         raise ValueError("path origin must be a wireless gNB")
@@ -193,7 +189,7 @@ def build_path(
         chosen = max(pool, key=_ranking_key(policy, wbf, n_hops, bandwidth_hz))[0]
         hops.append(chosen)
         visited.add(chosen)
-        bottleneck = min(bottleneck, float(link_snr_db[current, chosen]))
+        bottleneck = min(bottleneck, float(row[chosen]))
         current = chosen
         n_hops += 1
         if deployment.wired[chosen]:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, RadioConfig, associate_min_pathloss, link_table, pair_draws
-from .errors import ConfigError
+from .channel import ChannelParams, LinkTable, RadioConfig, associate_min_pathloss, link_table, pair_draws
+from .errors import ConfigError, require_number
 from .geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
 from .policy import PathOutcome, PathResult, PolicyKind, WbfConfig, build_path
 
@@ -58,21 +58,13 @@ class SimConfig:
     oracle_enabled: bool = False
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ConfigError(f"run.repetitions must be >= 1, got {self.repetitions}")
-        for key in ("lambda_g", "lambda_ue"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"deployment.{key} must be finite, got {getattr(self, key)}")
-        if self.lambda_g <= 0:
-            raise ConfigError(f"deployment.lambda_g must be positive, got {self.lambda_g}")
-        if self.lambda_ue < 0:
-            raise ConfigError(f"deployment.lambda_ue must be >= 0, got {self.lambda_ue}")
+        require_number("deployment.lambda_g", self.lambda_g, above=0)
+        require_number("deployment.lambda_ue", self.lambda_ue, at_least=0)
         if not 0.0 < self.p_w < 1.0:
             raise ConfigError(f"deployment.p_w must lie strictly in (0, 1), got {self.p_w}")
-        if self.max_hops < 1:
-            raise ConfigError(f"run.max_hops must be >= 1, got {self.max_hops}")
-        if self.master_seed < 0:
-            raise ConfigError(f"run.master_seed must be >= 0, got {self.master_seed}")
+        require_number("run.repetitions", self.repetitions, integer=True, at_least=1)
+        require_number("run.master_seed", self.master_seed, integer=True, at_least=0)
+        require_number("run.max_hops", self.max_hops, integer=True, at_least=1)
         if not self.policies:
             raise ConfigError("at least one policy must be configured")
         labels = [p.label for p in self.policies]
@@ -124,7 +116,7 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator):
 
 
 def _best_bottleneck_value(
-    wired: list[bool], link_snr_db: np.ndarray, origin_id: int, snr_threshold_db: float
+    wired: list[bool], link_snr_db: LinkTable | np.ndarray, origin_id: int, snr_threshold_db: float
 ) -> float | None:
     """Max-min Dijkstra for the value only; None when no wired node is reachable."""
     heap = [(-math.inf, origin_id)]
@@ -145,7 +137,7 @@ def _best_bottleneck_value(
 
 def widest_path_oracle(
     deployment: Deployment,
-    link_snr_db: np.ndarray,
+    link_snr_db: LinkTable | np.ndarray,
     origin_id: int,
     snr_threshold_db: float,
 ) -> PathResult:
@@ -157,7 +149,8 @@ def widest_path_oracle(
     best-first search over the subgraph of links with SNR >= b* (exactly the
     links usable by optimal paths) minimizes (hop count, id sequence). In that
     second search extending a path strictly worsens its key, so the first
-    wired node popped is the tie-broken optimum.
+    wired node popped is the tie-broken optimum. Both phases read
+    ``link_snr_db`` one row at a time, as ``link_snr_db[i]``.
     """
     wired = deployment.wired.tolist()
     best = _best_bottleneck_value(wired, link_snr_db, origin_id, snr_threshold_db)
@@ -208,14 +201,14 @@ def run_repetition(cfg: SimConfig, rep_index: int) -> dict[str, PathResult]:
             spec.kind,
             spec.wbf,
             deployment,
-            links.snr,
+            links,
             cfg.radio.snr_threshold_db,
             max_hops=cfg.max_hops,
             bandwidth_hz=cfg.radio.bandwidth_hz,
         )
     if cfg.oracle_enabled:
         results["oracle"] = widest_path_oracle(
-            deployment, links.snr, deployment.origin_id, cfg.radio.snr_threshold_db
+            deployment, links, deployment.origin_id, cfg.radio.snr_threshold_db
         )
     return results
 

@@ -4,10 +4,11 @@ These deliberately re-derive results with plain loops and exhaustive search,
 sharing no code with the package internals.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from iabsim.channel import LinkTable, LosState
+from iabsim.channel import LosState
 from iabsim.policy import PolicyKind, WbfKind
 
 
@@ -48,7 +49,7 @@ def dense_link_table(deployment, radio, params, rng):
     snr = np.full((n, n), -np.inf)
     snr[src, dst] = pair_snr
     snr[dst, src] = pair_snr
-    return LinkTable(
+    return SimpleNamespace(
         snr=snr,
         src=src,
         dst=dst,

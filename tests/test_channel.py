@@ -352,6 +352,22 @@ class TestSparseKernelMatchesDenseReference:
 
     @pytest.mark.parametrize("n", [2, 30, 480])
     @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_read_lazily(self, n, case):
+        params = self.CASES[case]
+        dep = scattered_deployment(n, n)
+        rng_new, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
+        table = link_table(dep, RadioConfig(), params, rng_new)
+        ref = dense_link_table(dep, RadioConfig(), params, rng_ref).snr
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        order = np.random.default_rng(n + 1).permutation(n).tolist()
+        for i in order + order[::-1]:
+            row = table[i]
+            assert row.dtype == ref.dtype and row.shape == ref[i].shape
+            assert row.tobytes() == ref[i].tobytes(), i
+        assert "_whole" not in vars(table)  # reading rows did not evaluate the whole table
+
+    @pytest.mark.parametrize("n", [2, 30, 480])
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_association(self, n, case):
         params = self.CASES[case]
         dep = scattered_deployment(n + 1, n)

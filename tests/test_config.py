@@ -1,10 +1,46 @@
+import dataclasses
 import json
+import math
+import re
 
 import pytest
 
+from iabsim.channel import ChannelParams, RadioConfig
+from iabsim.cli import main
 from iabsim.config import WBF_PRESETS, config_document, parse_config
 from iabsim.errors import ConfigError
-from iabsim.policy import PolicyKind, WbfKind
+from iabsim.geometry import Region
+from iabsim.policy import PolicyKind, WbfConfig, WbfKind
+from iabsim.simulate import SimConfig
+
+# Every numeric key of a config document: (key, dataclass, field, integer)
+NUMBER_FIELDS = [
+    ("deployment.lambda_g", SimConfig, "lambda_g", False),
+    ("deployment.p_w", SimConfig, "p_w", False),
+    ("deployment.lambda_ue", SimConfig, "lambda_ue", False),
+    ("deployment.region_width_m", Region, "width_m", False),
+    ("deployment.region_height_m", Region, "height_m", False),
+    ("radio.B_hz", RadioConfig, "bandwidth_hz", False),
+    ("radio.ptx_dbm", RadioConfig, "tx_power_dbm", False),
+    ("radio.nf_db", RadioConfig, "noise_figure_db", False),
+    ("radio.M", RadioConfig, "array_elements", True),
+    ("radio.S", RadioConfig, "sectors", True),
+    ("radio.gamma_th_db", RadioConfig, "snr_threshold_db", False),
+    *((f"channel.{f.name}", ChannelParams, f.name, False) for f in dataclasses.fields(ChannelParams)),
+    ("wbf.n_ht", WbfConfig, "n_ht", True),
+    ("wbf.k", WbfConfig, "k", False),
+    ("wbf.gamma", WbfConfig, "gamma", False),
+    ("wbf.gamma_gap_db", WbfConfig, "gamma_gap_db", False),
+    ("wbf.gamma_h_db", WbfConfig, "gamma_h_db", False),
+    ("run.repetitions", SimConfig, "repetitions", True),
+    ("run.master_seed", SimConfig, "master_seed", True),
+    ("run.max_hops", SimConfig, "max_hops", True),
+]
+BAD_NUMBERS = [
+    pytest.param(key, cls, field, value, id=f"{key}={value}")
+    for key, cls, field, integer in NUMBER_FIELDS
+    for value in (math.nan, math.inf, -math.inf, *((2.5,) if integer else ()))
+]
 
 
 class TestDefaults:
@@ -115,7 +151,7 @@ class TestValidation:
     )
     def test_non_finite_value_names_the_key(self, section, key, text):
         # JSON text so the parser's NaN/Infinity literals are what arrives
-        with pytest.raises(ConfigError, match=f"'{section}.{key}' must be finite"):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be finite"):
             parse_config('{"%s": {"%s": %s}}' % (section, key, text))
 
     @pytest.mark.parametrize(
@@ -130,7 +166,7 @@ class TestValidation:
         ],
     )
     def test_non_integral_integer_key_names_the_key(self, doc, key):
-        with pytest.raises(ConfigError, match=f"{key}' must be an integer"):
+        with pytest.raises(ConfigError, match=rf"{key} must be an integer"):
             parse_config(doc)
 
     def test_integral_float_accepted_for_integer_key(self):
@@ -152,6 +188,27 @@ class TestValidation:
     def test_removed_key_is_unknown(self, doc, key):
         with pytest.raises(ConfigError, match=rf"unknown key '{key}'"):
             parse_config(doc)
+
+
+class TestBadNumbers:
+    """Non-finite and fractional values are rejected where each dataclass is built."""
+
+    @pytest.mark.parametrize("key, cls, field, value", BAD_NUMBERS)
+    def test_rejected_by_dataclass_document_and_cli(self, tmp_path, capsys, key, cls, field, value):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            cls(**{field: value})
+        section, name = key.split(".")
+        if section == "wbf":
+            doc = {"policies": [{"policy": "HQF", "wbf": {"kind": "polynomial", name: value}}]}
+        else:
+            doc = {section: {name: value}}
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity literals, which the parser reads back
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRoundTrip:

@@ -1,17 +1,23 @@
-"""Seeded differential test on small worlds with forced ties.
+"""Seeded differential tests.
 
-Integer-valued SNRs, integer grid positions and small integer loads make equal
-metrics common, so the tie-breaking rules of every greedy policy and of the
-widest-path oracle are exercised against the loop references in ``oracles``.
+On small worlds with forced ties, integer-valued SNRs, integer grid positions
+and small integer loads make equal metrics common, so the tie-breaking rules of
+every greedy policy and of the widest-path oracle are exercised against the
+loop references in ``oracles``. On sampled campaign worlds, the walks and the
+oracle that read rows of the lazy link table are checked against the same
+walks on the dense reference matrix.
 """
 import numpy as np
-from oracles import enumerate_widest, reference_greedy_trace
+import pytest
+from oracles import dense_link_table, enumerate_widest, reference_greedy_trace
 
+from iabsim import simulate
 from iabsim.geometry import Deployment, Region
 from iabsim.policy import PolicyKind, WbfConfig, WbfKind, build_path
-from iabsim.simulate import widest_path_oracle
+from iabsim.simulate import SimConfig, run_campaign, widest_path_oracle
 
 WORLDS = 10_000
+CAMPAIGN_WORLDS = 200
 THRESHOLD = 5.0
 BIASES = (
     WbfConfig(),
@@ -65,3 +71,29 @@ def test_policies_and_oracle_match_references_under_ties():
             assert res.success, world
             assert (res.bottleneck_snr_db, res.hop_count, res.hops) == best, world
     assert WORLDS // 4 < oracle_successes < WORLDS
+
+
+@pytest.mark.parametrize("lambda_g", [30.0, 480.0])
+def test_campaign_on_lazy_rows_matches_dense_reference(lambda_g, monkeypatch):
+    """Walks and the oracle of a campaign, which read rows of the lazy link table,
+    equal the same walks and oracle run on the dense reference matrix of each world."""
+    # 20 UEs give MLR loads of 0-2 at lambda_g = 30 and keep the association cheap at 480
+    cfg = SimConfig(
+        lambda_g=lambda_g, lambda_ue=20.0, repetitions=CAMPAIGN_WORLDS, master_seed=11, oracle_enabled=True
+    )
+    result = run_campaign(cfg, keep_paths=True)
+    monkeypatch.setattr(simulate, "link_table", dense_link_table)
+    for rep in range(cfg.repetitions):
+        dep, ref = simulate.sample_world(cfg, simulate.repetition_rng(cfg.master_seed, rep))
+        expected = {
+            spec.label: build_path(
+                dep.origin_id, spec.kind, spec.wbf, dep, ref.snr, cfg.radio.snr_threshold_db,
+                max_hops=cfg.max_hops, bandwidth_hz=cfg.radio.bandwidth_hz,
+            )
+            for spec in cfg.policies
+        }
+        expected["oracle"] = widest_path_oracle(dep, ref.snr, dep.origin_id, cfg.radio.snr_threshold_db)
+        for label, want in expected.items():
+            got = result.paths[label][rep]
+            assert (got.hops, got.outcome) == (want.hops, want.outcome), (rep, label)
+            assert np.array_equal(got.bottleneck_snr_db, want.bottleneck_snr_db, equal_nan=True), (rep, label)
