@@ -17,14 +17,16 @@ visibility draw runs only on the pairs that are not in outage.
 
 The link table makes the draws of every gNB pair up front, when it is built,
 and evaluates a pair's channel when a row holding it is first read, so the
-stream does not depend on which rows the walks and the oracle read.
+stream does not depend on which rows the walks and the oracle read. UE
+association draws every UE-gNB pair too, but evaluates the outage law only on
+the pairs that a squared-distance bound (``_may_be_live``) cannot rule out.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -271,22 +273,78 @@ def link_table(
     return LinkTable(deployment.positions, draws, params, gain, noise, radio.tx_power_dbm)
 
 
+@lru_cache(maxsize=16)
+def _radius_sq_by_exponent(slope: float, intercept: float) -> np.ndarray:
+    """R**2 * (1 + 1e-9) of ``_may_be_live`` for each of the 2048 biased binary exponents; -1 where R < 0."""
+    if slope <= 0.0:
+        table = np.full(2048, np.inf)
+    else:
+        e = np.arange(-1022.0, 1026.0)  # frexp exponent of each biased exponent
+        slack = 2.0**-48 * (abs(intercept) + 64.0)
+        with np.errstate(over="ignore"):
+            r = (intercept + (2.0 - e) * math.log(2.0) + slack) / slope
+            table = np.where(r >= 0.0, r * r * (1.0 + 1e-9), -1.0)
+    table.flags.writeable = False
+    return table
+
+
+def _may_be_live(d2: np.ndarray, u: np.ndarray, params: ChannelParams) -> np.ndarray:
+    """Mask over pairs with squared distances ``d2`` and uniforms ``u`` in [0, 1):
+    False only where ``_visibility`` puts the pair in outage.
+
+    Write s and c for the outage slope and intercept, E = fl(exp(c - s*d)),
+    and 1 - u = m * 2**e with m in [1/2, 1). When E >= 1/2, E >= 2**(e - 2)
+    since e <= 1. Otherwise a pair the exact test keeps has
+    u >= fl(1 - E) >= 1/2, so 1 - u is exact, at least 2**-53, and at most
+    E + 2**-54 <= E + (1 - u)/2; hence E >= (1 - u)/2 >= 2**(e - 2) again.
+    For s > 0 that gives d <= R(u) = (c + (2 - e) ln 2 + slack)/s, the slack
+    covering the rounding of c - s*d and of exp. A pair is kept when
+    d2 <= R(u)**2 * (1 + 1e-9), the factor covering the rounding of d2
+    against the hypot the exact test runs on. e is read from the bits of
+    1 - u and indexes a table of R**2, so no pair needs a transcendental call.
+    With (1 - e) the bound would drop u = 1 - 2**-53 for E in (2**-54, 2**-53),
+    which fl(1 - E) rounds to u. With s <= 0 every pair is kept.
+    """
+    table = _radius_sq_by_exponent(params.outage_slope_per_m, params.outage_intercept)
+    exponent = (1.0 - u).view(np.int64)
+    exponent >>= 52  # 1 - u > 0, so the sign bit is 0 and this is the biased exponent
+    return d2 <= table[exponent]
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flat squared distances from each row of ``a`` to each row of ``b``, computed in place."""
+    with np.errstate(over="ignore"):  # an infinite d2 is beyond any finite radius
+        d2 = a[:, None, 0] - b[None, :, 0]
+        d2 *= d2
+        dy = a[:, None, 1] - b[None, :, 1]
+        dy *= dy
+        d2 += dy
+    return d2.ravel()
+
+
 def associate_min_pathloss(
     ue_positions: np.ndarray,
     deployment: Deployment,
     params: ChannelParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Serving gNB per row of the (k, 2) ``ue_positions`` (lowest realized pathloss); -1 if all in outage."""
+    """Serving gNB per row of the (k, 2) ``ue_positions`` (lowest realized pathloss); -1 if all in outage.
+
+    Every pair is drawn; the channel law runs only on the pairs ``_may_be_live`` keeps.
+    """
     if len(ue_positions) == 0:
         return np.empty(0, dtype=np.int64)
     ue, gnb = ue_positions, deployment.positions
-    d = np.hypot(ue[:, None, 0] - gnb[None, :, 0], ue[:, None, 1] - gnb[None, :, 1]).ravel()
-    u, shadow, fading = pair_draws(d.size, params, rng)
-    live, los = _visibility(d, u, params)
+    u, shadow, fading = pair_draws(len(ue) * len(gnb), params, rng)
+    kept = np.flatnonzero(_may_be_live(_squared_distances(ue, gnb), u, params))
+    i, j = np.divmod(kept, len(gnb))
+    (ux, uy), (gx, gy) = ue.T, gnb.T
+    d = np.hypot(ux[i] - gx[j], uy[i] - gy[j])
+    live, los = _visibility(d, u[kept], params)
+    d, live = d[live], kept[live]
     fading = None if fading is None else fading[live]
-    pathloss, shadowing = _budget(d[live], los, shadow[live], fading, params)
-    total = _spread(d.size, live, pathloss + shadowing, np.inf).reshape(len(ue), len(gnb))
+    pathloss, shadowing = _budget(d, los, shadow[live], fading, params)
+    total = _spread(u.size, live, pathloss + shadowing, np.inf).reshape(len(ue), len(gnb))
     serving = np.argmin(total, axis=1)
     serving[~np.isfinite(np.min(total, axis=1))] = -1
     return serving

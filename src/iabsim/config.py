@@ -13,7 +13,7 @@ import re
 from pathlib import Path
 
 from .channel import ChannelParams, RadioConfig
-from .errors import ConfigError
+from .errors import ConfigError, require_number
 from .geometry import Region
 from .policy import PolicyKind, WbfConfig, WbfKind
 from .simulate import PolicySpec, SimConfig
@@ -53,13 +53,16 @@ def _number(section: str, doc: dict, key: str, default, integer: bool = False):
     """The number at ``key``; with ``integer``, an integral float is returned as int.
 
     Finiteness, integrality and ranges are checked where the config
-    dataclasses are built.
+    dataclasses are built; an int too large for a float key is refused here,
+    before it is converted.
     """
     value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{section}.{key}' must be a number, got {value!r}")
     if integer:
         return int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(value, int):
+        require_number(f"{section}.{key}", value)  # refuses one beyond the float range
     return float(value)
 
 
@@ -152,7 +155,7 @@ def parse_config(source) -> SimConfig:
             text = Path(text).read_text()
         try:
             doc = json.loads(text) if text.strip() else {}
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
             raise ConfigError(f"config document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 
 class ConfigError(ValueError):
@@ -7,8 +8,14 @@ class ConfigError(ValueError):
 
 def require_number(key: str, value, *, integer: bool = False, at_least=None, above=None) -> None:
     """Raise a ConfigError naming ``key`` unless ``value`` is finite, integral when
-    ``integer`` is set, ``>= at_least`` and ``> above`` (bounds that are given)."""
-    if not math.isfinite(value):
+    ``integer`` is set, ``>= at_least`` and ``> above`` (bounds that are given).
+
+    A Python int is checked exactly, whatever its size; for a float key it must
+    also fit in a float."""
+    if isinstance(value, int):
+        if not integer and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{key} must be finite, got an integer beyond the float range")
+    elif not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value}")
     if integer and value != int(value):
         raise ConfigError(f"{key} must be an integer, got {value}")

@@ -16,6 +16,8 @@ from .errors import ConfigError, require_number
 TWO_PI = 2.0 * math.pi
 # Redraws a conditioned sample may take before its law is judged unreachable.
 MAX_REDRAWS = 10_000
+# The largest mean numpy's Poisson sampler accepts (int64 max - 10 sqrt(int64 max)).
+POISSON_MAX_MEAN = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 
 
 @dataclass(frozen=True)

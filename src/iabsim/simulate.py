@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import ChannelParams, LinkTable, RadioConfig, associate_min_pathloss, link_table, pair_draws
 from .errors import ConfigError, require_number
-from .geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
+from .geometry import MAX_REDRAWS, POISSON_MAX_MEAN, Deployment, Region, assign_roles, sample_ppp
 from .policy import PathOutcome, PathResult, PolicyKind, WbfConfig, build_path
 
 
@@ -70,6 +70,13 @@ class SimConfig:
         labels = [p.label for p in self.policies]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"policy labels must be unique, got {labels}")
+        for key, density in (("deployment.lambda_g", self.lambda_g), ("deployment.lambda_ue", self.lambda_ue)):
+            expected = density * self.region.area_km2  # inf when the area overflows
+            if density > 0 and not expected <= POISSON_MAX_MEAN:
+                raise ConfigError(
+                    f"{key} times the region area gives {expected:.4g} expected nodes, "
+                    f"beyond the {POISSON_MAX_MEAN:.4g} a Poisson draw can take"
+                )
         expected_nodes = self.lambda_g * self.region.area_km2
         if expected_nodes < 3.0:
             warnings.warn(

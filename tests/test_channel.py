@@ -9,6 +9,7 @@ from iabsim.channel import (
     ChannelParams,
     LosState,
     RadioConfig,
+    _may_be_live,
     _visibility,
     associate_min_pathloss,
     link_table,
@@ -322,6 +323,13 @@ def far_and_near_ues(seed, count, side=1000.0):
     return np.concatenate((pts, pts[: count // 2] + (5000.0, 0.0)))
 
 
+# Outage laws of the screen tests: steep, default, shallow and nearly flat slopes;
+# intercepts 5.2 and 40 make short links surely live, 0 and -2 do not.
+SCREEN_SLOPES = (1 / 30, 1e-3, 0.5, 1e-6)
+SCREEN_INTERCEPTS = (5.2, 0.0, -2.0, 40.0)
+LN2 = math.log(2.0)
+
+
 class TestSparseKernelMatchesDenseReference:
     """The outage-sparse kernel must match the dense formulation bit for bit."""
 
@@ -329,7 +337,11 @@ class TestSparseKernelMatchesDenseReference:
         "default": ChannelParams(),
         "fading": ChannelParams(fading_sigma_db=3.0),
         "no_outage": ChannelParams(outage_slope_per_m=0.0),
+        "steep": ChannelParams(outage_slope_per_m=0.1),
+        "shallow": ChannelParams(outage_slope_per_m=1e-3),
+        "negative_intercept": ChannelParams(outage_intercept=-2.0),
     }
+    FEW_LIVE = {"steep", "negative_intercept"}  # a small world may serve none of 40 UEs
 
     @pytest.mark.parametrize("n", [2, 30, 480])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -378,9 +390,26 @@ class TestSparseKernelMatchesDenseReference:
         assert new.dtype == ref.dtype
         assert np.array_equal(new, ref)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-        if case != "no_outage":
+        if los_probabilities(4000.0, params)[2] == 1.0:
             assert (new[40:] == -1).all()  # the far UEs see only outage links
-        assert (new[:40] >= 0).any()
+        if n == 480 or case not in self.FEW_LIVE:
+            assert (new[:40] >= 0).any()
+
+    def test_association_on_random_worlds(self):
+        rng = np.random.default_rng(2014)
+        for world in range(300):
+            params = ChannelParams(
+                outage_slope_per_m=float(rng.choice(SCREEN_SLOPES + (0.0, -0.01))),
+                outage_intercept=float(rng.choice(SCREEN_INTERCEPTS + (1e-3,))),
+                fading_sigma_db=float(rng.choice([0.0, 3.0])),
+            )
+            dep = scattered_deployment(world, max(2, int(rng.poisson(rng.choice([10, 30, 120, 480])))))
+            ues = far_and_near_ues(world + 1, int(rng.integers(2, 120)))
+            rng_new, rng_ref = np.random.default_rng(world), np.random.default_rng(world)
+            new = associate_min_pathloss(ues, dep, params, rng_new)
+            ref = dense_associate_min_pathloss(ues, dep, params, rng_ref)
+            assert np.array_equal(new, ref), (world, params)
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state, (world, params)
 
     def test_empty_ue_list(self):
         dep = scattered_deployment(3, 5)
@@ -388,3 +417,74 @@ class TestSparseKernelMatchesDenseReference:
         before = rng.bit_generator.state
         assert associate_min_pathloss([], dep, ChannelParams(), rng).size == 0
         assert rng.bit_generator.state == before
+
+
+def screened(d, u, params, seed=0):
+    """(``_visibility`` live mask, ``_may_be_live`` mask) of pairs at distances ``d`` laid at random angles."""
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, d.size)
+    dx, dy = d * np.cos(theta), d * np.sin(theta)
+    live = np.zeros(d.size, dtype=bool)
+    live[_visibility(np.hypot(dx, dy), u, params)[0]] = True
+    return live, _may_be_live(dx * dx + dy * dy, u, params)
+
+
+class TestOutageScreen:
+    """``_may_be_live`` keeps every pair that ``_visibility`` keeps, for uniforms in [0, 1)."""
+
+    U_TOP = 1.0 - 2.0**-53  # the largest uniform Generator.random returns
+
+    @pytest.mark.parametrize("slope", SCREEN_SLOPES)
+    @pytest.mark.parametrize("intercept", SCREEN_INTERCEPTS)
+    def test_keeps_every_live_pair_at_the_boundary(self, slope, intercept):
+        params = ChannelParams(outage_slope_per_m=slope, outage_intercept=intercept)
+        d = np.random.default_rng(7).uniform(100.0, 1400.0, 100_000)
+        p_out = los_probabilities(d, params)[2]
+        # exp(c - s*d) in (2**-54, 2**-53): fl(1 - exp) rounds to U_TOP, so U_TOP is live there
+        rim = np.linspace(intercept + 53 * LN2, intercept + 54 * LN2, 2001)[1:-1] / slope
+        d_all = np.concatenate((d, d, d, d, d, rim))
+        u = np.concatenate(
+            (
+                np.nextafter(p_out, -np.inf),
+                p_out,
+                np.nextafter(p_out, np.inf),
+                np.zeros(d.size),
+                np.full(d.size + rim.size, self.U_TOP),
+            )
+        )
+        drawable = (u >= 0.0) & (u < 1.0)
+        live, kept = screened(d_all[drawable], u[drawable], params)
+        assert kept[live].all(), d_all[drawable][live & ~kept][:5]
+        live_rim, kept_rim = screened(rim, np.full(rim.size, self.U_TOP), params)
+        assert live_rim.all() and kept_rim.all()
+
+    def test_drops_most_outage_pairs_of_the_default_law(self):
+        rng = np.random.default_rng(11)
+        d = np.hypot(*rng.uniform(-1000.0, 1000.0, (2, 100_000)))
+        live, kept = screened(d, rng.random(d.size), ChannelParams())
+        assert kept[live].all()
+        assert kept.sum() < 1.5 * live.sum() < 0.1 * d.size
+
+    @pytest.mark.parametrize("slope", SCREEN_SLOPES)
+    @pytest.mark.parametrize("e", [-52, -51, -20, -1, 0, 1])
+    def test_keeps_a_rounding_margin_past_the_real_radius(self, slope, e):
+        """The float c - s*d can sit about 2**-52 * (|c| + s*d) above the real value,
+        so on an exp that rounds up a pair that far past the real-number radius
+        (c + (2 - e) ln 2)/s may be live; where c + (2 - e) ln 2 is near 0 the
+        relative d**2 factor does not cover that."""
+        u = np.array([1.0 - 2.0 ** (e - 1)])  # 1 - u = 2**(e - 1), binary exponent e
+        for intercept in SCREEN_INTERCEPTS + (-(2 - e) * LN2,):
+            params = ChannelParams(outage_slope_per_m=slope, outage_intercept=intercept)
+            radius = (intercept + (2 - e) * LN2) / slope
+            if radius < 0.0:
+                continue
+            d = radius + 2.0**-50 * (abs(intercept) + 40.0) / slope
+            assert _may_be_live(np.array([d * d]), u, params).all(), (intercept, d)
+
+    @pytest.mark.parametrize("slope", [0.0, -0.01])
+    @pytest.mark.parametrize("intercept", SCREEN_INTERCEPTS)
+    def test_no_positive_slope_keeps_every_pair(self, slope, intercept):
+        params = ChannelParams(outage_slope_per_m=slope, outage_intercept=intercept)
+        rng = np.random.default_rng(3)
+        d2 = np.concatenate((rng.uniform(0.0, 1e12, 1000), [0.0, np.inf]))
+        u = np.concatenate((rng.random(1000), [0.0, self.U_TOP]))
+        assert _may_be_live(d2, u, params).all()

@@ -3,13 +3,14 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from iabsim.channel import ChannelParams, RadioConfig
 from iabsim.cli import main
 from iabsim.config import WBF_PRESETS, config_document, parse_config
 from iabsim.errors import ConfigError
-from iabsim.geometry import Region
+from iabsim.geometry import POISSON_MAX_MEAN, Region
 from iabsim.policy import PolicyKind, WbfConfig, WbfKind
 from iabsim.simulate import SimConfig
 
@@ -36,10 +37,17 @@ NUMBER_FIELDS = [
     ("run.master_seed", SimConfig, "master_seed", True),
     ("run.max_hops", SimConfig, "max_hops", True),
 ]
+# 401 digits: beyond the float range, within the digit limit of int() and of the JSON parser
+BIG = 10**400
 BAD_NUMBERS = [
     pytest.param(key, cls, field, value, id=f"{key}={value}")
     for key, cls, field, integer in NUMBER_FIELDS
     for value in (math.nan, math.inf, -math.inf, *((2.5,) if integer else ()))
+] + [
+    pytest.param(key, cls, field, sign * BIG, id=f"{key}={sign * 10}**400")
+    for key, cls, field, integer in NUMBER_FIELDS
+    if not integer
+    for sign in (1, -1)
 ]
 
 
@@ -145,6 +153,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{not json")
 
+    def test_integer_literal_past_the_digit_limit(self):
+        with pytest.raises(ConfigError, match="JSON"):
+            parse_config('{"run": {"master_seed": 1%s}}' % ("0" * 5000))
+
     @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize(
         "section,key", [("deployment", "lambda_g"), ("radio", "gamma_th_db"), ("channel", "los_sigma_db")]
@@ -209,6 +221,49 @@ class TestBadNumbers:
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_integer_seed_beyond_float_range_runs(self, tmp_path):
+        assert SimConfig(master_seed=BIG).master_seed == BIG
+        cfg = parse_config({"run": {"master_seed": BIG}})
+        assert cfg.master_seed == BIG
+        assert parse_config(json.loads(json.dumps(config_document(cfg)))) == cfg
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps({"run": {"master_seed": BIG, "repetitions": 2}}))
+        for args in (["--seed", str(BIG), "--reps", "2"], ["--config", str(path)]):
+            out = tmp_path / args[0].strip("-")
+            assert main([*args, "--out", str(out)]) == 0
+            metadata = json.loads((out / "summary.json").read_text())["metadata"]
+            assert metadata["master_seed"] == BIG
+            assert parse_config(metadata["config"]).master_seed == BIG
+
+    @pytest.mark.parametrize(
+        "deployment, key",
+        [
+            ({"lambda_g": 1e19}, "deployment.lambda_g"),
+            ({"lambda_ue": 1e19}, "deployment.lambda_ue"),
+            ({"lambda_g": 1e-3, "lambda_ue": 1e19}, "deployment.lambda_ue"),
+            ({"region_width_m": 1e200, "region_height_m": 1e200}, "deployment.lambda_g"),
+            ({"lambda_g": float(np.nextafter(POISSON_MAX_MEAN, np.inf))}, "deployment.lambda_g"),
+        ],
+        ids=["lambda_g", "lambda_ue", "lambda_ue_with_sparse_gnbs", "region_area_inf", "lambda_g_one_ulp_over"],
+    )
+    def test_expected_count_beyond_the_poisson_sampler(self, tmp_path, capsys, deployment, key):
+        """Refused when the config is built, before any draw: numpy's Poisson sampler
+        raises a bare ValueError past its largest mean."""
+        region = Region(deployment.get("region_width_m", 1000.0), deployment.get("region_height_m", 1000.0))
+        densities = {name: deployment[name] for name in ("lambda_g", "lambda_ue") if name in deployment}
+        with pytest.raises(ConfigError, match=re.escape(key) + r".* expected nodes"):
+            SimConfig(region=region, **densities)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config({"deployment": deployment})
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"deployment": deployment}))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_poisson_mean_is_accepted(self):
+        assert SimConfig(lambda_g=POISSON_MAX_MEAN, lambda_ue=POISSON_MAX_MEAN).lambda_g == POISSON_MAX_MEAN
 
 
 class TestRoundTrip:
