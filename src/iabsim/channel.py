@@ -127,10 +127,23 @@ def _visibility(d: np.ndarray, u: np.ndarray, params: ChannelParams) -> tuple[np
     The LOS probability is evaluated only on the pairs that are not in outage.
     """
     p_out = _outage_probability(d, params)
-    live = np.flatnonzero(u >= p_out)
+    live = (u >= p_out).nonzero()[0]
     p_out_live = p_out[live]
     los = u[live] < p_out_live + _los_probability(d[live], p_out_live, params)
     return live, los
+
+
+@lru_cache(maxsize=16)
+def _budget_coefficients(params: ChannelParams) -> np.ndarray:
+    """(alpha, 10 * exponent, sigma) of the NLOS (row 0) and LOS (row 1) laws, indexed by a LOS mask."""
+    table = np.array(
+        [
+            (params.nlos_alpha_db, 10.0 * params.nlos_exponent, params.nlos_sigma_db),
+            (params.los_alpha_db, 10.0 * params.los_exponent, params.los_sigma_db),
+        ]
+    )
+    table.flags.writeable = False
+    return table
 
 
 def _budget(
@@ -138,10 +151,8 @@ def _budget(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(pathloss, shadowing) of visible pairs from their standard-normal draws."""
     d_eff = np.maximum(d, 1.0)  # keep the log finite below 1 m
-    alpha = np.where(los, params.los_alpha_db, params.nlos_alpha_db)
-    exponent = np.where(los, params.los_exponent, params.nlos_exponent)
-    sigma = np.where(los, params.los_sigma_db, params.nlos_sigma_db)
-    pathloss = alpha + 10.0 * exponent * np.log10(d_eff)
+    alpha, slope, sigma = _budget_coefficients(params)[los.view(np.uint8)].T
+    pathloss = alpha + slope * np.log10(d_eff)
     shadowing = sigma * shadow
     if fading is not None:
         shadowing = shadowing + params.fading_sigma_db * fading
@@ -336,7 +347,7 @@ def associate_min_pathloss(
         return np.empty(0, dtype=np.int64)
     ue, gnb = ue_positions, deployment.positions
     u, shadow, fading = pair_draws(len(ue) * len(gnb), params, rng)
-    kept = np.flatnonzero(_may_be_live(_squared_distances(ue, gnb), u, params))
+    kept = _may_be_live(_squared_distances(ue, gnb), u, params).nonzero()[0]
     i, j = np.divmod(kept, len(gnb))
     (ux, uy), (gx, gy) = ue.T, gnb.T
     d = np.hypot(ux[i] - gx[j], uy[i] - gy[j])

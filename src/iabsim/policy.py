@@ -176,7 +176,7 @@ def build_path(
     outcome = PathOutcome.MAX_HOPS
     while n_hops < max_hops:
         row = link_snr_db[current]
-        ids = np.flatnonzero(row >= snr_threshold_db)
+        ids = (row >= snr_threshold_db).nonzero()[0]
         columns = zip(
             ids.tolist(), row[ids].tolist(), deployment.wired[ids].tolist(), deployment.attached[ids].tolist()
         )

@@ -136,7 +136,7 @@ def _best_bottleneck_value(
         if wired[node]:
             return -neg_b
         row = link_snr_db[node]
-        for nxt in np.flatnonzero(row >= snr_threshold_db).tolist():
+        for nxt in (row >= snr_threshold_db).nonzero()[0].tolist():
             if nxt not in settled:
                 heapq.heappush(heap, (max(neg_b, -float(row[nxt])), nxt))
     return None
@@ -187,7 +187,7 @@ def widest_path_oracle(
                 policy=None,
                 wbf=None,
             )
-        for nxt in np.flatnonzero(link_snr_db[node] >= best).tolist():
+        for nxt in (link_snr_db[node] >= best).nonzero()[0].tolist():
             if nxt not in settled:
                 heapq.heappush(heap, (hops + 1, path + (nxt,)))
     raise AssertionError("unreachable: phase 1 proved a wired node reachable")
