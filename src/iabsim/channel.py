@@ -9,17 +9,21 @@ pair, so the resulting backhaul graph is undirected.
 Conventions: gains and losses in dB, powers in dBm, distances in meters.
 An outage link carries -inf dB SNR and is never a selection candidate.
 
-Stream invariant: every pair consumes its draws whatever its visibility. A
-batch of pairs takes one uniform per pair, then one shadowing normal per pair,
-then (with fading on) one fading normal per pair, so the stream a repetition
-leaves behind depends only on how many pairs it drew. The arithmetic past the
-visibility draw runs only on the pairs that are not in outage.
-
-The link table makes the draws of every gNB pair up front, when it is built,
-and evaluates a pair's channel when a row holding it is first read, so the
-stream does not depend on which rows the walks and the oracle read. UE
-association draws every UE-gNB pair too, but evaluates the outage law only on
-the pairs that a squared-distance bound (``_may_be_live``) cannot rule out.
+Random streams (schema 2): the link table takes one 64-bit word from the
+repetition generator and derives one key per draw slot from it with
+SplitMix64 (Steele, Lea & Flood, OOPSLA 2014). The draws of the gNB pair
+with flat upper-triangle index k are counter-based (Salmon et al., SC'11):
+slot s of that pair is the SplitMix64 output of key_s + (k + 1) * gamma,
+taken as a 53-bit uniform. Slot 0 is the visibility uniform, slots 1-2 give
+the shadowing normal and slots 3-4 the fading normal, each by Box-Muller.
+A pair's draws are thus fixed by the word and by k, the same from either
+end, and a row of the table is hashed and evaluated only when it is first
+read. UE association draws from a child stream of the repetition's seed
+sequence, so running or skipping it leaves the repetition generator where
+it was: a uniform for every UE-gNB pair, then a shadowing normal (and a
+fading normal) for each pair that is not in outage, in pair order. The
+outage law runs only on the pairs that a squared-distance bound
+(``_may_be_live``) cannot rule out.
 """
 from __future__ import annotations
 
@@ -34,6 +38,17 @@ from .errors import ConfigError, require_number
 from .geometry import Deployment
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
+# The layout of the random draws described above; a campaign's numbers depend on it.
+STREAM_SCHEMA = 2
+# SplitMix64's state increment (the odd integer nearest 2**64 / golden ratio) and its two mixing multipliers.
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_MIX_1 = 0xBF58476D1CE4E5B9
+_MIX_2 = 0x94D049BB133111EB
+_MASK_64 = (1 << 64) - 1
+# Hash slots of a gNB pair: visibility, shadowing (two), and fading (two) when it is on.
+_SLOTS, _SLOTS_WITH_FADING = 3, 5
+# Spawn-key tag of the UE association's child stream (ASCII "asoc").
+ASSOC_LAYER = 0x61736F63
 
 
 class LosState(IntEnum):
@@ -135,11 +150,12 @@ def _visibility(d: np.ndarray, u: np.ndarray, params: ChannelParams) -> tuple[np
 
 @lru_cache(maxsize=16)
 def _budget_coefficients(params: ChannelParams) -> np.ndarray:
-    """(alpha, 10 * exponent, sigma) of the NLOS (row 0) and LOS (row 1) laws, indexed by a LOS mask."""
+    """Rows alpha, 10 * exponent and sigma of the NLOS (column 0) and LOS (column 1) laws."""
     table = np.array(
         [
-            (params.nlos_alpha_db, 10.0 * params.nlos_exponent, params.nlos_sigma_db),
-            (params.los_alpha_db, 10.0 * params.los_exponent, params.los_sigma_db),
+            (params.nlos_alpha_db, params.los_alpha_db),
+            (10.0 * params.nlos_exponent, 10.0 * params.los_exponent),
+            (params.nlos_sigma_db, params.los_sigma_db),
         ]
     )
     table.flags.writeable = False
@@ -151,7 +167,7 @@ def _budget(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(pathloss, shadowing) of visible pairs from their standard-normal draws."""
     d_eff = np.maximum(d, 1.0)  # keep the log finite below 1 m
-    alpha, slope, sigma = _budget_coefficients(params)[los.view(np.uint8)].T
+    alpha, slope, sigma = _budget_coefficients(params).take(los.view(np.uint8), axis=1)
     pathloss = alpha + slope * np.log10(d_eff)
     shadowing = sigma * shadow
     if fading is not None:
@@ -159,16 +175,44 @@ def _budget(
     return pathloss, shadowing
 
 
-def pair_draws(size: int, params: ChannelParams, rng: np.random.Generator):
-    """The draws of ``size`` pairs in stream-invariant order: (uniforms, shadowing, fading or None).
+def _splitmix64(x: int) -> int:
+    """SplitMix64's output for the state ``x``, in Python ints."""
+    z = x & _MASK_64
+    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK_64
+    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK_64
+    return z ^ (z >> 31)
 
-    Calling it and dropping the result moves ``rng`` past pairs whose channel
-    no one reads, to where evaluating them would have left it.
+
+def _slot_keys(word: int, slots: int) -> np.ndarray:
+    """(slots, 1) uint64 keys: the first ``slots`` outputs of a SplitMix64 stream seeded with ``word``."""
+    return np.array([[_splitmix64(word + (s + 1) * _GOLDEN_GAMMA)] for s in range(slots)], dtype=np.uint64)
+
+
+_GAMMA_U64, _MIX_1_U64, _MIX_2_U64 = np.uint64(_GOLDEN_GAMMA), np.uint64(_MIX_1), np.uint64(_MIX_2)
+_SHIFTS = tuple(np.uint64(b) for b in (30, 27, 31, 11))
+
+
+def _hashed_uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """(slots, m) uniforms in [0, 1) with 53 bits: SplitMix64 of keys[s] + counters[c] * gamma.
+
+    ``keys`` is a (slots, 1) uint64 column and ``counters`` a uint64 vector;
+    the arithmetic wraps modulo 2**64, as SplitMix64's does.
     """
-    u = rng.random(size)
-    shadow = rng.standard_normal(size)
-    fading = rng.standard_normal(size) if params.fading_sigma_db > 0.0 else None
-    return u, shadow, fading
+    s30, s27, s31, s11 = _SHIFTS
+    z = counters * _GAMMA_U64
+    z = z + keys
+    z ^= z >> s30
+    z *= _MIX_1_U64
+    z ^= z >> s27
+    z *= _MIX_2_U64
+    z ^= z >> s31
+    z >>= s11
+    return z * 2.0**-53
+
+
+def _box_muller(u_radius: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
+    """Standard normals sqrt(-2 ln(1 - u1)) * cos(2 pi u2) from uniforms in [0, 1)."""
+    return np.sqrt(-2.0 * np.log1p(-u_radius)) * np.cos(2.0 * math.pi * u_angle)
 
 
 def _spread(size: int, live: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
@@ -187,54 +231,58 @@ class LinkTable:
     """Shared channel realization for all gNB pairs of one deployment.
 
     ``table[i]`` is row i of the symmetric SNR matrix in dB, with -inf on the
-    diagonal and on outage pairs; a row is evaluated on its first read and
-    cached. ``snr`` is the whole (n, n) matrix. It and the flat per-pair
-    arrays (upper triangle, ``src < dst``), with ``gain_dbi``, ``noise_dbm``
-    and ``tx_power_dbm``, retain every budget component for auditing the
-    link-budget identity; reading any of them evaluates every pair once.
+    diagonal and on outage pairs; a row is hashed and evaluated on its first
+    read and cached. ``snr`` is the whole (n, n) matrix. It and the flat
+    per-pair arrays (upper triangle, ``src < dst``), with ``gain_dbi``,
+    ``noise_dbm`` and ``tx_power_dbm``, retain every budget component for
+    auditing the link-budget identity; reading any of them evaluates every
+    pair once.
     """
 
-    def __init__(self, positions, draws, params: ChannelParams, gain_dbi, noise_dbm, tx_power_dbm):
+    def __init__(self, positions, word: int, params: ChannelParams, gain_dbi, noise_dbm, tx_power_dbm):
         self.positions = positions
         self.n = len(positions)
-        self.uniforms, self.shadow_normals, self.fading_normals = draws
+        self._x, self._y = positions.T
         self.params = params
+        self._keys = _slot_keys(word, _SLOTS_WITH_FADING if params.fading_sigma_db > 0.0 else _SLOTS)
         self.gain_dbi = gain_dbi
         self.noise_dbm = noise_dbm
         self.tx_power_dbm = tx_power_dbm
         self._rows: dict[int, np.ndarray] = {}
 
-    def _evaluate(self, k: np.ndarray, a, b):
-        """Channel of the pairs (a, b) whose draws sit at flat index k.
+    def _evaluate(self, counters: np.ndarray, a, b):
+        """Channel of the pairs (a, b) with flat index k = ``counters`` - 1 (uint64).
 
         Returns (distance, live, los, pathloss, shadowing, snr); ``live`` holds
         the positions of the pairs not in outage, and the last four are given
         for those pairs only. The distance does not depend on which end comes
         first, to the bit: x[b] - x[a] is exactly -(x[a] - x[b]).
         """
-        x, y = self.positions.T
+        x, y = self._x, self._y
         d = np.hypot(x[a] - x[b], y[a] - y[b])
-        live, los = _visibility(d, self.uniforms[k], self.params)
-        k_live = k[live]
-        fading = None if self.fading_normals is None else self.fading_normals[k_live]
-        pathloss, shadowing = _budget(d[live], los, self.shadow_normals[k_live], fading, self.params)
+        u = _hashed_uniforms(self._keys, counters)
+        live, los = _visibility(d, u[0], self.params)
+        v = u[1:].take(live, axis=1)
+        normals = _box_muller(v[0::2], v[1::2])  # shadowing, then fading when it is on
+        fading = normals[1] if len(normals) > 1 else None
+        pathloss, shadowing = _budget(d[live], los, normals[0], fading, self.params)
         snr = self.tx_power_dbm + self.gain_dbi + self.gain_dbi - pathloss - shadowing - self.noise_dbm
         return d, live, los, pathloss, shadowing, snr
 
     @cached_property
-    def _row_offsets(self) -> np.ndarray:
-        """c with c[a] + b the flat upper-triangle index of the pair (a, b), a < b."""
+    def _row_counters(self) -> np.ndarray:
+        """c with c[a] + b = k + 1 for the pair (a, b), a < b, at flat upper-triangle index k."""
         a = np.arange(self.n)
-        return a * (2 * self.n - a - 1) // 2 - a - 1
+        return a * (2 * self.n - a - 1) // 2 - a
 
     def __getitem__(self, i: int) -> np.ndarray:
         row = self._rows.get(i)
         if row is None:
             others = np.arange(self.n - 1)
             others[i:] += 1
-            c = self._row_offsets
-            k = np.concatenate((c[:i] + i, c[i] + others[i:]))  # pairs (j, i) for j < i, then (i, j)
-            _, live, _, _, _, snr = self._evaluate(k, others, i)
+            c = self._row_counters
+            counters = np.concatenate((c[:i] + i, c[i] + others[i:]))  # pairs (j, i) for j < i, then (i, j)
+            _, live, _, _, _, snr = self._evaluate(counters.view(np.uint64), others, i)
             row = self._rows[i] = np.full(self.n, -np.inf)
             row[others[live]] = snr
         return row
@@ -244,7 +292,8 @@ class LinkTable:
         """Every pair evaluated once: the (n, n) matrix and the flat upper-triangle arrays."""
         n = self.n
         src, dst = np.triu_indices(n, k=1)
-        d, live, los, pathloss, shadowing, snr = self._evaluate(np.arange(src.size), src, dst)
+        counters = np.arange(1, src.size + 1, dtype=np.uint64)
+        d, live, los, pathloss, shadowing, snr = self._evaluate(counters, src, dst)
         matrix = np.full((n, n), -np.inf)
         matrix[src[live], dst[live]] = snr
         matrix[dst[live], src[live]] = snr
@@ -275,13 +324,15 @@ def link_table(
     params: ChannelParams,
     rng: np.random.Generator,
 ) -> LinkTable:
-    """Draw the pairwise link realization for one repetition; rows are evaluated when read."""
-    n = deployment.n_gnbs
-    draws = pair_draws(n * (n - 1) // 2, params, rng)
+    """The pairwise link realization of one repetition, keyed by one 64-bit word of ``rng``.
+
+    Nothing else is drawn: a row's pairs are hashed when the row is read.
+    """
+    word = int(rng.bit_generator.random_raw())
     # Steering is ideal, so both endpoint gains sit at the coherent peak.
     gain = 10.0 * math.log10(radio.array_elements)
     noise = noise_power_dbm(radio.bandwidth_hz, radio.noise_figure_db)
-    return LinkTable(deployment.positions, draws, params, gain, noise, radio.tx_power_dbm)
+    return LinkTable(deployment.positions, word, params, gain, noise, radio.tx_power_dbm)
 
 
 @lru_cache(maxsize=16)
@@ -310,9 +361,10 @@ def _may_be_live(d2: np.ndarray, u: np.ndarray, params: ChannelParams) -> np.nda
     E + 2**-54 <= E + (1 - u)/2; hence E >= (1 - u)/2 >= 2**(e - 2) again.
     For s > 0 that gives d <= R(u) = (c + (2 - e) ln 2 + slack)/s, the slack
     covering the rounding of c - s*d and of exp. A pair is kept when
-    d2 <= R(u)**2 * (1 + 1e-9), the factor covering the rounding of d2
-    against the hypot the exact test runs on. e is read from the bits of
-    1 - u and indexes a table of R**2, so no pair needs a transcendental call.
+    d2 <= R(u)**2 * (1 + 1e-9), the factor covering the rounding of d2 and
+    of the distance the exact test runs on (sqrt(d2), or the hypot). e is
+    read from the bits of 1 - u and indexes a table of R**2, so no pair
+    needs a transcendental call.
     With (1 - e) the bound would drop u = 1 - 2**-53 for E in (2**-54, 2**-53),
     which fl(1 - E) rounds to u. With s <= 0 every pair is kept.
     """
@@ -333,6 +385,14 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2.ravel()
 
 
+def _child_rng(rng: np.random.Generator, layer: int) -> np.random.Generator:
+    """Generator of the child ``layer`` of ``rng``'s seed sequence; ``rng`` is not advanced."""
+    ss = rng.bit_generator.seed_seq
+    return np.random.default_rng(
+        np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, layer), pool_size=ss.pool_size)
+    )
+
+
 def associate_min_pathloss(
     ue_positions: np.ndarray,
     deployment: Deployment,
@@ -341,23 +401,26 @@ def associate_min_pathloss(
 ) -> np.ndarray:
     """Serving gNB per row of the (k, 2) ``ue_positions`` (lowest realized pathloss); -1 if all in outage.
 
-    Every pair is drawn; the channel law runs only on the pairs ``_may_be_live`` keeps.
+    The draws come from the ``ASSOC_LAYER`` child stream of ``rng``, which is
+    not advanced: a uniform for every pair, then the normals of the pairs not
+    in outage. The channel law runs only on the pairs ``_may_be_live`` keeps.
     """
     if len(ue_positions) == 0:
         return np.empty(0, dtype=np.int64)
+    rng = _child_rng(rng, ASSOC_LAYER)
     ue, gnb = ue_positions, deployment.positions
-    u, shadow, fading = pair_draws(len(ue) * len(gnb), params, rng)
-    kept = _may_be_live(_squared_distances(ue, gnb), u, params).nonzero()[0]
-    i, j = np.divmod(kept, len(gnb))
-    (ux, uy), (gx, gy) = ue.T, gnb.T
-    d = np.hypot(ux[i] - gx[j], uy[i] - gy[j])
+    u = rng.random(len(ue) * len(gnb))
+    d2 = _squared_distances(ue, gnb)
+    kept = _may_be_live(d2, u, params).nonzero()[0]
+    d = np.sqrt(d2[kept])
     live, los = _visibility(d, u[kept], params)
     d, live = d[live], kept[live]
-    fading = None if fading is None else fading[live]
-    pathloss, shadowing = _budget(d, los, shadow[live], fading, params)
+    shadow = rng.standard_normal(live.size)
+    fading = rng.standard_normal(live.size) if params.fading_sigma_db > 0.0 else None
+    pathloss, shadowing = _budget(d, los, shadow, fading, params)
     total = _spread(u.size, live, pathloss + shadowing, np.inf).reshape(len(ue), len(gnb))
     serving = np.argmin(total, axis=1)
-    serving[~np.isfinite(np.min(total, axis=1))] = -1
+    serving[total[np.arange(len(ue)), serving] == np.inf] = -1
     return serving
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
+from .channel import STREAM_SCHEMA
 from .config import WBF_PRESETS, config_document, parse_config
 from .errors import ConfigError
 from .policy import PolicyKind
@@ -67,6 +68,7 @@ def _bundle_doc(bundle: ResultBundle) -> dict:
     return {
         "metadata": {
             "version": bundle.version,
+            "stream_schema": STREAM_SCHEMA,
             "master_seed": bundle.master_seed,
             "config": bundle.config_doc,
         },

@@ -20,6 +20,15 @@ def require_number(key: str, value, *, integer: bool = False, at_least=None, abo
     if integer and value != int(value):
         raise ConfigError(f"{key} must be an integer, got {value}")
     if at_least is not None and value < at_least:
-        raise ConfigError(f"{key} must be >= {at_least}, got {value}")
+        raise ConfigError(f"{key} must be >= {at_least}, got {_shown(value)}")
     if above is not None and value <= above:
-        raise ConfigError(f"{key} must be > {above}, got {value}")
+        raise ConfigError(f"{key} must be > {above}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """``value`` for an error message; an int too long to print in full is given by its size.
+
+    Python refuses to print an int of more than 4300 digits by default."""
+    if isinstance(value, int) and value.bit_length() > 256:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    return f"{value}"

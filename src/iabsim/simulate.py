@@ -17,10 +17,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, LinkTable, RadioConfig, associate_min_pathloss, link_table, pair_draws
+from .channel import ChannelParams, LinkTable, RadioConfig, associate_min_pathloss, link_table
 from .errors import ConfigError, require_number
-from .geometry import MAX_REDRAWS, POISSON_MAX_MEAN, Deployment, Region, assign_roles, sample_ppp
+from .geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
 from .policy import PathOutcome, PathResult, PolicyKind, WbfConfig, build_path
+
+
+# The most gNBs or UEs a drop may expect (density times region area). A drop
+# holds its positions, a link-table row one entry per gNB, and UE association
+# one entry per UE-gNB pair, so far larger counts fail on allocation; the cap
+# also lies far below ``geometry.POISSON_MAX_MEAN``, the largest mean numpy's
+# Poisson sampler takes.
+MAX_EXPECTED_NODES = 1e6
 
 
 @dataclass(frozen=True)
@@ -72,10 +80,10 @@ class SimConfig:
             raise ConfigError(f"policy labels must be unique, got {labels}")
         for key, density in (("deployment.lambda_g", self.lambda_g), ("deployment.lambda_ue", self.lambda_ue)):
             expected = density * self.region.area_km2  # inf when the area overflows
-            if density > 0 and not expected <= POISSON_MAX_MEAN:
+            if density > 0 and not expected <= MAX_EXPECTED_NODES:
                 raise ConfigError(
                     f"{key} times the region area gives {expected:.4g} expected nodes, "
-                    f"beyond the {POISSON_MAX_MEAN:.4g} a Poisson draw can take"
+                    f"beyond the cap of {MAX_EXPECTED_NODES:.4g}"
                 )
         expected_nodes = self.lambda_g * self.region.area_km2
         if expected_nodes < 3.0:
@@ -97,9 +105,9 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator):
     The gNB drop is redrawn until it holds two nodes, at most ``MAX_REDRAWS``
     times. UE association fills ``deployment.attached`` only when some
     configured policy is MLR, the one policy that reads the loads; otherwise
-    the loads stay 0. The UE drop and the UE-gNB channel draws are made
-    either way, so the link table, and every policy, sees the same stream
-    whichever policies are configured.
+    it is skipped and the loads stay 0. It draws from its own child stream,
+    so the link table, and every policy, sees the same realization whichever
+    policies are configured.
     """
     for _ in range(MAX_REDRAWS):
         points = sample_ppp(cfg.lambda_g, cfg.region, rng)
@@ -116,8 +124,6 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator):
         if any(spec.kind == PolicyKind.MLR for spec in cfg.policies):
             serving = associate_min_pathloss(ues, deployment, cfg.channel, rng)
             deployment.attached = np.bincount(serving[serving >= 0], minlength=deployment.n_gnbs)
-        else:
-            pair_draws(len(ues) * deployment.n_gnbs, cfg.channel, rng)
     links = link_table(deployment, cfg.radio, cfg.channel, rng)
     return deployment, links
 

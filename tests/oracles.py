@@ -8,41 +8,110 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from iabsim.channel import LosState
+from iabsim.channel import ASSOC_LAYER, LosState
 from iabsim.policy import PolicyKind, WbfKind
 
 
-def _dense_pair_draws(d, params, rng):
-    """Three-state law and budget evaluated on every pair, outage included.
+MASK_64 = (1 << 64) - 1
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): state increment and the two mixing multipliers.
+GAMMA = 0x9E3779B97F4A7C15
+MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
-    Returns (codes, pathloss, shadowing) shaped like ``d``; outage pairs get
-    +inf pathloss and zero shadowing.
+
+def splitmix64(key, counters):
+    """SplitMix64 outputs mix((key + c * GAMMA) mod 2**64) for the counters c >= 0, as uint64.
+
+    The arithmetic is done in Python ints masked to 64 bits. The counters ride
+    in 128-bit lanes of one int, so each step of the mix is one big-int
+    operation on every lane: after a mask a lane holds a value below 2**64,
+    its product with a 64-bit constant stays inside the lane, and the bits a
+    right shift brings down from the next lane land above bit 64, where the
+    next mask clears them.
     """
+    counters = np.asarray(counters, dtype=np.uint64)
+    size = counters.size
+
+    def pack(values):
+        lanes = np.zeros((size, 2), dtype="<u8")
+        lanes[:, 0] = values
+        return int.from_bytes(lanes.tobytes(), "little")
+
+    ones = pack(1)
+    mask = ones * MASK_64
+    z = (pack(counters) * GAMMA + (key & MASK_64) * ones) & mask
+    z = (((z ^ (z >> 30)) & mask) * MIX[0]) & mask
+    z = (((z ^ (z >> 27)) & mask) * MIX[1]) & mask
+    z = (z ^ (z >> 31)) & mask
+    return np.frombuffer(z.to_bytes(16 * size, "little"), dtype="<u8")[::2].astype(np.uint64)
+
+
+def hashed_uniforms(word, slot, counters):
+    """Uniforms of one draw slot: the 53 top bits of SplitMix64 keyed by the slot's key.
+
+    The slot keys are the outputs 1, 2, ... of a SplitMix64 stream seeded with ``word``.
+    """
+    key = int(splitmix64(word, [slot + 1])[0])
+    return (splitmix64(key, counters) >> np.uint64(11)) * 2.0**-53
+
+
+def box_muller(u_radius, u_angle):
+    return np.sqrt(-2.0 * np.log1p(-u_radius)) * np.cos(2.0 * math.pi * u_angle)
+
+
+def _dense_law(d, u, params):
+    """Three-state codes and (pathloss, LOS mask) of every pair at distances ``d`` with visibility uniforms ``u``."""
     p_out = np.maximum(0.0, 1.0 - np.exp(-params.outage_slope_per_m * d + params.outage_intercept))
     p_los = (1.0 - p_out) * np.exp(-params.los_decay_per_m * d)
-    u = rng.random(d.shape)
     codes = np.where(
         u < p_out, LosState.OUTAGE, np.where(u < p_out + p_los, LosState.LOS, LosState.NLOS)
     ).astype(np.int8)
     los = codes == LosState.LOS
-    out = codes == LosState.OUTAGE
     alpha = np.where(los, params.los_alpha_db, params.nlos_alpha_db)
     exponent = np.where(los, params.los_exponent, params.nlos_exponent)
-    sigma = np.where(los, params.los_sigma_db, params.nlos_sigma_db)
     pathloss = alpha + 10.0 * exponent * np.log10(np.maximum(d, 1.0))
-    shadowing = sigma * rng.standard_normal(d.shape)
-    if params.fading_sigma_db > 0.0:
-        shadowing = shadowing + params.fading_sigma_db * rng.standard_normal(d.shape)
+    return codes, pathloss, los
+
+
+def _dense_budget(d, u, shadow, fading, params):
+    """(codes, pathloss, shadowing) of every pair; outage pairs get +inf pathloss and zero shadowing.
+
+    ``shadow`` and ``fading`` (or None) are standard normals, read only where a pair is not in outage.
+    """
+    codes, pathloss, los = _dense_law(d, u, params)
+    out = codes == LosState.OUTAGE
+    sigma = np.where(los, params.los_sigma_db, params.nlos_sigma_db)
+    shadowing = sigma * shadow
+    if fading is not None:
+        shadowing = shadowing + params.fading_sigma_db * fading
     return codes, np.where(out, np.inf, pathloss), np.where(out, 0.0, shadowing)
 
 
 def dense_link_table(deployment, radio, params, rng):
-    """The pairwise link table with every budget term computed for every pair."""
+    """The pairwise link table with every budget term computed for every pair.
+
+    One word of ``rng`` keys the draws. The pair at flat upper-triangle index
+    k takes slot 0 (visibility), slots 1-2 (shadowing) and, with fading on,
+    slots 3-4 (fading) at counter k + 1; the normal slots are hashed for the
+    pairs not in outage, the only ones that read them.
+    """
+    word = int(rng.bit_generator.random_raw())
     pos = deployment.positions
     n = len(pos)
     src, dst = np.triu_indices(n, k=1)
     d = np.hypot(pos[src, 0] - pos[dst, 0], pos[src, 1] - pos[dst, 1])
-    codes, pathloss, shadowing = _dense_pair_draws(d, params, rng)
+    counters = np.arange(1, src.size + 1)
+    u = hashed_uniforms(word, 0, counters)
+    live = _dense_law(d, u, params)[0] != LosState.OUTAGE
+
+    def normals(slot):
+        out = np.zeros(d.shape)
+        out[live] = box_muller(
+            hashed_uniforms(word, slot, counters[live]), hashed_uniforms(word, slot + 1, counters[live])
+        )
+        return out
+
+    fading = normals(3) if params.fading_sigma_db > 0.0 else None
+    codes, pathloss, shadowing = _dense_budget(d, u, normals(1), fading, params)
     gain = 10.0 * math.log10(radio.array_elements)
     noise = -174.0 + 10.0 * math.log10(radio.bandwidth_hz) + radio.noise_figure_db
     pair_snr = radio.tx_power_dbm + gain + gain - pathloss - shadowing - noise
@@ -64,14 +133,36 @@ def dense_link_table(deployment, radio, params, rng):
     )
 
 
+def association_rng(rng):
+    """The UE association's child stream of ``rng``'s seed sequence."""
+    ss = rng.bit_generator.seed_seq
+    return np.random.default_rng(
+        np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, ASSOC_LAYER), pool_size=ss.pool_size)
+    )
+
+
 def dense_associate_min_pathloss(ue_positions, deployment, params, rng):
-    """Serving gNB per UE from a full (UE, gNB) pathloss matrix; -1 if all in outage."""
+    """Serving gNB per UE from a full (UE, gNB) pathloss matrix; -1 if all in outage.
+
+    The association stream draws a uniform for every pair, then a shadowing
+    normal (and a fading normal) for each pair not in outage, in row-major order.
+    """
     if len(ue_positions) == 0:
         return np.empty(0, dtype=np.int64)
+    child = association_rng(rng)
     gnb = deployment.positions
     ue = np.asarray(ue_positions)
-    d = np.hypot(ue[:, None, 0] - gnb[None, :, 0], ue[:, None, 1] - gnb[None, :, 1])
-    _, pathloss, shadowing = _dense_pair_draws(d, params, rng)
+    dx, dy = ue[:, None, 0] - gnb[None, :, 0], ue[:, None, 1] - gnb[None, :, 1]
+    d = np.sqrt(dx * dx + dy * dy)
+    u = child.random(d.shape)
+    live = _dense_law(d, u, params)[0] != LosState.OUTAGE
+    shadow = np.zeros(d.shape)
+    shadow[live] = child.standard_normal(int(live.sum()))
+    fading = None
+    if params.fading_sigma_db > 0.0:
+        fading = np.zeros(d.shape)
+        fading[live] = child.standard_normal(int(live.sum()))
+    _, pathloss, shadowing = _dense_budget(d, u, shadow, fading, params)
     total = pathloss + shadowing
     serving = np.argmin(total, axis=1)
     serving[~np.isfinite(np.min(total, axis=1))] = -1

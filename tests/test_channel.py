@@ -3,13 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from oracles import dense_associate_min_pathloss, dense_link_table
+from oracles import dense_associate_min_pathloss, dense_link_table, hashed_uniforms, splitmix64
 
 from iabsim.channel import (
+    ASSOC_LAYER,
     ChannelParams,
     LosState,
     RadioConfig,
+    _box_muller,
+    _child_rng,
+    _hashed_uniforms,
     _may_be_live,
+    _slot_keys,
     _visibility,
     associate_min_pathloss,
     link_table,
@@ -19,6 +24,7 @@ from iabsim.channel import (
 )
 from iabsim.errors import ConfigError
 from iabsim.geometry import Deployment, Region
+from iabsim.simulate import repetition_rng
 
 # shadowing off, LOS guaranteed at any range (no decay, no outage)
 DETERMINISTIC_LOS = ChannelParams(
@@ -331,7 +337,7 @@ LN2 = math.log(2.0)
 
 
 class TestSparseKernelMatchesDenseReference:
-    """The outage-sparse kernel must match the dense formulation bit for bit."""
+    """The outage-sparse kernel must match the dense formulation, drawn from the same keys, bit for bit."""
 
     CASES = {
         "default": ChannelParams(),
@@ -389,7 +395,7 @@ class TestSparseKernelMatchesDenseReference:
         ref = dense_associate_min_pathloss(ues, dep, params, rng_ref)
         assert new.dtype == ref.dtype
         assert np.array_equal(new, ref)
-        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        assert rng_new.bit_generator.state == np.random.default_rng(n).bit_generator.state  # not advanced
         if los_probabilities(4000.0, params)[2] == 1.0:
             assert (new[40:] == -1).all()  # the far UEs see only outage links
         if n == 480 or case not in self.FEW_LIVE:
@@ -417,6 +423,99 @@ class TestSparseKernelMatchesDenseReference:
         before = rng.bit_generator.state
         assert associate_min_pathloss([], dep, ChannelParams(), rng).size == 0
         assert rng.bit_generator.state == before
+
+
+class TestKeyedDraws:
+    """Stream schema 2: the hashed draws of the link table and the association's child stream."""
+
+    N = 200_000  # counters per slot; five slots give 10**6 uniforms
+    COUNTERS = np.arange(1, N + 1, dtype=np.uint64)
+
+    def slots(self, word=0x0123456789ABCDEF):
+        return _hashed_uniforms(_slot_keys(word, 5), self.COUNTERS)
+
+    def test_splitmix64_reference_outputs(self):
+        # the first five outputs of SplitMix64 seeded with 1234567, as the reference C code gives them
+        expected = [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821,
+        ]
+        assert splitmix64(1234567, range(1, 6)).tolist() == expected
+        got = _hashed_uniforms(np.array([[1234567]], dtype=np.uint64), np.arange(1, 6, dtype=np.uint64))
+        assert got[0].tolist() == [(v >> 11) * 2.0**-53 for v in expected]
+
+    def test_kernel_matches_the_python_int_hash(self):
+        """numpy's wrapping uint64 arithmetic against Python ints masked to 64 bits."""
+        rng = np.random.default_rng(8)
+        edge = np.array([1, 2, 2**32, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        counters = np.concatenate((edge, rng.integers(1, 2**63, 2000, dtype=np.uint64)))
+        for word in [0, 1, 2**64 - 1, *rng.integers(0, 2**63, 4).tolist()]:
+            got = _hashed_uniforms(_slot_keys(word, 5), counters)
+            for slot in range(5):
+                assert got[slot].tobytes() == hashed_uniforms(word, slot, counters).tobytes(), (word, slot)
+
+    def test_link_table_takes_one_word(self):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        ref.bit_generator.random_raw()
+        link_table(scattered_deployment(5, 30), RadioConfig(), ChannelParams(), rng)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("fading_sigma_db", [0.0, 3.0])
+    def test_a_pair_draws_the_same_from_either_end(self, fading_sigma_db):
+        # no outage: every pair is live, so every slot reaches the SNR
+        n = 40
+        params = ChannelParams(outage_slope_per_m=0.0, fading_sigma_db=fading_sigma_db)
+        table = link_table(scattered_deployment(4, n), RadioConfig(), params, np.random.default_rng(4))
+        rows = np.array([table[i] for i in range(n)])  # each row hashed on its own
+        assert rows.tobytes() == rows.T.tobytes()
+        assert np.isfinite(rows[~np.eye(n, dtype=bool)]).all()
+
+    def test_uniform_moments_and_chi_square(self):
+        u = self.slots().ravel()
+        n = u.size
+        assert 0.0 <= u.min() and u.max() < 1.0
+        assert abs(u.mean() - 0.5) < 5 * math.sqrt(1 / 12 / n)
+        assert abs(u.var() - 1 / 12) < 5 * math.sqrt(1 / 180 / n)  # Var((u - 1/2)**2) = 1/80 - 1/144
+        expected = n / 100
+        chi2 = float((((np.bincount((u * 100).astype(int), minlength=100) - expected) ** 2) / expected).sum())
+        assert chi2 < 99 + 5 * math.sqrt(2 * 99), chi2  # five sd above the mean of chi-square(99)
+
+    def test_box_muller_normals(self):
+        u = self.slots()
+        for z in (_box_muller(u[1], u[2]), _box_muller(u[3], u[4])):
+            assert abs(z.mean()) < 5 / math.sqrt(self.N)
+            assert abs(z.var() - 1.0) < 5 * math.sqrt(2 / self.N)
+            inside = float(np.mean(np.abs(z) < 1.0))
+            assert abs(inside - math.erf(1 / math.sqrt(2))) < 5 * math.sqrt(0.6827 * 0.3173 / self.N)
+
+    def test_no_correlation_across_slots_counters_or_layers(self):
+        limit = 5 / math.sqrt(self.N)
+        u = self.slots()
+        assert np.abs(np.corrcoef(u)[~np.eye(5, dtype=bool)]).max() < limit
+        for row in u:
+            assert abs(np.corrcoef(row[:-1], row[1:])[0, 1]) < limit
+        # the association's child stream against the link table's slots of one repetition
+        rng = repetition_rng(1, 0)
+        association = _child_rng(rng, ASSOC_LAYER).random(self.N)
+        link = _hashed_uniforms(_slot_keys(int(rng.bit_generator.random_raw()), 5), self.COUNTERS)
+        assert np.abs(np.corrcoef(np.vstack((association, link)))[0, 1:]).max() < limit
+
+    def test_state_frequencies_from_hashed_uniforms(self):
+        # C10's three-state check on 10**6 hashed visibility uniforms per distance
+        key = _slot_keys(int(np.random.default_rng(77).bit_generator.random_raw()), 1)
+        n = 1_000_000
+        for step, d in enumerate((20.0, 100.0, 200.0)):
+            u = _hashed_uniforms(key, np.arange(step * n + 1, (step + 1) * n + 1, dtype=np.uint64))[0]
+            live, los = _visibility(np.full(n, d), u, ChannelParams())
+            p_los, p_nlos, p_out = (float(p) for p in los_probabilities(d))
+            counts = {
+                LosState.LOS: int(los.sum()),
+                LosState.NLOS: int(live.size - los.sum()),
+                LosState.OUTAGE: n - live.size,
+            }
+            for state, p in ((LosState.LOS, p_los), (LosState.NLOS, p_nlos), (LosState.OUTAGE, p_out)):
+                sigma = math.sqrt(p * (1.0 - p) / n)
+                assert abs(counts[state] / n - p) <= 3.0 * sigma + 1e-12, (d, state)
 
 
 def screened(d, u, params, seed=0):

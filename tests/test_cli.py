@@ -103,6 +103,7 @@ class TestWriteResults:
         cfg = parse_config(doc["metadata"]["config"])
         assert config_document(cfg) == bundle.config_doc
         assert doc["metadata"]["master_seed"] == 3
+        assert doc["metadata"]["stream_schema"] == 2
         for policy_doc in doc["policies"].values():
             assert 0.0 <= policy_doc["failure_probability"] <= 1.0
 

@@ -12,7 +12,7 @@ from iabsim.config import WBF_PRESETS, config_document, parse_config
 from iabsim.errors import ConfigError
 from iabsim.geometry import POISSON_MAX_MEAN, Region
 from iabsim.policy import PolicyKind, WbfConfig, WbfKind
-from iabsim.simulate import SimConfig
+from iabsim.simulate import MAX_EXPECTED_NODES, SimConfig
 
 # Every numeric key of a config document: (key, dataclass, field, integer)
 NUMBER_FIELDS = [
@@ -222,6 +222,16 @@ class TestBadNumbers:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["run.master_seed", "run.max_hops"])
+    def test_integer_past_the_print_limit_names_the_key(self, key):
+        """Python prints no int of more than 4300 digits; the message gives its size instead."""
+        huge = -(10**5000)
+        name = key.split(".")[1]
+        with pytest.raises(ConfigError, match=re.escape(key) + r" must be >= \d, got a negative integer of 16610 bits"):
+            SimConfig(**{name: huge})
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config({"run": {name: huge}})
+
     def test_integer_seed_beyond_float_range_runs(self, tmp_path):
         assert SimConfig(master_seed=BIG).master_seed == BIG
         cfg = parse_config({"run": {"master_seed": BIG}})
@@ -262,8 +272,25 @@ class TestBadNumbers:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_largest_poisson_mean_is_accepted(self):
-        assert SimConfig(lambda_g=POISSON_MAX_MEAN, lambda_ue=POISSON_MAX_MEAN).lambda_g == POISSON_MAX_MEAN
+    @pytest.mark.parametrize("key", ["lambda_g", "lambda_ue"])
+    def test_count_beyond_the_cap_is_refused_before_allocation(self, tmp_path, capsys, key):
+        """1e13 per km2 once ended in a 72.8 TiB allocation; it is refused with the key and the count."""
+        with pytest.raises(ConfigError, match=rf"deployment\.{key} times the region area gives 1e\+13 expected nodes"):
+            SimConfig(**{key: 1e13})
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"deployment": {key: 1e13}}))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"deployment.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_count_at_the_cap_is_accepted(self):
+        region = Region(2000.0, 500.0)  # 1 km2
+        assert SimConfig(lambda_g=MAX_EXPECTED_NODES, lambda_ue=MAX_EXPECTED_NODES, region=region).lambda_g == 1e6
+        over = float(np.nextafter(MAX_EXPECTED_NODES, np.inf))
+        for key in ("lambda_g", "lambda_ue"):
+            with pytest.raises(ConfigError, match=rf"deployment\.{key}"):
+                SimConfig(region=region, **{key: over})
+        assert MAX_EXPECTED_NODES < POISSON_MAX_MEAN
 
 
 class TestRoundTrip:

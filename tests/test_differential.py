@@ -9,7 +9,7 @@ walks on the dense reference matrix.
 """
 import numpy as np
 import pytest
-from oracles import dense_link_table, enumerate_widest, reference_greedy_trace
+from oracles import dense_associate_min_pathloss, dense_link_table, enumerate_widest, reference_greedy_trace
 
 from iabsim import simulate
 from iabsim.geometry import Deployment, Region
@@ -76,13 +76,15 @@ def test_policies_and_oracle_match_references_under_ties():
 @pytest.mark.parametrize("lambda_g", [30.0, 480.0])
 def test_campaign_on_lazy_rows_matches_dense_reference(lambda_g, monkeypatch):
     """Walks and the oracle of a campaign, which read rows of the lazy link table,
-    equal the same walks and oracle run on the dense reference matrix of each world."""
+    equal the same walks and oracle run on the dense reference world: the
+    reference matrix and the reference MLR loads, drawn from the same keys."""
     # 20 UEs give MLR loads of 0-2 at lambda_g = 30 and keep the association cheap at 480
     cfg = SimConfig(
         lambda_g=lambda_g, lambda_ue=20.0, repetitions=CAMPAIGN_WORLDS, master_seed=11, oracle_enabled=True
     )
     result = run_campaign(cfg, keep_paths=True)
     monkeypatch.setattr(simulate, "link_table", dense_link_table)
+    monkeypatch.setattr(simulate, "associate_min_pathloss", dense_associate_min_pathloss)
     for rep in range(cfg.repetitions):
         dep, ref = simulate.sample_world(cfg, simulate.repetition_rng(cfg.master_seed, rep))
         expected = {
