@@ -242,7 +242,6 @@ class LinkTable:
     def __init__(self, positions, word: int, params: ChannelParams, gain_dbi, noise_dbm, tx_power_dbm):
         self.positions = positions
         self.n = len(positions)
-        self._x, self._y = positions.T
         self.params = params
         self._keys = _slot_keys(word, _SLOTS_WITH_FADING if params.fading_sigma_db > 0.0 else _SLOTS)
         self.gain_dbi = gain_dbi
@@ -258,7 +257,7 @@ class LinkTable:
         for those pairs only. The distance does not depend on which end comes
         first, to the bit: x[b] - x[a] is exactly -(x[a] - x[b]).
         """
-        x, y = self._x, self._y
+        x, y = self.positions.T
         d = np.hypot(x[a] - x[b], y[a] - y[b])
         u = _hashed_uniforms(self._keys, counters)
         live, los = _visibility(d, u[0], self.params)

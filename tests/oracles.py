@@ -55,6 +55,7 @@ def hashed_uniforms(word, slot, counters):
 
 
 def box_muller(u_radius, u_angle):
+    """Standard normals from two uniforms in [0, 1), by the cosine branch of Box-Muller."""
     return np.sqrt(-2.0 * np.log1p(-u_radius)) * np.cos(2.0 * math.pi * u_angle)
 
 
@@ -133,23 +134,19 @@ def dense_link_table(deployment, radio, params, rng):
     )
 
 
-def association_rng(rng):
-    """The UE association's child stream of ``rng``'s seed sequence."""
-    ss = rng.bit_generator.seed_seq
-    return np.random.default_rng(
-        np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, ASSOC_LAYER), pool_size=ss.pool_size)
-    )
-
-
 def dense_associate_min_pathloss(ue_positions, deployment, params, rng):
     """Serving gNB per UE from a full (UE, gNB) pathloss matrix; -1 if all in outage.
 
-    The association stream draws a uniform for every pair, then a shadowing
-    normal (and a fading normal) for each pair not in outage, in row-major order.
+    The association's child stream of ``rng``'s seed sequence draws a uniform
+    for every pair, then a shadowing normal (and a fading normal) for each
+    pair not in outage, in row-major order.
     """
     if len(ue_positions) == 0:
         return np.empty(0, dtype=np.int64)
-    child = association_rng(rng)
+    ss = rng.bit_generator.seed_seq
+    child = np.random.default_rng(
+        np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, ASSOC_LAYER), pool_size=ss.pool_size)
+    )
     gnb = deployment.positions
     ue = np.asarray(ue_positions)
     dx, dy = ue[:, None, 0] - gnb[None, :, 0], ue[:, None, 1] - gnb[None, :, 1]
