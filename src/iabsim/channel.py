@@ -27,7 +27,9 @@ outage law runs only on the pairs that a squared-distance bound
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import cached_property, lru_cache
@@ -232,11 +234,11 @@ class LinkTable:
 
     ``table[i]`` is row i of the symmetric SNR matrix in dB, with -inf on the
     diagonal and on outage pairs; a row is hashed and evaluated on its first
-    read and cached. ``snr`` is the whole (n, n) matrix. It and the flat
-    per-pair arrays (upper triangle, ``src < dst``), with ``gain_dbi``,
-    ``noise_dbm`` and ``tx_power_dbm``, retain every budget component for
-    auditing the link-budget identity; reading any of them evaluates every
-    pair once.
+    read, by ``evaluate_rows``, and kept in ``rows``. ``snr`` is the whole
+    (n, n) matrix. It and the flat per-pair arrays (upper triangle,
+    ``src < dst``), with ``gain_dbi``, ``noise_dbm`` and ``tx_power_dbm``,
+    retain every budget component for auditing the link-budget identity;
+    reading any of them evaluates every pair once.
     """
 
     def __init__(self, positions, word: int, params: ChannelParams, gain_dbi, noise_dbm, tx_power_dbm):
@@ -247,19 +249,20 @@ class LinkTable:
         self.gain_dbi = gain_dbi
         self.noise_dbm = noise_dbm
         self.tx_power_dbm = tx_power_dbm
-        self._rows: dict[int, np.ndarray] = {}
+        self.rows: dict[int, np.ndarray] = {}
 
-    def _evaluate(self, counters: np.ndarray, a, b):
-        """Channel of the pairs (a, b) with flat index k = ``counters`` - 1 (uint64).
+    def _evaluate(self, positions: np.ndarray, a, b, keys: np.ndarray, counters: np.ndarray):
+        """Channel, under this table's constants, of the pairs (a, b) of rows of ``positions``
+        whose slots s are hashed from ``keys[s]`` at ``counters`` (flat index + 1, uint64).
 
         Returns (distance, live, los, pathloss, shadowing, snr); ``live`` holds
         the positions of the pairs not in outage, and the last four are given
         for those pairs only. The distance does not depend on which end comes
         first, to the bit: x[b] - x[a] is exactly -(x[a] - x[b]).
         """
-        x, y = self.positions.T
+        x, y = positions.T
         d = np.hypot(x[a] - x[b], y[a] - y[b])
-        u = _hashed_uniforms(self._keys, counters)
+        u = _hashed_uniforms(keys, counters)
         live, los = _visibility(d, u[0], self.params)
         v = u[1:].take(live, axis=1)
         normals = _box_muller(v[0::2], v[1::2])  # shadowing, then fading when it is on
@@ -268,22 +271,11 @@ class LinkTable:
         snr = self.tx_power_dbm + self.gain_dbi + self.gain_dbi - pathloss - shadowing - self.noise_dbm
         return d, live, los, pathloss, shadowing, snr
 
-    @cached_property
-    def _row_counters(self) -> np.ndarray:
-        """c with c[a] + b = k + 1 for the pair (a, b), a < b, at flat upper-triangle index k."""
-        a = np.arange(self.n)
-        return a * (2 * self.n - a - 1) // 2 - a
-
     def __getitem__(self, i: int) -> np.ndarray:
-        row = self._rows.get(i)
+        row = self.rows.get(i)
         if row is None:
-            others = np.arange(self.n - 1)
-            others[i:] += 1
-            c = self._row_counters
-            counters = np.concatenate((c[:i] + i, c[i] + others[i:]))  # pairs (j, i) for j < i, then (i, j)
-            _, live, _, _, _, snr = self._evaluate(counters.view(np.uint64), others, i)
-            row = self._rows[i] = np.full(self.n, -np.inf)
-            row[others[live]] = snr
+            evaluate_rows(((self, i),))
+            row = self.rows[i]
         return row
 
     @cached_property
@@ -292,7 +284,9 @@ class LinkTable:
         n = self.n
         src, dst = np.triu_indices(n, k=1)
         counters = np.arange(1, src.size + 1, dtype=np.uint64)
-        d, live, los, pathloss, shadowing, snr = self._evaluate(counters, src, dst)
+        d, live, los, pathloss, shadowing, snr = self._evaluate(
+            self.positions, src, dst, self._keys, counters
+        )
         matrix = np.full((n, n), -np.inf)
         matrix[src[live], dst[live]] = snr
         matrix[dst[live], src[live]] = snr
@@ -315,6 +309,60 @@ class LinkTable:
     pathloss_db = property(lambda self: self._whole["pathloss_db"])
     shadowing_db = property(lambda self: self._whole["shadowing_db"])
     pair_snr_db = property(lambda self: self._whole["pair_snr_db"])
+
+
+def evaluate_rows(requests, max_pairs: float = math.inf) -> None:
+    """Evaluate the rows named by ``requests``, pairs (table, row id), that no table holds yet.
+
+    They go through one hashed pass per set of channel constants, or more when
+    a pass would take over ``max_pairs`` pairs. A pass concatenates the pairs
+    of its rows, with positions offset per table, slot keys repeated per pair,
+    and the pair (i, j) of an n-node table at counter c[min(i, j)] + max(i, j),
+    where c[a] = a(2n - a - 1)/2 - a puts the pair (a, b), a < b, at its flat
+    upper-triangle index + 1. Every pair thus draws what it draws in any other
+    read of the table. Each row is kept in its table's ``rows`` as a slice of
+    the pass's output, -inf in its own column.
+    """
+    passes: dict[tuple, dict[tuple[int, int], tuple[LinkTable, int]]] = {}
+    for table, i in requests:
+        i = operator.index(i)
+        if i not in table.rows:
+            if not 0 <= i < table.n:
+                raise IndexError(f"no row {i} in a link table of {table.n} gNBs")
+            law = (table.params, table.gain_dbi, table.noise_dbm, table.tx_power_dbm)
+            passes.setdefault(law, {})[id(table), i] = (table, i)
+    for todo in passes.values():
+        batch, pairs = [], 0
+        for table, i in todo.values():
+            if batch and pairs + table.n - 1 > max_pairs:
+                _row_pass(batch)
+                batch, pairs = [], 0
+            batch.append((table, i))
+            pairs += table.n - 1
+        _row_pass(batch)
+
+
+def _row_pass(rows: list[tuple[LinkTable, int]]) -> None:
+    """One hashed pass over the rows (table, id), all of tables with the same channel constants."""
+    tables = list({id(table): table for table, _ in rows}.values())
+    # the offset of each table's nodes in the concatenated positions
+    first = dict(zip(map(id, tables), itertools.accumulate((table.n for table in tables), initial=0)))
+    ids, sizes, bases = np.array([(i, table.n, first[id(table)]) for table, i in rows]).T
+    ends = np.cumsum(sizes)
+    starts = ends - sizes  # row r fills out[starts[r]:ends[r]]; its n - 1 pairs start at starts[r] - r
+    per_row = np.array((ids, sizes, bases, starts, starts - np.arange(len(rows))))
+    i, n, base, start, pair_start = np.repeat(per_row, sizes - 1, axis=1)
+    j = np.arange(i.size) - pair_start
+    j += j >= i  # skip the row's own column
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    counters = (lo * (2 * n - lo - 1) // 2 - lo + hi).view(np.uint64)
+    positions = np.concatenate([table.positions for table in tables])
+    keys = np.repeat(np.concatenate([table._keys for table, _ in rows], axis=1), sizes - 1, axis=1)
+    _, live, _, _, _, snr = tables[0]._evaluate(positions, base + j, base + i, keys, counters)
+    out = np.full(int(ends[-1]), -np.inf)
+    out[(start + j)[live]] = snr
+    for (table, i), a, b in zip(rows, starts.tolist(), ends.tolist()):
+        table.rows[i] = out[a:b]
 
 
 def link_table(

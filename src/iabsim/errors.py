@@ -11,7 +11,8 @@ def require_number(key: str, value, *, integer: bool = False, at_least=None, abo
     ``integer`` is set, ``>= at_least`` and ``> above`` (bounds that are given).
 
     A Python int is checked exactly, whatever its size; for a float key it must
-    also fit in a float."""
+    also fit in a float, and it must have no more decimal digits than Python
+    prints (``sys.get_int_max_str_digits``), or the outputs that echo it fail."""
     if isinstance(value, int):
         if not integer and abs(value) > sys.float_info.max:
             raise ConfigError(f"{key} must be finite, got an integer beyond the float range")
@@ -23,6 +24,9 @@ def require_number(key: str, value, *, integer: bool = False, at_least=None, abo
         raise ConfigError(f"{key} must be >= {at_least}, got {_shown(value)}")
     if above is not None and value <= above:
         raise ConfigError(f"{key} must be > {above}, got {_shown(value)}")
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if isinstance(value, int) and digits and value.bit_length() > 3 * digits and abs(value) >= 10**digits:
+        raise ConfigError(f"{key} must have at most {digits} decimal digits, got {_shown(value)}")
 
 
 def _shown(value) -> str:

@@ -11,6 +11,7 @@ feasibility is always judged on the raw SNR.
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .channel import LinkTable, shannon_rate
 from .errors import ConfigError, require_number
-from .geometry import Deployment, half_plane_filter, nearest_wired
+from .geometry import Deployment, NearestWired, half_plane_filter
 
 
 class WbfKind(Enum):
@@ -130,20 +131,94 @@ def _ranking_key(policy: PolicyKind, wbf: WbfConfig, n_hops: int, bandwidth_hz: 
     return lambda c: (c[1] + bias if c[2] else c[1], c[2], -c[0])
 
 
-def _forward(current_id: int, candidates: list[tuple], deployment: Deployment) -> list[tuple]:
+def _forward(
+    current_id: int, candidates: list[tuple], deployment: Deployment, donors: NearestWired
+) -> list[tuple]:
     """PA's pool: the candidates on the wired side of the current node.
 
     The dividing line is perpendicular to the segment toward the nearest wired
-    donor. Empty when the current node shares its donor's position, where no
-    direction is forward.
+    donor, ``donors[current_id]``. Empty when the current node shares its
+    donor's position, where no direction is forward.
     """
     pos = deployment.positions
     current = pos[current_id].tolist()
-    target = pos[nearest_wired(current_id, deployment)].tolist()
+    target = pos[donors[current_id]].tolist()
     if current == target:
         return []
     keep = half_plane_filter(current, target, pos[[c[0] for c in candidates]].tolist())
     return [c for c, kept in zip(candidates, keep) if kept]
+
+
+def read_rows(
+    steps: Generator[int, np.ndarray, PathResult], link_snr_db: LinkTable | np.ndarray
+) -> PathResult:
+    """Run a row-reading generator to its result, sending ``link_snr_db[i]`` for each id i it yields."""
+    try:
+        i = next(steps)
+        while True:
+            i = steps.send(link_snr_db[i])
+    except StopIteration as stop:
+        return stop.value
+
+
+def path_steps(
+    origin_id: int,
+    policy: PolicyKind,
+    wbf: WbfConfig,
+    deployment: Deployment,
+    snr_threshold_db: float,
+    max_hops: int = 30,
+    bandwidth_hz: float = 400e6,
+    donors: NearestWired | None = None,
+) -> Generator[int, np.ndarray, PathResult]:
+    """``build_path``'s walk as a generator: it yields the id of each row of the
+    link table it reads, is sent that row, and returns the PathResult.
+
+    ``donors`` holds PA's nearest wired donor per node; the walks of one
+    world may share it.
+    """
+    if deployment.node(origin_id).is_wired:
+        raise ValueError("path origin must be a wireless gNB")
+    if max_hops < 1:
+        raise ConfigError(f"max_hops must be >= 1, got {max_hops}")
+    if donors is None and policy == PolicyKind.PA:
+        donors = NearestWired(deployment)
+
+    visited = {origin_id}
+    hops: list[int] = []
+    bottleneck = math.inf
+    current = origin_id
+    n_hops = 0
+    outcome = PathOutcome.MAX_HOPS
+    while n_hops < max_hops:
+        row = yield current
+        ids = (row >= snr_threshold_db).nonzero()[0]
+        columns = zip(
+            ids.tolist(), row[ids].tolist(), deployment.wired[ids].tolist(), deployment.attached[ids].tolist()
+        )
+        candidates = [c for c in columns if c[0] not in visited]
+        if not candidates:
+            outcome = PathOutcome.NO_CANDIDATE
+            break
+        # PA falls back to the full set when nothing makes forward progress
+        pool = (policy == PolicyKind.PA and _forward(current, candidates, deployment, donors)) or candidates
+        chosen = max(pool, key=_ranking_key(policy, wbf, n_hops, bandwidth_hz))[0]
+        hops.append(chosen)
+        visited.add(chosen)
+        bottleneck = min(bottleneck, float(row[chosen]))
+        current = chosen
+        n_hops += 1
+        if deployment.wired[chosen]:
+            outcome = PathOutcome.SUCCESS
+            break
+    return PathResult(
+        origin_id=origin_id,
+        hops=tuple(hops),
+        bottleneck_snr_db=bottleneck if hops else math.nan,
+        outcome=outcome,
+        policy=policy,
+        wbf=wbf,
+    )
 
 
 def build_path(
@@ -163,43 +238,5 @@ def build_path(
     admissible parent remains, or MAX_HOPS. ``link_snr_db`` is read one row
     at a time, as ``link_snr_db[i]``: a ``LinkTable`` or an (n, n) array.
     """
-    if deployment.node(origin_id).is_wired:
-        raise ValueError("path origin must be a wireless gNB")
-    if max_hops < 1:
-        raise ConfigError(f"max_hops must be >= 1, got {max_hops}")
-
-    visited = {origin_id}
-    hops: list[int] = []
-    bottleneck = math.inf
-    current = origin_id
-    n_hops = 0
-    outcome = PathOutcome.MAX_HOPS
-    while n_hops < max_hops:
-        row = link_snr_db[current]
-        ids = (row >= snr_threshold_db).nonzero()[0]
-        columns = zip(
-            ids.tolist(), row[ids].tolist(), deployment.wired[ids].tolist(), deployment.attached[ids].tolist()
-        )
-        candidates = [c for c in columns if c[0] not in visited]
-        if not candidates:
-            outcome = PathOutcome.NO_CANDIDATE
-            break
-        # PA falls back to the full set when nothing makes forward progress
-        pool = (policy == PolicyKind.PA and _forward(current, candidates, deployment)) or candidates
-        chosen = max(pool, key=_ranking_key(policy, wbf, n_hops, bandwidth_hz))[0]
-        hops.append(chosen)
-        visited.add(chosen)
-        bottleneck = min(bottleneck, float(row[chosen]))
-        current = chosen
-        n_hops += 1
-        if deployment.wired[chosen]:
-            outcome = PathOutcome.SUCCESS
-            break
-    return PathResult(
-        origin_id=origin_id,
-        hops=tuple(hops),
-        bottleneck_snr_db=bottleneck if hops else math.nan,
-        outcome=outcome,
-        policy=policy,
-        wbf=wbf,
-    )
+    steps = path_steps(origin_id, policy, wbf, deployment, snr_threshold_db, max_hops, bandwidth_hz)
+    return read_rows(steps, link_snr_db)

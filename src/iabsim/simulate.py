@@ -6,21 +6,33 @@ configured policy on the identical realization (paired comparison), and
 optionally computes a centralized max-min-bottleneck benchmark path. The
 aggregation step is worker-count independent: per-repetition records are
 assembled in repetition order before any statistic is computed.
+
+Repetitions run in blocks aligned to their indices: block k holds
+repetitions [kB, (k + 1)B) of the worker's range, with B from
+``_block_size``. A block samples its worlds in repetition order, then starts
+every walk and the oracle of every world as a generator that yields the id
+of each link-table row it reads. Each generator runs on while its rows are
+held; the rows the waiting ones ask for are then hashed and evaluated
+together (``channel.evaluate_rows``), and the cycle repeats until all have
+returned. Link draws are keyed, not drawn in sequence, so when a row is
+evaluated does not change its bits: results equal those of each repetition
+run alone, and ``run_repetition`` is a block of one.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import warnings
+from collections.abc import Generator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, LinkTable, RadioConfig, associate_min_pathloss, link_table
+from .channel import ChannelParams, LinkTable, RadioConfig, associate_min_pathloss, evaluate_rows, link_table
 from .errors import ConfigError, require_number
-from .geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
-from .policy import PathOutcome, PathResult, PolicyKind, WbfConfig, build_path
+from .geometry import MAX_REDRAWS, Deployment, NearestWired, Region, assign_roles, sample_ppp
+from .policy import PathOutcome, PathResult, PolicyKind, WbfConfig, path_steps, read_rows
 
 
 # The most gNBs or UEs a drop may expect (density times region area). A drop
@@ -29,6 +41,13 @@ from .policy import PathOutcome, PathResult, PolicyKind, WbfConfig, build_path
 # also lies far below ``geometry.POISSON_MAX_MEAN``, the largest mean numpy's
 # Poisson sampler takes.
 MAX_EXPECTED_NODES = 1e6
+# A block runs at most BLOCK_REPETITIONS repetitions in lockstep, and fewer
+# when their worlds would expect more than about BLOCK_EXPECTED_NODES gNBs and
+# UEs in all; a hashed pass over link-table rows takes at most PASS_PAIRS
+# pairs. The bounds cap the memory a block holds; results do not depend on them.
+BLOCK_REPETITIONS = 64
+BLOCK_EXPECTED_NODES = 8192
+PASS_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -128,10 +147,10 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator):
     return deployment, links
 
 
-def _best_bottleneck_value(
-    wired: list[bool], link_snr_db: LinkTable | np.ndarray, origin_id: int, snr_threshold_db: float
-) -> float | None:
-    """Max-min Dijkstra for the value only; None when no wired node is reachable."""
+def _bottleneck_steps(wired: list[bool], origin_id: int, snr_threshold_db: float):
+    """Max-min Dijkstra for the value only; None when no wired node is reachable.
+
+    Reads rows as ``oracle_steps`` does."""
     heap = [(-math.inf, origin_id)]
     settled = set()
     while heap:
@@ -141,32 +160,19 @@ def _best_bottleneck_value(
         settled.add(node)
         if wired[node]:
             return -neg_b
-        row = link_snr_db[node]
+        row = yield node
         for nxt in (row >= snr_threshold_db).nonzero()[0].tolist():
             if nxt not in settled:
                 heapq.heappush(heap, (max(neg_b, -float(row[nxt])), nxt))
     return None
 
 
-def widest_path_oracle(
-    deployment: Deployment,
-    link_snr_db: LinkTable | np.ndarray,
-    origin_id: int,
-    snr_threshold_db: float,
-) -> PathResult:
-    """Centralized max-min-bottleneck path from the origin to any wired donor.
-
-    Among all paths achieving the optimal bottleneck, returns the one with the
-    fewest hops and then the lexicographically smallest id sequence. Two
-    phases: a max-min Dijkstra fixes the optimal bottleneck value b*, then a
-    best-first search over the subgraph of links with SNR >= b* (exactly the
-    links usable by optimal paths) minimizes (hop count, id sequence). In that
-    second search extending a path strictly worsens its key, so the first
-    wired node popped is the tie-broken optimum. Both phases read
-    ``link_snr_db`` one row at a time, as ``link_snr_db[i]``.
-    """
+def oracle_steps(
+    deployment: Deployment, origin_id: int, snr_threshold_db: float
+) -> Generator[int, np.ndarray, PathResult]:
+    """``widest_path_oracle`` as a generator: it yields the id of each row it reads and is sent that row."""
     wired = deployment.wired.tolist()
-    best = _best_bottleneck_value(wired, link_snr_db, origin_id, snr_threshold_db)
+    best = yield from _bottleneck_steps(wired, origin_id, snr_threshold_db)
     if best is None:
         return PathResult(
             origin_id=origin_id,
@@ -193,10 +199,82 @@ def widest_path_oracle(
                 policy=None,
                 wbf=None,
             )
-        for nxt in (link_snr_db[node] >= best).nonzero()[0].tolist():
+        row = yield node
+        for nxt in (row >= best).nonzero()[0].tolist():
             if nxt not in settled:
                 heapq.heappush(heap, (hops + 1, path + (nxt,)))
     raise AssertionError("unreachable: phase 1 proved a wired node reachable")
+
+
+def widest_path_oracle(
+    deployment: Deployment,
+    link_snr_db: LinkTable | np.ndarray,
+    origin_id: int,
+    snr_threshold_db: float,
+) -> PathResult:
+    """Centralized max-min-bottleneck path from the origin to any wired donor.
+
+    Among all paths achieving the optimal bottleneck, returns the one with the
+    fewest hops and then the lexicographically smallest id sequence. Two
+    phases: a max-min Dijkstra fixes the optimal bottleneck value b*, then a
+    best-first search over the subgraph of links with SNR >= b* (exactly the
+    links usable by optimal paths) minimizes (hop count, id sequence). In that
+    second search extending a path strictly worsens its key, so the first
+    wired node popped is the tie-broken optimum. Both phases read
+    ``link_snr_db`` one row at a time, as ``link_snr_db[i]``.
+    """
+    return read_rows(oracle_steps(deployment, origin_id, snr_threshold_db), link_snr_db)
+
+
+def _block_size(cfg: SimConfig) -> int:
+    """Repetitions per block: at most ``BLOCK_REPETITIONS`` and about ``BLOCK_EXPECTED_NODES`` nodes."""
+    expected = (cfg.lambda_g + cfg.lambda_ue) * cfg.region.area_km2
+    return max(1, int(min(BLOCK_REPETITIONS, BLOCK_EXPECTED_NODES / max(expected, 1.0))))
+
+
+def _lockstep(steps: list[tuple[Generator, LinkTable]]) -> list[PathResult]:
+    """Run row-reading generators, each against its link table, and return their results in order.
+
+    Each generator runs on while the rows it asks for are held; then the rows
+    the waiting ones ask for are evaluated together, in passes of at most
+    ``PASS_PAIRS`` pairs, and every waiting generator resumes with its row.
+    """
+    results: list[PathResult | None] = [None] * len(steps)
+    running = [(k, gen, table, None) for k, (gen, table) in enumerate(steps)]
+    while running:
+        waiting = []
+        for k, gen, table, row in running:
+            try:
+                i = gen.send(row)
+                while (row := table.rows.get(i)) is not None:
+                    i = gen.send(row)
+            except StopIteration as stop:
+                results[k] = stop.value
+            else:
+                waiting.append((k, gen, table, i))
+        evaluate_rows([(table, i) for _, _, table, i in waiting], PASS_PAIRS)
+        running = [(k, gen, table, table.rows[i]) for k, gen, table, i in waiting]
+    return results
+
+
+def _run_block(cfg: SimConfig, reps: range) -> list[dict[str, PathResult]]:
+    """Every policy (and the oracle) on the world of each repetition in ``reps``, stepped in lockstep."""
+    labels = [spec.label for spec in cfg.policies] + (["oracle"] if cfg.oracle_enabled else [])
+    threshold = cfg.radio.snr_threshold_db
+    steps = []
+    for rep in reps:
+        deployment, links = sample_world(cfg, repetition_rng(cfg.master_seed, rep))
+        origin, donors = deployment.origin_id, NearestWired(deployment)
+        for spec in cfg.policies:
+            walk = path_steps(
+                origin, spec.kind, spec.wbf, deployment, threshold, cfg.max_hops, cfg.radio.bandwidth_hz,
+                donors,
+            )
+            steps.append((walk, links))
+        if cfg.oracle_enabled:
+            steps.append((oracle_steps(deployment, origin, threshold), links))
+    results = _lockstep(steps)
+    return [dict(zip(labels, results[k : k + len(labels)])) for k in range(0, len(results), len(labels))]
 
 
 def run_repetition(cfg: SimConfig, rep_index: int) -> dict[str, PathResult]:
@@ -205,25 +283,7 @@ def run_repetition(cfg: SimConfig, rep_index: int) -> dict[str, PathResult]:
     Returns a mapping from policy label to its PathResult; the oracle result,
     when enabled, is stored under the reserved label ``"oracle"``.
     """
-    rng = repetition_rng(cfg.master_seed, rep_index)
-    deployment, links = sample_world(cfg, rng)
-    results: dict[str, PathResult] = {}
-    for spec in cfg.policies:
-        results[spec.label] = build_path(
-            deployment.origin_id,
-            spec.kind,
-            spec.wbf,
-            deployment,
-            links,
-            cfg.radio.snr_threshold_db,
-            max_hops=cfg.max_hops,
-            bandwidth_hz=cfg.radio.bandwidth_hz,
-        )
-    if cfg.oracle_enabled:
-        results["oracle"] = widest_path_oracle(
-            deployment, links, deployment.origin_id, cfg.radio.snr_threshold_db
-        )
-    return results
+    return _run_block(cfg, range(rep_index, rep_index + 1))[0]
 
 
 _OUTCOME_CODE = {PathOutcome.SUCCESS: 0, PathOutcome.NO_CANDIDATE: 1, PathOutcome.MAX_HOPS: 2}
@@ -247,18 +307,25 @@ class CampaignResult:
 
 
 def _run_range(cfg: SimConfig, start: int, stop: int, keep_paths: bool):
+    """Records of repetitions [start, stop), run in the blocks [kB, (k + 1)B) that meet the range."""
+    size = _block_size(cfg)
     records = []
-    for rep in range(start, stop):
-        results = run_repetition(cfg, rep)
-        row = {}
-        for label, res in results.items():
-            row[label] = (
-                _OUTCOME_CODE[res.outcome],
-                res.hop_count,
-                res.bottleneck_snr_db,
-                res if keep_paths else None,
+    first = start
+    while first < stop:
+        last = min(stop, (first // size + 1) * size)
+        for results in _run_block(cfg, range(first, last)):
+            records.append(
+                {
+                    label: (
+                        _OUTCOME_CODE[res.outcome],
+                        res.hop_count,
+                        res.bottleneck_snr_db,
+                        res if keep_paths else None,
+                    )
+                    for label, res in results.items()
+                }
             )
-        records.append(row)
+        first = last
     return records
 
 
@@ -269,8 +336,8 @@ def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> 
     are reassembled in repetition order, so the result is identical for any
     worker count.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    require_number("workers", workers, integer=True, at_least=1)
+    workers = int(workers)
     reps = cfg.repetitions
     if workers == 1 or reps == 1:
         records = _run_range(cfg, 0, reps, keep_paths)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracles import dense_associate_min_pathloss, dense_link_table, hashed_uniforms, splitmix64
 
+from iabsim import channel
 from iabsim.channel import (
     ASSOC_LAYER,
     ChannelParams,
@@ -17,6 +18,7 @@ from iabsim.channel import (
     _slot_keys,
     _visibility,
     associate_min_pathloss,
+    evaluate_rows,
     link_table,
     los_probabilities,
     noise_power_dbm,
@@ -423,6 +425,95 @@ class TestSparseKernelMatchesDenseReference:
         before = rng.bit_generator.state
         assert associate_min_pathloss([], dep, ChannelParams(), rng).size == 0
         assert rng.bit_generator.state == before
+
+
+class TestRowPass:
+    """``evaluate_rows``: many rows of many tables in one hashed pass, the same bits as any other read."""
+
+    # (n, params): tables of different sizes, two of them with fading (a second pass)
+    TABLES = [
+        (2, ChannelParams()),
+        (7, ChannelParams()),
+        (30, ChannelParams()),
+        (120, ChannelParams()),
+        (5, ChannelParams(fading_sigma_db=3.0)),
+        (30, ChannelParams(fading_sigma_db=3.0)),
+    ]
+
+    @staticmethod
+    def triplet(n, params):
+        """Three tables of one world, keyed alike: for the pass, for single reads, and the dense reference."""
+        dep = scattered_deployment(n, n)
+        return tuple(
+            build(dep, RadioConfig(), params, np.random.default_rng(n))
+            for build in (link_table, link_table, dense_link_table)
+        )
+
+    @staticmethod
+    def record_passes(monkeypatch):
+        """The list of the rows of every pass from now on."""
+        passes, real = [], channel._row_pass
+        monkeypatch.setattr(channel, "_row_pass", lambda rows: passes.append(rows) or real(rows))
+        return passes
+
+    def test_mixed_tables_repeats_and_cached_rows_match_rows_read_alone(self, monkeypatch):
+        triplets = [self.triplet(n, params) for n, params in self.TABLES]
+        rng = np.random.default_rng(9)
+        cached = {}
+        for table, _, _ in triplets[::2]:
+            cached[id(table)] = table[table.n - 1]  # read before the pass
+        requests = [
+            (table, int(i)) for table, _, _ in triplets for i in rng.integers(0, table.n, min(table.n, 6))
+        ]
+        requests += requests[::3]  # repeated rows
+        rng.shuffle(requests)
+        passes = self.record_passes(monkeypatch)
+        evaluate_rows(requests + [(table, table.n - 1) for table, _, _ in triplets[::2]])
+        assert len(passes) == 2  # one per set of channel constants
+        assert all(len({(id(t), i) for t, i in rows}) == len(rows) for rows in passes)  # each row once
+        for table, alone, ref in triplets:
+            read = {i for t, i in requests if t is table}
+            if id(table) in cached:
+                assert table.rows[table.n - 1] is cached[id(table)]  # not evaluated again
+                read.add(table.n - 1)
+            assert set(table.rows) == read
+            for i in read:
+                row = table.rows[i]
+                assert row.dtype == ref.snr.dtype and row.shape == (table.n,)
+                assert row.tobytes() == alone[i].tobytes() == ref.snr[i].tobytes(), (table.n, i)
+                assert row[i] == -np.inf
+            assert "_whole" not in vars(table)  # no pass evaluated the whole table
+
+    def test_pair_bound_splits_passes_not_bits(self, monkeypatch):
+        triplets = [self.triplet(n, ChannelParams()) for n in (30, 120, 7)]
+        requests = [(table, i) for table, _, _ in triplets for i in (0, 3, 6)]
+        passes = self.record_passes(monkeypatch)
+        evaluate_rows(requests, max_pairs=140)
+        assert [[(t.n, i) for t, i in rows] for rows in passes] == [
+            [(30, 0), (30, 3), (30, 6)], [(120, 0)], [(120, 3)], [(120, 6), (7, 0), (7, 3), (7, 6)]
+        ]
+        for table, _, ref in triplets:
+            for i in (0, 3, 6):
+                assert table[i].tobytes() == ref.snr[i].tobytes()
+
+    def test_getitem_is_a_pass_of_one_row(self, monkeypatch):
+        table, _, ref = self.triplet(30, ChannelParams())
+        passes = self.record_passes(monkeypatch)
+        assert table[np.int64(4)].tobytes() == ref.snr[4].tobytes()
+        assert table[4] is table[np.int64(4)]
+        assert passes == [[(table, 4)]]
+
+    def test_empty_request_list_is_a_no_op(self):
+        evaluate_rows([])
+
+    @pytest.mark.parametrize("i, error", [(-1, IndexError), (30, IndexError), (2.0, TypeError)])
+    def test_rows_outside_the_table_are_refused(self, i, error):
+        table, _, _ = self.triplet(30, ChannelParams())
+        with pytest.raises(error):
+            table[i]
+        with pytest.raises(error):
+            evaluate_rows([(table, 0), (table, i)])
+        assert not table.rows
 
 
 class TestKeyedDraws:

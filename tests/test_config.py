@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -231,6 +232,23 @@ class TestBadNumbers:
             SimConfig(**{name: huge})
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config({"run": {name: huge}})
+
+    @pytest.mark.parametrize("key", ["run.master_seed", "run.max_hops"])
+    def test_positive_integer_past_the_print_limit_names_the_key(self, key):
+        """Once accepted, such an int crashed ``json.dumps`` of the config echo in ``summary.json``."""
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if not limit:
+            pytest.skip("this Python prints ints of any length")
+        name = key.split(".")[1]
+        for huge in (10**5000, 10**limit):
+            message = re.escape(key) + rf" must have at most {limit} decimal digits"
+            with pytest.raises(ConfigError, match=message):
+                SimConfig(**{name: huge})
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                parse_config({"run": {name: huge}})
+        longest = 10**limit - 1
+        cfg = SimConfig(**{name: longest})
+        assert getattr(parse_config(json.loads(json.dumps(config_document(cfg)))), name) == longest
 
     def test_integer_seed_beyond_float_range_runs(self, tmp_path):
         assert SimConfig(master_seed=BIG).master_seed == BIG

@@ -5,16 +5,20 @@ and small integer loads make equal metrics common, so the tie-breaking rules of
 every greedy policy and of the widest-path oracle are exercised against the
 loop references in ``oracles``. On sampled campaign worlds, the walks and the
 oracle that read rows of the lazy link table are checked against the same
-walks on the dense reference matrix.
+walks on the dense reference matrix, and campaigns run in blocks of
+repetitions are checked against each repetition run on its own.
 """
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from oracles import dense_associate_min_pathloss, dense_link_table, enumerate_widest, reference_greedy_trace
 
 from iabsim import simulate
+from iabsim.channel import ChannelParams
 from iabsim.geometry import Deployment, Region
 from iabsim.policy import PolicyKind, WbfConfig, WbfKind, build_path
-from iabsim.simulate import SimConfig, run_campaign, widest_path_oracle
+from iabsim.simulate import PolicySpec, SimConfig, run_campaign, run_repetition, widest_path_oracle
 
 WORLDS = 10_000
 CAMPAIGN_WORLDS = 200
@@ -99,3 +103,76 @@ def test_campaign_on_lazy_rows_matches_dense_reference(lambda_g, monkeypatch):
             got = result.paths[label][rep]
             assert (got.hops, got.outcome) == (want.hops, want.outcome), (rep, label)
             assert np.array_equal(got.bottleneck_snr_db, want.bottleneck_snr_db, equal_nan=True), (rep, label)
+
+
+def block_config(case: int) -> SimConfig:
+    """Case 0-5: lambda_g 10, 30 or 120; fading 0 or 3 dB; the oracle on in cases 0, 1, 4 and 5.
+
+    Every policy kind runs unbiased, and MLR and PA also under the polynomial
+    and the exponential bias. Case 3 stops walks at two hops.
+    """
+    rng = np.random.default_rng(case)
+    policies = tuple(PolicySpec(kind) for kind in PolicyKind) + tuple(
+        PolicySpec(kind, wbf, f"{kind.value}_{wbf.kind.value}")
+        for kind in (PolicyKind.MLR, PolicyKind.PA)
+        for wbf in BIASES[1:]
+    )
+    return SimConfig(
+        lambda_g=(10.0, 30.0, 120.0)[case % 3],
+        lambda_ue=20.0,
+        channel=ChannelParams(fading_sigma_db=3.0 * (case % 2)),
+        policies=policies,
+        repetitions=int(rng.integers(7, 12)),
+        master_seed=int(rng.integers(0, 2**31)),
+        max_hops=2 if case == 3 else 30,
+        oracle_enabled=case in (0, 1, 4, 5),
+    )
+
+
+@lru_cache(maxsize=None)
+def reference_paths(case: int) -> list[dict]:
+    """Per repetition, each walk and the oracle on the whole SNR matrix of the repetition's world."""
+    cfg = block_config(case)
+    expected = []
+    for rep in range(cfg.repetitions):
+        dep, links = simulate.sample_world(cfg, simulate.repetition_rng(cfg.master_seed, rep))
+        snr, threshold = links.snr, cfg.radio.snr_threshold_db
+        paths = {
+            spec.label: build_path(
+                dep.origin_id, spec.kind, spec.wbf, dep, snr, threshold,
+                max_hops=cfg.max_hops, bandwidth_hz=cfg.radio.bandwidth_hz,
+            )
+            for spec in cfg.policies
+        }
+        if cfg.oracle_enabled:
+            paths["oracle"] = widest_path_oracle(dep, snr, dep.origin_id, threshold)
+        expected.append(paths)
+    return expected
+
+
+def assert_same_path(got, want, where):
+    assert (got.hops, got.outcome, got.policy, got.wbf) == (want.hops, want.outcome, want.policy, want.wbf), where
+    assert np.array_equal(got.bottleneck_snr_db, want.bottleneck_snr_db, equal_nan=True), where
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("bound", [1, 3, None], ids=["bounds1", "bounds3", "default"])
+@pytest.mark.parametrize("case", range(6))
+def test_campaign_in_blocks_matches_each_repetition_alone(case, bound, workers, monkeypatch):
+    """Blocks of 1, 3 or the default number of repetitions, passes of 1, 3 or the
+    default number of pairs, and 1-3 workers, whose chunk edges fall inside blocks."""
+    if bound is not None:
+        monkeypatch.setattr(simulate, "BLOCK_REPETITIONS", bound)
+        monkeypatch.setattr(simulate, "PASS_PAIRS", bound)
+    cfg = block_config(case)
+    result = run_campaign(cfg, workers=workers, keep_paths=True)
+    expected = reference_paths(case)
+    assert set(result.paths) == set(expected[0])
+    for rep, want in enumerate(expected):
+        alone = run_repetition(cfg, rep) if workers == 1 else want
+        assert list(alone) == list(want)
+        for label, path in want.items():
+            assert_same_path(result.paths[label][rep], path, (rep, label))
+            assert_same_path(alone[label], path, (rep, label, "alone"))
+            if label != "oracle":
+                assert result.hop_count[label][rep] == path.hop_count

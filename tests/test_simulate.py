@@ -350,6 +350,17 @@ class TestCampaignAggregation:
         assert np.array_equal(r1.oracle_outcome, r3.oracle_outcome)
         assert np.array_equal(r1.oracle_bottleneck_db, r3.oracle_bottleneck_db, equal_nan=True)
 
+    @pytest.mark.parametrize("workers", [2.5, 0, -1, math.nan, math.inf])
+    def test_bad_worker_count_names_the_key(self, workers):
+        # a fractional count once reached np.linspace and raised a bare TypeError
+        with pytest.raises(ConfigError, match="workers must be"):
+            run_campaign(SimConfig(repetitions=4), workers=workers)
+
+    def test_integral_float_worker_count_runs(self):
+        cfg = SimConfig(repetitions=4, master_seed=9)
+        serial, pooled = run_campaign(cfg), run_campaign(cfg, workers=2.0)
+        assert np.array_equal(pooled.hop_count["HQF"], serial.hop_count["HQF"])
+
     def test_keep_paths_records_every_repetition(self):
         res = run_campaign(SMALL, keep_paths=True)
         assert set(res.paths) == set(res.labels) | {"oracle"}
