@@ -51,6 +51,9 @@ _MASK_64 = (1 << 64) - 1
 _SLOTS, _SLOTS_WITH_FADING = 3, 5
 # Spawn-key tag of the UE association's child stream (ASCII "asoc").
 ASSOC_LAYER = 0x61736F63
+# The most pairs one hashed pass over link-table rows takes; it caps the pass's
+# temporaries, and the bits of a row do not depend on it.
+PASS_PAIRS = 4096
 
 
 class LosState(IntEnum):
@@ -311,34 +314,37 @@ class LinkTable:
     pair_snr_db = property(lambda self: self._whole["pair_snr_db"])
 
 
-def evaluate_rows(requests, max_pairs: float = math.inf) -> None:
+def evaluate_rows(requests) -> None:
     """Evaluate the rows named by ``requests``, pairs (table, row id), that no table holds yet.
 
-    They go through one hashed pass per set of channel constants, or more when
-    a pass would take over ``max_pairs`` pairs. A pass concatenates the pairs
-    of its rows, with positions offset per table, slot keys repeated per pair,
-    and the pair (i, j) of an n-node table at counter c[min(i, j)] + max(i, j),
-    where c[a] = a(2n - a - 1)/2 - a puts the pair (a, b), a < b, at its flat
-    upper-triangle index + 1. Every pair thus draws what it draws in any other
-    read of the table. Each row is kept in its table's ``rows`` as a slice of
-    the pass's output, -inf in its own column.
+    Their tables must share one set of channel constants. The rows go through
+    one hashed pass, or more when a pass would take over ``PASS_PAIRS`` pairs.
+    A pass concatenates the pairs of its rows, with positions offset per table,
+    slot keys repeated per pair, and the pair (i, j) of an n-node table at
+    counter c[min(i, j)] + max(i, j), where c[a] = a(2n - a - 1)/2 - a puts
+    the pair (a, b), a < b, at its flat upper-triangle index + 1. Every pair
+    thus draws what it draws in any other read of the table. Each row is kept
+    in its table's ``rows`` as a slice of the pass's output, -inf in its own
+    column.
     """
-    passes: dict[tuple, dict[tuple[int, int], tuple[LinkTable, int]]] = {}
+    todo: dict[tuple[int, int], tuple[LinkTable, int]] = {}
     for table, i in requests:
         i = operator.index(i)
         if i not in table.rows:
             if not 0 <= i < table.n:
                 raise IndexError(f"no row {i} in a link table of {table.n} gNBs")
-            law = (table.params, table.gain_dbi, table.noise_dbm, table.tx_power_dbm)
-            passes.setdefault(law, {})[id(table), i] = (table, i)
-    for todo in passes.values():
-        batch, pairs = [], 0
-        for table, i in todo.values():
-            if batch and pairs + table.n - 1 > max_pairs:
-                _row_pass(batch)
-                batch, pairs = [], 0
-            batch.append((table, i))
-            pairs += table.n - 1
+            todo[id(table), i] = (table, i)
+    laws = [(table.params, table.gain_dbi, table.noise_dbm, table.tx_power_dbm) for table, _ in todo.values()]
+    if any(law != laws[0] for law in laws):
+        raise ValueError("rows evaluated together need link tables with the same channel constants")
+    batch, pairs = [], 0
+    for table, i in todo.values():
+        if batch and pairs + table.n - 1 > PASS_PAIRS:
+            _row_pass(batch)
+            batch, pairs = [], 0
+        batch.append((table, i))
+        pairs += table.n - 1
+    if batch:
         _row_pass(batch)
 
 

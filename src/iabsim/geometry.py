@@ -200,25 +200,12 @@ def assign_roles(
     return Deployment(region, positions, wired, origin, sector_boresights=boresights)
 
 
-class NearestWired(dict):
-    """The wired gNB closest to each node id of one deployment (lowest id on ties),
-    found on the first lookup of the id and kept."""
-
-    def __init__(self, deployment: Deployment):
-        super().__init__()
-        self._positions = deployment.positions
-        self._wired = deployment.wired.nonzero()[0]
-        if self._wired.size == 0:
-            raise ValueError("deployment has no wired gNB")
-
-    def __missing__(self, node_id: int) -> int:
-        donor = self[node_id] = _closest(self._wired, self._positions, self._positions[node_id])
-        return donor
-
-
 def nearest_wired(node_id: int, deployment: Deployment) -> int:
     """Id of the wired gNB closest to ``node_id`` (lowest id on ties)."""
-    return NearestWired(deployment)[node_id]
+    wired = deployment.wired.nonzero()[0]
+    if wired.size == 0:
+        raise ValueError("deployment has no wired gNB")
+    return _closest(wired, deployment.positions, deployment.positions[node_id])
 
 
 def half_plane_filter(current, wired_target, points) -> list[bool]:

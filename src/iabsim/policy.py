@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import LinkTable, shannon_rate
 from .errors import ConfigError, require_number
-from .geometry import Deployment, NearestWired, half_plane_filter
+from .geometry import Deployment, _closest, half_plane_filter
 
 
 class WbfKind(Enum):
@@ -131,18 +131,16 @@ def _ranking_key(policy: PolicyKind, wbf: WbfConfig, n_hops: int, bandwidth_hz: 
     return lambda c: (c[1] + bias if c[2] else c[1], c[2], -c[0])
 
 
-def _forward(
-    current_id: int, candidates: list[tuple], deployment: Deployment, donors: NearestWired
-) -> list[tuple]:
+def _forward(current_id: int, candidates: list[tuple], deployment: Deployment, wired: np.ndarray) -> list[tuple]:
     """PA's pool: the candidates on the wired side of the current node.
 
-    The dividing line is perpendicular to the segment toward the nearest wired
-    donor, ``donors[current_id]``. Empty when the current node shares its
-    donor's position, where no direction is forward.
+    The dividing line is perpendicular to the segment toward the nearest of
+    the ``wired`` ids (lowest id on ties). Empty when the current node shares
+    its donor's position, where no direction is forward.
     """
     pos = deployment.positions
     current = pos[current_id].tolist()
-    target = pos[donors[current_id]].tolist()
+    target = pos[_closest(wired, pos, pos[current_id])].tolist()
     if current == target:
         return []
     keep = half_plane_filter(current, target, pos[[c[0] for c in candidates]].tolist())
@@ -169,20 +167,15 @@ def path_steps(
     snr_threshold_db: float,
     max_hops: int = 30,
     bandwidth_hz: float = 400e6,
-    donors: NearestWired | None = None,
 ) -> Generator[int, np.ndarray, PathResult]:
     """``build_path``'s walk as a generator: it yields the id of each row of the
     link table it reads, is sent that row, and returns the PathResult.
-
-    ``donors`` holds PA's nearest wired donor per node; the walks of one
-    world may share it.
     """
     if deployment.node(origin_id).is_wired:
         raise ValueError("path origin must be a wireless gNB")
     if max_hops < 1:
         raise ConfigError(f"max_hops must be >= 1, got {max_hops}")
-    if donors is None and policy == PolicyKind.PA:
-        donors = NearestWired(deployment)
+    wired = deployment.wired.nonzero()[0] if policy == PolicyKind.PA else None  # PA's donors
 
     visited = {origin_id}
     hops: list[int] = []
@@ -201,7 +194,7 @@ def path_steps(
             outcome = PathOutcome.NO_CANDIDATE
             break
         # PA falls back to the full set when nothing makes forward progress
-        pool = (policy == PolicyKind.PA and _forward(current, candidates, deployment, donors)) or candidates
+        pool = (policy == PolicyKind.PA and _forward(current, candidates, deployment, wired)) or candidates
         chosen = max(pool, key=_ranking_key(policy, wbf, n_hops, bandwidth_hz))[0]
         hops.append(chosen)
         visited.add(chosen)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .channel import ChannelParams, LinkTable, RadioConfig, associate_min_pathloss, evaluate_rows, link_table
 from .errors import ConfigError, require_number
-from .geometry import MAX_REDRAWS, Deployment, NearestWired, Region, assign_roles, sample_ppp
+from .geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
 from .policy import PathOutcome, PathResult, PolicyKind, WbfConfig, path_steps, read_rows
 
 
@@ -43,11 +43,9 @@ from .policy import PathOutcome, PathResult, PolicyKind, WbfConfig, path_steps, 
 MAX_EXPECTED_NODES = 1e6
 # A block runs at most BLOCK_REPETITIONS repetitions in lockstep, and fewer
 # when their worlds would expect more than about BLOCK_EXPECTED_NODES gNBs and
-# UEs in all; a hashed pass over link-table rows takes at most PASS_PAIRS
-# pairs. The bounds cap the memory a block holds; results do not depend on them.
+# UEs in all. The bounds cap the memory a block holds; results do not depend on them.
 BLOCK_REPETITIONS = 64
 BLOCK_EXPECTED_NODES = 8192
-PASS_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -237,7 +235,7 @@ def _lockstep(steps: list[tuple[Generator, LinkTable]]) -> list[PathResult]:
 
     Each generator runs on while the rows it asks for are held; then the rows
     the waiting ones ask for are evaluated together, in passes of at most
-    ``PASS_PAIRS`` pairs, and every waiting generator resumes with its row.
+    ``channel.PASS_PAIRS`` pairs, and every waiting generator resumes with its row.
     """
     results: list[PathResult | None] = [None] * len(steps)
     running = [(k, gen, table, None) for k, (gen, table) in enumerate(steps)]
@@ -252,7 +250,7 @@ def _lockstep(steps: list[tuple[Generator, LinkTable]]) -> list[PathResult]:
                 results[k] = stop.value
             else:
                 waiting.append((k, gen, table, i))
-        evaluate_rows([(table, i) for _, _, table, i in waiting], PASS_PAIRS)
+        evaluate_rows([(table, i) for _, _, table, i in waiting])
         running = [(k, gen, table, table.rows[i]) for k, gen, table, i in waiting]
     return results
 
@@ -264,12 +262,9 @@ def _run_block(cfg: SimConfig, reps: range) -> list[dict[str, PathResult]]:
     steps = []
     for rep in reps:
         deployment, links = sample_world(cfg, repetition_rng(cfg.master_seed, rep))
-        origin, donors = deployment.origin_id, NearestWired(deployment)
+        origin = deployment.origin_id
         for spec in cfg.policies:
-            walk = path_steps(
-                origin, spec.kind, spec.wbf, deployment, threshold, cfg.max_hops, cfg.radio.bandwidth_hz,
-                donors,
-            )
+            walk = path_steps(origin, spec.kind, spec.wbf, deployment, threshold, cfg.max_hops, cfg.radio.bandwidth_hz)
             steps.append((walk, links))
         if cfg.oracle_enabled:
             steps.append((oracle_steps(deployment, origin, threshold), links))

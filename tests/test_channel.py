@@ -430,15 +430,8 @@ class TestSparseKernelMatchesDenseReference:
 class TestRowPass:
     """``evaluate_rows``: many rows of many tables in one hashed pass, the same bits as any other read."""
 
-    # (n, params): tables of different sizes, two of them with fading (a second pass)
-    TABLES = [
-        (2, ChannelParams()),
-        (7, ChannelParams()),
-        (30, ChannelParams()),
-        (120, ChannelParams()),
-        (5, ChannelParams(fading_sigma_db=3.0)),
-        (30, ChannelParams(fading_sigma_db=3.0)),
-    ]
+    # tables of different sizes, passed together under each channel law
+    SIZES = (2, 7, 30, 120, 5, 30)
 
     @staticmethod
     def triplet(n, params):
@@ -456,8 +449,9 @@ class TestRowPass:
         monkeypatch.setattr(channel, "_row_pass", lambda rows: passes.append(rows) or real(rows))
         return passes
 
-    def test_mixed_tables_repeats_and_cached_rows_match_rows_read_alone(self, monkeypatch):
-        triplets = [self.triplet(n, params) for n, params in self.TABLES]
+    @pytest.mark.parametrize("fading_db", [0.0, 3.0])
+    def test_mixed_tables_repeats_and_cached_rows_match_rows_read_alone(self, fading_db, monkeypatch):
+        triplets = [self.triplet(n, ChannelParams(fading_sigma_db=fading_db)) for n in self.SIZES]
         rng = np.random.default_rng(9)
         cached = {}
         for table, _, _ in triplets[::2]:
@@ -469,8 +463,8 @@ class TestRowPass:
         rng.shuffle(requests)
         passes = self.record_passes(monkeypatch)
         evaluate_rows(requests + [(table, table.n - 1) for table, _, _ in triplets[::2]])
-        assert len(passes) == 2  # one per set of channel constants
-        assert all(len({(id(t), i) for t, i in rows}) == len(rows) for rows in passes)  # each row once
+        assert len(passes) == 1
+        assert len({(id(t), i) for t, i in passes[0]}) == len(passes[0])  # each row once
         for table, alone, ref in triplets:
             read = {i for t, i in requests if t is table}
             if id(table) in cached:
@@ -488,7 +482,8 @@ class TestRowPass:
         triplets = [self.triplet(n, ChannelParams()) for n in (30, 120, 7)]
         requests = [(table, i) for table, _, _ in triplets for i in (0, 3, 6)]
         passes = self.record_passes(monkeypatch)
-        evaluate_rows(requests, max_pairs=140)
+        monkeypatch.setattr(channel, "PASS_PAIRS", 140)
+        evaluate_rows(requests)
         assert [[(t.n, i) for t, i in rows] for rows in passes] == [
             [(30, 0), (30, 3), (30, 6)], [(120, 0)], [(120, 3)], [(120, 6), (7, 0), (7, 3), (7, 6)]
         ]
@@ -505,6 +500,17 @@ class TestRowPass:
 
     def test_empty_request_list_is_a_no_op(self):
         evaluate_rows([])
+
+    def test_tables_under_different_channel_laws_are_refused(self, monkeypatch):
+        plain, _, _ = self.triplet(7, ChannelParams())
+        faded, _, _ = self.triplet(5, ChannelParams(fading_sigma_db=3.0))
+        passes = self.record_passes(monkeypatch)
+        with pytest.raises(ValueError, match="same channel constants"):
+            evaluate_rows([(plain, 0), (faded, 0)])
+        assert passes == [] and not plain.rows and not faded.rows
+        plain[0]
+        evaluate_rows([(plain, 0), (faded, 1)])  # a row already held joins no pass
+        assert faded[1].tobytes() == self.triplet(5, ChannelParams(fading_sigma_db=3.0))[2].snr[1].tobytes()
 
     @pytest.mark.parametrize("i, error", [(-1, IndexError), (30, IndexError), (2.0, TypeError)])
     def test_rows_outside_the_table_are_refused(self, i, error):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from oracles import dense_associate_min_pathloss, dense_link_table, enumerate_widest, reference_greedy_trace
 
-from iabsim import simulate
+from iabsim import channel, simulate
 from iabsim.channel import ChannelParams
 from iabsim.geometry import Deployment, Region
 from iabsim.policy import PolicyKind, WbfConfig, WbfKind, build_path
@@ -163,7 +163,7 @@ def test_campaign_in_blocks_matches_each_repetition_alone(case, bound, workers, 
     default number of pairs, and 1-3 workers, whose chunk edges fall inside blocks."""
     if bound is not None:
         monkeypatch.setattr(simulate, "BLOCK_REPETITIONS", bound)
-        monkeypatch.setattr(simulate, "PASS_PAIRS", bound)
+        monkeypatch.setattr(channel, "PASS_PAIRS", bound)
     cfg = block_config(case)
     result = run_campaign(cfg, workers=workers, keep_paths=True)
     expected = reference_paths(case)
