@@ -100,6 +100,16 @@ def _parse_wbf(raw, where: str) -> WbfConfig:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _label_number(value: float) -> str:
+    """``value`` as ``:g`` prints it when that is exact and has no '+'; otherwise its
+    shortest round-trip form without the '+'. ``float`` of either gives ``value``
+    back, so the numbers of an automatic label fix it, and it stays a legal label."""
+    text = f"{value:g}"
+    if "+" in text or float(text) != value:
+        text = repr(float(value)).replace("+", "")
+    return text
+
+
 def _wbf_label(wbf: WbfConfig) -> str:
     for name, preset in WBF_PRESETS.items():
         if wbf == preset and name != "none":
@@ -107,8 +117,8 @@ def _wbf_label(wbf: WbfConfig) -> str:
     if wbf.kind == WbfKind.NONE:
         return ""
     shape = "poly" if wbf.kind == WbfKind.POLYNOMIAL else "exp"
-    knob = f"k{wbf.k:g}" if wbf.kind == WbfKind.POLYNOMIAL else f"g{wbf.gamma:g}"
-    return f"{shape}_nht{wbf.n_ht}_{knob}_gap{wbf.gamma_gap_db:g}_h{wbf.gamma_h_db:g}"
+    knob = f"k{_label_number(wbf.k)}" if wbf.kind == WbfKind.POLYNOMIAL else f"g{_label_number(wbf.gamma)}"
+    return f"{shape}_nht{wbf.n_ht}_{knob}_gap{_label_number(wbf.gamma_gap_db)}_h{_label_number(wbf.gamma_h_db)}"
 
 
 def _parse_policy_entry(raw, index: int) -> PolicySpec:

@@ -11,15 +11,16 @@ feasibility is always judged on the raw SNR.
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from enum import Enum
 
 import numpy as np
 
 from .channel import LinkTable, shannon_rate
 from .errors import ConfigError, require_number
-from .geometry import Deployment, _closest, half_plane_filter
+from .geometry import Deployment, _closest
 
 
 class WbfKind(Enum):
@@ -113,105 +114,267 @@ def wired_bias_db(n_hops: int, cfg: WbfConfig) -> float:
     return wbf_exp(n_hops, cfg)
 
 
-def _ranking_key(policy: PolicyKind, wbf: WbfConfig, n_hops: int, bandwidth_hz: float):
-    """The key a hop maximises over candidates ``(id, raw SNR, wired, load)``.
+# MLR's Shannon rate and PA's donor distance are ranked on vectors, which numpy
+# may round differently from ``shannon_rate`` and ``math.hypot`` in the last
+# bits. The candidates within this relative margin of the best, plus a floor
+# that covers subnormal results, are re-ranked on Python floats.
+RERANK_MARGIN = 1e-12
+RERANK_FLOOR = 1e-300
+# The biased SNR up to which 10 ** (snr / 10) is finite with room to spare; an
+# MLR hop with a candidate above it is ranked on Python floats alone.
+SAFE_SNR_DB = 3000.0
 
-    HQF and PA rank by the biased SNR and MLR by the Shannon rate of the
-    biased SNR split across the node's load; ties go to wired nodes, then to
-    the lowest id. WF ranks wired nodes first, by raw SNR: with no wired node
-    in reach no bias applies and the wired flag is constant, which is HQF.
-    The rate is computed on Python floats: a vectorized log2/power may round
-    differently and flip near-ties.
+_SUCCESS, _NO_CANDIDATE, _MAX_HOPS = range(3)  # outcome codes: the index in PathOutcome
+_OUTCOMES = tuple(PathOutcome)
+
+
+@lru_cache(maxsize=64)
+def _policy_table(policies: tuple[tuple[PolicyKind, WbfConfig], ...], hops: int):
+    """Per (kind, wbf): the wired bias added after 0, 1, ..., hops - 1 hops (none
+    for WF), and whether the kind is WF, PA and MLR."""
+    bias = np.array([[0.0 if kind == PolicyKind.WF else wired_bias_db(n, wbf) for n in range(hops)] for kind, wbf in policies])
+    kinds = [kind for kind, _ in policies]
+    return (bias, *(np.array([kind == k for kind in kinds]) for k in (PolicyKind.WF, PolicyKind.PA, PolicyKind.MLR)))
+
+
+def vector_rates(share: np.ndarray, snr_db: np.ndarray) -> np.ndarray:
+    """``shannon_rate`` on arrays, for SNRs up to ``SAFE_SNR_DB``: ``share`` is the bandwidth over max(load, 1)."""
+    return share * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
+
+
+class WalkBlock:
+    """Greedy walks over many worlds, stepped together one hop per round.
+
+    Walk w starts at node ``origin[w]`` of ``worlds[world[w]]`` and follows
+    ``policies[policy[w]]``, a (kind, wbf) pair. Each round, ``wanted`` names
+    the distinct link-table rows (world, node id) that the walks still going
+    stand on, and ``step`` reads them as ``tables[world][id]`` and moves each
+    of those walks one hop:
+
+    - the rows, padded with -inf to the widest world, form one matrix, and the
+      admissible parents of every walk are the columns of its row whose raw
+      SNR clears the threshold and that it has not visited (padding counts as
+      visited); the rest of the round runs on these (walk, column) entries;
+    - WF narrows a walk's pool to wired nodes and PA to the forward half-plane
+      of ``geometry.half_plane_filter``, toward the nearest wired node, when
+      that leaves a candidate;
+    - the key is the raw SNR plus, on wired nodes, the bias of the walk's
+      policy at the current hop (every walk still going has taken ``hop``
+      hops), and for MLR the Shannon rate of that over the node's load;
+    - the (key, wired, -id) maximum is taken in four steps: the max per walk,
+      the entries equal to it, the wired ones among them if any, and the first.
+
+    MLR's rate and PA's nearest donor are ranked on vectors within
+    ``RERANK_MARGIN``, and a walk with more than one candidate in that margin
+    re-ranks them as ``shannon_rate`` and ``geometry._closest`` do. HQF, WF
+    and the half-plane test are plain sums and products, which numpy rounds as
+    Python does, so every walk takes the hops of a walk on Python floats.
+
+    When no walk is going, ``outcome`` (codes in ``PathOutcome`` order),
+    ``length`` and ``final_bottleneck`` (NaN for a walk with no hop) describe
+    every walk in the order given, and ``results`` builds their PathResults.
     """
-    bias = wired_bias_db(n_hops, wbf)
-    if policy == PolicyKind.WF:
-        return lambda c: (c[2], c[1], -c[0])
-    if policy == PolicyKind.MLR:
-        return lambda c: (shannon_rate(bandwidth_hz, c[1] + bias if c[2] else c[1], c[3]), c[2], -c[0])
-    return lambda c: (c[1] + bias if c[2] else c[1], c[2], -c[0])
 
+    def __init__(self, worlds, policies, world, origin, policy, snr_threshold_db, max_hops, bandwidth_hz=400e6):
+        self.worlds = worlds
+        self.policies = policies
+        self.threshold = snr_threshold_db
+        self.max_hops = max_hops
+        self.bandwidth_hz = bandwidth_hz
+        # per node of the block, world by world: node j of world w is offset[w] + j
+        sizes = np.array([d.n_gnbs for d in worlds])
+        self.width = int(sizes.max())
+        offset = sizes.cumsum() - sizes
+        self.wired = np.concatenate([d.wired for d in worlds])
+        # a walk visits distinct nodes, so it takes at most width - 1 hops
+        hops = min(max_hops, self.width)
+        self.bias, self.is_wf, self.is_pa, self.is_mlr = _policy_table(tuple(policies), hops)
+        if self.is_mlr.any():
+            self.share = bandwidth_hz / np.maximum(np.concatenate([d.attached for d in worlds]), 1)
+            self.top_share = np.maximum.reduceat(self.share, offset)
+        if self.is_pa.any():
+            self.x, self.y = np.concatenate([d.positions for d in worlds]).T
+            # column w: the wired nodes of world w in id order, padded with -1 at infinity
+            donors = self.wired.nonzero()[0]
+            counts = np.add.reduceat(self.wired, offset, dtype=np.intp)
+            rank = np.arange(donors.size) - np.repeat(counts.cumsum() - counts, counts)
+            at = (rank, np.repeat(np.arange(len(worlds)), counts))
+            self.donor = np.full((counts.max(), len(worlds)), -1)
+            self.donor[at] = donors
+            self.donor_x, self.donor_y = np.full((2, counts.max(), len(worlds)), np.inf)
+            self.donor_x[at], self.donor_y[at] = self.x[donors], self.y[donors]
+        self.origin = np.asarray(origin, dtype=np.intp)
+        self.walk_policy = np.asarray(policy, dtype=np.intp)
+        count = self.origin.size
+        self.path = np.zeros((count, hops), dtype=np.intp)
+        self.outcome = np.zeros(count, dtype=np.int8)
+        self.length = np.zeros(count, dtype=np.intp)
+        self.final_bottleneck = np.zeros(count)
+        # the walks still going: rows id, world, first node of the world in the
+        # block, current node and policy of ``state``; the columns each may still
+        # visit; their bottlenecks
+        world = np.asarray(world, dtype=np.intp)
+        self.state = np.array((np.arange(count), world, offset[world], self.origin, self.walk_policy))
+        self.open = np.arange(self.width) < sizes[world][:, None]
+        self.open[self.state[0], self.origin] = False
+        self.bottleneck = np.full(count, math.inf)
+        self.hop = 0
+        self._pending = None
 
-def _forward(current_id: int, candidates: list[tuple], deployment: Deployment, wired: np.ndarray) -> list[tuple]:
-    """PA's pool: the candidates on the wired side of the current node.
+    @property
+    def going(self) -> bool:
+        return self.state.shape[1] > 0
 
-    The dividing line is perpendicular to the segment toward the nearest of
-    the ``wired`` ids (lowest id on ties). Empty when the current node shares
-    its donor's position, where no direction is forward.
-    """
-    pos = deployment.positions
-    current = pos[current_id].tolist()
-    target = pos[_closest(wired, pos, pos[current_id])].tolist()
-    if current == target:
-        return []
-    keep = half_plane_filter(current, target, pos[[c[0] for c in candidates]].tolist())
-    return [c for c, kept in zip(candidates, keep) if kept]
+    def wanted(self) -> list[tuple[int, int]]:
+        """(world, node id) of each distinct row the walks still going stand on."""
+        if self._pending is None:
+            _, world, base, current, _ = self.state
+            node = base + current
+            walks = np.arange(node.size)
+            last = np.empty(self.wired.size, dtype=np.intp)
+            last[node] = walks
+            last = last[node]  # per walk, the last walk standing on its node
+            distinct = (last == walks).nonzero()[0]
+            rank = np.empty(node.size, dtype=np.intp)
+            rank[distinct] = np.arange(distinct.size)
+            rows = list(zip(world[distinct].tolist(), current[distinct].tolist()))
+            self._pending = rows, rank[last]
+        return self._pending[0]
 
+    def step(self, tables) -> None:
+        """Move every walk still going one hop, reading its row as ``tables[world][id]``."""
+        self.wanted()
+        rows, row_of = self._pending
+        self._pending = None
+        snr = np.full((len(rows), self.width), -np.inf)
+        for r, (w, i) in enumerate(rows):
+            row = tables[w][i]
+            snr[r, : row.size] = row
+        # the admissible entries (walk, col), in walk order, then column order
+        walk, col = ((snr >= self.threshold)[row_of] & self.open).nonzero()
+        raw = snr[row_of[walk], col]
+        ids, _, base, current, policies = self.state
+        count = ids.size
+        node = base[walk] + col
+        wired = self.wired[node]
+        policy = policies[walk]
+        pa, mlr = self.is_pa[policies].nonzero()[0], self.is_mlr[policies].nonzero()[0]
+        # Python floats overflow quietly; so do the vectors that stand for them
+        with np.errstate(over="ignore", invalid="ignore") if pa.size or mlr.size else nullcontext():
+            prefer = wired | ~self.is_wf[policy]
+            if pa.size:
+                entries = self.is_pa[policy].nonzero()[0]
+                prefer[entries] = self._forward(pa, walk[entries], node[entries])
+            some = np.zeros(count, dtype=bool)
+            some[walk[prefer]] = True
+            pool = prefer | ~some[walk]
+            value = np.where(wired, raw + self.bias[policy, self.hop], raw)
+            key = np.where(pool, value, -np.inf)
+            if mlr.size:
+                rated = (self.is_mlr[policy] & pool).nonzero()[0]
+                key[rated] = vector_rates(self.share[node[rated]], value[rated])
+            best = np.full(count, -np.inf)
+            np.maximum.at(best, walk, key)
+            if mlr.size:  # keep every rate within the margin; an infinite one leaves NaN, and a re-rank
+                top = best[mlr]
+                best[mlr] = top - (RERANK_MARGIN * (top + self.top_share[self.state[1, mlr]]) + RERANK_FLOOR)
+            tie = pool & (key >= best[walk])
+        on_wired = tie & wired
+        some[:] = False
+        some[walk[on_wired]] = True
+        final = (on_wired | (tie & ~some[walk])).nonzero()[0]
+        pick = np.full(count, -1)
+        pick[walk[final[::-1]]] = final[::-1]  # the first final entry of each walk
+        if mlr.size:
+            self._rerank(pick, mlr, walk, tie, pool, value, wired, col)
 
-def read_rows(
-    steps: Generator[int, np.ndarray, PathResult], link_snr_db: LinkTable | np.ndarray
-) -> PathResult:
-    """Run a row-reading generator to its result, sending ``link_snr_db[i]`` for each id i it yields."""
-    try:
-        i = next(steps)
-        while True:
-            i = steps.send(link_snr_db[i])
-    except StopIteration as stop:
-        return stop.value
+        moves = (pick >= 0).nonzero()[0]
+        entry = pick[moves]
+        chosen, link = col[entry], raw[entry]
+        held = self.bottleneck[moves]
+        self.bottleneck[moves] = np.where(link < held, link, held)
+        self.path[ids[moves], self.hop] = chosen
+        self.open[moves, chosen] = False
+        current[moves] = chosen
+        self.hop += 1
+        code = np.full(count, _NO_CANDIDATE, dtype=np.int8)
+        code[moves] = np.where(wired[entry], _SUCCESS, _MAX_HOPS)
+        done = code != _MAX_HOPS
+        if self.hop == self.max_hops:
+            done[:] = True
+        if done.any():
+            self._end(done, code[done])
 
+    def _forward(self, pa: np.ndarray, walk: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Whether each entry (``walk``, ``node``) of the PA walks ``pa`` lies on the
+        wired side of the perpendicular at the walk's node toward its nearest wired
+        node (lowest id on ties); nothing is forward when the node shares that
+        donor's position."""
+        _, world, base, current, _ = self.state[:, pa]
+        here = base + current
+        cx, cy = self.x[here], self.y[here]
+        dx, dy = self.donor_x[:, world] - cx, self.donor_y[:, world] - cy
+        dist = np.hypot(dx, dy)
+        near = dist <= dist.min(axis=0) * (1.0 + RERANK_MARGIN) + RERANK_FLOOR
+        pick = near.argmax(axis=0)
+        for r in (near.sum(axis=0) > 1).nonzero()[0].tolist():
+            # a near-tie, or no donor at a finite distance: rank as geometry._closest does
+            donors = self.donor[:, world[r]]
+            positions = self.worlds[world[r]].positions
+            closest = _closest(donors[near[:, r] & (donors >= 0)] - base[r], positions, positions[current[r]])
+            pick[r] = (donors == base[r] + closest).argmax()
+        which = np.searchsorted(pa, walk)
+        at = np.arange(pa.size)
+        cx, cy, ux, uy = cx[which], cy[which], dx[pick, at][which], dy[pick, at][which]
+        return (self.x[node] - cx) * ux + (self.y[node] - cy) * uy > 0.0
 
-def path_steps(
-    origin_id: int,
-    policy: PolicyKind,
-    wbf: WbfConfig,
-    deployment: Deployment,
-    snr_threshold_db: float,
-    max_hops: int = 30,
-    bandwidth_hz: float = 400e6,
-) -> Generator[int, np.ndarray, PathResult]:
-    """``build_path``'s walk as a generator: it yields the id of each row of the
-    link table it reads, is sent that row, and returns the PathResult.
-    """
-    if deployment.node(origin_id).is_wired:
-        raise ValueError("path origin must be a wireless gNB")
-    if max_hops < 1:
-        raise ConfigError(f"max_hops must be >= 1, got {max_hops}")
-    wired = deployment.wired.nonzero()[0] if policy == PolicyKind.PA else None  # PA's donors
+    def _rerank(self, pick, mlr, walk, tie, pool, value, wired, col) -> None:
+        """Re-rank on Python floats, as ``shannon_rate`` ranks them, the MLR walks with
+        more than one entry in ``tie``, or all of the pool when one is above ``SAFE_SNR_DB``."""
+        unsafe = np.zeros(pick.size, dtype=bool)
+        unsafe[walk[pool & (value > SAFE_SNR_DB)]] = True
+        unsafe = unsafe[mlr]
+        redo = (np.bincount(walk[tie], minlength=pick.size)[mlr] > 1) | unsafe
+        for w, whole in zip(mlr[redo].tolist(), unsafe[redo].tolist()):
+            entries = np.arange(*np.searchsorted(walk, (w, w + 1)))
+            entries = entries[(pool if whole else tie)[entries]]
+            loads = self.worlds[self.state[1, w]].attached[col[entries]]
+            candidates = zip(entries.tolist(), value[entries].tolist(), wired[entries].tolist(), loads.tolist())
+            # a walk's entries run in column order, so -entry ranks as -id does
+            pick[w] = max(candidates, key=lambda c: (shannon_rate(self.bandwidth_hz, c[1], c[3]), c[2], -c[0]))[0]
 
-    visited = {origin_id}
-    hops: list[int] = []
-    bottleneck = math.inf
-    current = origin_id
-    n_hops = 0
-    outcome = PathOutcome.MAX_HOPS
-    while n_hops < max_hops:
-        row = yield current
-        ids = (row >= snr_threshold_db).nonzero()[0]
-        columns = zip(
-            ids.tolist(), row[ids].tolist(), deployment.wired[ids].tolist(), deployment.attached[ids].tolist()
-        )
-        candidates = [c for c in columns if c[0] not in visited]
-        if not candidates:
-            outcome = PathOutcome.NO_CANDIDATE
-            break
-        # PA falls back to the full set when nothing makes forward progress
-        pool = (policy == PolicyKind.PA and _forward(current, candidates, deployment, wired)) or candidates
-        chosen = max(pool, key=_ranking_key(policy, wbf, n_hops, bandwidth_hz))[0]
-        hops.append(chosen)
-        visited.add(chosen)
-        bottleneck = min(bottleneck, float(row[chosen]))
-        current = chosen
-        n_hops += 1
-        if deployment.wired[chosen]:
-            outcome = PathOutcome.SUCCESS
-            break
-    return PathResult(
-        origin_id=origin_id,
-        hops=tuple(hops),
-        bottleneck_snr_db=bottleneck if hops else math.nan,
-        outcome=outcome,
-        policy=policy,
-        wbf=wbf,
-    )
+    def _end(self, done, code) -> None:
+        """Record the walks in ``done`` as ended with outcome ``code`` and drop them."""
+        gone = self.state[0, done]
+        self.outcome[gone] = code
+        self.length[gone] = self.hop  # less the round that found no candidate, once all have ended
+        self.final_bottleneck[gone] = self.bottleneck[done]
+        keep = ~done
+        self.state, self.open, self.bottleneck = self.state[:, keep], self.open[keep], self.bottleneck[keep]
+        if not self.going:
+            self.length -= self.outcome == _NO_CANDIDATE
+            self.final_bottleneck[self.length == 0] = math.nan
+
+    def results(self) -> list[PathResult]:
+        """The PathResult of every walk, in the order they were given; all must have ended."""
+        return [
+            PathResult(
+                origin_id=origin,
+                hops=tuple(path[:length]),
+                bottleneck_snr_db=bottleneck,
+                outcome=_OUTCOMES[code],
+                policy=self.policies[p][0],
+                wbf=self.policies[p][1],
+            )
+            for origin, p, path, length, bottleneck, code in zip(
+                self.origin.tolist(),
+                self.walk_policy.tolist(),
+                self.path.tolist(),
+                self.length.tolist(),
+                self.final_bottleneck.tolist(),
+                self.outcome.tolist(),
+            )
+        ]
 
 
 def build_path(
@@ -230,6 +393,13 @@ def build_path(
     Terminates with SUCCESS on choosing a wired node, NO_CANDIDATE when no
     admissible parent remains, or MAX_HOPS. ``link_snr_db`` is read one row
     at a time, as ``link_snr_db[i]``: a ``LinkTable`` or an (n, n) array.
+    The walk is a ``WalkBlock`` of one.
     """
-    steps = path_steps(origin_id, policy, wbf, deployment, snr_threshold_db, max_hops, bandwidth_hz)
-    return read_rows(steps, link_snr_db)
+    if deployment.node(origin_id).is_wired:
+        raise ValueError("path origin must be a wireless gNB")
+    if max_hops < 1:
+        raise ConfigError(f"max_hops must be >= 1, got {max_hops}")
+    block = WalkBlock([deployment], [(policy, wbf)], [0], [origin_id], [0], snr_threshold_db, max_hops, bandwidth_hz)
+    while block.going:
+        block.step([link_snr_db])
+    return block.results()[0]

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelParams, LinkTable, RadioConfig, associate_min_pathloss, evaluate_rows, link_table
-from .errors import ConfigError, require_number
+from .errors import ConfigError, _shown, require_number
 from .geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
-from .policy import PathOutcome, PathResult, PolicyKind, WbfConfig, path_steps, read_rows
+from .policy import PathOutcome, PathResult, PolicyKind, WalkBlock, WbfConfig, wired_bias_db
 
 
 # The most gNBs or UEs a drop may expect (density times region area). A drop
@@ -95,6 +95,17 @@ class SimConfig:
         labels = [p.label for p in self.policies]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"policy labels must be unique, got {labels}")
+        for spec in self.policies:
+            # the bias never decreases with hops: finite at the last hop, finite at all
+            try:
+                finite = math.isfinite(wired_bias_db(self.max_hops - 1, spec.wbf))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(
+                    f"policy '{spec.label}': the wired bias of its 'wbf' is not finite "
+                    f"at every hop below run.max_hops = {_shown(self.max_hops)}"
+                )
         for key, density in (("deployment.lambda_g", self.lambda_g), ("deployment.lambda_ue", self.lambda_ue)):
             expected = density * self.region.area_km2  # inf when the area overflows
             if density > 0 and not expected <= MAX_EXPECTED_NODES:
@@ -143,6 +154,18 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator):
             deployment.attached = np.bincount(serving[serving >= 0], minlength=deployment.n_gnbs)
     links = link_table(deployment, cfg.radio, cfg.channel, rng)
     return deployment, links
+
+
+def read_rows(
+    steps: Generator[int, np.ndarray, PathResult], link_snr_db: LinkTable | np.ndarray
+) -> PathResult:
+    """Run a row-reading generator to its result, sending ``link_snr_db[i]`` for each id i it yields."""
+    try:
+        i = next(steps)
+        while True:
+            i = steps.send(link_snr_db[i])
+    except StopIteration as stop:
+        return stop.value
 
 
 def _bottleneck_steps(wired: list[bool], origin_id: int, snr_threshold_db: float):
@@ -230,16 +253,18 @@ def _block_size(cfg: SimConfig) -> int:
     return max(1, int(min(BLOCK_REPETITIONS, BLOCK_EXPECTED_NODES / max(expected, 1.0))))
 
 
-def _lockstep(steps: list[tuple[Generator, LinkTable]]) -> list[PathResult]:
-    """Run row-reading generators, each against its link table, and return their results in order.
+def _lockstep(walks: WalkBlock, tables: list[LinkTable], oracles: list[tuple[Generator, LinkTable]]) -> list[PathResult]:
+    """Step ``walks`` over ``tables`` and run the oracle generators, each against its
+    link table, to their ends; returns the oracles' results in order.
 
-    Each generator runs on while the rows it asks for are held; then the rows
-    the waiting ones ask for are evaluated together, in passes of at most
-    ``channel.PASS_PAIRS`` pairs, and every waiting generator resumes with its row.
+    Each round, every oracle runs on while the rows it asks for are held; then
+    the rows the waiting oracles and the walks ask for are evaluated together,
+    in passes of at most ``channel.PASS_PAIRS`` pairs, every walk moves one hop
+    and every waiting oracle resumes with its row.
     """
-    results: list[PathResult | None] = [None] * len(steps)
-    running = [(k, gen, table, None) for k, (gen, table) in enumerate(steps)]
-    while running:
+    results: list[PathResult | None] = [None] * len(oracles)
+    running = [(k, gen, table, None) for k, (gen, table) in enumerate(oracles)]
+    while running or walks.going:
         waiting = []
         for k, gen, table, row in running:
             try:
@@ -250,26 +275,40 @@ def _lockstep(steps: list[tuple[Generator, LinkTable]]) -> list[PathResult]:
                 results[k] = stop.value
             else:
                 waiting.append((k, gen, table, i))
-        evaluate_rows([(table, i) for _, _, table, i in waiting])
+        wanted = [(tables[w], i) for w, i in walks.wanted()] if walks.going else []
+        evaluate_rows(wanted + [(table, i) for _, _, table, i in waiting])
+        if walks.going:
+            walks.step(tables)
         running = [(k, gen, table, table.rows[i]) for k, gen, table, i in waiting]
     return results
 
 
-def _run_block(cfg: SimConfig, reps: range) -> list[dict[str, PathResult]]:
-    """Every policy (and the oracle) on the world of each repetition in ``reps``, stepped in lockstep."""
-    labels = [spec.label for spec in cfg.policies] + (["oracle"] if cfg.oracle_enabled else [])
+def _run_block(cfg: SimConfig, reps: range) -> tuple[WalkBlock, list[PathResult]]:
+    """Every policy (and the oracle) on the world of each repetition in ``reps``, stepped in lockstep.
+
+    Returns the finished walks, repetition by repetition and policy by policy
+    within one, and the oracle's results.
+    """
     threshold = cfg.radio.snr_threshold_db
-    steps = []
+    worlds, tables, oracles = [], [], []
     for rep in reps:
         deployment, links = sample_world(cfg, repetition_rng(cfg.master_seed, rep))
-        origin = deployment.origin_id
-        for spec in cfg.policies:
-            walk = path_steps(origin, spec.kind, spec.wbf, deployment, threshold, cfg.max_hops, cfg.radio.bandwidth_hz)
-            steps.append((walk, links))
+        worlds.append(deployment)
+        tables.append(links)
         if cfg.oracle_enabled:
-            steps.append((oracle_steps(deployment, origin, threshold), links))
-    results = _lockstep(steps)
-    return [dict(zip(labels, results[k : k + len(labels)])) for k in range(0, len(results), len(labels))]
+            oracles.append((oracle_steps(deployment, deployment.origin_id, threshold), links))
+    n_policies = len(cfg.policies)
+    walks = WalkBlock(
+        worlds,
+        [(spec.kind, spec.wbf) for spec in cfg.policies],
+        np.repeat(np.arange(len(worlds)), n_policies),
+        np.repeat([d.origin_id for d in worlds], n_policies),
+        np.tile(np.arange(n_policies), len(worlds)),
+        threshold,
+        cfg.max_hops,
+        cfg.radio.bandwidth_hz,
+    )
+    return walks, _lockstep(walks, tables, oracles)
 
 
 def run_repetition(cfg: SimConfig, rep_index: int) -> dict[str, PathResult]:
@@ -278,10 +317,14 @@ def run_repetition(cfg: SimConfig, rep_index: int) -> dict[str, PathResult]:
     Returns a mapping from policy label to its PathResult; the oracle result,
     when enabled, is stored under the reserved label ``"oracle"``.
     """
-    return _run_block(cfg, range(rep_index, rep_index + 1))[0]
+    walks, found = _run_block(cfg, range(rep_index, rep_index + 1))
+    results = dict(zip((spec.label for spec in cfg.policies), walks.results()))
+    if cfg.oracle_enabled:
+        results["oracle"] = found[0]
+    return results
 
 
-_OUTCOME_CODE = {PathOutcome.SUCCESS: 0, PathOutcome.NO_CANDIDATE: 1, PathOutcome.MAX_HOPS: 2}
+_OUTCOME_CODE = {outcome: code for code, outcome in enumerate(PathOutcome)}  # the codes WalkBlock records
 
 
 @dataclass
@@ -301,27 +344,25 @@ class CampaignResult:
         return self.outcome[label] == _OUTCOME_CODE[PathOutcome.SUCCESS]
 
 
-def _run_range(cfg: SimConfig, start: int, stop: int, keep_paths: bool):
-    """Records of repetitions [start, stop), run in the blocks [kB, (k + 1)B) that meet the range."""
+def _run_range(cfg: SimConfig, start: int, stop: int, keep_paths: bool) -> list[tuple]:
+    """Repetitions [start, stop), run in the blocks [kB, (k + 1)B) that meet the range.
+
+    Per block: the walks' outcome codes, hop counts and bottlenecks
+    (repetition-major, as ``_run_block`` orders them), the oracle's results,
+    and with ``keep_paths`` the walks' PathResults.
+    """
+    def records(walks: WalkBlock, found: list[PathResult]) -> tuple:
+        # the walks, and the worlds they hold, are freed before the next block is sampled
+        return walks.outcome, walks.length, walks.final_bottleneck, found, walks.results() if keep_paths else None
+
     size = _block_size(cfg)
-    records = []
+    blocks = []
     first = start
     while first < stop:
         last = min(stop, (first // size + 1) * size)
-        for results in _run_block(cfg, range(first, last)):
-            records.append(
-                {
-                    label: (
-                        _OUTCOME_CODE[res.outcome],
-                        res.hop_count,
-                        res.bottleneck_snr_db,
-                        res if keep_paths else None,
-                    )
-                    for label, res in results.items()
-                }
-            )
+        blocks.append(records(*_run_block(cfg, range(first, last))))
         first = last
-    return records
+    return blocks
 
 
 def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> CampaignResult:
@@ -335,54 +376,38 @@ def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> 
     workers = int(workers)
     reps = cfg.repetitions
     if workers == 1 or reps == 1:
-        records = _run_range(cfg, 0, reps, keep_paths)
+        blocks = _run_range(cfg, 0, reps, keep_paths)
     else:
         bounds = np.linspace(0, reps, min(workers, reps) + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(bounds) - 1) as pool:
             futures = [
                 pool.submit(_run_range, cfg, int(a), int(b), keep_paths)
                 for a, b in zip(bounds[:-1], bounds[1:])
                 if b > a
             ]
-            records = []
-            for fut in futures:
-                records.extend(fut.result())
+            blocks = [block for fut in futures for block in fut.result()]
 
     labels = tuple(spec.label for spec in cfg.policies)
-    outcome = {lab: np.empty(reps, dtype=np.int8) for lab in labels}
-    hop_count = {lab: np.empty(reps, dtype=np.int32) for lab in labels}
-    bottleneck = {lab: np.empty(reps, dtype=np.float64) for lab in labels}
-    paths: dict[str, list[PathResult]] | None = (
-        {lab: [] for lab in (*labels, *(("oracle",) if cfg.oracle_enabled else ()))}
-        if keep_paths
-        else None
+    outcome, hop_count, bottleneck = (
+        np.concatenate([block[k] for block in blocks]).reshape(reps, len(labels)) for k in range(3)
     )
-    oracle_outcome = np.empty(reps, dtype=np.int8) if cfg.oracle_enabled else None
-    oracle_bottleneck = np.empty(reps, dtype=np.float64) if cfg.oracle_enabled else None
-
-    for rep, row in enumerate(records):
-        for lab in labels:
-            code, hops, bot, res = row[lab]
-            outcome[lab][rep] = code
-            hop_count[lab][rep] = hops
-            bottleneck[lab][rep] = bot
-            if keep_paths:
-                paths[lab].append(res)
+    found = [res for block in blocks for res in block[3]]
+    paths = None
+    if keep_paths:
+        walked = [res for block in blocks for res in block[4]]
+        paths = {lab: walked[p :: len(labels)] for p, lab in enumerate(labels)}
         if cfg.oracle_enabled:
-            code, hops, bot, res = row["oracle"]
-            oracle_outcome[rep] = code
-            oracle_bottleneck[rep] = bot
-            if keep_paths:
-                paths["oracle"].append(res)
-
+            paths["oracle"] = found
     return CampaignResult(
         labels=labels,
         repetitions=reps,
-        outcome=outcome,
-        hop_count=hop_count,
-        bottleneck_db=bottleneck,
-        oracle_outcome=oracle_outcome,
-        oracle_bottleneck_db=oracle_bottleneck,
+        outcome={lab: outcome[:, p].copy() for p, lab in enumerate(labels)},
+        hop_count={lab: hop_count[:, p].astype(np.int32) for p, lab in enumerate(labels)},
+        bottleneck_db={lab: bottleneck[:, p].copy() for p, lab in enumerate(labels)},
+        oracle_outcome=np.array([_OUTCOME_CODE[res.outcome] for res in found], dtype=np.int8)
+        if cfg.oracle_enabled
+        else None,
+        oracle_bottleneck_db=np.array([res.bottleneck_snr_db for res in found]) if cfg.oracle_enabled else None,
         paths=paths,
     )
 

@@ -9,11 +9,11 @@ import pytest
 
 from iabsim.channel import ChannelParams, RadioConfig
 from iabsim.cli import main
-from iabsim.config import WBF_PRESETS, config_document, parse_config
+from iabsim.config import WBF_PRESETS, _wbf_label, config_document, parse_config
 from iabsim.errors import ConfigError
 from iabsim.geometry import POISSON_MAX_MEAN, Region
 from iabsim.policy import PolicyKind, WbfConfig, WbfKind
-from iabsim.simulate import MAX_EXPECTED_NODES, SimConfig
+from iabsim.simulate import MAX_EXPECTED_NODES, PolicySpec, SimConfig
 
 # Every numeric key of a config document: (key, dataclass, field, integer)
 NUMBER_FIELDS = [
@@ -101,6 +101,85 @@ class TestPresets:
         spec = cfg.policies[0]
         assert spec.wbf == WBF_PRESETS["aggressive_exp"]
         assert spec.label == "HQF_aggressive_exp"
+
+
+class TestAutoLabels:
+    def test_huge_gap_gets_a_legal_label(self):
+        # ':g' prints 1e+06, and '+' is not a label character
+        doc = {"policies": [{"policy": "HQF", "wbf": {"kind": "exponential", "n_ht": 1, "gamma": 1.0, "gamma_gap_db": 1e6}}]}
+        assert parse_config(doc).policies[0].label == "HQF_exp_nht1_g1_gap1000000.0_h2"
+
+    def test_numbers_that_print_alike_get_distinct_labels(self):
+        doc = {"policies": [{"policy": "HQF", "wbf": {"kind": "polynomial", "k": k}} for k in (1.0000001, 1.0000002)]}
+        assert [p.label for p in parse_config(doc).policies] == [
+            "HQF_poly_nht6_k1.0000001_gap5_h2",
+            "HQF_poly_nht6_k1.0000002_gap5_h2",
+        ]
+
+    def test_exact_short_labels_and_presets_unchanged(self):
+        doc = {
+            "policies": [
+                {"policy": "PA", "wbf": {"kind": "exponential", "n_ht": 3, "gamma": 2.5, "gamma_gap_db": 0.125, "gamma_h_db": 0}},
+                {"policy": "MLR", "wbf": {"kind": "polynomial", "n_ht": 1, "k": 3.0, "gamma_gap_db": 15.0, "gamma_h_db": 2.0}},
+                {"policy": "WF", "wbf": {"kind": "polynomial", "k": 1e-05, "gamma_gap_db": 123456}},
+            ]
+        }
+        assert [p.label for p in parse_config(doc).policies] == [
+            "PA_exp_nht3_g2.5_gap0.125_h0",
+            "MLR_aggressive_poly",
+            "WF_poly_nht6_k1e-05_gap123456_h2",
+        ]
+
+    def test_labels_are_legal_and_tell_every_number_apart(self):
+        rng = np.random.default_rng(12)
+        values = np.concatenate(
+            [
+                10.0 ** rng.uniform(-300, 300, 300),
+                rng.uniform(1.0, 1.0 + 1e-12, 100),
+                rng.integers(0, 10**9, 100).astype(float),
+                [0.0, 1e-320, 5e-324, 1.7976931348623157e308, 1e16, 1e6, 123456.0, 1234567.0],
+            ]
+        ).tolist()
+        seen = {}
+        for value in values:
+            wbf = WbfConfig(WbfKind.POLYNOMIAL, n_ht=2, k=max(value, 5e-324), gamma_gap_db=value, gamma_h_db=value)
+            label = _wbf_label(wbf)
+            assert re.fullmatch(r"[A-Za-z0-9._-]+", label), label
+            assert seen.setdefault(label, wbf) == wbf, label
+
+
+class TestBiasOverflow:
+    @pytest.mark.parametrize(
+        "wbf",
+        [
+            {"kind": "polynomial", "n_ht": 1, "k": 2000},
+            {"kind": "exponential", "gamma": 1e200},
+            {"kind": "polynomial", "n_ht": 1, "k": 2.0, "gamma_gap_db": 1e308},
+        ],
+    )
+    def test_refused_naming_the_policy_and_key(self, tmp_path, capsys, wbf):
+        doc = {"policies": ["WF", {"policy": "HQF", "wbf": wbf, "label": "hot"}], "run": {"repetitions": 2}}
+        with pytest.raises(ConfigError, match=r"policy 'hot'.*'wbf'.*run\.max_hops = 30"):
+            parse_config(doc)
+        path = tmp_path / "hot.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "'hot'" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_bias_finite_below_max_hops_is_accepted(self):
+        # 2 ** 2000 overflows, so the bias is finite after 0 and 1 hops only
+        wbf = WbfConfig(WbfKind.POLYNOMIAL, n_ht=1, k=2000.0)
+        spec = PolicySpec(PolicyKind.HQF, wbf, "steep")
+        assert SimConfig(policies=(spec,), max_hops=2).max_hops == 2
+        with pytest.raises(ConfigError, match="steep"):
+            SimConfig(policies=(spec,), max_hops=3)
+
+    def test_huge_max_hops_with_an_unbiased_policy_is_accepted(self):
+        assert SimConfig(max_hops=10**300).max_hops == 10**300
+        with pytest.raises(ConfigError, match=r"policy 'HQF_conservative_exp'"):
+            parse_config({"policies": [{"policy": "HQF", "wbf": "conservative_exp"}], "run": {"max_hops": 10**300}})
 
 
 class TestValidation:

@@ -3,7 +3,8 @@
 On small worlds with forced ties, integer-valued SNRs, integer grid positions
 and small integer loads make equal metrics common, so the tie-breaking rules of
 every greedy policy and of the widest-path oracle are exercised against the
-loop references in ``oracles``. On sampled campaign worlds, the walks and the
+loop references in ``oracles``, one walk at a time and many walks of worlds
+of different sizes stepped together. On sampled campaign worlds, the walks and the
 oracle that read rows of the lazy link table are checked against the same
 walks on the dense reference matrix, and campaigns run in blocks of
 repetitions are checked against each repetition run on its own.
@@ -17,10 +18,11 @@ from oracles import dense_associate_min_pathloss, dense_link_table, enumerate_wi
 from iabsim import channel, simulate
 from iabsim.channel import ChannelParams
 from iabsim.geometry import Deployment, Region
-from iabsim.policy import PolicyKind, WbfConfig, WbfKind, build_path
+from iabsim.policy import PolicyKind, WalkBlock, WbfConfig, WbfKind, build_path
 from iabsim.simulate import PolicySpec, SimConfig, run_campaign, run_repetition, widest_path_oracle
 
 WORLDS = 10_000
+BLOCK_WORLDS = 2000
 CAMPAIGN_WORLDS = 200
 THRESHOLD = 5.0
 BIASES = (
@@ -75,6 +77,43 @@ def test_policies_and_oracle_match_references_under_ties():
             assert res.success, world
             assert (res.bottleneck_snr_db, res.hop_count, res.hops) == best, world
     assert WORLDS // 4 < oracle_successes < WORLDS
+
+
+@pytest.mark.parametrize("threshold", [THRESHOLD, -np.inf], ids=["threshold5", "no_threshold"])
+@pytest.mark.parametrize("max_hops", [2, 8])
+def test_one_walk_block_steps_many_tied_worlds(max_hops, threshold):
+    """Every policy under every bias from the origin of each of many tied worlds
+    of 3..8 gNBs, stepped as one WalkBlock: each walk equals the reference trace.
+
+    Rows of smaller worlds are padded to the widest one; with no threshold every
+    padded column would clear it, so a walk that took one would show.
+    """
+    rng = np.random.default_rng(99)
+    worlds = [tied_world(rng) for _ in range(BLOCK_WORLDS)]
+    policies = [(kind, wbf) for kind in PolicyKind for wbf in BIASES]
+    count = len(policies)
+    walks = WalkBlock(
+        [dep for dep, _, _ in worlds],
+        policies,
+        np.repeat(np.arange(BLOCK_WORLDS), count),
+        np.zeros(BLOCK_WORLDS * count, dtype=int),
+        np.tile(np.arange(count), BLOCK_WORLDS),
+        threshold,
+        max_hops,
+    )
+    tables = [mat for _, mat, _ in worlds]
+    while walks.going:
+        walks.step(tables)
+    results = walks.results()
+    assert {dep.n_gnbs for dep, _, _ in worlds} == set(range(3, 9))
+    for world, (dep, mat, _) in enumerate(worlds):
+        for p, (kind, wbf) in enumerate(policies):
+            got = results[world * count + p]
+            assert all(hop < dep.n_gnbs for hop in got.hops), (world, kind, wbf)
+            hops, bottleneck, ok = reference_greedy_trace(kind, dep, mat, threshold, wbf, max_hops)
+            assert (got.hops, got.success, got.policy, got.wbf) == (hops, ok, kind, wbf), (world, kind, wbf)
+            if hops:
+                assert got.bottleneck_snr_db == bottleneck, (world, kind, wbf)
 
 
 @pytest.mark.parametrize("lambda_g", [30.0, 480.0])

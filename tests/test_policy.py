@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 from oracles import reference_greedy_trace
 
+from iabsim.channel import shannon_rate
 from iabsim.errors import ConfigError
 from iabsim.geometry import Deployment, Region, half_plane_filter, nearest_wired
 from iabsim.policy import (
+    RERANK_FLOOR,
+    RERANK_MARGIN,
+    SAFE_SNR_DB,
     PathOutcome,
     PolicyKind,
     WbfConfig,
     WbfKind,
     build_path,
+    vector_rates,
     wbf_exp,
     wbf_poly,
     wired_bias_db,
@@ -466,3 +471,127 @@ class TestPathInvariants:
             hq = build_path(0, PolicyKind.HQF, huge_gap, dep, mat, 5.0, max_hops=max_hops)
             assert wf.hops == hq.hops
             assert wf.outcome == hq.outcome
+
+
+class TestRerankMargins:
+    """MLR's rate and PA's donor distance are ranked on vectors first; the vector
+    values must sit far inside the re-rank margin of the Python floats they stand
+    for, and near-ties must still resolve as the Python ranking does."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bandwidth_hz", [5e-324, 1e-300, 1.0, 400e6, 1e300])
+    def test_vector_rate_within_margin(self, bandwidth_hz):
+        rng = np.random.default_rng(5)
+        snr = np.concatenate(
+            [
+                rng.uniform(-400.0, SAFE_SNR_DB, 4000),
+                rng.uniform(-160.0, -140.0, 2000),  # where 1 + 10 ** (snr / 10) rounds coarsely
+                rng.uniform(-5.0, 60.0, 2000) + rng.choice([0.0, 15.0, 137.0, 1e3, 2.9e3], 2000),
+                [-np.inf, -0.0, 0.0, SAFE_SNR_DB],
+            ]
+        )
+        loads = rng.integers(0, 10**6, snr.size)
+        loads[::2] = rng.integers(0, 3, loads[::2].size)
+        share = bandwidth_hz / np.maximum(loads, 1)
+        got = vector_rates(share, snr)
+        want = np.array([shannon_rate(bandwidth_hz, v, n) for v, n in zip(snr.tolist(), loads.tolist())])
+        assert np.all(np.abs(got - want) <= 1e-2 * (RERANK_MARGIN * (want + share) + RERANK_FLOOR))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-310, 1e-160, 1.0, 1e3, 1e150, 1e300])
+    def test_vector_donor_distance_within_margin(self, scale):
+        rng = np.random.default_rng(6)
+        x, y = rng.uniform(0.0, scale, (2, 20000))
+        x[:100] = x[100:200]  # some donors straight above or below
+        cx, cy = rng.uniform(0.0, scale, 2)
+        got = np.hypot(x - cx, y - cy)
+        want = np.array([math.hypot(a, b) for a, b in zip((cx - x).tolist(), (cy - y).tolist())])
+        assert np.all(np.abs(got - want) <= 1e-2 * (RERANK_MARGIN * want + RERANK_FLOOR))
+
+    def test_near_tied_rates_pick_as_python_floats(self):
+        """Candidates whose rates tie, or differ in the last bits, at different loads and biases."""
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            snr = float(rng.uniform(5.0, 40.0))
+            p = 10.0 ** (snr / 10.0)
+            # load 2 halves the share, so this SNR about squares 1 + p: the rates nearly tie
+            doubled = 10.0 * math.log10((1.0 + p) ** 2 - 1.0)
+            relays = int(rng.integers(0, 3))
+            near = [snr, doubled, math.nextafter(snr, math.inf), math.nextafter(doubled, -math.inf)]
+            links = {relays + 1 + k: v for k, v in enumerate(near)}
+            loads = {relays + 1 + k: 1 + k % 2 for k in range(4)}
+            wired = set(rng.choice(list(links), int(rng.integers(0, 3)), replace=False).tolist())
+            wbf = (NO_BIAS, CONSERVATIVE_POLY, AGGRESSIVE_EXP)[trial % 3]
+            got = choose(PolicyKind.MLR, links, wired=wired, wbf=wbf, loads=loads, relays=relays)
+            n = relays + 6
+            dep, mat = make_world(
+                [(100.0 * i, 0.0) for i in range(n)],
+                [i in wired for i in range(n - 1)] + [True],
+                {**{(i, i + 1): 30.0 for i in range(relays)}, **{(relays, j): v for j, v in links.items()}},
+            )
+            for i, load in loads.items():
+                dep.attached[i] = load
+            assert got == reference_greedy_trace(PolicyKind.MLR, dep, mat, 5.0, wbf, 30)[0][relays], trial
+
+    @pytest.mark.parametrize("gamma_h_db", [2900.0, 3040.0])
+    def test_mlr_near_the_rate_overflow_picks_as_python_floats(self, gamma_h_db):
+        """Biased SNRs above SAFE_SNR_DB send the whole pool to the Python ranking."""
+        wbf = WbfConfig(WbfKind.POLYNOMIAL, n_ht=1, k=1.0, gamma_gap_db=0.0, gamma_h_db=gamma_h_db)
+        rng = np.random.default_rng(8)
+        for trial in range(100):
+            n = int(rng.integers(3, 9))
+            coords = rng.uniform(0, 1000, (n, 2)).tolist()
+            wired = [False] + [bool(b) for b in rng.random(n - 1) < 0.5]
+            wired[-1] = True
+            snr = {(i, j): float(rng.uniform(5, 35)) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7}
+            dep, mat = make_world(coords, wired, snr)
+            dep.attached[:] = rng.integers(0, 4, n)
+            got = build_path(0, PolicyKind.MLR, wbf, dep, mat, 5.0)
+            assert got.hops == reference_greedy_trace(PolicyKind.MLR, dep, mat, 5.0, wbf, 30)[0], trial
+
+    def test_near_tied_donors_pick_as_python_floats(self):
+        """PA walks whose node has two wired nodes at distances equal, or a few ulps apart."""
+        rng = np.random.default_rng(9)
+        for trial in range(300):
+            cx, cy = rng.uniform(0.0, 1000.0, 2)
+            a, b = rng.uniform(-300.0, 300.0, 2)
+            # two donors a quarter turn apart around the origin, so at about the same distance
+            coords = [(cx, cy), (cx + a, cy + b), (cx - b, cy + a)] + rng.uniform(0.0, 1000.0, (4, 2)).tolist()
+            wired = [False, True, True, False, False, False, bool(rng.random() < 0.5)]
+            snr = {(i, j): float(rng.integers(5, 9)) for i in range(7) for j in range(i + 1, 7) if rng.random() < 0.6}
+            dep, mat = make_world(coords, wired, snr)
+            for wbf in (NO_BIAS, CONSERVATIVE_POLY):
+                got = build_path(0, PolicyKind.PA, wbf, dep, mat, 5.0)
+                assert got.hops == reference_greedy_trace(PolicyKind.PA, dep, mat, 5.0, wbf, 30)[0], trial
+
+    @pytest.mark.parametrize("low", [37.58560605934042, 8.284580370165717])
+    def test_rate_rounded_apart_by_numpy_still_ties(self, low):
+        """Python rates the two SNRs equally, so the lower id wins; numpy's
+        log2/power (on the builds this was written on) rounds the second higher."""
+        high = math.nextafter(low, math.inf)
+        assert shannon_rate(400e6, low, 1) == shannon_rate(400e6, high, 1)
+        assert choose(PolicyKind.MLR, {1: low, 2: high}, loads={1: 1, 2: 1}) == 1
+
+    def test_donor_distance_rounded_apart_by_numpy_still_ties(self):
+        """Python puts both wired nodes at the same distance, so the lower id is the
+        donor and relay 3, ahead toward it, is taken over relay 4, ahead toward the
+        other; np.hypot (on the builds this was written on) rounds node 2 nearer."""
+        here, donor, other = (333.732439660985, 318.73983277151183), (509.7387322910754, 209.87960765747314), (
+            442.59266477502365,
+            494.7461254016022,
+        )
+        assert math.hypot(here[0] - donor[0], here[1] - donor[1]) == math.hypot(here[0] - other[0], here[1] - other[1])
+        toward = [np.add(here, 0.5 * np.subtract(p, here)) - 0.1 * np.subtract(q, here) for p, q in ((donor, other), (other, donor))]
+        coords = [here, donor, other, *(tuple(t) for t in toward)]
+        dep, mat = make_world(coords, [False, True, True, False, False], {(0, 3): 20.0, (0, 4): 25.0, (3, 1): 10.0, (4, 2): 10.0})
+        assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0).hops == (3, 1)
+
+    def test_rate_overflow_fails_as_shannon_rate_does(self):
+        """A biased SNR past 10 ** 308 overflows shannon_rate; the hop raises as the
+        Python ranking does instead of losing the candidate in the vector pass."""
+        wbf = WbfConfig(WbfKind.POLYNOMIAL, n_ht=1, k=1.0, gamma_gap_db=0.0, gamma_h_db=4000.0)
+        dep, mat = make_world([(0, 0), (100, 0), (200, 0)], [False, False, True], {(0, 1): 30.0, (0, 2): 6.0})
+        with pytest.raises(OverflowError):
+            shannon_rate(400e6, 6.0 + 4000.0, 0)
+        with pytest.raises(OverflowError):
+            build_path(0, PolicyKind.MLR, wbf, dep, mat, 5.0)

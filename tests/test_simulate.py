@@ -5,6 +5,7 @@ import pytest
 from oracles import enumerate_widest
 
 from iabsim.channel import ChannelParams, RadioConfig
+from iabsim import simulate
 from iabsim.errors import ConfigError
 from iabsim.geometry import Deployment, Region
 from iabsim.policy import PathOutcome, PolicyKind
@@ -360,6 +361,20 @@ class TestCampaignAggregation:
         cfg = SimConfig(repetitions=4, master_seed=9)
         serial, pooled = run_campaign(cfg), run_campaign(cfg, workers=2.0)
         assert np.array_equal(pooled.hop_count["HQF"], serial.hop_count["HQF"])
+
+    def test_pool_starts_one_worker_per_chunk(self, monkeypatch):
+        started = []
+
+        class Recording(simulate.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Recording)
+        cfg = SimConfig(repetitions=2, master_seed=5)
+        pooled = run_campaign(cfg, workers=4)
+        assert started == [2]
+        assert np.array_equal(pooled.hop_count["HQF"], run_campaign(cfg).hop_count["HQF"])
 
     def test_keep_paths_records_every_repetition(self):
         res = run_campaign(SMALL, keep_paths=True)
