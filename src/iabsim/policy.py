@@ -1,12 +1,16 @@
-"""Hop-by-hop backhaul parent selection: one ranking kernel with a per-policy key.
+"""Hop-by-hop backhaul parent selection: one selection kernel with a per-policy key.
 
 The greedy rules highest-quality-first (HQF), wired-first (WF),
 position-aware (PA) and maximum-local-rate (MLR) differ only in how a node
 ranks its admissible parents. Every hop admits the unvisited nodes whose raw
-link SNR clears the threshold and takes the one with the highest key. Wired
-donors may be ranked with an additive dB bonus that grows with the number of
-hops already traveled (the wired bias). The bias alters ranking only; link
-feasibility is always judged on the raw SNR.
+link SNR clears the threshold and takes the one with the highest key, ties
+going to wired nodes and then to the lowest id. Wired donors may be ranked
+with an additive dB bonus that grows with the number of hops already
+traveled (the wired bias). The bias alters ranking only; link feasibility is
+always judged on the raw SNR.
+
+``WalkBlock`` is the one walk implementation: it steps many walks, over many
+worlds, as arrays, one hop per round, and ``build_path`` runs a block of one.
 """
 from __future__ import annotations
 
@@ -132,7 +136,9 @@ _OUTCOMES = tuple(PathOutcome)
 def _policy_table(policies: tuple[tuple[PolicyKind, WbfConfig], ...], hops: int):
     """Per (kind, wbf): the wired bias added after 0, 1, ..., hops - 1 hops (none
     for WF), and whether the kind is WF, PA and MLR."""
-    bias = np.array([[0.0 if kind == PolicyKind.WF else wired_bias_db(n, wbf) for n in range(hops)] for kind, wbf in policies])
+    bias = np.array(
+        [[0.0 if kind == PolicyKind.WF else wired_bias_db(n, wbf) for n in range(hops)] for kind, wbf in policies]
+    )
     kinds = [kind for kind, _ in policies]
     return (bias, *(np.array([kind == k for kind in kinds]) for k in (PolicyKind.WF, PolicyKind.PA, PolicyKind.MLR)))
 
@@ -264,7 +270,7 @@ class WalkBlock:
             prefer = wired | ~self.is_wf[policy]
             if pa.size:
                 entries = self.is_pa[policy].nonzero()[0]
-                prefer[entries] = self._forward(pa, walk[entries], node[entries])
+                prefer[entries] = self._ahead(pa, walk[entries], node[entries])
             some = np.zeros(count, dtype=bool)
             some[walk[prefer]] = True
             pool = prefer | ~some[walk]
@@ -305,7 +311,7 @@ class WalkBlock:
         if done.any():
             self._end(done, code[done])
 
-    def _forward(self, pa: np.ndarray, walk: np.ndarray, node: np.ndarray) -> np.ndarray:
+    def _ahead(self, pa: np.ndarray, walk: np.ndarray, node: np.ndarray) -> np.ndarray:
         """Whether each entry (``walk``, ``node``) of the PA walks ``pa`` lies on the
         wired side of the perpendicular at the walk's node toward its nearest wired
         node (lowest id on ties); nothing is forward when the node shares that

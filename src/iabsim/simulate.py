@@ -9,14 +9,17 @@ assembled in repetition order before any statistic is computed.
 
 Repetitions run in blocks aligned to their indices: block k holds
 repetitions [kB, (k + 1)B) of the worker's range, with B from
-``_block_size``. A block samples its worlds in repetition order, then starts
-every walk and the oracle of every world as a generator that yields the id
-of each link-table row it reads. Each generator runs on while its rows are
-held; the rows the waiting ones ask for are then hashed and evaluated
-together (``channel.evaluate_rows``), and the cycle repeats until all have
-returned. Link draws are keyed, not drawn in sequence, so when a row is
-evaluated does not change its bits: results equal those of each repetition
-run alone, and ``run_repetition`` is a block of one.
+``_block_size``. A block samples its worlds in repetition order. Every walk
+of every world is one walk of a ``policy.WalkBlock``, which moves all of
+them one hop per round; the oracle of each world is a generator that yields
+the id of each link-table row it reads and runs on while its rows are held.
+Each round, the rows the walks stand on and the rows the waiting oracles ask
+for are hashed and evaluated together (``channel.evaluate_rows``), then the
+walks step and the oracles resume, until all have ended. Link draws are
+keyed, not drawn in sequence, so when a row is evaluated does not change its
+bits: results equal those of each repetition run alone, and
+``run_repetition`` is a block of one. A campaign keeps the walks' outcome,
+hop and bottleneck arrays, and builds PathResults only when it keeps paths.
 """
 from __future__ import annotations
 
@@ -156,18 +159,6 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator):
     return deployment, links
 
 
-def read_rows(
-    steps: Generator[int, np.ndarray, PathResult], link_snr_db: LinkTable | np.ndarray
-) -> PathResult:
-    """Run a row-reading generator to its result, sending ``link_snr_db[i]`` for each id i it yields."""
-    try:
-        i = next(steps)
-        while True:
-            i = steps.send(link_snr_db[i])
-    except StopIteration as stop:
-        return stop.value
-
-
 def _bottleneck_steps(wired: list[bool], origin_id: int, snr_threshold_db: float):
     """Max-min Dijkstra for the value only; None when no wired node is reachable.
 
@@ -244,7 +235,13 @@ def widest_path_oracle(
     wired node popped is the tie-broken optimum. Both phases read
     ``link_snr_db`` one row at a time, as ``link_snr_db[i]``.
     """
-    return read_rows(oracle_steps(deployment, origin_id, snr_threshold_db), link_snr_db)
+    steps = oracle_steps(deployment, origin_id, snr_threshold_db)
+    try:
+        i = next(steps)
+        while True:
+            i = steps.send(link_snr_db[i])
+    except StopIteration as stop:
+        return stop.value
 
 
 def _block_size(cfg: SimConfig) -> int:
@@ -253,7 +250,9 @@ def _block_size(cfg: SimConfig) -> int:
     return max(1, int(min(BLOCK_REPETITIONS, BLOCK_EXPECTED_NODES / max(expected, 1.0))))
 
 
-def _lockstep(walks: WalkBlock, tables: list[LinkTable], oracles: list[tuple[Generator, LinkTable]]) -> list[PathResult]:
+def _lockstep(
+    walks: WalkBlock, tables: list[LinkTable], oracles: list[tuple[Generator, LinkTable]]
+) -> list[PathResult]:
     """Step ``walks`` over ``tables`` and run the oracle generators, each against its
     link table, to their ends; returns the oracles' results in order.
 
@@ -324,7 +323,7 @@ def run_repetition(cfg: SimConfig, rep_index: int) -> dict[str, PathResult]:
     return results
 
 
-_OUTCOME_CODE = {outcome: code for code, outcome in enumerate(PathOutcome)}  # the codes WalkBlock records
+_OUTCOME_CODE = {outcome: code for code, outcome in enumerate(PathOutcome)}  # as WalkBlock records them
 
 
 @dataclass
@@ -352,8 +351,8 @@ def _run_range(cfg: SimConfig, start: int, stop: int, keep_paths: bool) -> list[
     and with ``keep_paths`` the walks' PathResults.
     """
     def records(walks: WalkBlock, found: list[PathResult]) -> tuple:
-        # the walks, and the worlds they hold, are freed before the next block is sampled
-        return walks.outcome, walks.length, walks.final_bottleneck, found, walks.results() if keep_paths else None
+        # keeps the arrays, not the walks: the block's worlds are freed before the next one is sampled
+        return walks.outcome, walks.length, walks.final_bottleneck, found, walks.results() if keep_paths else ()
 
     size = _block_size(cfg)
     blocks = []
@@ -388,26 +387,28 @@ def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> 
             blocks = [block for fut in futures for block in fut.result()]
 
     labels = tuple(spec.label for spec in cfg.policies)
+    codes, hops, bottlenecks, found, walked = zip(*blocks)
     outcome, hop_count, bottleneck = (
-        np.concatenate([block[k] for block in blocks]).reshape(reps, len(labels)) for k in range(3)
+        np.concatenate(part).reshape(reps, len(labels)) for part in (codes, hops, bottlenecks)
     )
-    found = [res for block in blocks for res in block[3]]
-    paths = None
+    found = [res for part in found for res in part]
+    paths = oracle_outcome = oracle_bottleneck = None
     if keep_paths:
-        walked = [res for block in blocks for res in block[4]]
+        walked = [res for part in walked for res in part]
         paths = {lab: walked[p :: len(labels)] for p, lab in enumerate(labels)}
         if cfg.oracle_enabled:
             paths["oracle"] = found
+    if cfg.oracle_enabled:
+        oracle_outcome = np.array([_OUTCOME_CODE[res.outcome] for res in found], dtype=np.int8)
+        oracle_bottleneck = np.array([res.bottleneck_snr_db for res in found])
     return CampaignResult(
         labels=labels,
         repetitions=reps,
         outcome={lab: outcome[:, p].copy() for p, lab in enumerate(labels)},
         hop_count={lab: hop_count[:, p].astype(np.int32) for p, lab in enumerate(labels)},
         bottleneck_db={lab: bottleneck[:, p].copy() for p, lab in enumerate(labels)},
-        oracle_outcome=np.array([_OUTCOME_CODE[res.outcome] for res in found], dtype=np.int8)
-        if cfg.oracle_enabled
-        else None,
-        oracle_bottleneck_db=np.array([res.bottleneck_snr_db for res in found]) if cfg.oracle_enabled else None,
+        oracle_outcome=oracle_outcome,
+        oracle_bottleneck_db=oracle_bottleneck,
         paths=paths,
     )
 

@@ -106,7 +106,8 @@ class TestPresets:
 class TestAutoLabels:
     def test_huge_gap_gets_a_legal_label(self):
         # ':g' prints 1e+06, and '+' is not a label character
-        doc = {"policies": [{"policy": "HQF", "wbf": {"kind": "exponential", "n_ht": 1, "gamma": 1.0, "gamma_gap_db": 1e6}}]}
+        wbf = {"kind": "exponential", "n_ht": 1, "gamma": 1.0, "gamma_gap_db": 1e6}
+        doc = {"policies": [{"policy": "HQF", "wbf": wbf}]}
         assert parse_config(doc).policies[0].label == "HQF_exp_nht1_g1_gap1000000.0_h2"
 
     def test_numbers_that_print_alike_get_distinct_labels(self):
@@ -119,8 +120,14 @@ class TestAutoLabels:
     def test_exact_short_labels_and_presets_unchanged(self):
         doc = {
             "policies": [
-                {"policy": "PA", "wbf": {"kind": "exponential", "n_ht": 3, "gamma": 2.5, "gamma_gap_db": 0.125, "gamma_h_db": 0}},
-                {"policy": "MLR", "wbf": {"kind": "polynomial", "n_ht": 1, "k": 3.0, "gamma_gap_db": 15.0, "gamma_h_db": 2.0}},
+                {
+                    "policy": "PA",
+                    "wbf": {"kind": "exponential", "n_ht": 3, "gamma": 2.5, "gamma_gap_db": 0.125, "gamma_h_db": 0},
+                },
+                {
+                    "policy": "MLR",
+                    "wbf": {"kind": "polynomial", "n_ht": 1, "k": 3.0, "gamma_gap_db": 15.0, "gamma_h_db": 2.0},
+                },
                 {"policy": "WF", "wbf": {"kind": "polynomial", "k": 1e-05, "gamma_gap_db": 123456}},
             ]
         }

@@ -576,14 +576,17 @@ class TestRerankMargins:
         """Python puts both wired nodes at the same distance, so the lower id is the
         donor and relay 3, ahead toward it, is taken over relay 4, ahead toward the
         other; np.hypot (on the builds this was written on) rounds node 2 nearer."""
-        here, donor, other = (333.732439660985, 318.73983277151183), (509.7387322910754, 209.87960765747314), (
-            442.59266477502365,
-            494.7461254016022,
-        )
+        here = (333.732439660985, 318.73983277151183)
+        donor, other = (509.7387322910754, 209.87960765747314), (442.59266477502365, 494.7461254016022)
         assert math.hypot(here[0] - donor[0], here[1] - donor[1]) == math.hypot(here[0] - other[0], here[1] - other[1])
-        toward = [np.add(here, 0.5 * np.subtract(p, here)) - 0.1 * np.subtract(q, here) for p, q in ((donor, other), (other, donor))]
-        coords = [here, donor, other, *(tuple(t) for t in toward)]
-        dep, mat = make_world(coords, [False, True, True, False, False], {(0, 3): 20.0, (0, 4): 25.0, (3, 1): 10.0, (4, 2): 10.0})
+        # halfway toward one donor, a little away from the other
+        ahead = [
+            np.add(here, 0.5 * np.subtract(p, here)) - 0.1 * np.subtract(q, here)
+            for p, q in ((donor, other), (other, donor))
+        ]
+        coords = [here, donor, other, *map(tuple, ahead)]
+        links = {(0, 3): 20.0, (0, 4): 25.0, (3, 1): 10.0, (4, 2): 10.0}
+        dep, mat = make_world(coords, [False, True, True, False, False], links)
         assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0).hops == (3, 1)
 
     def test_rate_overflow_fails_as_shannon_rate_does(self):
