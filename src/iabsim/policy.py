@@ -140,7 +140,10 @@ def _policy_table(policies: tuple[tuple[PolicyKind, WbfConfig], ...], hops: int)
         [[0.0 if kind == PolicyKind.WF else wired_bias_db(n, wbf) for n in range(hops)] for kind, wbf in policies]
     )
     kinds = [kind for kind, _ in policies]
-    return (bias, *(np.array([kind == k for kind in kinds]) for k in (PolicyKind.WF, PolicyKind.PA, PolicyKind.MLR)))
+    tables = (bias, *(np.array([kind == k for kind in kinds]) for k in (PolicyKind.WF, PolicyKind.PA, PolicyKind.MLR)))
+    for table in tables:
+        table.flags.writeable = False  # shared by every block of these policies
+    return tables
 
 
 def vector_rates(share: np.ndarray, snr_db: np.ndarray) -> np.ndarray:
@@ -212,7 +215,7 @@ class WalkBlock:
         self.origin = np.asarray(origin, dtype=np.intp)
         self.walk_policy = np.asarray(policy, dtype=np.intp)
         count = self.origin.size
-        self.path = np.zeros((count, hops), dtype=np.intp)
+        self.trail = []  # per round: the ids of the walks that moved, and the nodes they moved to
         self.outcome = np.zeros(count, dtype=np.int8)
         self.length = np.zeros(count, dtype=np.intp)
         self.final_bottleneck = np.zeros(count)
@@ -259,7 +262,7 @@ class WalkBlock:
         # the admissible entries (walk, col), in walk order, then column order
         walk, col = ((snr >= self.threshold)[row_of] & self.open).nonzero()
         raw = snr[row_of[walk], col]
-        ids, _, base, current, policies = self.state
+        ids, _, base, current, policies = self.state  # views of the state rows
         count = ids.size
         node = base[walk] + col
         wired = self.wired[node]
@@ -267,6 +270,7 @@ class WalkBlock:
         pa, mlr = self.is_pa[policies].nonzero()[0], self.is_mlr[policies].nonzero()[0]
         # Python floats overflow quietly; so do the vectors that stand for them
         with np.errstate(over="ignore", invalid="ignore") if pa.size or mlr.size else nullcontext():
+            # the pool: WF keeps the wired entries and PA the forward ones, when there are any
             prefer = wired | ~self.is_wf[policy]
             if pa.size:
                 entries = self.is_pa[policy].nonzero()[0]
@@ -279,9 +283,12 @@ class WalkBlock:
             if mlr.size:
                 rated = (self.is_mlr[policy] & pool).nonzero()[0]
                 key[rated] = vector_rates(self.share[node[rated]], value[rated])
+            # the (key, wired, -id) maximum: the best key, the entries at it, the wired ones
+            # among them if any, and the first; MLR keeps every rate within the margin of its
+            # best (an infinite rate leaves NaN, and its walk is re-ranked whole)
             best = np.full(count, -np.inf)
             np.maximum.at(best, walk, key)
-            if mlr.size:  # keep every rate within the margin; an infinite one leaves NaN, and a re-rank
+            if mlr.size:
                 top = best[mlr]
                 best[mlr] = top - (RERANK_MARGIN * (top + self.top_share[self.state[1, mlr]]) + RERANK_FLOOR)
             tie = pool & (key >= best[walk])
@@ -299,7 +306,7 @@ class WalkBlock:
         chosen, link = col[entry], raw[entry]
         held = self.bottleneck[moves]
         self.bottleneck[moves] = np.where(link < held, link, held)
-        self.path[ids[moves], self.hop] = chosen
+        self.trail.append((ids[moves], chosen))
         self.open[moves, chosen] = False
         current[moves] = chosen
         self.hop += 1
@@ -363,6 +370,9 @@ class WalkBlock:
 
     def results(self) -> list[PathResult]:
         """The PathResult of every walk, in the order they were given; all must have ended."""
+        path = np.zeros((self.origin.size, self.hop), dtype=np.intp)
+        for hop, (ids, nodes) in enumerate(self.trail):
+            path[ids, hop] = nodes
         return [
             PathResult(
                 origin_id=origin,
@@ -375,7 +385,7 @@ class WalkBlock:
             for origin, p, path, length, bottleneck, code in zip(
                 self.origin.tolist(),
                 self.walk_policy.tolist(),
-                self.path.tolist(),
+                path.tolist(),
                 self.length.tolist(),
                 self.final_bottleneck.tolist(),
                 self.outcome.tolist(),
