@@ -376,13 +376,13 @@ class WalkBlock:
         return [
             PathResult(
                 origin_id=origin,
-                hops=tuple(path[:length]),
+                hops=tuple(nodes[:length]),
                 bottleneck_snr_db=bottleneck,
                 outcome=_OUTCOMES[code],
                 policy=self.policies[p][0],
                 wbf=self.policies[p][1],
             )
-            for origin, p, path, length, bottleneck, code in zip(
+            for origin, p, nodes, length, bottleneck, code in zip(
                 self.origin.tolist(),
                 self.walk_policy.tolist(),
                 path.tolist(),
