@@ -21,9 +21,11 @@ end, and a row of the table is hashed and evaluated only when it is first
 read. UE association draws from a child stream of the repetition's seed
 sequence, so running or skipping it leaves the repetition generator where
 it was: a uniform for every UE-gNB pair, then a shadowing normal (and a
-fading normal) for each pair that is not in outage, in pair order. The
-outage law runs only on the pairs that a squared-distance bound
-(``_may_be_live``) cannot rule out.
+fading normal) for each pair that is not in outage, in pair order. It walks
+the UEs in passes of whole rows, each drawing its pairs' uniforms in turn,
+which gives the same numbers as one draw for all pairs. The outage law runs
+only on the pairs that a squared-distance bound (``_may_be_live``) cannot
+rule out.
 """
 from __future__ import annotations
 
@@ -54,6 +56,10 @@ ASSOC_LAYER = 0x61736F63
 # The most pairs one hashed pass over link-table rows takes; it caps the pass's
 # temporaries, and the bits of a row do not depend on it.
 PASS_PAIRS = 4096
+# The most UE-gNB pairs one association pass takes (or one UE row, when a row
+# is wider): each float64 temporary stays at or below 128 KiB, which malloc
+# serves from its heap instead of mapping, and faulting in, fresh pages per call.
+ASSOC_PASS_PAIRS = 16384
 
 
 class LosState(IntEnum):
@@ -456,25 +462,39 @@ def associate_min_pathloss(
 
     The draws come from the ``ASSOC_LAYER`` child stream of ``rng``, which is
     not advanced: a uniform for every pair, then the normals of the pairs not
-    in outage. The channel law runs only on the pairs ``_may_be_live`` keeps.
+    in outage. The UEs go in passes of whole rows, at most ``ASSOC_PASS_PAIRS``
+    pairs each unless one row is wider; a pass draws its pairs' uniforms and
+    keeps the index, distance and LOS flag of those not in outage, so only
+    they are held across passes. The channel law runs only on the pairs
+    ``_may_be_live`` keeps. Ties go to the lowest gNB id.
     """
     if len(ue_positions) == 0:
         return np.empty(0, dtype=np.int64)
     rng = _child_rng(rng, ASSOC_LAYER)
-    ue, gnb = ue_positions, deployment.positions
-    u = rng.random(len(ue) * len(gnb))
-    d2 = _squared_distances(ue, gnb)
-    kept = _may_be_live(d2, u, params).nonzero()[0]
-    d = np.sqrt(d2[kept])
-    live, los = _visibility(d, u[kept], params)
-    d, live = d[live], kept[live]
-    shadow = rng.standard_normal(live.size)
-    fading = rng.standard_normal(live.size) if params.fading_sigma_db > 0.0 else None
-    pathloss, shadowing = _budget(d, los, shadow, fading, params)
-    total = _spread(u.size, live, pathloss + shadowing, np.inf).reshape(len(ue), len(gnb))
-    serving = np.argmin(total, axis=1)
-    serving[total[np.arange(len(ue)), serving] == np.inf] = -1
-    return serving
+    gnb = deployment.positions
+    n = len(gnb)  # at least 2: a deployment has a wired and a wireless gNB
+    rows = max(1, ASSOC_PASS_PAIRS // n)
+    passes = []  # per pass: its UE count, and its live pairs' index in the pass, distance and LOS flag
+    for first in range(0, len(ue_positions), rows):
+        ue = ue_positions[first : first + rows]
+        u = rng.random(len(ue) * n)
+        d2 = _squared_distances(ue, gnb)
+        kept = _may_be_live(d2, u, params).nonzero()[0]
+        d = np.sqrt(d2[kept])
+        live, los = _visibility(d, u[kept], params)
+        passes.append((len(ue), kept[live], d[live], los))
+    count = sum(live.size for _, live, _, _ in passes)
+    normals = rng.standard_normal((2 if params.fading_sigma_db > 0.0 else 1, count))  # shadowing, then fading
+    serving, start = [], 0
+    for size, live, d, los in passes:
+        v = normals[:, start : start + live.size]
+        start += live.size
+        pathloss, shadowing = _budget(d, los, v[0], v[1] if len(v) > 1 else None, params)
+        total = _spread(size * n, live, pathloss + shadowing, np.inf).reshape(size, n)
+        best = np.argmin(total, axis=1)
+        best[total[np.arange(size), best] == np.inf] = -1
+        serving.append(best)
+    return np.concatenate(serving)
 
 
 def shannon_rate(bandwidth_hz: float, snr_db: float, n_attached: int) -> float:
@@ -484,4 +504,7 @@ def shannon_rate(bandwidth_hz: float, snr_db: float, n_attached: int) -> float:
     if snr_db == -math.inf:
         return 0.0
     share = bandwidth_hz / max(n_attached, 1)
-    return share * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    try:
+        return share * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    except OverflowError:  # 10 ** (x / 10) passes the largest float: log2(1 + p) = log2(p) + log2(1 + 1/p)
+        return share * (snr_db / 10.0 * math.log2(10.0) + math.log2(1.0 + 10.0 ** (-snr_db / 10.0)))

@@ -39,10 +39,11 @@ from .policy import PathOutcome, PathResult, PolicyKind, WalkBlock, WbfConfig, w
 
 
 # The most gNBs or UEs a drop may expect (density times region area). A drop
-# holds its positions, a link-table row one entry per gNB, and UE association
-# one entry per UE-gNB pair, so far larger counts fail on allocation; the cap
-# also lies far below ``geometry.POISSON_MAX_MEAN``, the largest mean numpy's
-# Poisson sampler takes.
+# holds its positions and a link-table row one entry per gNB; UE association
+# runs in bounded passes but keeps one entry per UE-gNB pair not in outage
+# (every pair when the outage slope is <= 0), so far larger counts fail on
+# allocation; the cap also lies far below ``geometry.POISSON_MAX_MEAN``, the
+# largest mean numpy's Poisson sampler takes.
 MAX_EXPECTED_NODES = 1e6
 # A block runs at most BLOCK_REPETITIONS repetitions in lockstep, and fewer
 # when their worlds would expect more than about BLOCK_EXPECTED_NODES gNBs and

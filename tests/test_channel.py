@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,23 @@ class TestShannonRate:
         loads = [shannon_rate(400e6, 10.0, n) for n in range(1, 10)]
         assert all(b < a for a, b in zip(loads, loads[1:]))
 
+    def test_finite_past_the_float_range(self):
+        """Where 10 ** (snr / 10) overflows the rate is snr / 10 * log2(10) per Hz, continuing
+        the direct form across the edge; below it the direct form gives the bits."""
+        edge = 10.0 * math.log10(np.finfo(float).max)  # about 3082.547 dB
+        below = [math.nextafter(edge, -math.inf), edge - 1e-9, 3000.0]
+        for snr in below:
+            assert shannon_rate(1.0, snr, 1) == math.log2(1.0 + 10.0 ** (snr / 10.0))
+        above = [edge + 1e-9, 3083.0, 4006.0, 1e300]
+        for snr in above:
+            with pytest.raises(OverflowError):
+                10.0 ** (snr / 10.0)
+            assert shannon_rate(400e6, snr, 4) == pytest.approx(1e8 * snr / 10.0 * math.log2(10.0), rel=1e-15)
+        rates = [shannon_rate(1.0, s, 1) for s in below[::-1] + above]
+        assert all(b > a for a, b in zip(rates, rates[1:]))
+        assert rates[3] - rates[2] < 1e-9
+        assert shannon_rate(1.0, math.inf, 1) == math.inf
+
 
 class TestRadioConfig:
     def test_rejects_non_square_array(self):
@@ -425,6 +443,79 @@ class TestSparseKernelMatchesDenseReference:
         before = rng.bit_generator.state
         assert associate_min_pathloss([], dep, ChannelParams(), rng).size == 0
         assert rng.bit_generator.state == before
+
+
+class TestAssociationPasses:
+    """Passes of whole UE rows draw and serve as one dense draw over every pair does,
+    at, around and across the pass bound, and leave the parent stream where it was."""
+
+    BOUND = channel.ASSOC_PASS_PAIRS
+    CASES = {
+        "default": ChannelParams(),
+        "fading": ChannelParams(fading_sigma_db=3.0),
+        "flat_outage": ChannelParams(outage_slope_per_m=0.0),  # every pair kept by the screen
+        "falling_outage": ChannelParams(outage_slope_per_m=-0.01),
+    }
+
+    @staticmethod
+    def check(ues, dep, params, seed=0):
+        rng = np.random.default_rng(seed)
+        new = associate_min_pathloss(ues, dep, params, rng)
+        ref = dense_associate_min_pathloss(ues, dep, params, np.random.default_rng(seed))
+        assert new.dtype == ref.dtype
+        assert np.array_equal(new, ref)
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        return new
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [
+            (128, 127),  # k * n just below the bound: one pass
+            (128, 128),  # at the bound: one pass
+            (128, 129),  # just above: a second pass of one row
+            (128, 515),  # several passes and a short last one
+            (480, 34),  # 34 rows of 480 fill a pass
+            (480, 35),
+            (480, 103),
+            (channel.ASSOC_PASS_PAIRS + 5, 3),  # each row wider than a pass is its own
+        ],
+    )
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_serving_cells_match_one_dense_draw(self, n, k, case):
+        dep = scattered_deployment(n, n)
+        ues = far_and_near_ues(k, k)[-k:]  # the last k: near UEs, then far ones in outage
+        serving = self.check(ues, dep, self.CASES[case], seed=k)
+        assert serving.shape == (k,)
+        assert (serving >= 0).any()
+
+    def test_ties_across_a_pass_boundary_go_to_the_lowest_id(self):
+        """Two gNBs at each site, shadowing off: every UE's nearest site is a tie."""
+        rng = np.random.default_rng(3)
+        sites = rng.uniform(0, 1000, (240, 2))
+        at = rng.permutation(np.repeat(np.arange(240), 2))  # the site of each of 480 gNBs
+        dep = Deployment(Region(1000, 1000), sites[at], np.arange(480) % 3 == 0, 1)
+        rows = self.BOUND // 480
+        ues = rng.uniform(0, 1000, (3 * rows, 2))
+        ues[rows] = ues[rows - 1]  # one UE on both sides of the first pass boundary
+        serving = self.check(ues, dep, DETERMINISTIC_LOS)
+        lowest = {site: int(np.flatnonzero(at == site)[0]) for site in range(240)}
+        assert all(lowest[at[s]] == s for s in serving.tolist())
+        assert serving[rows] == serving[rows - 1]
+
+    def test_peak_memory_stays_below_half_a_float_per_pair(self):
+        """One association of 2000 UEs and 480 gNBs holds no array with an entry per pair."""
+        k, n = 2000, 480
+        dep = scattered_deployment(5, n)
+        ues = np.random.default_rng(6).uniform(0, 1000, (k, 2))
+        associate_min_pathloss(ues[:1], dep, ChannelParams(), np.random.default_rng(0))  # fill the caches
+        tracemalloc.start()
+        try:
+            serving = associate_min_pathloss(ues, dep, ChannelParams(), np.random.default_rng(7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (serving >= 0).all()
+        assert peak < k * n * 8 / 2, peak
 
 
 class TestRowPass:

@@ -219,3 +219,21 @@ class TestMain:
         doc = json.loads((out / "summary.json").read_text())
         assert list(doc["policies"]) == ["WF_conservative_poly"]
         assert doc["policies"]["WF_conservative_poly"]["repetitions"] == 8
+
+    def test_mlr_rate_past_the_float_range_completes(self, tmp_path, capsys):
+        """A wired bias of 4000 dB puts 10 ** (snr / 10) past the largest float; the run still ends cleanly."""
+        cfg_path = tmp_path / "huge_bias.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "policies": [{"policy": "MLR", "wbf": {"kind": "polynomial", "gamma_gap_db": 0, "gamma_h_db": 4000}}],
+                    "run": {"repetitions": 20},
+                }
+            )
+        )
+        out = tmp_path / "o"
+        assert run_cli(["--config", str(cfg_path), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((out / "summary.json").read_text())
+        (summary,) = doc["policies"].values()
+        assert summary["repetitions"] == 20

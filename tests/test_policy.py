@@ -589,12 +589,16 @@ class TestRerankMargins:
         dep, mat = make_world(coords, [False, True, True, False, False], links)
         assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0).hops == (3, 1)
 
-    def test_rate_overflow_fails_as_shannon_rate_does(self):
-        """A biased SNR past 10 ** 308 overflows shannon_rate; the hop raises as the
-        Python ranking does instead of losing the candidate in the vector pass."""
+    def test_rate_past_the_float_range_ranks_by_the_finite_rate(self):
+        """A biased SNR past 10 ** 308 still has a finite rate, about snr / 10 * log2(10)
+        per Hz; the hop completes and ranks the candidates by that rate and their load."""
         wbf = WbfConfig(WbfKind.POLYNOMIAL, n_ht=1, k=1.0, gamma_gap_db=0.0, gamma_h_db=4000.0)
         dep, mat = make_world([(0, 0), (100, 0), (200, 0)], [False, False, True], {(0, 1): 30.0, (0, 2): 6.0})
-        with pytest.raises(OverflowError):
-            shannon_rate(400e6, 6.0 + 4000.0, 0)
-        with pytest.raises(OverflowError):
-            build_path(0, PolicyKind.MLR, wbf, dep, mat, 5.0)
+        path = build_path(0, PolicyKind.MLR, wbf, dep, mat, 5.0)
+        assert path.hops == (2,) and path.outcome == PathOutcome.SUCCESS
+        rates = {(snr, load): shannon_rate(400e6, snr + 4000.0, load) for snr in (6.0, 9.0) for load in (1, 2)}
+        assert all(math.isfinite(r) for r in rates.values())
+        assert rates[9.0, 2] < rates[6.0, 1] < rates[9.0, 1]
+        links = {1: 30.0, 2: 6.0, 3: 9.0}
+        assert choose(PolicyKind.MLR, links, wired={2, 3}, wbf=wbf, loads={2: 1, 3: 1}) == 3
+        assert choose(PolicyKind.MLR, links, wired={2, 3}, wbf=wbf, loads={2: 1, 3: 2}) == 2
