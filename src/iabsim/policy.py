@@ -124,9 +124,6 @@ def wired_bias_db(n_hops: int, cfg: WbfConfig) -> float:
 # that covers subnormal results, are re-ranked on Python floats.
 RERANK_MARGIN = 1e-12
 RERANK_FLOOR = 1e-300
-# The biased SNR up to which 10 ** (snr / 10) is finite with room to spare; an
-# MLR hop with a candidate above it is ranked on Python floats alone.
-SAFE_SNR_DB = 3000.0
 
 _SUCCESS, _NO_CANDIDATE, _MAX_HOPS = range(3)  # outcome codes: the index in PathOutcome
 _OUTCOMES = tuple(PathOutcome)
@@ -147,8 +144,31 @@ def _policy_table(policies: tuple[tuple[PolicyKind, WbfConfig], ...], hops: int)
 
 
 def vector_rates(share: np.ndarray, snr_db: np.ndarray) -> np.ndarray:
-    """``shannon_rate`` on arrays, for SNRs up to ``SAFE_SNR_DB``: ``share`` is the bandwidth over max(load, 1)."""
-    return share * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    """``shannon_rate`` on arrays: ``share`` is the bandwidth over max(load, 1)."""
+    with np.errstate(over="ignore"):
+        power = 10.0 ** (snr_db / 10.0)
+        rate = np.log2(1.0 + power)
+        over = np.isinf(power)
+        if over.any():  # 10 ** (x / 10) passes the largest float: log2(1 + p) = log2(p) + log2(1 + 1/p)
+            rate[over] = snr_db[over] / 10.0 * math.log2(10.0) + np.log2(1.0 + 10.0 ** (-snr_db[over] / 10.0))
+        return share * rate
+
+
+def padded_rows(tables, rows: list[tuple[int, int]], width: int) -> np.ndarray:
+    """The rows (world, node id), read as ``tables[world][id]``, as one matrix padded with -inf to ``width``."""
+    snr = np.full((len(rows), width), -np.inf)
+    for r, (w, i) in enumerate(rows):
+        row = tables[w][i]
+        snr[r, : row.size] = row
+    return snr
+
+
+def _check_origin(deployment: Deployment, origin_id: int) -> None:
+    """Refuse a path origin outside the deployment (IndexError) or on a wired gNB (ValueError)."""
+    if not 0 <= origin_id < deployment.n_gnbs:
+        raise IndexError(f"no gNB with id {origin_id} among {deployment.n_gnbs}")
+    if deployment.wired[origin_id]:
+        raise ValueError("path origin must be a wireless gNB")
 
 
 class WalkBlock:
@@ -255,10 +275,7 @@ class WalkBlock:
         self.wanted()
         rows, row_of = self._pending
         self._pending = None
-        snr = np.full((len(rows), self.width), -np.inf)
-        for r, (w, i) in enumerate(rows):
-            row = tables[w][i]
-            snr[r, : row.size] = row
+        snr = padded_rows(tables, rows, self.width)
         # the admissible entries (walk, col), in walk order, then column order
         walk, col = ((snr >= self.threshold)[row_of] & self.open).nonzero()
         raw = snr[row_of[walk], col]
@@ -285,12 +302,13 @@ class WalkBlock:
                 key[rated] = vector_rates(self.share[node[rated]], value[rated])
             # the (key, wired, -id) maximum: the best key, the entries at it, the wired ones
             # among them if any, and the first; MLR keeps every rate within the margin of its
-            # best (an infinite rate leaves NaN, and its walk is re-ranked whole)
+            # best, and its whole pool when the best rate is infinite
             best = np.full(count, -np.inf)
             np.maximum.at(best, walk, key)
             if mlr.size:
                 top = best[mlr]
-                best[mlr] = top - (RERANK_MARGIN * (top + self.top_share[self.state[1, mlr]]) + RERANK_FLOOR)
+                margin = RERANK_MARGIN * (top + self.top_share[self.state[1, mlr]]) + RERANK_FLOOR
+                best[mlr] = np.where(top == np.inf, -np.inf, top - margin)
             tie = pool & (key >= best[walk])
         on_wired = tie & wired
         some[:] = False
@@ -299,7 +317,7 @@ class WalkBlock:
         pick = np.full(count, -1)
         pick[walk[final[::-1]]] = final[::-1]  # the first final entry of each walk
         if mlr.size:
-            self._rerank(pick, mlr, walk, tie, pool, value, wired, col)
+            self._rerank(pick, mlr, walk, tie, value, wired, col)
 
         moves = (pick >= 0).nonzero()[0]
         entry = pick[moves]
@@ -341,16 +359,12 @@ class WalkBlock:
         cx, cy, ux, uy = cx[which], cy[which], dx[pick, at][which], dy[pick, at][which]
         return (self.x[node] - cx) * ux + (self.y[node] - cy) * uy > 0.0
 
-    def _rerank(self, pick, mlr, walk, tie, pool, value, wired, col) -> None:
+    def _rerank(self, pick, mlr, walk, tie, value, wired, col) -> None:
         """Re-rank on Python floats, as ``shannon_rate`` ranks them, the MLR walks with
-        more than one entry in ``tie``, or all of the pool when one is above ``SAFE_SNR_DB``."""
-        unsafe = np.zeros(pick.size, dtype=bool)
-        unsafe[walk[pool & (value > SAFE_SNR_DB)]] = True
-        unsafe = unsafe[mlr]
-        redo = (np.bincount(walk[tie], minlength=pick.size)[mlr] > 1) | unsafe
-        for w, whole in zip(mlr[redo].tolist(), unsafe[redo].tolist()):
+        more than one entry in ``tie``."""
+        for w in mlr[np.bincount(walk[tie], minlength=pick.size)[mlr] > 1].tolist():
             entries = np.arange(*np.searchsorted(walk, (w, w + 1)))
-            entries = entries[(pool if whole else tie)[entries]]
+            entries = entries[tie[entries]]
             loads = self.worlds[self.state[1, w]].attached[col[entries]]
             candidates = zip(entries.tolist(), value[entries].tolist(), wired[entries].tolist(), loads.tolist())
             # a walk's entries run in column order, so -entry ranks as -id does
@@ -411,8 +425,7 @@ def build_path(
     at a time, as ``link_snr_db[i]``: a ``LinkTable`` or an (n, n) array.
     The walk is a ``WalkBlock`` of one.
     """
-    if deployment.node(origin_id).is_wired:
-        raise ValueError("path origin must be a wireless gNB")
+    _check_origin(deployment, origin_id)
     if max_hops < 1:
         raise ConfigError(f"max_hops must be >= 1, got {max_hops}")
     block = WalkBlock([deployment], [(policy, wbf)], [0], [origin_id], [0], snr_threshold_db, max_hops, bandwidth_hz)

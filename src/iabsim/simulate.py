@@ -9,24 +9,21 @@ assembled in repetition order before any statistic is computed.
 
 Repetitions run in blocks aligned to their indices: block k holds
 repetitions [kB, (k + 1)B) of the worker's range, with B from
-``_block_size``. A block samples its worlds in repetition order. Every walk
-of every world is one walk of a ``policy.WalkBlock``, which moves all of
-them one hop per round; the oracle of each world is a generator that yields
-the id of each link-table row it reads and runs on while its rows are held.
-Each round, the rows the walks stand on and the rows the waiting oracles ask
-for are hashed and evaluated together (``channel.evaluate_rows``), then the
-walks step and the oracles resume, until all have ended. Link draws are
-keyed, not drawn in sequence, so when a row is evaluated does not change its
-bits: results equal those of each repetition run alone, and
-``run_repetition`` is a block of one. A campaign keeps the walks' outcome,
-hop and bottleneck arrays, and builds PathResults only when it keeps paths.
+``_block_size``. A block samples its worlds in repetition order. The walks
+of all its worlds are one ``policy.WalkBlock`` and their oracles one
+``OracleBlock``; each round, the rows both ask for are hashed and evaluated
+together (``channel.evaluate_rows``) and both step, until all have ended.
+Link draws are keyed, not drawn in sequence, so when a row is evaluated does
+not change its bits: results equal those of each repetition run alone, and
+``run_repetition`` is a block of one. A campaign keeps outcome, hop and
+bottleneck arrays; it builds PathResults, and searches the oracle's paths,
+only when it keeps paths.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import warnings
-from collections.abc import Generator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -35,9 +32,10 @@ import numpy as np
 from .channel import ChannelParams, LinkTable, RadioConfig, associate_min_pathloss, evaluate_rows, link_table
 from .errors import ConfigError, _shown, require_number
 from .geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
-from .policy import PathOutcome, PathResult, PolicyKind, WalkBlock, WbfConfig, wired_bias_db
+from .policy import _NO_CANDIDATE, _OUTCOMES, _SUCCESS, PathResult, PolicyKind, WalkBlock, WbfConfig, wired_bias_db
+from .policy import _check_origin, padded_rows
 
-
+_OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}  # as the blocks record them
 # The most gNBs or UEs a drop may expect (density times region area). A drop
 # holds its positions and a link-table row one entry per gNB; UE association
 # runs in bounded passes but keeps one entry per UE-gNB pair not in outage
@@ -160,41 +158,76 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator):
     return deployment, links
 
 
-def _bottleneck_steps(wired: list[bool], origin_id: int, snr_threshold_db: float):
-    """Max-min Dijkstra for the value only; None when no wired node is reachable.
+class OracleBlock:
+    """Phase 1 of the oracle, a max-min Dijkstra (Pollack 1960) from node ``origin[w]``
+    of each world ``worlds[w]``, stepped together like a ``WalkBlock``.
 
-    Reads rows as ``oracle_steps`` does."""
-    heap = [(-math.inf, origin_id)]
-    settled = set()
-    while heap:
-        neg_b, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if wired[node]:
-            return -neg_b
-        row = yield node
-        for nxt in (row >= snr_threshold_db).nonzero()[0].tolist():
-            if nxt not in settled:
-                heapq.heappush(heap, (max(neg_b, -float(row[nxt])), nxt))
-    return None
+    Each round, every world settles its reached, unsettled node with the largest
+    tentative bottleneck t (lowest id on ties): SUCCESS at t if it is wired,
+    NO_CANDIDATE if there is none; else ``step`` reads its row and reaches every
+    unsettled column that clears the threshold at max(t, min(t_node, SNR)).
+    Reached is its own mask, as -inf is a real bottleneck at a threshold of -inf.
+    The max-min value is unique and max and min are exact, so no settle order
+    changes a bit. ``outcome`` (``PathOutcome`` codes) and ``bottleneck`` (NaN on
+    failure) describe every world once none is going.
+    """
+
+    def __init__(self, worlds, origin, snr_threshold_db):
+        self.threshold = snr_threshold_db
+        sizes = np.array([d.n_gnbs for d in worlds])
+        self.width = int(sizes.max())
+        count = sizes.size
+        self.outcome = np.full(count, _NO_CANDIDATE, dtype=np.int8)
+        self.bottleneck = np.full(count, math.nan)
+        # the worlds still going: ids, and per column wired, settled (as padding is), open (reached, not
+        # settled) and the tentative bottleneck
+        self.ids = np.arange(count)
+        self.settled = np.arange(self.width) >= sizes[:, None]
+        self.wired = np.zeros((count, self.width), dtype=bool)
+        self.wired[~self.settled] = np.concatenate([d.wired for d in worlds])
+        self.open = np.zeros((count, self.width), dtype=bool)
+        self.open[self.ids, origin] = True
+        self.value = np.where(self.open, np.inf, -np.inf)
+        self._settle()
+
+    def wanted(self) -> list[tuple[int, int]]:
+        """(world, node id) of the node each world still going settled this round."""
+        return list(zip(self.ids.tolist(), self.node.tolist()))
+
+    def step(self, tables) -> None:
+        """Reach out from each settled node over its row, read as ``tables[world][id]``, and settle the next."""
+        snr = padded_rows(tables, self.wanted(), self.width)
+        admit = (snr >= self.threshold) & ~self.settled
+        np.maximum(self.value, np.minimum(snr, self.held[:, None]), out=self.value, where=admit)
+        self.open |= admit
+        self._settle()
+
+    def _settle(self) -> None:
+        """Settle the best open node of every world still going, and drop the worlds that end."""
+        best = np.where(self.open, self.value, -np.inf).max(axis=1)
+        node = (self.open & (self.value >= best[:, None])).argmax(axis=1)
+        rows = np.arange(node.size)
+        found = self.open[rows, node]
+        wired = found & self.wired[rows, node]
+        self.open[rows, node] = False
+        self.settled[rows, node] = True
+        done = wired | ~found
+        if done.any():
+            self.outcome[self.ids[wired]] = _SUCCESS
+            self.bottleneck[self.ids[wired]] = best[wired]
+            keep = ~done
+            self.ids, self.settled, self.wired, self.open, self.value = (
+                a[keep] for a in (self.ids, self.settled, self.wired, self.open, self.value)
+            )
+            node, best = node[keep], best[keep]
+        self.node, self.held, self.going = node, best, node.size > 0
 
 
-def oracle_steps(
-    deployment: Deployment, origin_id: int, snr_threshold_db: float
-) -> Generator[int, np.ndarray, PathResult]:
-    """``widest_path_oracle`` as a generator: it yields the id of each row it reads and is sent that row."""
-    wired = deployment.wired.tolist()
-    best = yield from _bottleneck_steps(wired, origin_id, snr_threshold_db)
-    if best is None:
-        return PathResult(
-            origin_id=origin_id,
-            hops=(),
-            bottleneck_snr_db=math.nan,
-            outcome=PathOutcome.NO_CANDIDATE,
-            policy=None,
-            wbf=None,
-        )
+def _fewest_hops(link_snr_db, wired: list[bool], origin_id: int, best: float) -> tuple[int, ...]:
+    """Phase 2 of the oracle: over the links with SNR >= ``best``, the hops to a wired
+    node with the fewest hops and then the smallest id sequence, by a best-first
+    search on that key; extending a path strictly worsens its key, so the first
+    wired node popped ends the optimum. Reads rows as ``link_snr_db[i]``."""
     heap = [(0, (origin_id,))]
     settled = set()
     while heap:
@@ -204,45 +237,36 @@ def oracle_steps(
             continue
         settled.add(node)
         if wired[node]:
-            return PathResult(
-                origin_id=origin_id,
-                hops=path[1:],
-                bottleneck_snr_db=best,
-                outcome=PathOutcome.SUCCESS,
-                policy=None,
-                wbf=None,
-            )
-        row = yield node
+            return path[1:]
+        row = link_snr_db[node]
         for nxt in (row >= best).nonzero()[0].tolist():
             if nxt not in settled:
                 heapq.heappush(heap, (hops + 1, path + (nxt,)))
     raise AssertionError("unreachable: phase 1 proved a wired node reachable")
 
 
+def _oracle_paths(oracle: OracleBlock, worlds: list[Deployment], tables, origins) -> list[PathResult]:
+    """The PathResults of the worlds of a finished ``oracle``; phase 2 finds the hops of each success."""
+    return [
+        PathResult(o, _fewest_hops(t, d.wired.tolist(), o, b) if c == _SUCCESS else (), b, _OUTCOMES[c], None, None)
+        for d, t, o, c, b in zip(worlds, tables, origins, oracle.outcome.tolist(), oracle.bottleneck.tolist())
+    ]
+
+
 def widest_path_oracle(
-    deployment: Deployment,
-    link_snr_db: LinkTable | np.ndarray,
-    origin_id: int,
-    snr_threshold_db: float,
+    deployment: Deployment, link_snr_db: LinkTable | np.ndarray, origin_id: int, snr_threshold_db: float
 ) -> PathResult:
     """Centralized max-min-bottleneck path from the origin to any wired donor.
 
-    Among all paths achieving the optimal bottleneck, returns the one with the
-    fewest hops and then the lexicographically smallest id sequence. Two
-    phases: a max-min Dijkstra fixes the optimal bottleneck value b*, then a
-    best-first search over the subgraph of links with SNR >= b* (exactly the
-    links usable by optimal paths) minimizes (hop count, id sequence). In that
-    second search extending a path strictly worsens its key, so the first
-    wired node popped is the tie-broken optimum. Both phases read
-    ``link_snr_db`` one row at a time, as ``link_snr_db[i]``.
+    An ``OracleBlock`` of one world finds the optimal bottleneck b*, and among the
+    paths over links with SNR >= b* ``_fewest_hops`` finds the one with the fewest
+    hops and then the smallest id sequence. Both read ``link_snr_db`` (a ``LinkTable``
+    or an (n, n) array) one row at a time; the origin is checked as in ``build_path``.
     """
-    steps = oracle_steps(deployment, origin_id, snr_threshold_db)
-    try:
-        i = next(steps)
-        while True:
-            i = steps.send(link_snr_db[i])
-    except StopIteration as stop:
-        return stop.value
+    _check_origin(deployment, origin_id)
+    oracle = OracleBlock([deployment], [origin_id], snr_threshold_db)
+    _lockstep([oracle], [link_snr_db])
+    return _oracle_paths(oracle, [deployment], [link_snr_db], [origin_id])[0]
 
 
 def _block_size(cfg: SimConfig) -> int:
@@ -251,64 +275,47 @@ def _block_size(cfg: SimConfig) -> int:
     return max(1, int(min(BLOCK_REPETITIONS, BLOCK_EXPECTED_NODES / max(expected, 1.0))))
 
 
-def _lockstep(
-    walks: WalkBlock, tables: list[LinkTable], oracles: list[tuple[Generator, LinkTable]]
-) -> list[PathResult]:
-    """Step ``walks`` over ``tables`` and run the oracle generators, each against its
-    link table, to their ends; returns the oracles' results in order.
+def _lockstep(blocks, tables) -> None:
+    """Step ``blocks`` (``WalkBlock``s and ``OracleBlock``s) over ``tables`` until all have ended.
 
-    Each round, every oracle runs on while the rows it asks for are held; then
-    the rows the waiting oracles and the walks ask for are evaluated together,
-    in passes of at most ``channel.PASS_PAIRS`` pairs, every walk moves one hop
-    and every waiting oracle resumes with its row.
+    Each round, one ``channel.evaluate_rows`` call evaluates the rows that the blocks
+    still going want, and each of them steps; an (n, n) array table needs no evaluating.
     """
-    results: list[PathResult | None] = [None] * len(oracles)
-    running = [(k, gen, table, None) for k, (gen, table) in enumerate(oracles)]
-    while running or walks.going:
-        waiting = []
-        for k, gen, table, row in running:
-            try:
-                i = gen.send(row)
-                while (row := table.rows.get(i)) is not None:
-                    i = gen.send(row)
-            except StopIteration as stop:
-                results[k] = stop.value
-            else:
-                waiting.append((k, gen, table, i))
-        wanted = [(tables[w], i) for w, i in walks.wanted()] if walks.going else []
-        evaluate_rows(wanted + [(table, i) for _, _, table, i in waiting])
-        if walks.going:
-            walks.step(tables)
-        running = [(k, gen, table, table.rows[i]) for k, gen, table, i in waiting]
-    return results
+    while going := [block for block in blocks if block.going]:
+        wanted = [(tables[w], i) for block in going for w, i in block.wanted()]
+        evaluate_rows([(table, i) for table, i in wanted if isinstance(table, LinkTable)])
+        for block in going:
+            block.step(tables)
 
 
-def _run_block(cfg: SimConfig, reps: range) -> tuple[WalkBlock, list[PathResult]]:
+def _run_block(cfg: SimConfig, reps: range, keep_paths: bool) -> tuple:
     """Every policy (and the oracle) on the world of each repetition in ``reps``, stepped in lockstep.
 
-    Returns the finished walks, repetition by repetition and policy by policy
-    within one, and the oracle's results.
+    Returns the walks' outcome codes, hop counts and bottlenecks (repetition by repetition, policy by
+    policy within one), the oracle's outcome codes and bottlenecks (None without it), and the walks' and
+    the oracle's PathResults (empty without ``keep_paths``); the worlds are not kept.
     """
     threshold = cfg.radio.snr_threshold_db
-    worlds, tables, oracles = [], [], []
-    for rep in reps:
-        deployment, links = sample_world(cfg, repetition_rng(cfg.master_seed, rep))
-        worlds.append(deployment)
-        tables.append(links)
-        if cfg.oracle_enabled:
-            oracles.append((oracle_steps(deployment, deployment.origin_id, threshold), links))
+    worlds, tables = zip(*(sample_world(cfg, repetition_rng(cfg.master_seed, rep)) for rep in reps))
+    origins = [d.origin_id for d in worlds]
     n_policies = len(cfg.policies)
     walks = WalkBlock(
         worlds,
         [(spec.kind, spec.wbf) for spec in cfg.policies],
         np.repeat(np.arange(len(worlds)), n_policies),
-        np.repeat([d.origin_id for d in worlds], n_policies),
+        np.repeat(origins, n_policies),
         np.tile(np.arange(n_policies), len(worlds)),
         threshold,
         cfg.max_hops,
         cfg.radio.bandwidth_hz,
     )
-    return walks, _lockstep(walks, tables, oracles)
+    oracle = OracleBlock(worlds, origins, threshold) if cfg.oracle_enabled else None
+    _lockstep([walks] if oracle is None else [walks, oracle], tables)
+    walked = walks.results() if keep_paths else []
+    if oracle is None:
+        return walks.outcome, walks.length, walks.final_bottleneck, None, None, walked, []
+    found = _oracle_paths(oracle, worlds, tables, origins) if keep_paths else []
+    return walks.outcome, walks.length, walks.final_bottleneck, oracle.outcome, oracle.bottleneck, walked, found
 
 
 def run_repetition(cfg: SimConfig, rep_index: int) -> dict[str, PathResult]:
@@ -317,14 +324,8 @@ def run_repetition(cfg: SimConfig, rep_index: int) -> dict[str, PathResult]:
     Returns a mapping from policy label to its PathResult; the oracle result,
     when enabled, is stored under the reserved label ``"oracle"``.
     """
-    walks, found = _run_block(cfg, range(rep_index, rep_index + 1))
-    results = dict(zip((spec.label for spec in cfg.policies), walks.results()))
-    if cfg.oracle_enabled:
-        results["oracle"] = found[0]
-    return results
-
-
-_OUTCOME_CODE = {outcome: code for code, outcome in enumerate(PathOutcome)}  # as WalkBlock records them
+    *_, walked, found = _run_block(cfg, range(rep_index, rep_index + 1), keep_paths=True)
+    return dict(zip([spec.label for spec in cfg.policies] + ["oracle"], walked + found))  # found is [] without the oracle
 
 
 @dataclass
@@ -341,28 +342,15 @@ class CampaignResult:
     paths: dict[str, list[PathResult]] | None = None
 
     def success_mask(self, label: str) -> np.ndarray:
-        return self.outcome[label] == _OUTCOME_CODE[PathOutcome.SUCCESS]
+        return self.outcome[label] == _SUCCESS
 
 
 def _run_range(cfg: SimConfig, start: int, stop: int, keep_paths: bool) -> list[tuple]:
-    """Repetitions [start, stop), run in the blocks [kB, (k + 1)B) that meet the range.
-
-    Per block: the walks' outcome codes, hop counts and bottlenecks
-    (repetition-major, as ``_run_block`` orders them), the oracle's results,
-    and with ``keep_paths`` the walks' PathResults.
-    """
-    def records(walks: WalkBlock, found: list[PathResult]) -> tuple:
-        # keeps the arrays, not the walks: the block's worlds are freed before the next one is sampled
-        return walks.outcome, walks.length, walks.final_bottleneck, found, walks.results() if keep_paths else ()
-
+    """Repetitions [start, stop), run in the blocks [kB, (k + 1)B) that meet the range;
+    per block, the records of ``_run_block``."""
     size = _block_size(cfg)
-    blocks = []
-    first = start
-    while first < stop:
-        last = min(stop, (first // size + 1) * size)
-        blocks.append(records(*_run_block(cfg, range(first, last))))
-        first = last
-    return blocks
+    edges = [start, *range((start // size + 1) * size, stop, size), stop]
+    return [_run_block(cfg, range(first, last), keep_paths) for first, last in zip(edges, edges[1:])]
 
 
 def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> CampaignResult:
@@ -388,20 +376,18 @@ def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> 
             blocks = [block for fut in futures for block in fut.result()]
 
     labels = tuple(spec.label for spec in cfg.policies)
-    codes, hops, bottlenecks, found, walked = zip(*blocks)
+    codes, hops, bottlenecks, oracle_codes, oracle_bottlenecks, walked, found = zip(*blocks)
     outcome, hop_count, bottleneck = (
         np.concatenate(part).reshape(reps, len(labels)) for part in (codes, hops, bottlenecks)
     )
-    found = [res for part in found for res in part]
     paths = oracle_outcome = oracle_bottleneck = None
     if keep_paths:
         walked = [res for part in walked for res in part]
         paths = {lab: walked[p :: len(labels)] for p, lab in enumerate(labels)}
         if cfg.oracle_enabled:
-            paths["oracle"] = found
+            paths["oracle"] = [res for part in found for res in part]
     if cfg.oracle_enabled:
-        oracle_outcome = np.array([_OUTCOME_CODE[res.outcome] for res in found], dtype=np.int8)
-        oracle_bottleneck = np.array([res.bottleneck_snr_db for res in found])
+        oracle_outcome, oracle_bottleneck = np.concatenate(oracle_codes), np.concatenate(oracle_bottlenecks)
     return CampaignResult(
         labels=labels,
         repetitions=reps,
@@ -510,7 +496,7 @@ def aggregate(cfg: SimConfig, result: CampaignResult) -> CampaignSummary:
             hop_stats = (hops_cdf.mean, hops_cdf.quantile(0.5), hops_cdf.quantile(0.95))
             snr_stats = (snr_cdf.mean, snr_cdf.quantile(0.5), snr_cdf.quantile(0.95))
             if result.oracle_outcome is not None:
-                both = ok & (result.oracle_outcome == _OUTCOME_CODE[PathOutcome.SUCCESS])
+                both = ok & (result.oracle_outcome == _SUCCESS)
                 if both.any():
                     gap = float(
                         np.mean(result.oracle_bottleneck_db[both] - result.bottleneck_db[lab][both])

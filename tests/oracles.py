@@ -171,7 +171,8 @@ def enumerate_widest(mat, wired, origin, threshold):
 
     Exhaustive DFS; paths are ranked by highest bottleneck, then fewest hops,
     then lexicographically smallest id sequence. Returns None when no wired
-    node is reachable.
+    node is reachable. A partial path is dropped once even its best possible
+    extension (same bottleneck, one more hop) ranks below the best path found.
     """
     n = mat.shape[0]
     best = None
@@ -182,6 +183,8 @@ def enumerate_widest(mat, wired, origin, threshold):
     stack = [(origin, frozenset([origin]), math.inf, ())]
     while stack:
         node, visited, bottleneck, path = stack.pop()
+        if best is not None and rank(bottleneck, len(path) + 1, path) > rank(*best):
+            continue
         for j in range(n):
             if j in visited or mat[node, j] < threshold:
                 continue
@@ -237,11 +240,13 @@ def reference_greedy_trace(kind, dep, mat, threshold, wbf, max_hops, bandwidth_h
                 pool = forward or admissible
 
             def value(j):
-                v = mat[current, j] + (bias(n) if dep.node(j).is_wired else 0.0)
+                v = float(mat[current, j] + (bias(n) if dep.node(j).is_wired else 0.0))
                 if kind == PolicyKind.MLR:
-                    return (bandwidth_hz / max(dep.node(j).attached_count, 1)) * math.log2(
-                        1 + 10 ** (v / 10)
-                    )
+                    try:
+                        bits = math.log2(1 + 10 ** (v / 10))
+                    except OverflowError:  # past the float range: log2(1 + p) = log2(p) + log2(1 + 1/p)
+                        bits = v / 10 * math.log2(10) + math.log2(1 + 10 ** (-v / 10))
+                    return (bandwidth_hz / max(dep.node(j).attached_count, 1)) * bits
                 return v
 
             chosen = max(pool, key=lambda j: rank(j, value(j)))

@@ -18,8 +18,8 @@ from oracles import dense_associate_min_pathloss, dense_link_table, enumerate_wi
 from iabsim import channel, simulate
 from iabsim.channel import ChannelParams
 from iabsim.geometry import Deployment, Region
-from iabsim.policy import PolicyKind, WalkBlock, WbfConfig, WbfKind, build_path
-from iabsim.simulate import PolicySpec, SimConfig, run_campaign, run_repetition, widest_path_oracle
+from iabsim.policy import PathOutcome, PolicyKind, WalkBlock, WbfConfig, WbfKind, build_path
+from iabsim.simulate import OracleBlock, PolicySpec, SimConfig, run_campaign, run_repetition, widest_path_oracle
 
 WORLDS = 10_000
 BLOCK_WORLDS = 2000
@@ -68,14 +68,15 @@ def test_policies_and_oracle_match_references_under_ties():
             assert got.success == ok, (world, kind)
             if hops:
                 assert got.bottleneck_snr_db == bottleneck, (world, kind)
-        res = widest_path_oracle(dep, mat, 0, THRESHOLD)
-        best = enumerate_widest(mat, wired, 0, THRESHOLD)
-        if best is None:
-            assert not res.success, world
-        else:
-            oracle_successes += 1
-            assert res.success, world
-            assert (res.bottleneck_snr_db, res.hop_count, res.hops) == best, world
+        for threshold in (THRESHOLD, -np.inf):
+            res = widest_path_oracle(dep, mat, 0, threshold)
+            best = enumerate_widest(mat, wired, 0, threshold)
+            if best is None:
+                assert not res.success, (world, threshold)
+            else:
+                oracle_successes += threshold == THRESHOLD
+                assert res.success, (world, threshold)
+                assert (res.bottleneck_snr_db, res.hop_count, res.hops) == best, (world, threshold)
     assert WORLDS // 4 < oracle_successes < WORLDS
 
 
@@ -83,10 +84,14 @@ def test_policies_and_oracle_match_references_under_ties():
 @pytest.mark.parametrize("max_hops", [2, 8])
 def test_one_walk_block_steps_many_tied_worlds(max_hops, threshold):
     """Every policy under every bias from the origin of each of many tied worlds
-    of 3..8 gNBs, stepped as one WalkBlock: each walk equals the reference trace.
+    of 3..8 gNBs, stepped as one WalkBlock in lockstep with the OracleBlock of
+    the same worlds: each walk equals the reference trace, and each oracle value
+    the exhaustive widest path.
 
     Rows of smaller worlds are padded to the widest one; with no threshold every
-    padded column would clear it, so a walk that took one would show.
+    padded column would clear it, so a walk or an oracle that took one would
+    show. With no threshold an outage link is admissible, and -inf is then a
+    bottleneck the oracle must report as a success.
     """
     rng = np.random.default_rng(99)
     worlds = [tied_world(rng) for _ in range(BLOCK_WORLDS)]
@@ -101,11 +106,25 @@ def test_one_walk_block_steps_many_tied_worlds(max_hops, threshold):
         threshold,
         max_hops,
     )
-    tables = [mat for _, mat, _ in worlds]
-    while walks.going:
-        walks.step(tables)
+    oracle = OracleBlock([dep for dep, _, _ in worlds], np.zeros(BLOCK_WORLDS, dtype=int), threshold)
+    simulate._lockstep([walks, oracle], [mat for _, mat, _ in worlds])
     results = walks.results()
     assert {dep.n_gnbs for dep, _, _ in worlds} == set(range(3, 9))
+    outcomes = list(PathOutcome)
+    successes = 0
+    for world, (_, mat, wired) in enumerate(worlds):
+        best = enumerate_widest(mat, wired, 0, threshold)
+        outcome = outcomes[oracle.outcome[world]]
+        if best is None:
+            assert outcome == PathOutcome.NO_CANDIDATE and np.isnan(oracle.bottleneck[world]), world
+        else:
+            successes += 1
+            assert outcome == PathOutcome.SUCCESS and oracle.bottleneck[world] == best[0], world
+    if threshold == -np.inf:
+        # every link is admissible, and some worlds reach a wired node only over an outage link
+        assert successes == BLOCK_WORLDS and np.isneginf(oracle.bottleneck).any()
+    else:
+        assert 0 < successes < BLOCK_WORLDS
     for world, (dep, mat, _) in enumerate(worlds):
         for p, (kind, wbf) in enumerate(policies):
             got = results[world * count + p]

@@ -10,7 +10,6 @@ from iabsim.geometry import Deployment, Region, half_plane_filter, nearest_wired
 from iabsim.policy import (
     RERANK_FLOOR,
     RERANK_MARGIN,
-    SAFE_SNR_DB,
     PathOutcome,
     PolicyKind,
     WbfConfig,
@@ -380,6 +379,12 @@ class TestBuildPath:
         with pytest.raises(ValueError):
             build_path(1, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0)
 
+    @pytest.mark.parametrize("origin", [-1, -2, 2])
+    def test_origin_outside_the_deployment_is_refused(self, origin):
+        dep, mat = make_world([(0, 0), (10, 10)], [False, True], {(0, 1): 10.0}, origin_id=0)
+        with pytest.raises(IndexError):
+            build_path(origin, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0)
+
     def test_star_topology_matches_enumerated_trace(self):
         # five nodes, all links enumerated; trace each policy by hand-rolled greedy
         coords = [(500, 500), (650, 500), (500, 650), (350, 500), (500, 350)]
@@ -484,10 +489,14 @@ class TestRerankMargins:
         rng = np.random.default_rng(5)
         snr = np.concatenate(
             [
-                rng.uniform(-400.0, SAFE_SNR_DB, 4000),
+                rng.uniform(-400.0, 3000.0, 4000),
                 rng.uniform(-160.0, -140.0, 2000),  # where 1 + 10 ** (snr / 10) rounds coarsely
                 rng.uniform(-5.0, 60.0, 2000) + rng.choice([0.0, 15.0, 137.0, 1e3, 2.9e3], 2000),
-                [-np.inf, -0.0, 0.0, SAFE_SNR_DB],
+                [-np.inf, -0.0, 0.0, 3000.0],
+                # past 10 ** (snr / 10) = the largest float, at about 3082.5 dB, and on to where the rate overflows
+                rng.uniform(3070.0, 3100.0, 2000),
+                10.0 ** rng.uniform(3.5, 299.0, 2000),
+                [3082.0, 3083.0, 1e299],
             ]
         )
         loads = rng.integers(0, 10**6, snr.size)
@@ -495,6 +504,9 @@ class TestRerankMargins:
         share = bandwidth_hz / np.maximum(loads, 1)
         got = vector_rates(share, snr)
         want = np.array([shannon_rate(bandwidth_hz, v, n) for v, n in zip(snr.tolist(), loads.tolist())])
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isinf(got), ~finite)
+        got, want, share = got[finite], want[finite], share[finite]
         assert np.all(np.abs(got - want) <= 1e-2 * (RERANK_MARGIN * (want + share) + RERANK_FLOOR))
 
     @pytest.mark.filterwarnings("error")
@@ -533,9 +545,11 @@ class TestRerankMargins:
                 dep.attached[i] = load
             assert got == reference_greedy_trace(PolicyKind.MLR, dep, mat, 5.0, wbf, 30)[0][relays], trial
 
-    @pytest.mark.parametrize("gamma_h_db", [2900.0, 3040.0])
+    @pytest.mark.parametrize("gamma_h_db", [2900.0, 3040.0, 3100.0, 4000.0, 1e306])
     def test_mlr_near_the_rate_overflow_picks_as_python_floats(self, gamma_h_db):
-        """Biased SNRs above SAFE_SNR_DB send the whole pool to the Python ranking."""
+        """Biased SNRs near and past the float range of 10 ** (snr / 10); at 1e306 dB
+        every wired rate is infinite, and such a walk's whole pool goes to the Python
+        ranking."""
         wbf = WbfConfig(WbfKind.POLYNOMIAL, n_ht=1, k=1.0, gamma_gap_db=0.0, gamma_h_db=gamma_h_db)
         rng = np.random.default_rng(8)
         for trial in range(100):

@@ -204,6 +204,19 @@ class TestWidestPathOracle:
         res = widest_path_oracle(dep, mat, 0, 5.0)
         assert res.hops == (2, 1)
 
+    def test_wired_origin_is_refused(self):
+        dep, mat = make_graph([(0, 0), (100, 0), (50, 50)], [False, True, False], {(0, 1): 10.0})
+        with pytest.raises(ValueError):
+            widest_path_oracle(dep, mat, 1, 5.0)
+
+    @pytest.mark.parametrize("origin", [-1, -2, 4])
+    def test_origin_outside_the_deployment_is_refused(self, origin):
+        """Negative ids would index from the end: -1 names the wired node 3, and -2 node 2."""
+        coords = [(0, 0), (100, 0), (200, 0), (300, 0)]
+        dep, mat = make_graph(coords, [False, False, False, True], {(0, 1): 10.0, (1, 2): 10.0, (2, 3): 10.0})
+        with pytest.raises(IndexError):
+            widest_path_oracle(dep, mat, origin, 5.0)
+
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
@@ -340,6 +353,25 @@ class TestCampaignAggregation:
             gap = summary.policies[lab].mean_oracle_gap_db
             if gap is not None:
                 assert gap >= -1e-12
+
+    def test_oracle_path_search_runs_only_for_kept_paths(self, monkeypatch):
+        """A campaign keeps the oracle's outcome and bottleneck; phase 2, which finds
+        the path, runs only when paths are kept, and agrees with both."""
+        kept = run_campaign(SMALL, keep_paths=True)
+        found = kept.paths["oracle"]
+        assert [res.outcome for res in found] == [list(PathOutcome)[code] for code in kept.oracle_outcome]
+        bottlenecks = [res.bottleneck_snr_db for res in found]
+        assert np.array_equal(bottlenecks, kept.oracle_bottleneck_db, equal_nan=True)
+
+        def refuse(*args):
+            raise AssertionError("phase 2 ran in a campaign that keeps no paths")
+
+        monkeypatch.setattr(simulate, "_fewest_hops", refuse)
+        result = run_campaign(SMALL)
+        assert np.array_equal(result.oracle_outcome, kept.oracle_outcome)
+        assert np.array_equal(result.oracle_bottleneck_db, kept.oracle_bottleneck_db, equal_nan=True)
+        with pytest.raises(AssertionError, match="phase 2 ran"):
+            run_campaign(SMALL, keep_paths=True)
 
     def test_worker_count_invariance(self):
         r1 = run_campaign(SMALL, workers=1)
