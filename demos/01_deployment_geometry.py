@@ -1,10 +1,13 @@
-"""Deployment geometry walkthrough: Poisson scatter, roles, spatial predicates.
+"""Deployment geometry walkthrough: Poisson scatter, roles, and PA's forward half-plane.
+
+A deployment is a set of arrays indexed by gNB id: ``positions`` (n, 2),
+``wired`` (n,) and ``sector_boresights`` (n, S).
 
 Run: python demos/01_deployment_geometry.py
 """
 import numpy as np
 
-from iabsim import Region, assign_roles, distance, half_plane_filter, nearest_wired, sample_ppp
+from iabsim import Region, assign_roles, sample_ppp
 
 rng = np.random.default_rng(2024)
 region = Region(1000.0, 1000.0)
@@ -15,23 +18,23 @@ print(f"density 30 gNB/km^2: empirical mean count {np.mean(counts):.2f} (law say
 
 positions = sample_ppp(30.0, region, rng)
 deployment = assign_roles(positions, p_w=0.3, region=region, rng=rng, sectors=3)
-wired = [g for g in deployment.gnbs if g.is_wired]
-relays = [g for g in deployment.gnbs if not g.is_wired]
-print(f"\none realization: {len(deployment.gnbs)} gNBs, {len(wired)} wired donors, {len(relays)} relays")
+pos, wired = deployment.positions, deployment.wired
+relay_ids = np.flatnonzero(~wired)
+print(f"\none realization: {deployment.n_gnbs} gNBs, {wired.sum()} wired donors, {relay_ids.size} relays")
 
-origin = deployment.node(deployment.origin_id)
-print(f"origin relay: id {origin.id} at ({origin.position.x:.0f}, {origin.position.y:.0f}) m, "
-      f"{distance(origin.position, region.center):.0f} m from center")
-print(f"sector boresights (rad): {[round(b, 2) for b in origin.sector_boresights]}")
+origin = deployment.origin_id
+center = np.array((region.width_m / 2.0, region.height_m / 2.0))
+print(f"origin relay: id {origin} at ({pos[origin, 0]:.0f}, {pos[origin, 1]:.0f}) m, "
+      f"{np.hypot(*(pos[origin] - center)):.0f} m from center")
+print(f"sector boresights (rad): {[round(b, 2) for b in deployment.sector_boresights[origin].tolist()]}")
 
-donor_id = nearest_wired(origin.id, deployment)
-donor = deployment.node(donor_id)
-print(f"\nnearest wired donor: id {donor_id}, {distance(origin.position, donor.position):.0f} m away")
+# the donor a PA walk steers toward: the wired gNB nearest the origin, lowest id on ties
+dist = np.hypot(*(pos - pos[origin]).T)
+donor = np.flatnonzero(wired)[np.argmin(dist[wired])]
+print(f"\nnearest wired donor: id {donor}, {dist[donor]:.0f} m away")
 
-pos = deployment.positions
-relay_ids = [g.id for g in relays]
-keep = half_plane_filter(pos[origin.id], pos[donor_id], pos[relay_ids])
-forward = [g for g, kept in zip(relays, keep) if kept]
-print(f"half-plane filter toward the donor keeps {len(forward)} of {len(relays)} relays")
-for g in forward[:5]:
-    print(f"  kept relay {g.id} at ({g.position.x:.0f}, {g.position.y:.0f})")
+# the relays j ahead of the origin o toward the donor t: (p_j - p_o) . (p_t - p_o) > 0
+forward = relay_ids[(pos[relay_ids] - pos[origin]) @ (pos[donor] - pos[origin]) > 0]
+print(f"half-plane filter toward the donor keeps {forward.size} of {relay_ids.size} relays")
+for j in forward[:5]:
+    print(f"  kept relay {j} at ({pos[j, 0]:.0f}, {pos[j, 1]:.0f})")

@@ -17,13 +17,13 @@ rng = repetition_rng(master_seed=26, rep_index=0)
 deployment, links = sample_world(cfg, rng)
 
 origin = deployment.origin_id
-print(f"world: {deployment.n_gnbs} gNBs ({len(deployment.wired_ids)} wired), "
+print(f"world: {deployment.n_gnbs} gNBs ({deployment.wired.sum()} wired), "
       f"{len(deployment.ue_positions)} UEs, origin relay id {origin}")
 
 def describe(name, res):
     if res.success:
         trail = " -> ".join(str(h) for h in (origin,) + res.hops)
-        wired_mark = "wired" if deployment.node(res.hops[-1]).is_wired else "relay"
+        wired_mark = "wired" if deployment.wired[res.hops[-1]] else "relay"
         print(f"{name:>8}: {trail}  ({res.hop_count} hops, bottleneck "
               f"{res.bottleneck_snr_db:.1f} dB, ends at {wired_mark})")
     else:

@@ -22,17 +22,7 @@ from .channel import (
 )
 from .config import WBF_PRESETS, config_document, parse_config
 from .errors import ConfigError
-from .geometry import (
-    Deployment,
-    GnbNode,
-    Position,
-    Region,
-    assign_roles,
-    distance,
-    half_plane_filter,
-    nearest_wired,
-    sample_ppp,
-)
+from .geometry import Deployment, Region, assign_roles, sample_ppp
 from .policy import (
     PathOutcome,
     PathResult,
@@ -63,9 +53,7 @@ __all__ = [
     "__version__",
     "ConfigError",
     # geometry
-    "Region", "Position", "GnbNode", "Deployment",
-    "sample_ppp", "assign_roles", "nearest_wired", "half_plane_filter",
-    "distance",
+    "Region", "Deployment", "sample_ppp", "assign_roles",
     # channel
     "RadioConfig", "ChannelParams", "LosState", "LinkTable",
     "noise_power_dbm", "los_probabilities", "link_table", "associate_min_pathloss",

@@ -11,22 +11,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
 from .channel import STREAM_SCHEMA
-from .config import WBF_PRESETS, config_document, parse_config
+from .config import WBF_PRESETS, _parse_policy_entry, config_document, parse_config
 from .errors import ConfigError
-from .policy import PolicyKind
-from .simulate import (
-    CampaignSummary,
-    EmpiricalCdf,
-    PolicySpec,
-    SimConfig,
-    aggregate,
-    run_campaign,
-)
+from .simulate import CampaignSummary, EmpiricalCdf, SimConfig, aggregate, run_campaign
 
 
 @dataclass
@@ -140,30 +132,16 @@ def _build_parser() -> _Parser:
 
 
 def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
-    from dataclasses import replace
-
     if args.policies is not None:
-        names = [p.strip().upper() for p in args.policies.split(",") if p.strip()]
+        names = [p.strip() for p in args.policies.split(",") if p.strip()]
         if not names:
             raise ConfigError("--policies must name at least one policy")
-        valid = [p.value for p in PolicyKind]
-        specs = []
-        for name in names:
-            if name not in valid:
-                raise ConfigError(f"unknown policy '{name}'; valid names: {valid}")
-            specs.append(PolicyKind(name))
-        preset = args.preset_wbf.lower() if args.preset_wbf is not None else None
-        if preset is not None and preset not in WBF_PRESETS:
-            raise ConfigError(
-                f"unknown WBF preset '{args.preset_wbf}'; known presets: {sorted(WBF_PRESETS)}"
-            )
-        policies = []
-        for kind in specs:
-            if preset in (None, "none"):
-                policies.append(PolicySpec(kind))
-            else:
-                policies.append(PolicySpec(kind, WBF_PRESETS[preset], f"{kind.value}_{preset}"))
-        cfg = replace(cfg, policies=tuple(policies))
+        entries = [{"policy": name, "wbf": args.preset_wbf} for name in names]
+        try:
+            policies = tuple(_parse_policy_entry(entry, i) for i, entry in enumerate(entries))
+        except ConfigError as exc:
+            raise ConfigError(f"--policies/--preset-wbf: {exc}") from None
+        cfg = replace(cfg, policies=policies)
     elif args.preset_wbf is not None:
         raise ConfigError("--preset-wbf requires --policies")
     if args.seed is not None:

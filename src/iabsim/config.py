@@ -49,6 +49,15 @@ def _reject_unknown(section: str, doc: dict, allowed: set[str]) -> None:
             )
 
 
+def _section(doc: dict, name: str, allowed: set[str]) -> dict:
+    """The object at section ``name`` of ``doc`` (empty when absent), checked for unknown keys."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' must be a JSON object, got {section!r}")
+    _reject_unknown(name, section, allowed)
+    return section
+
+
 def _number(section: str, doc: dict, key: str, default, integer: bool = False):
     """The number at ``key``; with ``integer``, an integral float is returned as int.
 
@@ -159,26 +168,20 @@ def parse_config(source) -> SimConfig:
         doc = source
     else:
         text = str(source)
-        if text.lstrip().startswith("{"):
-            pass
-        else:
-            text = Path(text).read_text()
         try:
+            if not text.lstrip().startswith("{"):
+                text = Path(text).read_text(encoding="utf-8")
             doc = json.loads(text) if text.strip() else {}
-        except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
+        except ValueError as exc:  # bytes that are not UTF-8, JSONDecodeError, or an integer past the digit limit
             raise ConfigError(f"config document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     _reject_unknown("config", doc, _SECTIONS)
 
-    dep = doc.get("deployment", {})
-    _reject_unknown("deployment", dep, _DEPLOYMENT_KEYS)
-    radio_doc = doc.get("radio", {})
-    _reject_unknown("radio", radio_doc, _RADIO_KEYS)
-    chan = doc.get("channel", {})
-    _reject_unknown("channel", chan, _CHANNEL_KEYS)
-    run = doc.get("run", {})
-    _reject_unknown("run", run, _RUN_KEYS)
+    dep = _section(doc, "deployment", _DEPLOYMENT_KEYS)
+    radio_doc = _section(doc, "radio", _RADIO_KEYS)
+    chan = _section(doc, "channel", _CHANNEL_KEYS)
+    run = _section(doc, "run", _RUN_KEYS)
 
     region = Region(
         width_m=_number("deployment", dep, "region_width_m", 1000.0),

@@ -1,4 +1,4 @@
-"""Planar deployment sampling and the spatial predicates used by path selection.
+"""Planar deployment sampling: Poisson drops, node roles and the origin relay.
 
 All coordinates and distances are in meters; densities are in nodes per km^2.
 Every sampling routine takes an explicit ``numpy.random.Generator`` so callers
@@ -35,27 +35,13 @@ class Region:
     def area_km2(self) -> float:
         return self.width_m * self.height_m / 1e6
 
-    @property
-    def center(self) -> "Position":
-        return Position(self.width_m / 2.0, self.height_m / 2.0)
-
-
-@dataclass(frozen=True)
-class Position:
-    x: float
-    y: float
-
-
-def distance(a: Position, b: Position) -> float:
-    return math.hypot(b.x - a.x, b.y - a.y)
-
 
 class GnbNode:
-    """View of row ``id`` of a deployment's arrays: one wired donor or wireless relay.
+    """Write-through view of row ``id`` of ``Deployment.attached``.
 
-    Views are made on demand by :meth:`Deployment.node` and
-    :attr:`Deployment.gnbs`; setting ``attached_count`` (the number of
-    terminals the node serves) writes into ``Deployment.attached``.
+    Campaigns read the deployment's arrays; ``Deployment.gnbs`` and these
+    views remain only because the benchmark replay (``bench/layers.py``)
+    stores each node's load through ``attached_count``.
     """
 
     __slots__ = ("_deployment", "id")
@@ -63,18 +49,6 @@ class GnbNode:
     def __init__(self, deployment: "Deployment", node_id: int):
         self._deployment = deployment
         self.id = node_id
-
-    @property
-    def position(self) -> Position:
-        return Position(*self._deployment.positions[self.id].tolist())
-
-    @property
-    def is_wired(self) -> bool:
-        return bool(self._deployment.wired[self.id])
-
-    @property
-    def sector_boresights(self) -> tuple[float, ...]:
-        return tuple(self._deployment.sector_boresights[self.id].tolist())
 
     @property
     def attached_count(self) -> int:
@@ -117,13 +91,10 @@ class Deployment:
         n_wired = int(self.wired.sum())
         if n_wired == 0 or n_wired == n:
             raise ConfigError("deployment needs at least one wired and one wireless gNB")
-        if self.node(self.origin_id).is_wired:
+        if not 0 <= self.origin_id < n:
+            raise IndexError(f"no gNB with id {self.origin_id} among {n}")
+        if self.wired[self.origin_id]:
             raise ConfigError("origin must be a wireless gNB")
-
-    def node(self, node_id: int) -> GnbNode:
-        if not 0 <= node_id < self.n_gnbs:
-            raise IndexError(f"no gNB with id {node_id} among {self.n_gnbs}")
-        return GnbNode(self, node_id)
 
     @property
     def gnbs(self) -> list[GnbNode]:
@@ -132,10 +103,6 @@ class Deployment:
     @property
     def n_gnbs(self) -> int:
         return self.wired.size
-
-    @property
-    def wired_ids(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.wired).tolist())
 
 
 def sample_ppp(density_per_km2: float, region: Region, rng: np.random.Generator) -> np.ndarray:
@@ -199,26 +166,3 @@ def assign_roles(
     origin = _closest((~wired).nonzero()[0], positions, center)
     return Deployment(region, positions, wired, origin, sector_boresights=boresights)
 
-
-def nearest_wired(node_id: int, deployment: Deployment) -> int:
-    """Id of the wired gNB closest to ``node_id`` (lowest id on ties)."""
-    wired = deployment.wired.nonzero()[0]
-    if wired.size == 0:
-        raise ValueError("deployment has no wired gNB")
-    return _closest(wired, deployment.positions, deployment.positions[node_id])
-
-
-def half_plane_filter(current, wired_target, points) -> list[bool]:
-    """Per point (x, y), whether it lies strictly on the wired side of the perpendicular at ``current``.
-
-    Point j is kept iff (p_j - p_current) . (p_wired - p_current) > 0; points
-    exactly on the dividing line are dropped. Takes coordinate pairs, e.g. the
-    rows of ``positions[ids].tolist()``: per point, plain float arithmetic is
-    cheaper than array calls on the few candidates of one hop.
-    """
-    cx, cy = current
-    ux = wired_target[0] - cx
-    uy = wired_target[1] - cy
-    if ux == 0.0 and uy == 0.0:
-        raise ValueError("wired_target must differ from current position")
-    return [(x - cx) * ux + (y - cy) * uy > 0.0 for x, y in points]

@@ -184,9 +184,10 @@ class WalkBlock:
       admissible parents of every walk are the columns of its row whose raw
       SNR clears the threshold and that it has not visited (padding counts as
       visited); the rest of the round runs on these (walk, column) entries;
-    - WF narrows a walk's pool to wired nodes and PA to the forward half-plane
-      of ``geometry.half_plane_filter``, toward the nearest wired node, when
-      that leaves a candidate;
+    - WF narrows a walk's pool to wired nodes, and PA to the nodes j ahead of
+      its current node c toward the wired node t nearest c: those with
+      (p_j - p_c) . (p_t - p_c) > 0, so a node on the perpendicular is not
+      ahead. Either narrows only when that leaves a candidate;
     - the key is the raw SNR plus, on wired nodes, the bias of the walk's
       policy at the current hop (every walk still going has taken ``hop``
       hops), and for MLR the Shannon rate of that over the node's load;

@@ -207,8 +207,11 @@ def reference_greedy_trace(kind, dep, mat, threshold, wbf, max_hops, bandwidth_h
         base = (n / wbf.n_ht) ** wbf.k if wbf.kind == WbfKind.POLYNOMIAL else wbf.gamma ** (n / wbf.n_ht)
         return base * wbf.gamma_gap_db + wbf.gamma_h_db
 
+    wired, attached = dep.wired.tolist(), dep.attached.tolist()
+    pos = dep.positions.tolist()
+
     def rank(node_id, value):
-        return (value, dep.node(node_id).is_wired, -node_id)
+        return (value, wired[node_id], -node_id)
 
     current, visited, hops, bottleneck = dep.origin_id, {dep.origin_id}, [], math.inf
     for n in range(max_hops):
@@ -219,34 +222,23 @@ def reference_greedy_trace(kind, dep, mat, threshold, wbf, max_hops, bandwidth_h
         ]
         if not admissible:
             return tuple(hops), bottleneck, False
-        if kind == PolicyKind.WF and any(dep.node(j).is_wired for j in admissible):
-            wired = [j for j in admissible if dep.node(j).is_wired]
-            chosen = max(wired, key=lambda j: (mat[current, j], -j))
+        if kind == PolicyKind.WF and any(wired[j] for j in admissible):
+            chosen = max((j for j in admissible if wired[j]), key=lambda j: (mat[current, j], -j))
         else:
             pool = admissible
             if kind == PolicyKind.PA:
-                cur = dep.node(current).position
-                target = min(
-                    (g for g in dep.gnbs if g.is_wired),
-                    key=lambda g: (math.hypot(g.position.x - cur.x, g.position.y - cur.y), g.id),
-                ).position
-                forward = [
-                    j
-                    for j in admissible
-                    if (dep.node(j).position.x - cur.x) * (target.x - cur.x)
-                    + (dep.node(j).position.y - cur.y) * (target.y - cur.y)
-                    > 0
-                ]
+                (cx, cy), (tx, ty) = pos[current], pos[nearest_wired(current, dep)]
+                forward = [j for j in admissible if (pos[j][0] - cx) * (tx - cx) + (pos[j][1] - cy) * (ty - cy) > 0]
                 pool = forward or admissible
 
             def value(j):
-                v = float(mat[current, j] + (bias(n) if dep.node(j).is_wired else 0.0))
+                v = float(mat[current, j] + (bias(n) if wired[j] else 0.0))
                 if kind == PolicyKind.MLR:
                     try:
                         bits = math.log2(1 + 10 ** (v / 10))
                     except OverflowError:  # past the float range: log2(1 + p) = log2(p) + log2(1 + 1/p)
                         bits = v / 10 * math.log2(10) + math.log2(1 + 10 ** (-v / 10))
-                    return (bandwidth_hz / max(dep.node(j).attached_count, 1)) * bits
+                    return (bandwidth_hz / max(attached[j], 1)) * bits
                 return v
 
             chosen = max(pool, key=lambda j: rank(j, value(j)))
@@ -254,6 +246,30 @@ def reference_greedy_trace(kind, dep, mat, threshold, wbf, max_hops, bandwidth_h
         visited.add(chosen)
         bottleneck = min(bottleneck, mat[current, chosen])
         current = chosen
-        if dep.node(chosen).is_wired:
+        if wired[chosen]:
             return tuple(hops), bottleneck, True
     return tuple(hops), bottleneck, False
+
+
+def nearest_wired(node_id, deployment):
+    """Id of the wired gNB closest to ``node_id`` (lowest id on ties)."""
+    wired = np.flatnonzero(deployment.wired).tolist()
+    if not wired:
+        raise ValueError("deployment has no wired gNB")
+    pos = deployment.positions.tolist()
+    x, y = pos[node_id]
+    return min(wired, key=lambda j: (math.hypot(pos[j][0] - x, pos[j][1] - y), j))
+
+
+def half_plane_filter(current, wired_target, points):
+    """Per point (x, y), whether it lies strictly on the wired side of the perpendicular at ``current``.
+
+    Point j is kept iff (p_j - p_current) . (p_wired - p_current) > 0; points
+    exactly on the dividing line are dropped.
+    """
+    cx, cy = current
+    ux = wired_target[0] - cx
+    uy = wired_target[1] - cy
+    if ux == 0.0 and uy == 0.0:
+        raise ValueError("wired_target must differ from current position")
+    return [(x - cx) * ux + (y - cy) * uy > 0.0 for x, y in points]

@@ -241,7 +241,7 @@ def test_c08_path_invariant_suite(desk):
                 assert snr >= cfg.radio.snr_threshold_db
             if path.hops:
                 assert path.bottleneck_snr_db == min(link_snrs)
-                assert path.success == deployment.node(nodes[-1]).is_wired
+                assert path.success == deployment.wired[nodes[-1]]
             else:
                 assert not path.success
             checked += 1

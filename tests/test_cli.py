@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from iabsim.cli import ResultBundle, main, write_results
+from iabsim.cli import ResultBundle, _apply_overrides, _build_parser, main, write_results
 from iabsim.config import config_document, parse_config
 from iabsim.simulate import EmpiricalCdf, aggregate, run_campaign
 
@@ -200,6 +200,50 @@ class TestMain:
         wbf_doc = doc["metadata"]["config"]["policies"][0]["wbf"]
         assert wbf_doc["kind"] == "exponential"
         assert wbf_doc["gamma"] == 3.0
+
+    @pytest.mark.parametrize(
+        "preset, labels",
+        [
+            ("conservative_poly", ["HQF_conservative_poly", "WF_conservative_poly"]),
+            ("NONE", ["HQF", "WF"]),
+            (None, ["HQF", "WF"]),
+        ],
+    )
+    def test_policy_flags_equal_the_config_document(self, preset, labels):
+        flags = ["--policies", "HQF, wf"] + ([] if preset is None else ["--preset-wbf", preset])
+        from_flags = _apply_overrides(parse_config({}), _build_parser().parse_args(flags))
+        entries = [{"policy": name} if preset is None else {"policy": name, "wbf": preset} for name in ("HQF", "WF")]
+        assert from_flags == parse_config({"policies": entries})
+        assert [p.label for p in from_flags.policies] == labels
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--policies", ","], "--policies"),
+            (["--policies", "HQF", "--preset-wbf", "bogus"], "bogus"),
+            (["--preset-wbf", "none"], "--policies"),
+        ],
+    )
+    def test_bad_policy_flags_exit_1(self, tmp_path, capsys, flags, named):
+        assert run_cli(flags + ["--out", str(tmp_path / "o")]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_file_not_utf8_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(b"\xff\xfe{}")
+        assert run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [5, []])
+    def test_config_section_not_an_object_exits_1(self, tmp_path, capsys, value):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"deployment": value}))
+        assert run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'deployment'" in err
 
     def test_unknown_flag_exits_1(self, capsys):
         assert run_cli(["--bogus-flag"]) == 1

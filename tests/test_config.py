@@ -240,6 +240,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{not json")
 
+    @pytest.mark.parametrize("section", ["deployment", "radio", "channel", "run"])
+    @pytest.mark.parametrize("value", [5, [], None, "x"])
+    def test_section_that_is_not_an_object_names_it(self, section, value):
+        with pytest.raises(ConfigError, match=f"'{section}' must be a JSON object"):
+            parse_config({section: value})
+
     def test_integer_literal_past_the_digit_limit(self):
         with pytest.raises(ConfigError, match="JSON"):
             parse_config('{"run": {"master_seed": 1%s}}' % ("0" * 5000))

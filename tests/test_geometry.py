@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 
 from iabsim.errors import ConfigError
-from iabsim.geometry import (
-    MAX_REDRAWS,
-    Deployment,
-    Region,
-    assign_roles,
-    distance,
-    half_plane_filter,
-    nearest_wired,
-    sample_ppp,
-)
+from iabsim.geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
+from oracles import half_plane_filter, nearest_wired
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,7 +124,7 @@ class TestAssignRoles:
         positions = [(100, 100), (900, 900)]
         for _ in range(50):
             dep = assign_roles(positions, 0.5, region, rng)
-            flags = sorted(g.is_wired for g in dep.gnbs)
+            flags = sorted(dep.wired.tolist())
             assert flags == [False, True]
 
     def test_empty_and_singleton_rejected(self):
@@ -155,21 +147,20 @@ class TestAssignRoles:
         positions = rng.uniform(0, 1000, (25, 2))
         for _ in range(30):
             dep = assign_roles(positions, 0.3, region, rng)
-            origin = dep.node(dep.origin_id)
-            assert not origin.is_wired
-            d0 = distance(origin.position, region.center)
-            for g in dep.gnbs:
-                if not g.is_wired:
-                    assert d0 <= distance(g.position, region.center) + 1e-12
+            assert not dep.wired[dep.origin_id]
+            cx, cy = region.width_m / 2.0, region.height_m / 2.0
+            d = [math.hypot(x - cx, y - cy) for x, y in dep.positions.tolist()]
+            for i in np.flatnonzero(~dep.wired):
+                assert d[dep.origin_id] <= d[i] + 1e-12
 
     def test_boresights_evenly_spaced_shared_offset(self):
         rng = np.random.default_rng(11)
         region = Region(1000, 1000)
         positions = rng.uniform(0, 1000, (6, 2))
         dep = assign_roles(positions, 0.5, region, rng, sectors=3)
-        for g in dep.gnbs:
-            assert len(g.sector_boresights) == 3
-            for a, b in zip(g.sector_boresights, g.sector_boresights[1:]):
+        for row in dep.sector_boresights.tolist():
+            assert len(row) == 3
+            for a, b in zip(row, row[1:]):
                 assert (b - a) % TWO_PI == pytest.approx(TWO_PI / 3)
 
     def test_offsets_differ_between_nodes(self):
@@ -177,8 +168,8 @@ class TestAssignRoles:
         region = Region(1000, 1000)
         positions = rng.uniform(0, 1000, (6, 2))
         dep = assign_roles(positions, 0.5, region, rng, sectors=3)
-        firsts = {g.sector_boresights[0] for g in dep.gnbs}
-        assert len(firsts) == len(dep.gnbs)
+        firsts = set(dep.sector_boresights[:, 0].tolist())
+        assert len(firsts) == dep.n_gnbs
 
 
 class TestNearestWired:
@@ -278,23 +269,22 @@ class TestDeployment:
         positions = np.random.default_rng(16).uniform(0, 100, (7, 2))
         dep = assign_roles(positions, 0.4, Region(100, 100), np.random.default_rng(17), sectors=2)
         assert [g.id for g in dep.gnbs] == list(range(7))
-        for i in range(dep.n_gnbs):
-            g = dep.node(i)
-            assert (g.position.x, g.position.y) == tuple(dep.positions[i])
-            assert g.is_wired is bool(dep.wired[i])
-            assert g.sector_boresights == tuple(dep.sector_boresights[i])
-            assert g.attached_count == 0
-        assert dep.wired_ids == tuple(np.flatnonzero(dep.wired))
-        with pytest.raises(IndexError):
-            dep.node(7)
+        dep.attached[:] = np.arange(7) * 3
+        assert [g.attached_count for g in dep.gnbs] == [3 * i for i in range(7)]
+        assert dep.sector_boresights.shape == (7, 2)
 
     def test_attached_count_writes_through(self):
         dep = make_deployment([(0, 0), (1, 0), (2, 0)], [False, True, False], 0)
-        dep.node(2).attached_count = 5
+        dep.gnbs[2].attached_count = 5
         for g in dep.gnbs:
             g.attached_count += g.id
         assert dep.attached.tolist() == [0, 1, 7]
-        assert dep.node(2).attached_count == 7
+        assert dep.gnbs[2].attached_count == 7
+
+    @pytest.mark.parametrize("origin_id", [3, 4, -1])
+    def test_origin_out_of_range_raises_index_error(self, origin_id):
+        with pytest.raises(IndexError):
+            make_deployment([(0, 0), (1, 0), (2, 0)], [False, True, False], origin_id)
 
 
 class TestRedrawBound:

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import reference_greedy_trace
+from oracles import half_plane_filter, nearest_wired, reference_greedy_trace
 
 from iabsim.channel import shannon_rate
 from iabsim.errors import ConfigError
-from iabsim.geometry import Deployment, Region, half_plane_filter, nearest_wired
+from iabsim.geometry import Deployment, Region
 from iabsim.policy import (
     RERANK_FLOOR,
     RERANK_MARGIN,
@@ -291,12 +291,9 @@ class TestSelectPa:
             if not hops:
                 continue
             pos = dep.positions
-            if any(half_plane_filter(pos[0], pos[nearest_wired(0, dep)], pos[ids])):
-                target = dep.node(nearest_wired(0, dep)).position
-                cur = dep.node(0).position
-                chosen_pos = dep.node(hops[0]).position
-                proj = (chosen_pos.x - cur.x) * (target.x - cur.x) + (chosen_pos.y - cur.y) * (target.y - cur.y)
-                assert proj > 0
+            target = pos[nearest_wired(0, dep)]
+            if any(half_plane_filter(pos[0], target, pos[ids])):
+                assert half_plane_filter(pos[0], target, [pos[hops[0]]]) == [True]
 
     def test_donor_at_same_position_falls_back_to_hqf(self):
         # node 0 shares its spot with donor 1, which is out of reach: no
@@ -428,8 +425,7 @@ class TestBuildPath:
                     if rng.random() < 0.7:
                         snr[(i, j)] = float(rng.uniform(-5, 35))
             dep, mat = make_world(coords, wired, snr)
-            for g in dep.gnbs:
-                g.attached_count = int(rng.integers(0, 5))
+            dep.attached[:] = [int(rng.integers(0, 5)) for _ in range(n)]
             wbf = [NO_BIAS, CONSERVATIVE_POLY, AGGRESSIVE_EXP][trial % 3]
             for kind in PolicyKind:
                 got = build_path(0, kind, wbf, dep, mat, 5.0)
@@ -469,7 +465,7 @@ class TestPathInvariants:
                 if res.hops:
                     links = [mat[a, b] for a, b in zip(nodes, nodes[1:])]
                     assert res.bottleneck_snr_db == min(links)
-                assert res.success == dep.node(nodes[-1]).is_wired if res.hops else not res.success
+                assert res.success == dep.wired[nodes[-1]] if res.hops else not res.success
 
             # WF equivalence: an overwhelming wired bias reproduces WF step for step
             wf = build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, 5.0, max_hops=max_hops)

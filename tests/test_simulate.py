@@ -100,7 +100,7 @@ class TestRepetitionStreams:
             dep, links = sample_world(SMALL, rng)
             row = links.snr[dep.origin_id]
             best = int(np.argmax(row))
-            if row[best] >= SMALL.radio.snr_threshold_db and dep.node(best).is_wired:
+            if row[best] >= SMALL.radio.snr_threshold_db and dep.wired[best]:
                 results = run_repetition(SMALL, rep)
                 hqf, wf = results["HQF"], results["WF"]
                 assert hqf.hops == wf.hops == (best,)
@@ -111,11 +111,10 @@ class TestRepetitionStreams:
     def test_world_respects_roles_and_ues(self):
         rng = repetition_rng(5, 0)
         dep, links = sample_world(SimConfig(lambda_ue=50.0), rng)
-        assert any(g.is_wired for g in dep.gnbs)
-        assert any(not g.is_wired for g in dep.gnbs)
+        assert dep.wired.any()
+        assert not dep.wired.all()
         assert links.snr.shape == (dep.n_gnbs, dep.n_gnbs)
-        total_attached = sum(g.attached_count for g in dep.gnbs)
-        assert total_attached <= len(dep.ue_positions)
+        assert dep.attached.sum() <= len(dep.ue_positions)
 
 
 NO_MLR = (PolicySpec(PolicyKind.HQF), PolicySpec(PolicyKind.WF), PolicySpec(PolicyKind.PA))
