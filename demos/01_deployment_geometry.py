@@ -1,7 +1,7 @@
 """Deployment geometry walkthrough: Poisson scatter, roles, and PA's forward half-plane.
 
-A deployment is a set of arrays indexed by gNB id: ``positions`` (n, 2),
-``wired`` (n,) and ``sector_boresights`` (n, S).
+A deployment is a set of arrays indexed by gNB id: ``positions`` (n, 2) and
+``wired`` (n,).
 
 Run: python demos/01_deployment_geometry.py
 """
@@ -17,7 +17,7 @@ counts = [len(sample_ppp(30.0, region, rng)) for _ in range(2000)]
 print(f"density 30 gNB/km^2: empirical mean count {np.mean(counts):.2f} (law says 30)")
 
 positions = sample_ppp(30.0, region, rng)
-deployment = assign_roles(positions, p_w=0.3, region=region, rng=rng, sectors=3)
+deployment = assign_roles(positions, p_w=0.3, region=region, rng=rng)
 pos, wired = deployment.positions, deployment.wired
 relay_ids = np.flatnonzero(~wired)
 print(f"\none realization: {deployment.n_gnbs} gNBs, {wired.sum()} wired donors, {relay_ids.size} relays")
@@ -26,7 +26,6 @@ origin = deployment.origin_id
 center = np.array((region.width_m / 2.0, region.height_m / 2.0))
 print(f"origin relay: id {origin} at ({pos[origin, 0]:.0f}, {pos[origin, 1]:.0f}) m, "
       f"{np.hypot(*(pos[origin] - center)):.0f} m from center")
-print(f"sector boresights (rad): {[round(b, 2) for b in deployment.sector_boresights[origin].tolist()]}")
 
 # the donor a PA walk steers toward: the wired gNB nearest the origin, lowest id on ties
 dist = np.hypot(*(pos - pos[origin]).T)

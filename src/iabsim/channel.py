@@ -72,7 +72,7 @@ class LosState(IntEnum):
 class RadioConfig:
     """Radio front-end parameters shared by every gNB.
 
-    ``sectors`` only orients ``Deployment.sector_boresights``; no link reads it.
+    ``sectors`` is checked but unused, kept because ``bench/layers.py`` passes it to ``assign_roles``.
     """
 
     bandwidth_hz: float = 400e6

@@ -169,7 +169,7 @@ def main(argv=None) -> int:
         if args.workers is not None and args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         try:
-            cfg = parse_config(args.config) if args.config else parse_config({})
+            cfg = parse_config(Path(args.config)) if args.config else parse_config({})
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2

@@ -160,16 +160,18 @@ def _parse_policy_entry(raw, index: int) -> PolicySpec:
 
 
 def parse_config(source) -> SimConfig:
-    """Build a validated SimConfig from a JSON document, file path or dict.
+    """Build a validated SimConfig from a dict, a ``pathlib.Path`` to a JSON file, or a string.
 
-    An empty document yields the full default parameterization.
+    A string is JSON text when it starts with ``{`` and a file path otherwise;
+    a file name that starts with ``{`` is read when given as a ``Path``. An
+    empty document yields the full default parameterization.
     """
     if isinstance(source, dict):
         doc = source
     else:
         text = str(source)
         try:
-            if not text.lstrip().startswith("{"):
+            if isinstance(source, Path) or not text.lstrip().startswith("{"):
                 text = Path(text).read_text(encoding="utf-8")
             doc = json.loads(text) if text.strip() else {}
         except ValueError as exc:  # bytes that are not UTF-8, JSONDecodeError, or an integer past the digit limit

@@ -13,11 +13,17 @@ import numpy as np
 
 from .errors import ConfigError, require_number
 
-TWO_PI = 2.0 * math.pi
 # Redraws a conditioned sample may take before its law is judged unreachable.
 MAX_REDRAWS = 10_000
 # The largest mean numpy's Poisson sampler accepts (int64 max - 10 sqrt(int64 max)).
 POISSON_MAX_MEAN = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
+# The origin's and PA's donor distances and MLR's Shannon rate are ranked on
+# vectors, which numpy may round differently from ``math.hypot`` and
+# ``shannon_rate`` in the last bits. The candidates within this relative margin
+# of the best, plus a floor that covers subnormal results, are re-ranked on
+# Python floats.
+RERANK_MARGIN = 1e-12
+RERANK_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -63,11 +69,11 @@ class GnbNode:
 class Deployment:
     """One realized topology over a region, stored as arrays indexed by node id.
 
-    Row i of ``positions`` (n, 2), ``wired`` (n,), ``attached`` (n,) and
-    ``sector_boresights`` (n, S) describes gNB i, so ids are also row indices
-    into pairwise link matrices. ``attached`` counts the terminals each node
-    serves (zeros unless user association filled it in); ``ue_positions`` is
-    (k, 2).
+    Row i of ``positions`` (n, 2), ``wired`` (n,) and ``attached`` (n,)
+    describes gNB i, so ids are also row indices into pairwise link matrices.
+    ``attached`` counts the terminals each node serves (zeros unless user
+    association filled it in); ``ue_positions`` (k, 2) holds the UE drop when
+    one was kept, and no rows otherwise.
     """
 
     region: Region
@@ -75,7 +81,6 @@ class Deployment:
     wired: np.ndarray
     origin_id: int
     attached: np.ndarray | None = None
-    sector_boresights: np.ndarray | None = None
     ue_positions: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
     def __post_init__(self):
@@ -86,8 +91,6 @@ class Deployment:
             raise ConfigError(f"positions must be an (n, 2) array for n = {n} gNBs")
         if self.attached is None:
             self.attached = np.zeros(n, dtype=np.int64)
-        if self.sector_boresights is None:
-            self.sector_boresights = np.zeros((n, 1))
         n_wired = int(self.wired.sum())
         if n_wired == 0 or n_wired == n:
             raise ConfigError("deployment needs at least one wired and one wireless gNB")
@@ -135,10 +138,12 @@ def assign_roles(
     """Mark each node wired with probability ``p_w`` and pick the origin relay.
 
     Role vectors are redrawn until both a wired and a wireless node exist, at
-    most ``MAX_REDRAWS`` times. Each node gets ``sectors`` evenly spaced
-    boresights sharing one uniform random rotation. The origin is the wireless
-    node nearest the region center (lowest id on ties), which keeps evaluated
-    paths away from the border.
+    most ``MAX_REDRAWS`` times. Then one uniform per node, a sector rotation
+    that no link reads, is taken from ``rng`` and dropped, which keeps the
+    stream where it was; ``sectors`` is checked but unused, and stays only
+    because the benchmark replay (``bench/layers.py``) passes it. The origin
+    is the wireless node nearest the region center (lowest id on ties), which
+    keeps evaluated paths away from the border.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.size == 0:
@@ -160,9 +165,11 @@ def assign_roles(
             f"deployment.p_w = {p_w}: {MAX_REDRAWS} role draws over {n} gNBs "
             "gave no mix of wired and wireless nodes"
         )
-    offsets = rng.uniform(0.0, TWO_PI, n)
-    boresights = (offsets[:, None] + TWO_PI * np.arange(sectors) / sectors) % TWO_PI
+    rng.random(n)  # the sector rotations: the same doubles as uniform(0, 2 pi, n)
     center = np.array((region.width_m / 2.0, region.height_m / 2.0))
-    origin = _closest((~wired).nonzero()[0], positions, center)
-    return Deployment(region, positions, wired, origin, sector_boresights=boresights)
-
+    wireless = (~wired).nonzero()[0]
+    dist = np.hypot(*(positions[wireless] - center).T)
+    # the nodes within the re-rank margin of the nearest (and any NaN row); a near-tie is ranked by _closest
+    near = wireless[~(dist > dist.min() * (1.0 + RERANK_MARGIN) + RERANK_FLOOR)]
+    origin = int(near[0]) if near.size == 1 else _closest(near, positions, center)
+    return Deployment(region, positions, wired, origin)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import LinkTable, shannon_rate
 from .errors import ConfigError, require_number
-from .geometry import Deployment, _closest
+from .geometry import RERANK_FLOOR, RERANK_MARGIN, Deployment, _closest
 
 
 class WbfKind(Enum):
@@ -117,13 +117,6 @@ def wired_bias_db(n_hops: int, cfg: WbfConfig) -> float:
         return wbf_poly(n_hops, cfg)
     return wbf_exp(n_hops, cfg)
 
-
-# MLR's Shannon rate and PA's donor distance are ranked on vectors, which numpy
-# may round differently from ``shannon_rate`` and ``math.hypot`` in the last
-# bits. The candidates within this relative margin of the best, plus a floor
-# that covers subnormal results, are re-ranked on Python floats.
-RERANK_MARGIN = 1e-12
-RERANK_FLOOR = 1e-300
 
 _SUCCESS, _NO_CANDIDATE, _MAX_HOPS = range(3)  # outcome codes: the index in PathOutcome
 _OUTCOMES = tuple(PathOutcome)

@@ -129,15 +129,22 @@ def repetition_rng(master_seed: int, rep_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(rep_index,)))
 
 
+def _keeps_ues(cfg: SimConfig) -> bool:
+    """Whether the worlds of ``cfg`` keep their UE drops: only MLR reads the loads."""
+    return any(spec.kind == PolicyKind.MLR for spec in cfg.policies)
+
+
 def sample_world(cfg: SimConfig, rng: np.random.Generator):
     """One full realization: deployment, UE loads and link table.
 
     The gNB drop is redrawn until it holds two nodes, at most ``MAX_REDRAWS``
-    times. UE association fills ``deployment.attached`` only when some
-    configured policy is MLR, the one policy that reads the loads; otherwise
-    it is skipped and the loads stay 0. It draws from its own child stream,
-    so the link table, and every policy, sees the same realization whichever
-    policies are configured.
+    times. The UE drop and its association, which fills ``deployment.attached``,
+    are kept only when some configured policy is MLR, the one policy that reads
+    the loads; otherwise the UE draws are taken from ``rng`` and dropped, and
+    the deployment holds no UEs and zero loads. The association draws from its
+    own child stream, so the generator ends in the same place either way: the
+    link table, and every policy, sees the same realization whichever policies
+    are configured.
     """
     for _ in range(MAX_REDRAWS):
         points = sample_ppp(cfg.lambda_g, cfg.region, rng)
@@ -148,12 +155,14 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator):
             f"deployment.lambda_g = {cfg.lambda_g}: {MAX_REDRAWS} drops in a row "
             "held fewer than two gNBs"
         )
-    deployment = assign_roles(points, cfg.p_w, cfg.region, rng, sectors=cfg.radio.sectors)
+    deployment = assign_roles(points, cfg.p_w, cfg.region, rng)
     if cfg.lambda_ue > 0:
-        ues = deployment.ue_positions = sample_ppp(cfg.lambda_ue, cfg.region, rng)
-        if any(spec.kind == PolicyKind.MLR for spec in cfg.policies):
+        if _keeps_ues(cfg):
+            ues = deployment.ue_positions = sample_ppp(cfg.lambda_ue, cfg.region, rng)
             serving = associate_min_pathloss(ues, deployment, cfg.channel, rng)
             deployment.attached = np.bincount(serving[serving >= 0], minlength=deployment.n_gnbs)
+        else:  # sample_ppp's draws, dropped: the count, then one double per coordinate
+            rng.random(2 * int(rng.poisson(cfg.lambda_ue * cfg.region.area_km2)))
     links = link_table(deployment, cfg.radio, cfg.channel, rng)
     return deployment, links
 
@@ -270,8 +279,9 @@ def widest_path_oracle(
 
 
 def _block_size(cfg: SimConfig) -> int:
-    """Repetitions per block: at most ``BLOCK_REPETITIONS`` and about ``BLOCK_EXPECTED_NODES`` nodes."""
-    expected = (cfg.lambda_g + cfg.lambda_ue) * cfg.region.area_km2
+    """Repetitions per block: at most ``BLOCK_REPETITIONS`` and about ``BLOCK_EXPECTED_NODES`` nodes
+    kept, UEs counting only when the worlds keep them."""
+    expected = (cfg.lambda_g + (cfg.lambda_ue if _keeps_ues(cfg) else 0.0)) * cfg.region.area_km2
     return max(1, int(min(BLOCK_REPETITIONS, BLOCK_EXPECTED_NODES / max(expected, 1.0))))
 
 

@@ -251,6 +251,13 @@ def reference_greedy_trace(kind, dep, mat, threshold, wbf, max_hops, bandwidth_h
     return tuple(hops), bottleneck, False
 
 
+def closest_wireless(positions, wired, region):
+    """The origin rule: the wireless gNB nearest the region center by ``math.hypot``, lowest id on ties."""
+    cx, cy = region.width_m / 2.0, region.height_m / 2.0
+    rows = zip(positions.tolist(), wired.tolist())
+    return min((math.hypot(cx - x, cy - y), i) for i, ((x, y), w) in enumerate(rows) if not w)[1]
+
+
 def nearest_wired(node_id, deployment):
     """Id of the wired gNB closest to ``node_id`` (lowest id on ties)."""
     wired = np.flatnonzero(deployment.wired).tolist()

@@ -264,6 +264,14 @@ class TestMain:
         assert list(doc["policies"]) == ["WF_conservative_poly"]
         assert doc["policies"]["WF_conservative_poly"]["repetitions"] == 8
 
+    def test_config_file_named_like_json_text_drives_run(self, tmp_path, monkeypatch):
+        """A relative path starting with '{' names a file, not a JSON document."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "{a}.json").write_text(json.dumps({"run": {"repetitions": 3, "master_seed": 2}}))
+        assert run_cli(["--config", "{a}.json", "--out", "o"]) == 0
+        doc = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert doc["metadata"]["config"]["run"]["repetitions"] == 3
+
     def test_mlr_rate_past_the_float_range_completes(self, tmp_path, capsys):
         """A wired bias of 4000 dB puts 10 ** (snr / 10) past the largest float; the run still ends cleanly."""
         cfg_path = tmp_path / "huge_bias.json"

@@ -5,7 +5,7 @@ import pytest
 
 from iabsim.errors import ConfigError
 from iabsim.geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
-from oracles import half_plane_filter, nearest_wired
+from oracles import closest_wireless, half_plane_filter, nearest_wired
 
 TWO_PI = 2.0 * math.pi
 
@@ -153,23 +153,80 @@ class TestAssignRoles:
             for i in np.flatnonzero(~dep.wired):
                 assert d[dep.origin_id] <= d[i] + 1e-12
 
-    def test_boresights_evenly_spaced_shared_offset(self):
-        rng = np.random.default_rng(11)
-        region = Region(1000, 1000)
-        positions = rng.uniform(0, 1000, (6, 2))
-        dep = assign_roles(positions, 0.5, region, rng, sectors=3)
-        for row in dep.sector_boresights.tolist():
-            assert len(row) == 3
-            for a, b in zip(row, row[1:]):
-                assert (b - a) % TWO_PI == pytest.approx(TWO_PI / 3)
+    @pytest.mark.parametrize("n, p_w", [(2, 0.5), (2, 0.05), (30, 0.3), (200, 0.9)])
+    def test_stream_ends_after_role_and_sector_uniforms(self, n, p_w):
+        """The generator moves as it did when the sector rotations were kept:
+        n uniforms per role draw, then n uniforms in [0, 2 pi)."""
+        for seed in range(20):
+            positions = np.random.default_rng(seed).uniform(0, 1000, (n, 2))
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assign_roles(positions, p_w, Region(1000, 1000), rng, sectors=3)
+            while not 0 < int((ref.random(n) < p_w).sum()) < n:
+                pass
+            ref.uniform(0.0, TWO_PI, n)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_offsets_differ_between_nodes(self):
-        rng = np.random.default_rng(12)
+
+def _assert_origin_matches_reference(positions, region, trials, seed, p_w=0.5):
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        dep = assign_roles(positions, p_w, region, rng)
+        assert dep.origin_id == closest_wireless(dep.positions, dep.wired, region)
+
+
+class TestOriginPick:
+    """The origin, picked by a vector distance with a re-ranked near-tie band, against
+    the plain ``math.hypot`` rule over every wireless id."""
+
+    def test_random_drops(self):
+        rng = np.random.default_rng(40)
         region = Region(1000, 1000)
-        positions = rng.uniform(0, 1000, (6, 2))
-        dep = assign_roles(positions, 0.5, region, rng, sectors=3)
-        firsts = set(dep.sector_boresights[:, 0].tolist())
-        assert len(firsts) == dep.n_gnbs
+        for _ in range(300):
+            positions = rng.uniform(0, 1000, (int(rng.integers(2, 60)), 2))
+            _assert_origin_matches_reference(positions, region, 5, int(rng.integers(2**31)), p_w=0.3)
+
+    def test_mirror_image_ties_around_the_center(self):
+        rng = np.random.default_rng(41)
+        region = Region(1000, 1000)
+        for _ in range(200):
+            offsets = rng.integers(-4, 5, (int(rng.integers(1, 6)), 2)) * 37.5
+            images = np.concatenate([offsets * sign for sign in ((1, 1), (-1, -1), (-1, 1), (1, -1))])
+            positions = 500.0 + rng.permutation(np.concatenate([images, images[:, ::-1]]))
+            _assert_origin_matches_reference(positions, region, 5, int(rng.integers(2**31)))
+
+    def test_last_bit_near_ties(self):
+        rng = np.random.default_rng(42)
+        region = Region(1000, 1000)
+        for _ in range(300):
+            base = rng.uniform(0, 1000, 2)
+            ulps = rng.integers(-3, 4, (int(rng.integers(2, 12)), 2))
+            positions = base + ulps * np.spacing(base)
+            # mirror some of them through the center, which ties them in distance but not in rounding
+            mirror = rng.random(len(positions)) < 0.5
+            positions[mirror] = 1000.0 - positions[mirror]
+            _assert_origin_matches_reference(positions, region, 5, int(rng.integers(2**31)))
+
+    def test_node_exactly_at_the_center(self):
+        rng = np.random.default_rng(43)
+        region = Region(1000, 1000)
+        for _ in range(200):
+            positions = rng.uniform(0, 1000, (int(rng.integers(2, 12)), 2))
+            positions[rng.random(len(positions)) < 0.4] = 500.0
+            positions[rng.random(len(positions)) < 0.2] = 500.0 + np.array([0.0, np.spacing(500.0)])
+            _assert_origin_matches_reference(positions, region, 5, int(rng.integers(2**31)))
+        tiny = Region(1e-310, 1e-310)  # subnormal distances, below the re-rank floor
+        for _ in range(100):
+            positions = rng.integers(0, 3, (int(rng.integers(2, 8)), 2)) * 5e-311
+            _assert_origin_matches_reference(positions, tiny, 5, int(rng.integers(2**31)))
+
+    def test_region_beyond_the_squared_distance_range(self):
+        rng = np.random.default_rng(44)
+        region = Region(1e300, 1e300)
+        assert math.isinf(1e300 * 1e300)
+        for _ in range(200):
+            half = rng.uniform(0, 1e300, (int(rng.integers(1, 10)), 2))
+            positions = rng.permutation(np.concatenate([half, 1e300 - half]))  # mirror images tie or nearly tie
+            _assert_origin_matches_reference(positions, region, 5, int(rng.integers(2**31)))
 
 
 class TestNearestWired:
@@ -271,7 +328,6 @@ class TestDeployment:
         assert [g.id for g in dep.gnbs] == list(range(7))
         dep.attached[:] = np.arange(7) * 3
         assert [g.attached_count for g in dep.gnbs] == [3 * i for i in range(7)]
-        assert dep.sector_boresights.shape == (7, 2)
 
     def test_attached_count_writes_through(self):
         dep = make_deployment([(0, 0), (1, 0), (2, 0)], [False, True, False], 0)

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -121,6 +122,23 @@ NO_MLR = (PolicySpec(PolicyKind.HQF), PolicySpec(PolicyKind.WF), PolicySpec(Poli
 WITH_MLR = NO_MLR + (PolicySpec(PolicyKind.MLR),)
 
 
+NO_MLR_CAMPAIGN = SimConfig(lambda_g=120.0, lambda_ue=100.0, policies=NO_MLR, repetitions=70, master_seed=4242)
+
+
+@lru_cache(maxsize=None)
+def each_repetition_alone() -> dict:
+    """Per label of ``NO_MLR_CAMPAIGN``, the outcomes, hop counts and bottlenecks of each repetition run alone."""
+    runs = [run_repetition(NO_MLR_CAMPAIGN, rep) for rep in range(NO_MLR_CAMPAIGN.repetitions)]
+    return {
+        spec.label: (
+            [r[spec.label].outcome for r in runs],
+            [r[spec.label].hop_count for r in runs],
+            np.array([r[spec.label].bottleneck_snr_db for r in runs]),
+        )
+        for spec in NO_MLR
+    }
+
+
 class TestAssociationSkip:
     """Without an MLR policy no load is computed, yet the realization stays paired."""
 
@@ -135,8 +153,8 @@ class TestAssociationSkip:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"channel": ChannelParams(fading_sigma_db=3.0)}, {"lambda_ue": 1e-3}],
-        ids=["plain", "fading", "no_ues"],
+        [{}, {"channel": ChannelParams(fading_sigma_db=3.0)}, {"lambda_ue": 1e-3}, {"lambda_ue": 4000.0}],
+        ids=["plain", "fading", "no_ues", "many_ues"],
     )
     def test_stream_and_links_equal_with_and_without_mlr(self, overrides):
         for rep in range(5):
@@ -149,10 +167,30 @@ class TestAssociationSkip:
             assert states[0] == states[1]
             assert np.array_equal(links_a.snr, links_b.snr)
             assert np.array_equal(dep_a.positions, dep_b.positions)
-            assert np.array_equal(dep_a.ue_positions, dep_b.ue_positions)
+            assert np.array_equal(dep_a.wired, dep_b.wired) and dep_a.origin_id == dep_b.origin_id
+            assert len(dep_a.ue_positions) == 0
             assert not dep_a.attached.any()
-            if "lambda_ue" in overrides:
-                assert len(dep_a.ue_positions) == 0
+
+    def test_block_size_counts_ues_only_with_mlr(self):
+        def size(policies, lambda_ue):
+            return simulate._block_size(SimConfig(lambda_g=480.0, lambda_ue=lambda_ue, policies=policies))
+
+        assert size(NO_MLR, 0.0) == size(NO_MLR, 100.0) == size(NO_MLR, 1e5) == size(WITH_MLR, 0.0) == 8192 // 480
+        assert size(WITH_MLR, 100.0) == 8192 // 580
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bound", [1, 3, None], ids=["bounds1", "bounds3", "default"])
+    def test_campaign_without_mlr_equal_at_any_block_bound(self, bound, workers, monkeypatch):
+        """UEs no longer count toward the block size without MLR, so default blocks grow;
+        the arrays do not depend on it."""
+        assert simulate._block_size(NO_MLR_CAMPAIGN) == simulate.BLOCK_REPETITIONS < NO_MLR_CAMPAIGN.repetitions
+        if bound is not None:
+            monkeypatch.setattr(simulate, "BLOCK_REPETITIONS", bound)
+        result = run_campaign(NO_MLR_CAMPAIGN, workers=workers)
+        for lab, (outcome, hops, bottleneck) in each_repetition_alone().items():
+            assert [list(PathOutcome)[code] for code in result.outcome[lab]] == outcome
+            assert result.hop_count[lab].tolist() == hops
+            assert np.array_equal(result.bottleneck_db[lab], bottleneck, equal_nan=True)
 
     def test_loads_filled_only_for_mlr(self):
         dep, _ = sample_world(SimConfig(policies=WITH_MLR), repetition_rng(3, 0))
