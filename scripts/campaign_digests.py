@@ -5,10 +5,13 @@
 ``iabsim`` is imported from ROOT/src and ``campaign_digest`` from
 ROOT/bench/campaign.py, read-only; ROOT defaults to the checkout holding this
 script, and may be another one, such as a pull request's merge base. The
-first line names the random-stream schema (``channel.STREAM_SCHEMA``). Two
-checkouts with the same schema must print the same lines: a change that moves
-a campaign's numbers declares a new schema.
+first line names the random-stream schema (``channel.STREAM_SCHEMA``). Each
+workload then gets a SHA-256 of its parsed config's echo as sorted-key JSON,
+so a change to a parsed value or a dropped echo key shows, and a change of key
+order does not. Two checkouts with the same schema must print the same lines:
+a change that moves a campaign's numbers declares a new schema.
 """
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -23,12 +26,14 @@ def main(root: Path) -> None:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     from campaign import campaign_digest
     from iabsim.channel import STREAM_SCHEMA
-    from iabsim.config import parse_config
+    from iabsim.config import config_document, parse_config
     from iabsim.simulate import run_campaign
 
     print(f"stream_schema {STREAM_SCHEMA}")
     for workload, reps in REPETITIONS.items():
         doc = json.loads((root / "bench" / "workloads" / f"{workload}.json").read_text())
+        echo = json.dumps(config_document(parse_config(doc)), sort_keys=True)
+        print(f"{workload} config_echo_sha256 {hashlib.sha256(echo.encode()).hexdigest()}")
         for seed in SEEDS:
             doc["run"].update(repetitions=reps, master_seed=seed)
             cfg = parse_config(doc)

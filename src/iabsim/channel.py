@@ -32,13 +32,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, require_number
+from .errors import ConfigError, check_params, key_of, param
 from .geometry import Deployment
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -75,24 +75,19 @@ class RadioConfig:
     ``sectors`` is checked but unused, kept because ``bench/layers.py`` passes it to ``assign_roles``.
     """
 
-    bandwidth_hz: float = 400e6
-    tx_power_dbm: float = 30.0
-    noise_figure_db: float = 5.0
-    array_elements: int = 64
-    sectors: int = 3
-    snr_threshold_db: float = 5.0
+    bandwidth_hz: float = param("radio.B_hz", 400e6, above=0)
+    tx_power_dbm: float = param("radio.ptx_dbm", 30.0)
+    noise_figure_db: float = param("radio.nf_db", 5.0)
+    array_elements: int = param("radio.M", 64, integer=True, at_least=1)
+    sectors: int = param("radio.S", 3, integer=True, at_least=1)
+    snr_threshold_db: float = param("radio.gamma_th_db", 5.0)
 
     def __post_init__(self):
-        require_number("radio.B_hz", self.bandwidth_hz, above=0)
-        require_number("radio.ptx_dbm", self.tx_power_dbm)
-        require_number("radio.nf_db", self.noise_figure_db)
-        require_number("radio.M", self.array_elements, integer=True, at_least=1)
-        require_number("radio.S", self.sectors, integer=True, at_least=1)
-        require_number("radio.gamma_th_db", self.snr_threshold_db)
+        check_params(self)
         root = math.isqrt(int(self.array_elements))
         if root * root != self.array_elements:
             raise ConfigError(
-                f"radio.M must be a perfect square (planar array), got {self.array_elements}"
+                f"{key_of(self, 'array_elements')} must be a perfect square (planar array), got {self.array_elements}"
             )
 
 
@@ -107,20 +102,19 @@ class ChannelParams:
     lognormal perturbation per link (off by default).
     """
 
-    los_alpha_db: float = 61.4
-    los_exponent: float = 2.0
-    los_sigma_db: float = 5.8
-    nlos_alpha_db: float = 72.0
-    nlos_exponent: float = 2.92
-    nlos_sigma_db: float = 8.7
-    outage_slope_per_m: float = 1.0 / 30.0
-    outage_intercept: float = 5.2
-    los_decay_per_m: float = 1.0 / 67.1
-    fading_sigma_db: float = 0.0
+    los_alpha_db: float = param("channel.los_alpha_db", 61.4)
+    los_exponent: float = param("channel.los_exponent", 2.0)
+    los_sigma_db: float = param("channel.los_sigma_db", 5.8)
+    nlos_alpha_db: float = param("channel.nlos_alpha_db", 72.0)
+    nlos_exponent: float = param("channel.nlos_exponent", 2.92)
+    nlos_sigma_db: float = param("channel.nlos_sigma_db", 8.7)
+    outage_slope_per_m: float = param("channel.outage_slope_per_m", 1.0 / 30.0)
+    outage_intercept: float = param("channel.outage_intercept", 5.2)
+    los_decay_per_m: float = param("channel.los_decay_per_m", 1.0 / 67.1)
+    fading_sigma_db: float = param("channel.fading_sigma_db", 0.0)
 
     def __post_init__(self):
-        for field in fields(self):
-            require_number(f"channel.{field.name}", getattr(self, field.name))
+        check_params(self)
 
 
 def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:

@@ -166,8 +166,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.workers is not None and args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         try:
             cfg = parse_config(Path(args.config)) if args.config else parse_config({})
         except OSError as exc:

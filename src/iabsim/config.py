@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 
-from .channel import ChannelParams, RadioConfig
 from .errors import ConfigError, require_number
-from .geometry import Region
 from .policy import PolicyKind, WbfConfig, WbfKind
 from .simulate import PolicySpec, SimConfig
 
@@ -26,22 +26,10 @@ WBF_PRESETS: dict[str, WbfConfig] = {
     "conservative_exp": WbfConfig(WbfKind.EXPONENTIAL, n_ht=6, gamma=1.5, gamma_gap_db=5.0, gamma_h_db=2.0),
 }
 
-_DEPLOYMENT_KEYS = {"lambda_g", "p_w", "lambda_ue", "region_width_m", "region_height_m"}
-_RADIO_KEYS = {"B_hz", "ptx_dbm", "nf_db", "M", "S", "gamma_th_db"}
-_CHANNEL_KEYS = {
-    "los_alpha_db", "los_exponent", "los_sigma_db",
-    "nlos_alpha_db", "nlos_exponent", "nlos_sigma_db",
-    "outage_slope_per_m", "outage_intercept", "los_decay_per_m", "fading_sigma_db",
-}
-_RUN_KEYS = {"repetitions", "master_seed", "max_hops", "oracle"}
-_POLICY_KEYS = {"policy", "wbf", "label"}
-_WBF_KEYS = {"kind", "n_ht", "k", "gamma", "gamma_gap_db", "gamma_h_db"}
-_SECTIONS = {"deployment", "radio", "channel", "policies", "run"}
-
 _LABEL_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
-def _reject_unknown(section: str, doc: dict, allowed: set[str]) -> None:
+def _reject_unknown(section: str, doc: dict, allowed) -> None:
     for key in doc:
         if key not in allowed:
             raise ConfigError(
@@ -49,7 +37,7 @@ def _reject_unknown(section: str, doc: dict, allowed: set[str]) -> None:
             )
 
 
-def _section(doc: dict, name: str, allowed: set[str]) -> dict:
+def _section(doc: dict, name: str, allowed) -> dict:
     """The object at section ``name`` of ``doc`` (empty when absent), checked for unknown keys."""
     section = doc.get(name, {})
     if not isinstance(section, dict):
@@ -58,21 +46,61 @@ def _section(doc: dict, name: str, allowed: set[str]) -> dict:
     return section
 
 
-def _number(section: str, doc: dict, key: str, default, integer: bool = False):
-    """The number at ``key``; with ``integer``, an integral float is returned as int.
+def _read(sections: dict, f, where: str):
+    """The value of ``param`` field ``f`` in its section of ``sections``: the field's
+    default when absent, else of the kind of that default (bool, enum or number).
+    ``where`` prefixes the key in messages.
 
-    Finiteness, integrality and ranges are checked where the config
-    dataclasses are built; an int too large for a float key is refused here,
-    before it is converted.
+    For a number, an integral float is returned as int when the field is an
+    integer, and as float otherwise. Finiteness, integrality and ranges are
+    checked where the config dataclasses are built; an int too large for a
+    float key is refused here, before it is converted.
     """
-    value = doc.get(key, default)
+    section, name = f.metadata["key"].split(".")
+    if name not in sections[section]:
+        return f.default
+    value, key = sections[section][name], f"{where}{section}.{name}"
+    if isinstance(f.default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"'{key}' must be a boolean, got {value!r}")
+        return value
+    if isinstance(f.default, Enum):
+        kind = type(f.default)
+        try:
+            return kind(str(value).lower())
+        except ValueError:
+            raise ConfigError(f"'{key}' must be one of {[k.value for k in kind]}, got {value!r}") from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{section}.{key}' must be a number, got {value!r}")
-    if integer:
+        raise ConfigError(f"'{key}' must be a number, got {value!r}")
+    if f.metadata.get("integer"):
         return int(value) if isinstance(value, float) and value.is_integer() else value
     if isinstance(value, int):
-        require_number(f"{section}.{key}", value)  # refuses one beyond the float range
+        require_number(key, value)  # refuses one beyond the float range
     return float(value)
+
+
+def _build(cls, sections: dict, where: str = "", **given):
+    """``cls`` with each ``param`` field read from its section in ``sections`` and each
+    nested config dataclass built likewise; ``given`` fields are passed as they are."""
+    for f in fields(cls):
+        if "key" in f.metadata:
+            given[f.name] = _read(sections, f, where)
+        elif is_dataclass(f.default):
+            given[f.name] = _build(type(f.default), sections, where)
+    return cls(**given)
+
+
+def _echo(obj, doc: dict) -> dict:
+    """``doc`` with the value of each ``param`` field of ``obj`` and of its nested
+    config dataclasses added at its key, in declaration order."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if "key" in f.metadata:
+            section, name = f.metadata["key"].split(".")
+            doc.setdefault(section, {})[name] = value.value if isinstance(value, Enum) else value
+        elif is_dataclass(value):
+            _echo(value, doc)
+    return doc
 
 
 def _parse_wbf(raw, where: str) -> WbfConfig:
@@ -87,24 +115,9 @@ def _parse_wbf(raw, where: str) -> WbfConfig:
         return WBF_PRESETS[preset]
     if not isinstance(raw, dict):
         raise ConfigError(f"'{where}.wbf' must be a preset name or an object, got {raw!r}")
-    _reject_unknown(f"{where}.wbf", raw, _WBF_KEYS)
-    kind_name = str(raw.get("kind", "none")).lower()
+    _reject_unknown(f"{where}.wbf", raw, _DEFAULTS["policies"][0]["wbf"])
     try:
-        kind = WbfKind(kind_name)
-    except ValueError:
-        raise ConfigError(
-            f"'{where}.wbf.kind' must be one of {[k.value for k in WbfKind]}, got {raw.get('kind')!r}"
-        ) from None
-    defaults = WbfConfig()
-    try:
-        return WbfConfig(
-            kind=kind,
-            n_ht=_number(f"{where}.wbf", raw, "n_ht", defaults.n_ht, integer=True),
-            k=_number(f"{where}.wbf", raw, "k", defaults.k),
-            gamma=_number(f"{where}.wbf", raw, "gamma", defaults.gamma),
-            gamma_gap_db=_number(f"{where}.wbf", raw, "gamma_gap_db", defaults.gamma_gap_db),
-            gamma_h_db=_number(f"{where}.wbf", raw, "gamma_h_db", defaults.gamma_h_db),
-        )
+        return _build(WbfConfig, {"wbf": raw}, f"{where}.")
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -136,7 +149,7 @@ def _parse_policy_entry(raw, index: int) -> PolicySpec:
         raw = {"policy": raw}
     if not isinstance(raw, dict):
         raise ConfigError(f"'{where}' must be a policy name or an object, got {raw!r}")
-    _reject_unknown(where, raw, _POLICY_KEYS)
+    _reject_unknown(where, raw, _DEFAULTS["policies"][0])
     name = str(raw.get("policy", "")).upper()
     try:
         kind = PolicyKind(name)
@@ -178,95 +191,26 @@ def parse_config(source) -> SimConfig:
             raise ConfigError(f"config document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    _reject_unknown("config", doc, _SECTIONS)
-
-    dep = _section(doc, "deployment", _DEPLOYMENT_KEYS)
-    radio_doc = _section(doc, "radio", _RADIO_KEYS)
-    chan = _section(doc, "channel", _CHANNEL_KEYS)
-    run = _section(doc, "run", _RUN_KEYS)
-
-    region = Region(
-        width_m=_number("deployment", dep, "region_width_m", 1000.0),
-        height_m=_number("deployment", dep, "region_height_m", 1000.0),
-    )
-    radio = RadioConfig(
-        bandwidth_hz=_number("radio", radio_doc, "B_hz", 400e6),
-        tx_power_dbm=_number("radio", radio_doc, "ptx_dbm", 30.0),
-        noise_figure_db=_number("radio", radio_doc, "nf_db", 5.0),
-        array_elements=_number("radio", radio_doc, "M", 64, integer=True),
-        sectors=_number("radio", radio_doc, "S", 3, integer=True),
-        snr_threshold_db=_number("radio", radio_doc, "gamma_th_db", 5.0),
-    )
-    channel_defaults = ChannelParams()
-    channel = ChannelParams(
-        **{
-            key: _number("channel", chan, key, getattr(channel_defaults, key))
-            for key in sorted(_CHANNEL_KEYS)
-        }
-    )
-
-    raw_policies = doc.get("policies", ["HQF", "WF", "PA", "MLR"])
-    if not isinstance(raw_policies, list) or not raw_policies:
-        raise ConfigError("'policies' must be a nonempty list")
-    policies = tuple(_parse_policy_entry(entry, i) for i, entry in enumerate(raw_policies))
-
-    oracle = run.get("oracle", False)
-    if not isinstance(oracle, bool):
-        raise ConfigError(f"'run.oracle' must be a boolean, got {oracle!r}")
-
-    return SimConfig(
-        lambda_g=_number("deployment", dep, "lambda_g", 30.0),
-        p_w=_number("deployment", dep, "p_w", 0.3),
-        lambda_ue=_number("deployment", dep, "lambda_ue", 100.0),
-        region=region,
-        radio=radio,
-        channel=channel,
-        policies=policies,
-        repetitions=_number("run", run, "repetitions", 1000, integer=True),
-        master_seed=_number("run", run, "master_seed", 1, integer=True),
-        max_hops=_number("run", run, "max_hops", 30, integer=True),
-        oracle_enabled=oracle,
-    )
+    _reject_unknown("config", doc, _DEFAULTS)
+    sections = {name: _section(doc, name, keys) for name, keys in _DEFAULTS.items() if name != "policies"}
+    given = {}
+    if "policies" in doc:
+        raw_policies = doc["policies"]
+        if not isinstance(raw_policies, list) or not raw_policies:
+            raise ConfigError("'policies' must be a nonempty list")
+        given["policies"] = tuple(_parse_policy_entry(entry, i) for i, entry in enumerate(raw_policies))
+    return _build(SimConfig, sections, **given)
 
 
 def config_document(cfg: SimConfig) -> dict:
-    """Canonical, fully explicit document; ``parse_config`` of it reproduces ``cfg``."""
-    return {
-        "deployment": {
-            "lambda_g": cfg.lambda_g,
-            "p_w": cfg.p_w,
-            "lambda_ue": cfg.lambda_ue,
-            "region_width_m": cfg.region.width_m,
-            "region_height_m": cfg.region.height_m,
-        },
-        "radio": {
-            "B_hz": cfg.radio.bandwidth_hz,
-            "ptx_dbm": cfg.radio.tx_power_dbm,
-            "nf_db": cfg.radio.noise_figure_db,
-            "M": cfg.radio.array_elements,
-            "S": cfg.radio.sectors,
-            "gamma_th_db": cfg.radio.snr_threshold_db,
-        },
-        "channel": {key: getattr(cfg.channel, key) for key in sorted(_CHANNEL_KEYS)},
-        "policies": [
-            {
-                "policy": spec.kind.value,
-                "wbf": {
-                    "kind": spec.wbf.kind.value,
-                    "n_ht": spec.wbf.n_ht,
-                    "k": spec.wbf.k,
-                    "gamma": spec.wbf.gamma,
-                    "gamma_gap_db": spec.wbf.gamma_gap_db,
-                    "gamma_h_db": spec.wbf.gamma_h_db,
-                },
-                "label": spec.label,
-            }
-            for spec in cfg.policies
-        ],
-        "run": {
-            "repetitions": cfg.repetitions,
-            "master_seed": cfg.master_seed,
-            "max_hops": cfg.max_hops,
-            "oracle": cfg.oracle_enabled,
-        },
-    }
+    """Canonical, fully explicit document; ``parse_config`` of it reproduces ``cfg``.
+
+    Keys are listed in the order their fields are declared."""
+    doc = _echo(cfg, {})
+    doc["policies"] = [{"policy": spec.kind.value, **_echo(spec.wbf, {}), "label": spec.label} for spec in cfg.policies]
+    doc["run"] = doc.pop("run")  # after the policies, as in the README
+    return doc
+
+
+# The document of the defaults: its sections and their keys are the ones allowed.
+_DEFAULTS = config_document(SimConfig())

@@ -1,9 +1,32 @@
 import math
 import sys
+from dataclasses import field, fields
+from enum import Enum
 
 
 class ConfigError(ValueError):
     """Invalid configuration value or document; message names the offending key."""
+
+
+def param(key: str, default, **bounds):
+    """A config dataclass field read from document key ``key`` (``section.name``).
+
+    Its default is the document's default, and its kind follows from it: bool,
+    enum or number. A number is held to the ``require_number`` ``bounds``
+    (``integer``, ``at_least``, ``above``) by :func:`check_params`."""
+    return field(default=default, metadata={"key": key, **bounds})
+
+
+def check_params(obj) -> None:
+    """``require_number`` on each number field of ``obj`` declared by :func:`param`."""
+    for f in fields(obj):
+        if "key" in f.metadata and not isinstance(f.default, (bool, Enum)):
+            require_number(value=getattr(obj, f.name), **f.metadata)
+
+
+def key_of(obj, name: str) -> str:
+    """The document key of field ``name`` of config dataclass ``obj``."""
+    return obj.__dataclass_fields__[name].metadata["key"]
 
 
 def require_number(key: str, value, *, integer: bool = False, at_least=None, above=None) -> None:

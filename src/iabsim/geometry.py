@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, require_number
+from .errors import ConfigError, check_params, param
 
 # Redraws a conditioned sample may take before its law is judged unreachable.
 MAX_REDRAWS = 10_000
@@ -30,12 +30,11 @@ RERANK_FLOOR = 1e-300
 class Region:
     """Axis-aligned rectangular deployment area."""
 
-    width_m: float = 1000.0
-    height_m: float = 1000.0
+    width_m: float = param("deployment.region_width_m", 1000.0, above=0)
+    height_m: float = param("deployment.region_height_m", 1000.0, above=0)
 
     def __post_init__(self):
-        require_number("deployment.region_width_m", self.width_m, above=0)
-        require_number("deployment.region_height_m", self.height_m, above=0)
+        check_params(self)
 
     @property
     def area_km2(self) -> float:

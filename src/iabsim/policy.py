@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import LinkTable, shannon_rate
-from .errors import ConfigError, require_number
+from .errors import ConfigError, check_params, param
 from .geometry import RERANK_FLOOR, RERANK_MARGIN, Deployment, _closest
 
 
@@ -57,22 +57,15 @@ class WbfConfig:
     wired donor.
     """
 
-    kind: WbfKind = WbfKind.NONE
-    n_ht: int = 6
-    k: float = 1.0
-    gamma: float = 1.5
-    gamma_gap_db: float = 5.0
-    gamma_h_db: float = 2.0
+    kind: WbfKind = param("wbf.kind", WbfKind.NONE)
+    n_ht: int = param("wbf.n_ht", 6, integer=True, at_least=1)
+    k: float = param("wbf.k", 1.0, above=0)
+    gamma: float = param("wbf.gamma", 1.5, at_least=1)  # the bias must not decay with hops
+    gamma_gap_db: float = param("wbf.gamma_gap_db", 5.0, at_least=0)
+    gamma_h_db: float = param("wbf.gamma_h_db", 2.0, at_least=0)
 
     def __post_init__(self):
-        require_number("wbf.n_ht", self.n_ht, integer=True, at_least=1)
-        require_number("wbf.k", self.k, above=0)
-        require_number("wbf.gamma", self.gamma, at_least=1)  # the bias must not decay with hops
-        require_number("wbf.gamma_gap_db", self.gamma_gap_db, at_least=0)
-        require_number("wbf.gamma_h_db", self.gamma_h_db, at_least=0)
-
-
-WBF_NONE = WbfConfig()
+        check_params(self)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelParams, LinkTable, RadioConfig, associate_min_pathloss, evaluate_rows, link_table
-from .errors import ConfigError, _shown, require_number
+from .errors import ConfigError, _shown, check_params, key_of, param, require_number
 from .geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
 from .policy import _NO_CANDIDATE, _OUTCOMES, _SUCCESS, PathResult, PolicyKind, WalkBlock, WbfConfig, wired_bias_db
 from .policy import _check_origin, padded_rows
@@ -67,9 +67,9 @@ class PolicySpec:
 class SimConfig:
     """Full experiment parameterization."""
 
-    lambda_g: float = 30.0
-    p_w: float = 0.3
-    lambda_ue: float = 100.0
+    lambda_g: float = param("deployment.lambda_g", 30.0, above=0)
+    p_w: float = param("deployment.p_w", 0.3)
+    lambda_ue: float = param("deployment.lambda_ue", 100.0, at_least=0)
     region: Region = Region()
     radio: RadioConfig = RadioConfig()
     channel: ChannelParams = ChannelParams()
@@ -79,19 +79,15 @@ class SimConfig:
         PolicySpec(PolicyKind.PA),
         PolicySpec(PolicyKind.MLR),
     )
-    repetitions: int = 1000
-    master_seed: int = 1
-    max_hops: int = 30
-    oracle_enabled: bool = False
+    repetitions: int = param("run.repetitions", 1000, integer=True, at_least=1)
+    master_seed: int = param("run.master_seed", 1, integer=True, at_least=0)
+    max_hops: int = param("run.max_hops", 30, integer=True, at_least=1)
+    oracle_enabled: bool = param("run.oracle", False)
 
     def __post_init__(self):
-        require_number("deployment.lambda_g", self.lambda_g, above=0)
-        require_number("deployment.lambda_ue", self.lambda_ue, at_least=0)
+        check_params(self)
         if not 0.0 < self.p_w < 1.0:
-            raise ConfigError(f"deployment.p_w must lie strictly in (0, 1), got {self.p_w}")
-        require_number("run.repetitions", self.repetitions, integer=True, at_least=1)
-        require_number("run.master_seed", self.master_seed, integer=True, at_least=0)
-        require_number("run.max_hops", self.max_hops, integer=True, at_least=1)
+            raise ConfigError(f"{key_of(self, 'p_w')} must lie strictly in (0, 1), got {self.p_w}")
         if not self.policies:
             raise ConfigError("at least one policy must be configured")
         labels = [p.label for p in self.policies]
@@ -106,9 +102,9 @@ class SimConfig:
             if not finite:
                 raise ConfigError(
                     f"policy '{spec.label}': the wired bias of its 'wbf' is not finite "
-                    f"at every hop below run.max_hops = {_shown(self.max_hops)}"
+                    f"at every hop below {key_of(self, 'max_hops')} = {_shown(self.max_hops)}"
                 )
-        for key, density in (("deployment.lambda_g", self.lambda_g), ("deployment.lambda_ue", self.lambda_ue)):
+        for key, density in ((key_of(self, name), getattr(self, name)) for name in ("lambda_g", "lambda_ue")):
             expected = density * self.region.area_km2  # inf when the area overflows
             if density > 0 and not expected <= MAX_EXPECTED_NODES:
                 raise ConfigError(
@@ -152,7 +148,7 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator):
             break
     else:
         raise ConfigError(
-            f"deployment.lambda_g = {cfg.lambda_g}: {MAX_REDRAWS} drops in a row "
+            f"{key_of(cfg, 'lambda_g')} = {cfg.lambda_g}: {MAX_REDRAWS} drops in a row "
             "held fewer than two gNBs"
         )
     deployment = assign_roles(points, cfg.p_w, cfg.region, rng)

@@ -142,6 +142,12 @@ class TestMain:
         assert "master_seed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_1(self, tmp_path, capsys, workers):
+        assert run_cli(["--workers", workers, "--reps", "2", "--out", str(tmp_path / "o")]) == 1
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_nan_config_value_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text('{"deployment": {"lambda_g": NaN}}')

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ NUMBER_FIELDS = [
     ("run.master_seed", SimConfig, "master_seed", True),
     ("run.max_hops", SimConfig, "max_hops", True),
 ]
+# The keys that are not numbers: (key, dataclass, field, document value, parsed value)
+OTHER_FIELDS = [
+    ("run.oracle", SimConfig, "oracle_enabled", True, True),
+    ("wbf.kind", WbfConfig, "kind", "polynomial", WbfKind.POLYNOMIAL),
+]
+README = Path(__file__).resolve().parents[1] / "README.md"
 # 401 digits: beyond the float range, within the digit limit of int() and of the JSON parser
 BIG = 10**400
 BAD_NUMBERS = [
@@ -430,3 +437,74 @@ class TestRoundTrip:
         cfg = parse_config({"deployment": {"lambda_g": 33.3}})
         text = json.dumps(config_document(cfg))
         assert parse_config(text) == cfg
+
+
+def _mapped_cases():
+    """(key, dataclass, field, document value, parsed value): a valid value other than the default."""
+    defaults = parse_config({})
+    owner = {SimConfig: defaults, Region: defaults.region, RadioConfig: defaults.radio,
+             ChannelParams: defaults.channel, WbfConfig: WbfConfig()}
+    for key, cls, field, integer in NUMBER_FIELDS:
+        default = getattr(owner[cls], field)
+        value = default * 4 if integer else default + 0.25  # M stays a perfect square, p_w below 1
+        yield pytest.param(key, cls, field, value, value, id=key)
+    for key, cls, field, value, parsed in OTHER_FIELDS:
+        yield pytest.param(key, cls, field, value, parsed, id=key)
+
+
+def _with_field(cfg, cls, field, value):
+    """``cfg`` with ``field`` of its ``cls`` part (of its only policy's bias for WbfConfig) set to ``value``."""
+    if cls is SimConfig:
+        return dataclasses.replace(cfg, **{field: value})
+    if cls is WbfConfig:
+        (spec,) = cfg.policies
+        return dataclasses.replace(cfg, policies=(dataclasses.replace(spec, wbf=dataclasses.replace(spec.wbf, **{field: value})),))
+    part = {Region: "region", RadioConfig: "radio", ChannelParams: "channel"}[cls]
+    return dataclasses.replace(cfg, **{part: dataclasses.replace(getattr(cfg, part), **{field: value})})
+
+
+def _table_keys():
+    """{section: names} of every key of NUMBER_FIELDS and OTHER_FIELDS."""
+    table = {}
+    for key, *_ in NUMBER_FIELDS + OTHER_FIELDS:
+        section, name = key.split(".")
+        table.setdefault(section, set()).add(name)
+    return table
+
+
+class TestKeyMapping:
+    """Each document key sets its own field and is echoed at its own place (NUMBER_FIELDS is the schema)."""
+
+    @pytest.mark.parametrize("key, cls, field, value, parsed", _mapped_cases())
+    def test_key_sets_only_its_field_and_is_echoed(self, key, cls, field, value, parsed):
+        section, name = key.split(".")
+        if section == "wbf":
+            base = {"policies": [{"policy": "HQF", "label": "fixed"}]}
+            doc = {"policies": [{"policy": "HQF", "label": "fixed", "wbf": {name: value}}]}
+        else:
+            base, doc = {}, {section: {name: value}}
+        cfg, default = parse_config(doc), parse_config(base)
+        assert cfg != default
+        assert cfg == _with_field(default, cls, field, parsed)
+        echo = config_document(cfg)
+        echoed = echo["policies"][0]["wbf"][name] if section == "wbf" else echo[section][name]
+        assert echoed == value and type(echoed) is type(value)
+
+    def test_echo_holds_every_key_of_the_table(self):
+        table = _table_keys()
+        echo = config_document(parse_config({}))
+        assert set(echo) == set(table) - {"wbf"} | {"policies"}
+        for section in ("deployment", "radio", "channel", "run"):
+            assert set(echo[section]) == table[section], section
+        assert set(echo["policies"][0]) == {"policy", "wbf", "label"}
+        assert set(echo["policies"][0]["wbf"]) == table["wbf"]
+
+
+class TestReadme:
+    def test_example_parses_and_names_every_section_key(self):
+        block = re.search(r"## Configuration file.*?```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        doc = json.loads(block.group(1))
+        parse_config(doc)
+        table = _table_keys()
+        for section in ("deployment", "radio", "channel", "run"):
+            assert set(doc[section]) == table[section], section
