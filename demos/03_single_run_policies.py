@@ -31,8 +31,8 @@ def describe(name, res):
 
 no_bias = WbfConfig()
 for kind in PolicyKind:
-    res = build_path(origin, kind, no_bias, deployment, links.snr,
-                     cfg.radio.snr_threshold_db, cfg.max_hops, cfg.radio.bandwidth_hz)
+    res = build_path(origin, kind, no_bias, deployment, links.snr, cfg.radio.snr_threshold_db,
+                     max_hops=cfg.max_hops, bandwidth_hz=cfg.radio.bandwidth_hz)
     describe(kind.value, res)
 
 oracle = widest_path_oracle(deployment, links.snr, origin, cfg.radio.snr_threshold_db)

@@ -27,6 +27,7 @@ print("and the aggressive settings dwarf any realistic SNR difference past one h
 
 print("\n=== Effect on the highest-SNR-first policy (100 worlds) ===")
 cfg = SimConfig()
+run = {"max_hops": cfg.max_hops, "bandwidth_hz": cfg.radio.bandwidth_hz}
 variants = {
     "no bias": WbfConfig(),
     "conservative_poly": WBF_PRESETS["conservative_poly"],
@@ -39,10 +40,10 @@ matches_wf = 0
 for rep in range(100):
     deployment, links = sample_world(cfg, repetition_rng(11, rep))
     wf = build_path(deployment.origin_id, PolicyKind.WF, WbfConfig(), deployment,
-                    links.snr, cfg.radio.snr_threshold_db)
+                    links.snr, cfg.radio.snr_threshold_db, **run)
     for name, wbf in variants.items():
         res = build_path(deployment.origin_id, PolicyKind.HQF, wbf, deployment,
-                         links.snr, cfg.radio.snr_threshold_db)
+                         links.snr, cfg.radio.snr_threshold_db, **run)
         if res.success:
             hops[name].append(res.hop_count)
         if name.startswith("huge") and res.hops == wf.hops:

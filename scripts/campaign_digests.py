@@ -8,7 +8,10 @@ script, and may be another one, such as a pull request's merge base. The
 first line names the random-stream schema (``channel.STREAM_SCHEMA``). Each
 workload then gets a SHA-256 of its parsed config's echo as sorted-key JSON,
 so a change to a parsed value or a dropped echo key shows, and a change of key
-order does not. Two checkouts with the same schema must print the same lines:
+order does not. Each (workload, seed, workers) line gives the campaign digest
+and a SHA-256 of every PathResult the same campaign keeps with
+``keep_paths=True`` (hops, outcome and exact bottleneck, the oracle's included),
+which catches a path change that the per-repetition arrays miss. Two checkouts with the same schema must print the same lines:
 a change that moves a campaign's numbers declares a new schema.
 """
 import hashlib
@@ -20,6 +23,16 @@ from pathlib import Path
 REPETITIONS = {"desk": 40, "dense480": 6, "nomlr120": 80}
 SEEDS = (1, 4242)
 WORKERS = (1, 2)
+
+
+def paths_digest(paths: dict) -> str:
+    """SHA-256 over every kept PathResult, label by label in the campaign's order."""
+    h = hashlib.sha256()
+    for label, results in paths.items():
+        for res in results:
+            fields = (label, res.origin_id, res.hops, float(res.bottleneck_snr_db).hex(), res.outcome.value)
+            h.update(f"{fields}\n".encode())
+    return h.hexdigest()
 
 
 def main(root: Path) -> None:
@@ -39,7 +52,8 @@ def main(root: Path) -> None:
             cfg = parse_config(doc)
             for workers in WORKERS:
                 digest = campaign_digest(run_campaign(cfg, workers=workers))
-                print(f"{workload} seed={seed} workers={workers} {digest}", flush=True)
+                kept = paths_digest(run_campaign(cfg, workers=workers, keep_paths=True).paths)
+                print(f"{workload} seed={seed} workers={workers} {digest} paths={kept}", flush=True)
 
 
 if __name__ == "__main__":

@@ -17,19 +17,19 @@ slot s of that pair is the SplitMix64 output of key_s + (k + 1) * gamma,
 taken as a 53-bit uniform. Slot 0 is the visibility uniform, slots 1-2 give
 the shadowing normal and slots 3-4 the fading normal, each by Box-Muller.
 A pair's draws are thus fixed by the word and by k, the same from either
-end, and a row of the table is hashed and evaluated only when it is first
-read. UE association draws from a child stream of the repetition's seed
-sequence, so running or skipping it leaves the repetition generator where
-it was: a uniform for every UE-gNB pair, then a shadowing normal (and a
-fading normal) for each pair that is not in outage, in pair order. It walks
-the UEs in passes of whole rows, each drawing its pairs' uniforms in turn,
-which gives the same numbers as one draw for all pairs. The outage law runs
-only on the pairs that a squared-distance bound (``_may_be_live``) cannot
-rule out.
+end, whenever and beside whatever other rows they are evaluated: a block's
+``RowStore`` hashes and evaluates a row only when it is first read, and a
+row's bits do not depend on when that is. UE association draws from a child
+stream of the repetition's seed sequence, so running or skipping it leaves
+the repetition generator where it was: a uniform for every UE-gNB pair, then
+a shadowing normal (and a fading normal) for each pair that is not in
+outage, in pair order. It walks the UEs in passes of whole rows, each
+drawing its pairs' uniforms in turn, which gives the same numbers as one
+draw for all pairs. The outage law runs only on the pairs that a
+squared-distance bound (``_may_be_live``) cannot rule out.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -236,12 +236,13 @@ class LinkTable:
     """Shared channel realization for all gNB pairs of one deployment.
 
     ``table[i]`` is row i of the symmetric SNR matrix in dB, with -inf on the
-    diagonal and on outage pairs; a row is hashed and evaluated on its first
-    read, by ``evaluate_rows``, and kept in ``rows``. ``snr`` is the whole
-    (n, n) matrix. It and the flat per-pair arrays (upper triangle,
-    ``src < dst``), with ``gain_dbi``, ``noise_dbm`` and ``tx_power_dbm``,
-    retain every budget component for auditing the link-budget identity;
-    reading any of them evaluates every pair once.
+    diagonal and on outage pairs, hashed and evaluated on each read by a
+    ``RowStore`` of one world; campaigns read rows through their block's store,
+    which keeps each row it reads. ``snr`` is the whole (n, n) matrix. It and
+    the flat per-pair arrays (upper triangle, ``src < dst``), with
+    ``gain_dbi``, ``noise_dbm`` and ``tx_power_dbm``, retain every budget
+    component for auditing the link-budget identity; reading any of them
+    evaluates every pair once.
     """
 
     def __init__(self, positions, word: int, params: ChannelParams, gain_dbi, noise_dbm, tx_power_dbm):
@@ -252,7 +253,8 @@ class LinkTable:
         self.gain_dbi = gain_dbi
         self.noise_dbm = noise_dbm
         self.tx_power_dbm = tx_power_dbm
-        self.rows: dict[int, np.ndarray] = {}
+
+    law = property(lambda self: (self.params, self.gain_dbi, self.noise_dbm, self.tx_power_dbm))
 
     def _evaluate(self, positions: np.ndarray, a, b, keys: np.ndarray, counters: np.ndarray):
         """Channel, under this table's constants, of the pairs (a, b) of rows of ``positions``
@@ -275,11 +277,7 @@ class LinkTable:
         return d, live, los, pathloss, shadowing, snr
 
     def __getitem__(self, i: int) -> np.ndarray:
-        row = self.rows.get(i)
-        if row is None:
-            evaluate_rows(((self, i),))
-            row = self.rows[i]
-        return row
+        return RowStore([self.n], [self]).read(np.zeros(1, dtype=np.intp), np.array([operator.index(i)]))[0]
 
     @cached_property
     def _whole(self) -> dict[str, np.ndarray]:
@@ -314,61 +312,83 @@ class LinkTable:
     pair_snr_db = property(lambda self: self._whole["pair_snr_db"])
 
 
-def evaluate_rows(requests) -> None:
-    """Evaluate the rows named by ``requests``, pairs (table, row id), that no table holds yet.
+class RowStore:
+    """The link rows of a block of worlds, each padded with -inf to the widest world.
 
-    Their tables must share one set of channel constants. The rows go through
-    one hashed pass, or more when a pass would take over ``PASS_PAIRS`` pairs.
-    A pass concatenates the pairs of its rows, with positions offset per table,
-    slot keys repeated per pair, and the pair (i, j) of an n-node table at
-    counter c[min(i, j)] + max(i, j), where c[a] = a(2n - a - 1)/2 - a puts
-    the pair (a, b), a < b, at its flat upper-triangle index + 1. Every pair
-    thus draws what it draws in any other read of the table. Each row is kept
-    in its table's ``rows`` as a slice of the pass's output, -inf in its own
-    column.
+    World w has ``sizes[w]`` gNBs, its node j is node ``offset[w] + j`` of the
+    block, and ``tables[w]`` is a ``LinkTable``, whose rows are hashed and
+    evaluated when first read, or an (n, n) array, whose rows are held from the
+    start (one world's in place). The tables are all arrays, or all LinkTables
+    of one channel law. ``slot`` gives each node's row in ``rows`` (-1 while
+    unread), which grows geometrically: the store holds only the rows read.
     """
-    todo: dict[tuple[int, int], tuple[LinkTable, int]] = {}
-    for table, i in requests:
-        i = operator.index(i)
-        if i not in table.rows:
-            if not 0 <= i < table.n:
-                raise IndexError(f"no row {i} in a link table of {table.n} gNBs")
-            todo[id(table), i] = (table, i)
-    laws = [(table.params, table.gain_dbi, table.noise_dbm, table.tx_power_dbm) for table, _ in todo.values()]
-    if any(law != laws[0] for law in laws):
-        raise ValueError("rows evaluated together need link tables with the same channel constants")
-    batch, pairs = [], 0
-    for table, i in todo.values():
-        if batch and pairs + table.n - 1 > PASS_PAIRS:
-            _row_pass(batch)
-            batch, pairs = [], 0
-        batch.append((table, i))
-        pairs += table.n - 1
-    if batch:
-        _row_pass(batch)
 
+    def __init__(self, sizes, tables):
+        self.sizes = np.asarray(sizes, dtype=np.intp)
+        self.width = int(self.sizes.max())
+        self.offset = self.sizes.cumsum() - self.sizes
+        for n, table in zip(self.sizes.tolist(), tables):
+            shape = (table.n, table.n) if isinstance(table, LinkTable) else np.shape(table)
+            if shape != (n, n):
+                raise ValueError(f"a world of {n} gNBs needs an ({n}, {n}) link table, got one of shape {shape}")
+        laws = {table.law if isinstance(table, LinkTable) else None for table in tables}
+        if len(laws) > 1:
+            raise ValueError("a row store takes arrays only, or link tables with the same channel constants only")
+        if None in laws:  # every row is held from the start
+            self.count = int(self.sizes.sum())
+            self.slot = np.arange(self.count)
+            if len(tables) == 1:
+                self.rows = np.asarray(tables[0], dtype=float)
+            else:
+                self.rows = np.full((self.count, self.width), -np.inf)
+                for start, n, table in zip(self.offset.tolist(), self.sizes.tolist(), tables):
+                    self.rows[start : start + n, :n] = table
+        else:  # no row is held until it is read
+            self.table, self.count = tables[0], 0
+            self.slot = np.full(int(self.sizes.sum()), -1)
+            self.rows = np.empty((0, self.width))
+            self.positions = np.concatenate([table.positions for table in tables])  # per node of the block
+            self.keys = np.concatenate([table._keys for table in tables], axis=1)  # per world
 
-def _row_pass(rows: list[tuple[LinkTable, int]]) -> None:
-    """One hashed pass over the rows (table, id), all of tables with the same channel constants."""
-    tables = list({id(table): table for table, _ in rows}.values())
-    # the offset of each table's nodes in the concatenated positions
-    first = dict(zip(map(id, tables), itertools.accumulate((table.n for table in tables), initial=0)))
-    ids, sizes, bases = np.array([(i, table.n, first[id(table)]) for table, i in rows]).T
-    ends = np.cumsum(sizes)
-    starts = ends - sizes  # row r fills out[starts[r]:ends[r]]; its n - 1 pairs start at starts[r] - r
-    per_row = np.array((ids, sizes, bases, starts, starts - np.arange(len(rows))))
-    i, n, base, start, pair_start = np.repeat(per_row, sizes - 1, axis=1)
-    j = np.arange(i.size) - pair_start
-    j += j >= i  # skip the row's own column
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    counters = (lo * (2 * n - lo - 1) // 2 - lo + hi).view(np.uint64)
-    positions = np.concatenate([table.positions for table in tables])
-    keys = np.repeat(np.concatenate([table._keys for table, _ in rows], axis=1), sizes - 1, axis=1)
-    _, live, _, _, _, snr = tables[0]._evaluate(positions, base + j, base + i, keys, counters)
-    out = np.full(int(ends[-1]), -np.inf)
-    out[(start + j)[live]] = snr
-    for (table, i), a, b in zip(rows, starts.tolist(), ends.tolist()):
-        table.rows[i] = out[a:b]
+    def read(self, world: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Row ``node[k]`` of world ``world[k]`` for each k, padded. The distinct rows not held yet go
+        through hashed passes of at most ``PASS_PAIRS`` pairs (or one row, when wider), then all are gathered."""
+        if ((node < 0) | (node >= self.sizes[world])).any():
+            raise IndexError(f"node ids {node} reach outside their worlds of {self.sizes[world]} gNBs")
+        at = self.offset[world] + node
+        slot = self.slot[at]
+        if (slot < 0).any():
+            # distinct nodes; a plain np.unique would import numpy.ma (about 15 ms) in every new pool worker
+            missing = np.bincount(at[slot < 0], minlength=self.slot.size).nonzero()[0]
+            first, self.count = self.count, self.count + missing.size
+            if self.count > len(self.rows):
+                rows = np.empty((max(self.count, 2 * len(self.rows)), self.width))
+                rows[:first] = self.rows[:first]
+                self.rows = rows
+            self.rows[first : self.count] = -np.inf
+            self.slot[missing] = np.arange(first, self.count)
+            step = max(1, PASS_PAIRS // max(self.width - 1, 1))
+            for start in range(0, missing.size, step):
+                self._pass(missing[start : start + step])
+            slot = self.slot[at]
+        return self.rows.take(slot, axis=0)
+
+    def _pass(self, at: np.ndarray) -> None:
+        """One hashed pass over the rows of the block nodes ``at``, into their slots. The pair (i, j)
+        of an n-node world takes counter c[min(i, j)] + max(i, j), where c[a] = a(2n - a - 1)/2 - a
+        puts the pair (a, b), a < b, at its flat upper-triangle index + 1: it draws what any read draws."""
+        world = np.searchsorted(self.offset, at, side="right") - 1
+        base, n = self.offset[world], self.sizes[world]
+        keys = np.repeat(self.keys[:, world], n - 1, axis=1)
+        ends = (n - 1).cumsum()  # row r has the n - 1 pairs [ends[r] - n + 1, ends[r])
+        cell = self.slot[at] * self.width  # the flat index of each row's first column in ``rows``
+        i, n, base, cell, start = np.repeat((at - base, n, base, cell, ends - n + 1), n - 1, axis=1)
+        j = np.arange(i.size) - start
+        j += j >= i  # skip the row's own column
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        counters = (lo * (2 * n - lo - 1) // 2 - lo + hi).view(np.uint64)
+        _, live, _, _, _, snr = self.table._evaluate(self.positions, base + j, base + i, keys, counters)
+        self.rows.reshape(-1)[(cell + j)[live]] = snr
 
 
 def link_table(

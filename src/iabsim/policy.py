@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import LinkTable, shannon_rate
+from .channel import LinkTable, RowStore, shannon_rate
 from .errors import ConfigError, check_params, param
 from .geometry import RERANK_FLOOR, RERANK_MARGIN, Deployment, _closest
 
@@ -140,15 +140,6 @@ def vector_rates(share: np.ndarray, snr_db: np.ndarray) -> np.ndarray:
         return share * rate
 
 
-def padded_rows(tables, rows: list[tuple[int, int]], width: int) -> np.ndarray:
-    """The rows (world, node id), read as ``tables[world][id]``, as one matrix padded with -inf to ``width``."""
-    snr = np.full((len(rows), width), -np.inf)
-    for r, (w, i) in enumerate(rows):
-        row = tables[w][i]
-        snr[r, : row.size] = row
-    return snr
-
-
 def _check_origin(deployment: Deployment, origin_id: int) -> None:
     """Refuse a path origin outside the deployment (IndexError) or on a wired gNB (ValueError)."""
     if not 0 <= origin_id < deployment.n_gnbs:
@@ -161,15 +152,16 @@ class WalkBlock:
     """Greedy walks over many worlds, stepped together one hop per round.
 
     Walk w starts at node ``origin[w]`` of ``worlds[world[w]]`` and follows
-    ``policies[policy[w]]``, a (kind, wbf) pair. Each round, ``wanted`` names
-    the distinct link-table rows (world, node id) that the walks still going
-    stand on, and ``step`` reads them as ``tables[world][id]`` and moves each
-    of those walks one hop:
+    ``policies[policy[w]]``, a (kind, wbf) pair; ``store``, the ``RowStore``
+    of the worlds, gives their sizes and node offsets. Each round, ``wanted``
+    names the (world, node id) that each walk still going stands on, and
+    ``step`` takes the rows ``store.read`` gives for them, one per walk, and
+    moves each of those walks one hop:
 
-    - the rows, padded with -inf to the widest world, form one matrix, and the
-      admissible parents of every walk are the columns of its row whose raw
-      SNR clears the threshold and that it has not visited (padding counts as
-      visited); the rest of the round runs on these (walk, column) entries;
+    - the admissible parents of every walk are the columns of its row whose
+      raw SNR clears the threshold and that it has not visited (padding
+      counts as visited); the rest of the round runs on these (walk, column)
+      entries;
     - WF narrows a walk's pool to wired nodes, and PA to the nodes j ahead of
       its current node c toward the wired node t nearest c: those with
       (p_j - p_c) . (p_t - p_c) > 0, so a node on the perpendicular is not
@@ -191,28 +183,25 @@ class WalkBlock:
     every walk in the order given, and ``results`` builds their PathResults.
     """
 
-    def __init__(self, worlds, policies, world, origin, policy, snr_threshold_db, max_hops, bandwidth_hz=400e6):
+    def __init__(self, worlds, store, policies, world, origin, policy, snr_threshold_db, max_hops, bandwidth_hz):
         self.worlds = worlds
         self.policies = policies
         self.threshold = snr_threshold_db
         self.max_hops = max_hops
         self.bandwidth_hz = bandwidth_hz
-        # per node of the block, world by world: node j of world w is offset[w] + j
-        sizes = np.array([d.n_gnbs for d in worlds])
-        self.width = int(sizes.max())
-        offset = sizes.cumsum() - sizes
+        # per node of the block, world by world: node j of world w is store.offset[w] + j
         self.wired = np.concatenate([d.wired for d in worlds])
         # a walk visits distinct nodes, so it takes at most width - 1 hops
-        hops = min(max_hops, self.width)
+        hops = min(max_hops, store.width)
         self.bias, self.is_wf, self.is_pa, self.is_mlr = _policy_table(tuple(policies), hops)
         if self.is_mlr.any():
             self.share = bandwidth_hz / np.maximum(np.concatenate([d.attached for d in worlds]), 1)
-            self.top_share = np.maximum.reduceat(self.share, offset)
+            self.top_share = np.maximum.reduceat(self.share, store.offset)
         if self.is_pa.any():
             self.x, self.y = np.concatenate([d.positions for d in worlds]).T
             # column w: the wired nodes of world w in id order, padded with -1 at infinity
             donors = self.wired.nonzero()[0]
-            counts = np.add.reduceat(self.wired, offset, dtype=np.intp)
+            counts = np.add.reduceat(self.wired, store.offset, dtype=np.intp)
             rank = np.arange(donors.size) - np.repeat(counts.cumsum() - counts, counts)
             at = (rank, np.repeat(np.arange(len(worlds)), counts))
             self.donor = np.full((counts.max(), len(worlds)), -1)
@@ -230,42 +219,25 @@ class WalkBlock:
         # block, current node and policy of ``state``; the columns each may still
         # visit; their bottlenecks
         world = np.asarray(world, dtype=np.intp)
-        self.state = np.array((np.arange(count), world, offset[world], self.origin, self.walk_policy))
-        self.open = np.arange(self.width) < sizes[world][:, None]
+        self.state = np.array((np.arange(count), world, store.offset[world], self.origin, self.walk_policy))
+        self.open = np.arange(store.width) < store.sizes[world][:, None]
         self.open[self.state[0], self.origin] = False
         self.bottleneck = np.full(count, math.inf)
         self.hop = 0
-        self._pending = None
 
     @property
     def going(self) -> bool:
         return self.state.shape[1] > 0
 
-    def wanted(self) -> list[tuple[int, int]]:
-        """(world, node id) of each distinct row the walks still going stand on."""
-        if self._pending is None:
-            _, world, base, current, _ = self.state
-            node = base + current
-            walks = np.arange(node.size)
-            last = np.empty(self.wired.size, dtype=np.intp)
-            last[node] = walks
-            last = last[node]  # per walk, the last walk standing on its node
-            distinct = (last == walks).nonzero()[0]
-            rank = np.empty(node.size, dtype=np.intp)
-            rank[distinct] = np.arange(distinct.size)
-            rows = list(zip(world[distinct].tolist(), current[distinct].tolist()))
-            self._pending = rows, rank[last]
-        return self._pending[0]
+    def wanted(self) -> np.ndarray:
+        """Rows world and node id of the node each walk still going stands on."""
+        return self.state[[1, 3]]
 
-    def step(self, tables) -> None:
-        """Move every walk still going one hop, reading its row as ``tables[world][id]``."""
-        self.wanted()
-        rows, row_of = self._pending
-        self._pending = None
-        snr = padded_rows(tables, rows, self.width)
+    def step(self, snr: np.ndarray) -> None:
+        """Move every walk still going one hop; row k of ``snr`` is the padded row walk k stands on."""
         # the admissible entries (walk, col), in walk order, then column order
-        walk, col = ((snr >= self.threshold)[row_of] & self.open).nonzero()
-        raw = snr[row_of[walk], col]
+        walk, col = ((snr >= self.threshold) & self.open).nonzero()
+        raw = snr[walk, col]
         ids, _, base, current, policies = self.state  # views of the state rows
         count = ids.size
         node = base[walk] + col
@@ -401,21 +373,25 @@ def build_path(
     deployment: Deployment,
     link_snr_db: LinkTable | np.ndarray,
     snr_threshold_db: float,
-    max_hops: int = 30,
-    bandwidth_hz: float = 400e6,
+    *,
+    max_hops: int,
+    bandwidth_hz: float,
 ) -> PathResult:
     """Iterate a selection policy from ``origin_id`` until a wired donor is reached.
 
     The traveled hop count fed to the bias starts at 0 for the first selection.
     Terminates with SUCCESS on choosing a wired node, NO_CANDIDATE when no
-    admissible parent remains, or MAX_HOPS. ``link_snr_db`` is read one row
-    at a time, as ``link_snr_db[i]``: a ``LinkTable`` or an (n, n) array.
-    The walk is a ``WalkBlock`` of one.
+    admissible parent remains, or MAX_HOPS. ``link_snr_db``, a ``LinkTable``
+    or an (n, n) array, is read through a ``RowStore`` of one world, and the
+    walk is a ``WalkBlock`` of one.
     """
     _check_origin(deployment, origin_id)
     if max_hops < 1:
         raise ConfigError(f"max_hops must be >= 1, got {max_hops}")
-    block = WalkBlock([deployment], [(policy, wbf)], [0], [origin_id], [0], snr_threshold_db, max_hops, bandwidth_hz)
+    store = RowStore([deployment.n_gnbs], [link_snr_db])
+    block = WalkBlock(
+        [deployment], store, [(policy, wbf)], [0], [origin_id], [0], snr_threshold_db, max_hops, bandwidth_hz
+    )
     while block.going:
-        block.step([link_snr_db])
+        block.step(store.read(*block.wanted()))
     return block.results()[0]

@@ -9,15 +9,16 @@ assembled in repetition order before any statistic is computed.
 
 Repetitions run in blocks aligned to their indices: block k holds
 repetitions [kB, (k + 1)B) of the worker's range, with B from
-``_block_size``. A block samples its worlds in repetition order. The walks
-of all its worlds are one ``policy.WalkBlock`` and their oracles one
-``OracleBlock``; each round, the rows both ask for are hashed and evaluated
-together (``channel.evaluate_rows``) and both step, until all have ended.
-Link draws are keyed, not drawn in sequence, so when a row is evaluated does
-not change its bits: results equal those of each repetition run alone, and
-``run_repetition`` is a block of one. A campaign keeps outcome, hop and
-bottleneck arrays; it builds PathResults, and searches the oracle's paths,
-only when it keeps paths.
+``_block_size``. A block samples its worlds in repetition order and reads
+their link rows through one ``channel.RowStore``. The walks of all its
+worlds are one ``policy.WalkBlock`` and their oracles one ``OracleBlock``;
+each round, one read of the store gives every walk and every oracle the row
+it stands on, hashing and evaluating the rows not held yet, and both step,
+until all have ended. Link draws are keyed, not drawn in sequence, so when a
+row is evaluated does not change its bits: results equal those of each
+repetition run alone, and ``run_repetition`` is a block of one. A campaign
+keeps outcome, hop and bottleneck arrays; it builds PathResults, and
+searches the oracle's paths, only when it keeps paths.
 """
 from __future__ import annotations
 
@@ -29,11 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, LinkTable, RadioConfig, associate_min_pathloss, evaluate_rows, link_table
+from .channel import ChannelParams, LinkTable, RadioConfig, RowStore, associate_min_pathloss, link_table
 from .errors import ConfigError, _shown, check_params, key_of, param, require_number
 from .geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
 from .policy import _NO_CANDIDATE, _OUTCOMES, _SUCCESS, PathResult, PolicyKind, WalkBlock, WbfConfig, wired_bias_db
-from .policy import _check_origin, padded_rows
+from .policy import _check_origin
 
 _OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}  # as the blocks record them
 # The most gNBs or UEs a drop may expect (density times region area). A drop
@@ -165,43 +166,42 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator):
 
 class OracleBlock:
     """Phase 1 of the oracle, a max-min Dijkstra (Pollack 1960) from node ``origin[w]``
-    of each world ``worlds[w]``, stepped together like a ``WalkBlock``.
+    of each world ``worlds[w]``, stepped together like a ``WalkBlock``; ``store``, the
+    ``RowStore`` of the worlds, gives their sizes and the padded width.
 
     Each round, every world settles its reached, unsettled node with the largest
     tentative bottleneck t (lowest id on ties): SUCCESS at t if it is wired,
-    NO_CANDIDATE if there is none; else ``step`` reads its row and reaches every
-    unsettled column that clears the threshold at max(t, min(t_node, SNR)).
+    NO_CANDIDATE if there is none; else ``wanted`` names that node, ``step`` takes
+    its padded row and reaches every unsettled column that clears the threshold
+    at max(t, min(t_node, SNR)).
     Reached is its own mask, as -inf is a real bottleneck at a threshold of -inf.
     The max-min value is unique and max and min are exact, so no settle order
     changes a bit. ``outcome`` (``PathOutcome`` codes) and ``bottleneck`` (NaN on
     failure) describe every world once none is going.
     """
 
-    def __init__(self, worlds, origin, snr_threshold_db):
+    def __init__(self, worlds, store, origin, snr_threshold_db):
         self.threshold = snr_threshold_db
-        sizes = np.array([d.n_gnbs for d in worlds])
-        self.width = int(sizes.max())
-        count = sizes.size
+        count = store.sizes.size
         self.outcome = np.full(count, _NO_CANDIDATE, dtype=np.int8)
         self.bottleneck = np.full(count, math.nan)
         # the worlds still going: ids, and per column wired, settled (as padding is), open (reached, not
         # settled) and the tentative bottleneck
         self.ids = np.arange(count)
-        self.settled = np.arange(self.width) >= sizes[:, None]
-        self.wired = np.zeros((count, self.width), dtype=bool)
+        self.settled = np.arange(store.width) >= store.sizes[:, None]
+        self.wired, self.open = np.zeros((2, *self.settled.shape), dtype=bool)
         self.wired[~self.settled] = np.concatenate([d.wired for d in worlds])
-        self.open = np.zeros((count, self.width), dtype=bool)
         self.open[self.ids, origin] = True
         self.value = np.where(self.open, np.inf, -np.inf)
         self._settle()
 
-    def wanted(self) -> list[tuple[int, int]]:
-        """(world, node id) of the node each world still going settled this round."""
-        return list(zip(self.ids.tolist(), self.node.tolist()))
+    def wanted(self) -> np.ndarray:
+        """Rows world and node id of the node each world still going settled this round."""
+        return np.array((self.ids, self.node))
 
-    def step(self, tables) -> None:
-        """Reach out from each settled node over its row, read as ``tables[world][id]``, and settle the next."""
-        snr = padded_rows(tables, self.wanted(), self.width)
+    def step(self, snr: np.ndarray) -> None:
+        """Reach out from each settled node over its padded row, row k of ``snr`` for world k
+        still going, and settle the next."""
         admit = (snr >= self.threshold) & ~self.settled
         np.maximum(self.value, np.minimum(snr, self.held[:, None]), out=self.value, where=admit)
         self.open |= admit
@@ -228,11 +228,11 @@ class OracleBlock:
         self.node, self.held, self.going = node, best, node.size > 0
 
 
-def _fewest_hops(link_snr_db, wired: list[bool], origin_id: int, best: float) -> tuple[int, ...]:
+def _fewest_hops(store: RowStore, world: int, wired: np.ndarray, origin_id: int, best: float) -> tuple[int, ...]:
     """Phase 2 of the oracle: over the links with SNR >= ``best``, the hops to a wired
     node with the fewest hops and then the smallest id sequence, by a best-first
     search on that key; extending a path strictly worsens its key, so the first
-    wired node popped ends the optimum. Reads rows as ``link_snr_db[i]``."""
+    wired node popped ends the optimum. Reads the rows of ``world`` from ``store``."""
     heap = [(0, (origin_id,))]
     settled = set()
     while heap:
@@ -243,18 +243,18 @@ def _fewest_hops(link_snr_db, wired: list[bool], origin_id: int, best: float) ->
         settled.add(node)
         if wired[node]:
             return path[1:]
-        row = link_snr_db[node]
+        row = store.read(np.array([world]), np.array([node]))[0, : len(wired)]
         for nxt in (row >= best).nonzero()[0].tolist():
             if nxt not in settled:
                 heapq.heappush(heap, (hops + 1, path + (nxt,)))
     raise AssertionError("unreachable: phase 1 proved a wired node reachable")
 
 
-def _oracle_paths(oracle: OracleBlock, worlds: list[Deployment], tables, origins) -> list[PathResult]:
+def _oracle_paths(oracle: OracleBlock, worlds: list[Deployment], store: RowStore, origins) -> list[PathResult]:
     """The PathResults of the worlds of a finished ``oracle``; phase 2 finds the hops of each success."""
     return [
-        PathResult(o, _fewest_hops(t, d.wired.tolist(), o, b) if c == _SUCCESS else (), b, _OUTCOMES[c], None, None)
-        for d, t, o, c, b in zip(worlds, tables, origins, oracle.outcome.tolist(), oracle.bottleneck.tolist())
+        PathResult(o, _fewest_hops(store, w, d.wired, o, b) if c == _SUCCESS else (), b, _OUTCOMES[c], None, None)
+        for w, (d, o, c, b) in enumerate(zip(worlds, origins, oracle.outcome.tolist(), oracle.bottleneck.tolist()))
     ]
 
 
@@ -266,12 +266,14 @@ def widest_path_oracle(
     An ``OracleBlock`` of one world finds the optimal bottleneck b*, and among the
     paths over links with SNR >= b* ``_fewest_hops`` finds the one with the fewest
     hops and then the smallest id sequence. Both read ``link_snr_db`` (a ``LinkTable``
-    or an (n, n) array) one row at a time; the origin is checked as in ``build_path``.
+    or an (n, n) array) through a ``RowStore`` of one world; the origin is checked as
+    in ``build_path``.
     """
     _check_origin(deployment, origin_id)
-    oracle = OracleBlock([deployment], [origin_id], snr_threshold_db)
-    _lockstep([oracle], [link_snr_db])
-    return _oracle_paths(oracle, [deployment], [link_snr_db], [origin_id])[0]
+    store = RowStore([deployment.n_gnbs], [link_snr_db])
+    oracle = OracleBlock([deployment], store, [origin_id], snr_threshold_db)
+    _lockstep([oracle], store)
+    return _oracle_paths(oracle, [deployment], store, [origin_id])[0]
 
 
 def _block_size(cfg: SimConfig) -> int:
@@ -281,17 +283,14 @@ def _block_size(cfg: SimConfig) -> int:
     return max(1, int(min(BLOCK_REPETITIONS, BLOCK_EXPECTED_NODES / max(expected, 1.0))))
 
 
-def _lockstep(blocks, tables) -> None:
-    """Step ``blocks`` (``WalkBlock``s and ``OracleBlock``s) over ``tables`` until all have ended.
-
-    Each round, one ``channel.evaluate_rows`` call evaluates the rows that the blocks
-    still going want, and each of them steps; an (n, n) array table needs no evaluating.
-    """
+def _lockstep(blocks, store: RowStore) -> None:
+    """Step ``blocks`` (``WalkBlock``s and ``OracleBlock``s of the worlds of ``store``) until all
+    have ended; each round, one read of ``store`` gives every block still going the rows it wants."""
     while going := [block for block in blocks if block.going]:
-        wanted = [(tables[w], i) for block in going for w, i in block.wanted()]
-        evaluate_rows([(table, i) for table, i in wanted if isinstance(table, LinkTable)])
-        for block in going:
-            block.step(tables)
+        wanted = [block.wanted() for block in going]
+        snr = store.read(*np.concatenate(wanted, axis=1))
+        for block, rows in zip(going, np.split(snr, np.cumsum([w.shape[1] for w in wanted[:-1]]))):
+            block.step(rows)
 
 
 def _run_block(cfg: SimConfig, reps: range, keep_paths: bool) -> tuple:
@@ -303,10 +302,12 @@ def _run_block(cfg: SimConfig, reps: range, keep_paths: bool) -> tuple:
     """
     threshold = cfg.radio.snr_threshold_db
     worlds, tables = zip(*(sample_world(cfg, repetition_rng(cfg.master_seed, rep)) for rep in reps))
+    store = RowStore([d.n_gnbs for d in worlds], tables)
     origins = [d.origin_id for d in worlds]
     n_policies = len(cfg.policies)
     walks = WalkBlock(
         worlds,
+        store,
         [(spec.kind, spec.wbf) for spec in cfg.policies],
         np.repeat(np.arange(len(worlds)), n_policies),
         np.repeat(origins, n_policies),
@@ -315,12 +316,12 @@ def _run_block(cfg: SimConfig, reps: range, keep_paths: bool) -> tuple:
         cfg.max_hops,
         cfg.radio.bandwidth_hz,
     )
-    oracle = OracleBlock(worlds, origins, threshold) if cfg.oracle_enabled else None
-    _lockstep([walks] if oracle is None else [walks, oracle], tables)
+    oracle = OracleBlock(worlds, store, origins, threshold) if cfg.oracle_enabled else None
+    _lockstep([walks] if oracle is None else [walks, oracle], store)
     walked = walks.results() if keep_paths else []
     if oracle is None:
         return walks.outcome, walks.length, walks.final_bottleneck, None, None, walked, []
-    found = _oracle_paths(oracle, worlds, tables, origins) if keep_paths else []
+    found = _oracle_paths(oracle, worlds, store, origins) if keep_paths else []
     return walks.outcome, walks.length, walks.final_bottleneck, oracle.outcome, oracle.bottleneck, walked, found
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from iabsim.channel import (
     ChannelParams,
     LosState,
     RadioConfig,
+    RowStore,
     _box_muller,
     _child_rng,
     _hashed_uniforms,
@@ -19,7 +21,6 @@ from iabsim.channel import (
     _slot_keys,
     _visibility,
     associate_min_pathloss,
-    evaluate_rows,
     link_table,
     los_probabilities,
     noise_power_dbm,
@@ -518,15 +519,15 @@ class TestAssociationPasses:
         assert peak < k * n * 8 / 2, peak
 
 
-class TestRowPass:
-    """``evaluate_rows``: many rows of many tables in one hashed pass, the same bits as any other read."""
+class TestRowStore:
+    """``RowStore``: the rows of many tables of a block read in hashed passes, the same bits as any other read."""
 
-    # tables of different sizes, passed together under each channel law
+    # tables of different sizes, stored together under each channel law
     SIZES = (2, 7, 30, 120, 5, 30)
 
     @staticmethod
     def triplet(n, params):
-        """Three tables of one world, keyed alike: for the pass, for single reads, and the dense reference."""
+        """Three tables of one world, keyed alike: for the store, for single reads, and the dense reference."""
         dep = scattered_deployment(n, n)
         return tuple(
             build(dep, RadioConfig(), params, np.random.default_rng(n))
@@ -535,82 +536,147 @@ class TestRowPass:
 
     @staticmethod
     def record_passes(monkeypatch):
-        """The list of the rows of every pass from now on."""
-        passes, real = [], channel._row_pass
-        monkeypatch.setattr(channel, "_row_pass", lambda rows: passes.append(rows) or real(rows))
+        """The list of the (world, node id) rows of every pass from now on."""
+        passes, real = [], RowStore._pass
+
+        def record(store, at):
+            world = np.searchsorted(store.offset, at, side="right") - 1
+            passes.append(list(zip(world.tolist(), (at - store.offset[world]).tolist())))
+            real(store, at)
+
+        monkeypatch.setattr(RowStore, "_pass", record)
         return passes
 
     @pytest.mark.parametrize("fading_db", [0.0, 3.0])
-    def test_mixed_tables_repeats_and_cached_rows_match_rows_read_alone(self, fading_db, monkeypatch):
+    def test_mixed_tables_repeats_and_held_rows_match_rows_read_alone(self, fading_db, monkeypatch):
         triplets = [self.triplet(n, ChannelParams(fading_sigma_db=fading_db)) for n in self.SIZES]
-        rng = np.random.default_rng(9)
-        cached = {}
-        for table, _, _ in triplets[::2]:
-            cached[id(table)] = table[table.n - 1]  # read before the pass
-        requests = [
-            (table, int(i)) for table, _, _ in triplets for i in rng.integers(0, table.n, min(table.n, 6))
-        ]
-        requests += requests[::3]  # repeated rows
-        rng.shuffle(requests)
+        sizes = [table.n for table, _, _ in triplets]
         passes = self.record_passes(monkeypatch)
-        evaluate_rows(requests + [(table, table.n - 1) for table, _, _ in triplets[::2]])
-        assert len(passes) == 1
-        assert len({(id(t), i) for t, i in passes[0]}) == len(passes[0])  # each row once
-        for table, alone, ref in triplets:
-            read = {i for t, i in requests if t is table}
-            if id(table) in cached:
-                assert table.rows[table.n - 1] is cached[id(table)]  # not evaluated again
-                read.add(table.n - 1)
-            assert set(table.rows) == read
-            for i in read:
-                row = table.rows[i]
-                assert row.dtype == ref.snr.dtype and row.shape == (table.n,)
-                assert row.tobytes() == alone[i].tobytes() == ref.snr[i].tobytes(), (table.n, i)
-                assert row[i] == -np.inf
+        store = RowStore(sizes, [table for table, _, _ in triplets])
+        assert store.width == 120 and store.count == 0 and passes == []
+        held = np.array((0, 2, 4)), np.array(sizes[:6:2]) - 1
+        store.read(*held)  # rows read before the others
+        assert passes == [[(w, sizes[w] - 1) for w in (0, 2, 4)]]
+        rng = np.random.default_rng(9)
+        world = np.repeat(np.arange(len(sizes)), 6)
+        node = rng.integers(0, np.array(sizes)[world])
+        # repeated rows, and the rows held
+        world, node = (np.concatenate((a, a[::3], h)) for a, h in zip((world, node), held))
+        order = rng.permutation(world.size)
+        world, node = world[order], node[order]
+        passes.clear()
+        snr = store.read(world, node)
+        read = set(zip(world.tolist(), node.tolist()))
+        fresh = read - {(w, sizes[w] - 1) for w in (0, 2, 4)}
+        evaluated = [row for rows in passes for row in rows]
+        assert sorted(evaluated) == sorted(fresh)  # each row once, and no row already held
+        assert store.count == len(read)  # the store holds only the rows read
+        assert snr.shape == (world.size, store.width)
+        for k, (w, i) in enumerate(zip(world.tolist(), node.tolist())):
+            table, alone, ref = triplets[w]
+            row = snr[k]
+            assert row.dtype == ref.snr.dtype
+            assert row[: table.n].tobytes() == alone[i].tobytes() == ref.snr[i].tobytes(), (table.n, i)
+            assert row[i] == -np.inf and (row[table.n :] == -np.inf).all()
+        for table, _, _ in triplets:
             assert "_whole" not in vars(table)  # no pass evaluated the whole table
+        passes.clear()
+        assert store.read(world, node).tobytes() == snr.tobytes() and passes == []  # read again: no pass
 
     def test_pair_bound_splits_passes_not_bits(self, monkeypatch):
         triplets = [self.triplet(n, ChannelParams()) for n in (30, 120, 7)]
-        requests = [(table, i) for table, _, _ in triplets for i in (0, 3, 6)]
+        store = RowStore([30, 120, 7], [table for table, _, _ in triplets])
         passes = self.record_passes(monkeypatch)
-        monkeypatch.setattr(channel, "PASS_PAIRS", 140)
-        evaluate_rows(requests)
-        assert [[(t.n, i) for t, i in rows] for rows in passes] == [
-            [(30, 0), (30, 3), (30, 6)], [(120, 0)], [(120, 3)], [(120, 6), (7, 0), (7, 3), (7, 6)]
-        ]
-        for table, _, ref in triplets:
-            for i in (0, 3, 6):
-                assert table[i].tobytes() == ref.snr[i].tobytes()
+        monkeypatch.setattr(channel, "PASS_PAIRS", 300)  # two rows of the widest world, 238 pairs
+        world, node = np.repeat(np.arange(3), 3), np.tile((6, 0, 3), 3)
+        snr = store.read(world, node)
+        rows = [[(w, i) for i in (0, 3, 6)] for w in range(3)]
+        assert passes == [rows[0][:2], [rows[0][2], rows[1][0]], rows[1][1:], rows[2][:2], rows[2][2:]]
+        for k, (w, i) in enumerate(zip(world.tolist(), node.tolist())):
+            assert snr[k, : store.sizes[w]].tobytes() == triplets[w][2].snr[i].tobytes()
+        passes.clear()
+        monkeypatch.setattr(channel, "PASS_PAIRS", 10)  # below one row: a pass per row
+        store = RowStore([120], [triplets[1][0]])
+        assert store.read(np.zeros(2, dtype=int), np.array([5, 9])).tobytes() == triplets[1][2].snr[[5, 9]].tobytes()
+        assert passes == [[(0, 5)], [(0, 9)]]
 
-    def test_getitem_is_a_pass_of_one_row(self, monkeypatch):
+    def test_getitem_is_a_one_row_read_with_no_cache(self, monkeypatch):
         table, _, ref = self.triplet(30, ChannelParams())
         passes = self.record_passes(monkeypatch)
         assert table[np.int64(4)].tobytes() == ref.snr[4].tobytes()
-        assert table[4] is table[np.int64(4)]
-        assert passes == [[(table, 4)]]
+        assert table[4].tobytes() == ref.snr[4].tobytes()
+        assert passes == [[(0, 4)], [(0, 4)]]
+        assert "rows" not in vars(table) and "_whole" not in vars(table)
 
-    def test_empty_request_list_is_a_no_op(self):
-        evaluate_rows([])
-
-    def test_tables_under_different_channel_laws_are_refused(self, monkeypatch):
+    def test_tables_under_different_channel_laws_are_refused_when_built(self, monkeypatch):
         plain, _, _ = self.triplet(7, ChannelParams())
         faded, _, _ = self.triplet(5, ChannelParams(fading_sigma_db=3.0))
         passes = self.record_passes(monkeypatch)
         with pytest.raises(ValueError, match="same channel constants"):
-            evaluate_rows([(plain, 0), (faded, 0)])
-        assert passes == [] and not plain.rows and not faded.rows
-        plain[0]
-        evaluate_rows([(plain, 0), (faded, 1)])  # a row already held joins no pass
-        assert faded[1].tobytes() == self.triplet(5, ChannelParams(fading_sigma_db=3.0))[2].snr[1].tobytes()
+            RowStore([7, 5], [plain, faded])
+        radio = RadioConfig(tx_power_dbm=40.0)
+        strong = link_table(scattered_deployment(5, 5), radio, ChannelParams(), np.random.default_rng(5))
+        with pytest.raises(ValueError, match="same channel constants"):
+            RowStore([7, 5], [plain, strong])
+        with pytest.raises(ValueError, match="arrays only"):
+            RowStore([7, 5], [plain, faded.snr])
+        assert passes == []
+
+    def test_array_tables_are_held_padded_and_one_is_read_in_place(self, monkeypatch):
+        mats = [self.triplet(n, ChannelParams())[2].snr for n in (7, 30, 5)]
+        passes = self.record_passes(monkeypatch)
+        store = RowStore([7, 30, 5], mats)
+        world, node = np.array([2, 0, 1, 2, 2]), np.array([4, 6, 29, 0, 4])
+        snr = store.read(world, node)
+        for k, (w, i) in enumerate(zip(world.tolist(), node.tolist())):
+            n = mats[w].shape[0]
+            assert snr[k, :n].tobytes() == mats[w][i].tobytes() and (snr[k, n:] == -np.inf).all()
+        one = RowStore([30], [mats[1]])
+        assert one.rows is mats[1]  # not copied
+        assert one.read(np.zeros(2, dtype=int), np.array([3, 1])).tobytes() == mats[1][[3, 1]].tobytes()
+        assert passes == [] and store.count == 42
 
     @pytest.mark.parametrize("i, error", [(-1, IndexError), (30, IndexError), (2.0, TypeError)])
-    def test_rows_outside_the_table_are_refused(self, i, error):
+    def test_rows_outside_the_table_are_refused(self, i, error, monkeypatch):
         table, _, _ = self.triplet(30, ChannelParams())
+        other, _, _ = self.triplet(7, ChannelParams())
+        passes = self.record_passes(monkeypatch)
         with pytest.raises(error):
             table[i]
-        with pytest.raises(error):
-            evaluate_rows([(table, 0), (table, i)])
-        assert not table.rows
+        store = RowStore([7, 30], [other, table])
+        with pytest.raises(IndexError):  # node -1 of world 1 is not node 6 of world 0
+            store.read(np.array([1, 1]), np.array([0, i]))
+        assert passes == [] and store.count == 0
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (3,)])
+    def test_misshaped_tables_are_refused_naming_both_shapes(self, shape):
+        with pytest.raises(ValueError, match=rf"\(3, 3\).*{re.escape(str(shape))}"):
+            RowStore([7, 3], [np.zeros((7, 7)), np.zeros(shape)])
+        table, _, _ = self.triplet(4, ChannelParams())
+        with pytest.raises(ValueError, match=r"\(3, 3\).*\(4, 4\)"):
+            RowStore([3], [table])
+
+    def test_a_dense480_block_holds_only_the_rows_it_reads(self):
+        """14 worlds of 480 gNBs, as a dense480 block has: a few rounds of reads hold
+        a few rows per world, far below a row for every node."""
+        worlds, n = 14, 480
+        tables = [
+            link_table(scattered_deployment(w, n), RadioConfig(), ChannelParams(), np.random.default_rng(w))
+            for w in range(worlds)
+        ]
+        RowStore([n], [tables[0]]).read(np.zeros(1, dtype=int), np.zeros(1, dtype=int))  # fill the caches
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            store = RowStore([n] * worlds, tables)
+            for _ in range(5):  # a round of 4 walks and an oracle per world
+                store.read(np.repeat(np.arange(worlds), 5), rng.integers(0, n, 5 * worlds))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.count <= 25 * worlds
+        every_row = worlds * n * store.width * 8  # what a row per node would take
+        assert peak < every_row / 5, (peak, every_row)
 
 
 class TestKeyedDraws:

@@ -16,7 +16,7 @@ import pytest
 from oracles import dense_associate_min_pathloss, dense_link_table, enumerate_widest, reference_greedy_trace
 
 from iabsim import channel, simulate
-from iabsim.channel import ChannelParams
+from iabsim.channel import ChannelParams, RadioConfig, RowStore
 from iabsim.geometry import Deployment, Region
 from iabsim.policy import PathOutcome, PolicyKind, WalkBlock, WbfConfig, WbfKind, build_path
 from iabsim.simulate import OracleBlock, PolicySpec, SimConfig, run_campaign, run_repetition, widest_path_oracle
@@ -25,6 +25,7 @@ WORLDS = 10_000
 BLOCK_WORLDS = 2000
 CAMPAIGN_WORLDS = 200
 THRESHOLD = 5.0
+BANDWIDTH_HZ = RadioConfig().bandwidth_hz
 BIASES = (
     WbfConfig(),
     WbfConfig(WbfKind.POLYNOMIAL, n_ht=2, k=1.0, gamma_gap_db=2.0, gamma_h_db=1.0),
@@ -62,7 +63,7 @@ def test_policies_and_oracle_match_references_under_ties():
         max_hops = int(rng.integers(1, dep.n_gnbs + 1))
         wbf = BIASES[world % len(BIASES)]
         for kind in PolicyKind:
-            got = build_path(0, kind, wbf, dep, mat, THRESHOLD, max_hops=max_hops)
+            got = build_path(0, kind, wbf, dep, mat, THRESHOLD, max_hops=max_hops, bandwidth_hz=BANDWIDTH_HZ)
             hops, bottleneck, ok = reference_greedy_trace(kind, dep, mat, THRESHOLD, wbf, max_hops)
             assert got.hops == hops, (world, kind)
             assert got.success == ok, (world, kind)
@@ -97,17 +98,21 @@ def test_one_walk_block_steps_many_tied_worlds(max_hops, threshold):
     worlds = [tied_world(rng) for _ in range(BLOCK_WORLDS)]
     policies = [(kind, wbf) for kind in PolicyKind for wbf in BIASES]
     count = len(policies)
+    deps = [dep for dep, _, _ in worlds]
+    store = RowStore([dep.n_gnbs for dep in deps], [mat for _, mat, _ in worlds])
     walks = WalkBlock(
-        [dep for dep, _, _ in worlds],
+        deps,
+        store,
         policies,
         np.repeat(np.arange(BLOCK_WORLDS), count),
         np.zeros(BLOCK_WORLDS * count, dtype=int),
         np.tile(np.arange(count), BLOCK_WORLDS),
         threshold,
         max_hops,
+        BANDWIDTH_HZ,
     )
-    oracle = OracleBlock([dep for dep, _, _ in worlds], np.zeros(BLOCK_WORLDS, dtype=int), threshold)
-    simulate._lockstep([walks, oracle], [mat for _, mat, _ in worlds])
+    oracle = OracleBlock(deps, store, np.zeros(BLOCK_WORLDS, dtype=int), threshold)
+    simulate._lockstep([walks, oracle], store)
     results = walks.results()
     assert {dep.n_gnbs for dep, _, _ in worlds} == set(range(3, 9))
     outcomes = list(PathOutcome)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import half_plane_filter, nearest_wired, reference_greedy_trace
 
-from iabsim.channel import shannon_rate
+from iabsim.channel import RadioConfig, shannon_rate
 from iabsim.errors import ConfigError
 from iabsim.geometry import Deployment, Region
 from iabsim.policy import (
@@ -20,12 +20,16 @@ from iabsim.policy import (
     wbf_poly,
     wired_bias_db,
 )
+from iabsim.simulate import SimConfig
 
 CONSERVATIVE_POLY = WbfConfig(WbfKind.POLYNOMIAL, n_ht=6, k=1.0, gamma_gap_db=5.0, gamma_h_db=2.0)
 AGGRESSIVE_POLY = WbfConfig(WbfKind.POLYNOMIAL, n_ht=1, k=3.0, gamma_gap_db=15.0, gamma_h_db=2.0)
 CONSERVATIVE_EXP = WbfConfig(WbfKind.EXPONENTIAL, n_ht=6, gamma=1.5, gamma_gap_db=5.0, gamma_h_db=2.0)
 AGGRESSIVE_EXP = WbfConfig(WbfKind.EXPONENTIAL, n_ht=1, gamma=3.0, gamma_gap_db=15.0, gamma_h_db=2.0)
 NO_BIAS = WbfConfig()
+# the run's hop limit and the radio bandwidth, at their configured defaults
+RUN = {"max_hops": SimConfig().max_hops, "bandwidth_hz": RadioConfig().bandwidth_hz}
+BANDWIDTH_HZ = RUN["bandwidth_hz"]
 
 
 def make_world(coords, wired_flags, snr, origin_id=0):
@@ -54,7 +58,7 @@ def choose(policy, links, wired=(), wbf=NO_BIAS, loads=None, relays=0, threshold
     dep, mat = make_world([(100.0 * i, 0.0) for i in range(n)], flags, snr)
     for i, load in (loads or {}).items():
         dep.attached[i] = load
-    hops = build_path(0, policy, wbf, dep, mat, threshold).hops
+    hops = build_path(0, policy, wbf, dep, mat, threshold, **RUN).hops
     assert hops[:relays] == tuple(range(1, relays + 1))
     return hops[relays]
 
@@ -161,14 +165,14 @@ class TestCandidateSet:
         dep, mat = make_world(coords, [False, False, True], {(0, 1): 30.0, (1, 2): 6.0})
         mat[1, 1] = mat[0, 0] = 50.0
         for kind in PolicyKind:
-            assert build_path(0, kind, NO_BIAS, dep, mat, 5.0).hops == (1, 2), kind
+            assert build_path(0, kind, NO_BIAS, dep, mat, 5.0, **RUN).hops == (1, 2), kind
 
     def test_all_outage_empty(self):
         coords = [(0, 0), (100, 0), (200, 0)]
         for snr in ({}, {(0, 1): 4.9, (0, 2): -3.0}):
             dep, mat = make_world(coords, [False, True, False], snr)
             for kind in PolicyKind:
-                res = build_path(0, kind, NO_BIAS, dep, mat, 5.0)
+                res = build_path(0, kind, NO_BIAS, dep, mat, 5.0, **RUN)
                 assert res.outcome == PathOutcome.NO_CANDIDATE
                 assert res.hops == ()
 
@@ -180,7 +184,7 @@ class TestCandidateSet:
         assert choose(PolicyKind.WF, links, wired={2}) == 2
         coords = [(0, 0), (100, 0), (200, 0), (300, 0)]
         dep, mat = make_world(coords, [False, True, False, False], {(0, 1): 4.9, (0, 2): 5.0, (0, 3): 20.0})
-        res = build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0)
+        res = build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, **RUN)
         assert res.hops == (3,)
         assert res.bottleneck_snr_db == 20.0
 
@@ -214,8 +218,8 @@ class TestSelectHqf:
             snr = {(i, j): float(rng.uniform(-5, 40)) for i in range(n) for j in range(i + 1, n)}
             dep, mat = make_world(coords, wired, snr)
             for kind in (PolicyKind.HQF, PolicyKind.WF, PolicyKind.PA):
-                base = build_path(0, kind, NO_BIAS, dep, mat, 5.0)
-                shifted = build_path(0, kind, NO_BIAS, dep, mat + 17.25, 5.0 + 17.25)
+                base = build_path(0, kind, NO_BIAS, dep, mat, 5.0, **RUN)
+                shifted = build_path(0, kind, NO_BIAS, dep, mat + 17.25, 5.0 + 17.25, **RUN)
                 assert shifted.hops == base.hops, kind
 
     def test_empty_rejected(self):
@@ -223,7 +227,7 @@ class TestSelectHqf:
         coords = [(500, 500), (600, 500), (900, 900)]
         dep, mat = make_world(coords, [False, False, True], {(0, 1): 8.0, (1, 2): 4.0})
         for kind in PolicyKind:
-            res = build_path(0, kind, CONSERVATIVE_POLY, dep, mat, 5.0)
+            res = build_path(0, kind, CONSERVATIVE_POLY, dep, mat, 5.0, **RUN)
             assert res.outcome == PathOutcome.NO_CANDIDATE
             assert res.hops == (1,)
 
@@ -259,21 +263,21 @@ class TestSelectPa:
         dep, mat = self.make()
         # node 3 has 20 dB but lies behind the divide; the forward pool is
         # {1: 5.5 dB wired, 2: 6.0 dB}, so with no bias node 2 wins
-        assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0).hops == (2, 1)
-        assert build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0).hops[0] == 3
+        assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0, **RUN).hops == (2, 1)
+        assert build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, **RUN).hops[0] == 3
 
     def test_fallback_when_nothing_forward(self):
         coords = [(500, 500), (800, 500), (200, 480)]
         wired = [False, True, False]
         snr = {(0, 2): 20.0, (2, 1): 7.0}  # wired out of reach of origin
         dep, mat = make_world(coords, wired, snr)
-        assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0).hops == (2, 1)
+        assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0, **RUN).hops == (2, 1)
 
     def test_wired_target_in_reach_is_chosen(self):
         coords = [(500, 500), (600, 500)]
         wired = [False, True]
         dep, mat = make_world(coords, wired, {(0, 1): 9.0})
-        assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0).hops == (1,)
+        assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0, **RUN).hops == (1,)
 
     def test_forward_progress_when_filter_nonempty(self):
         rng = np.random.default_rng(2)
@@ -285,7 +289,7 @@ class TestSelectPa:
                 wired[1] = True
             snr = {(0, j): float(rng.uniform(5, 30)) for j in range(1, n)}
             dep, mat = make_world(coords.tolist(), wired, snr)
-            hops = build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0).hops
+            hops = build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0, **RUN).hops
             ids = [j for j in range(1, n) if mat[0, j] >= 5.0]
             assert bool(hops) == bool(ids)
             if not hops:
@@ -301,8 +305,8 @@ class TestSelectPa:
         coords = [(1, 1), (1, 1), (5, 1), (-5, 1)]
         snr = {(0, 2): 6.0, (0, 3): 9.0, (2, 1): 7.0, (3, 1): 8.0}
         dep, mat = make_world(coords, [False, True, False, False], snr)
-        res = build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0)
-        assert res.hops == build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0).hops
+        res = build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0, **RUN)
+        assert res.hops == build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, **RUN).hops
         assert res.hops == reference_greedy_trace(PolicyKind.PA, dep, mat, 5.0, NO_BIAS, 30)[0] == (3, 1)
 
 
@@ -336,7 +340,7 @@ class TestBuildPath:
     def test_single_hop_success(self):
         coords = [(500, 500), (600, 500)]
         dep, mat = make_world(coords, [False, True], {(0, 1): 20.0})
-        res = build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, 5.0)
+        res = build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, 5.0, **RUN)
         assert res.outcome == PathOutcome.SUCCESS
         assert res.hops == (1,)
         assert res.hop_count == 1
@@ -346,7 +350,7 @@ class TestBuildPath:
         # origin -> relay works, but the relay sees nothing new
         coords = [(500, 500), (600, 500), (900, 900)]
         dep, mat = make_world(coords, [False, False, True], {(0, 1): 8.0})
-        res = build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0)
+        res = build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, **RUN)
         assert res.outcome == PathOutcome.NO_CANDIDATE
         assert res.hops == (1,)
         assert res.bottleneck_snr_db == 8.0
@@ -354,7 +358,7 @@ class TestBuildPath:
     def test_immediate_failure_has_nan_bottleneck(self):
         coords = [(500, 500), (900, 900)]
         dep, mat = make_world(coords, [False, True], {})
-        res = build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, 5.0)
+        res = build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, 5.0, **RUN)
         assert res.outcome == PathOutcome.NO_CANDIDATE
         assert res.hops == ()
         assert math.isnan(res.bottleneck_snr_db)
@@ -366,7 +370,7 @@ class TestBuildPath:
         wired = [False] * (n - 1) + [True]
         snr = {(i, i + 1): 10.0 for i in range(n - 1)}
         dep, mat = make_world(coords, wired, snr)
-        res = build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, max_hops=3)
+        res = build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, max_hops=3, bandwidth_hz=BANDWIDTH_HZ)
         assert res.outcome == PathOutcome.MAX_HOPS
         assert res.hop_count == 3
 
@@ -374,13 +378,13 @@ class TestBuildPath:
         coords = [(0, 0), (10, 10)]
         dep, mat = make_world(coords, [False, True], {(0, 1): 10.0}, origin_id=0)
         with pytest.raises(ValueError):
-            build_path(1, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0)
+            build_path(1, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, **RUN)
 
     @pytest.mark.parametrize("origin", [-1, -2, 2])
     def test_origin_outside_the_deployment_is_refused(self, origin):
         dep, mat = make_world([(0, 0), (10, 10)], [False, True], {(0, 1): 10.0}, origin_id=0)
         with pytest.raises(IndexError):
-            build_path(origin, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0)
+            build_path(origin, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, **RUN)
 
     def test_star_topology_matches_enumerated_trace(self):
         # five nodes, all links enumerated; trace each policy by hand-rolled greedy
@@ -395,15 +399,15 @@ class TestBuildPath:
         dep, mat = make_world(coords, wired, snr)
         # HQF by hand: 0 -> 1 (18 dB), then 2 (9 dB beats wired 4 at 7 dB, and 3
         # sits below threshold at 4 dB), then 3 (11 dB, wired); bottleneck 9
-        got = build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0)
+        got = build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, **RUN)
         assert got.hops == (1, 2, 3)
         assert got.bottleneck_snr_db == 9.0
         # WF grabs the strongest wired donor immediately: 0 -> 3 (6 dB)
-        got = build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, 5.0)
+        got = build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, 5.0, **RUN)
         assert got.hops == (3,)
         assert got.bottleneck_snr_db == 6.0
         for kind in PolicyKind:
-            got = build_path(0, kind, NO_BIAS, dep, mat, 5.0)
+            got = build_path(0, kind, NO_BIAS, dep, mat, 5.0, **RUN)
             want_hops, want_bottleneck, want_success = reference_greedy_trace(
                 kind, dep, mat, 5.0, NO_BIAS, 30
             )
@@ -428,7 +432,7 @@ class TestBuildPath:
             dep.attached[:] = [int(rng.integers(0, 5)) for _ in range(n)]
             wbf = [NO_BIAS, CONSERVATIVE_POLY, AGGRESSIVE_EXP][trial % 3]
             for kind in PolicyKind:
-                got = build_path(0, kind, wbf, dep, mat, 5.0)
+                got = build_path(0, kind, wbf, dep, mat, 5.0, **RUN)
                 want_hops, want_bottleneck, want_success = reference_greedy_trace(
                     kind, dep, mat, 5.0, wbf, 30
                 )
@@ -456,7 +460,7 @@ class TestPathInvariants:
             dep, mat = make_world(coords, wired, snr)
             max_hops = int(rng.integers(1, 8))
             for kind in PolicyKind:
-                res = build_path(0, kind, NO_BIAS, dep, mat, 5.0, max_hops=max_hops)
+                res = build_path(0, kind, NO_BIAS, dep, mat, 5.0, max_hops=max_hops, bandwidth_hz=BANDWIDTH_HZ)
                 nodes = (0,) + res.hops
                 assert len(set(nodes)) == len(nodes)  # no repeats
                 assert res.hop_count <= min(max_hops, n)
@@ -468,8 +472,8 @@ class TestPathInvariants:
                 assert res.success == dep.wired[nodes[-1]] if res.hops else not res.success
 
             # WF equivalence: an overwhelming wired bias reproduces WF step for step
-            wf = build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, 5.0, max_hops=max_hops)
-            hq = build_path(0, PolicyKind.HQF, huge_gap, dep, mat, 5.0, max_hops=max_hops)
+            wf = build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, 5.0, max_hops=max_hops, bandwidth_hz=BANDWIDTH_HZ)
+            hq = build_path(0, PolicyKind.HQF, huge_gap, dep, mat, 5.0, max_hops=max_hops, bandwidth_hz=BANDWIDTH_HZ)
             assert wf.hops == hq.hops
             assert wf.outcome == hq.outcome
 
@@ -556,7 +560,7 @@ class TestRerankMargins:
             snr = {(i, j): float(rng.uniform(5, 35)) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7}
             dep, mat = make_world(coords, wired, snr)
             dep.attached[:] = rng.integers(0, 4, n)
-            got = build_path(0, PolicyKind.MLR, wbf, dep, mat, 5.0)
+            got = build_path(0, PolicyKind.MLR, wbf, dep, mat, 5.0, **RUN)
             assert got.hops == reference_greedy_trace(PolicyKind.MLR, dep, mat, 5.0, wbf, 30)[0], trial
 
     def test_near_tied_donors_pick_as_python_floats(self):
@@ -571,7 +575,7 @@ class TestRerankMargins:
             snr = {(i, j): float(rng.integers(5, 9)) for i in range(7) for j in range(i + 1, 7) if rng.random() < 0.6}
             dep, mat = make_world(coords, wired, snr)
             for wbf in (NO_BIAS, CONSERVATIVE_POLY):
-                got = build_path(0, PolicyKind.PA, wbf, dep, mat, 5.0)
+                got = build_path(0, PolicyKind.PA, wbf, dep, mat, 5.0, **RUN)
                 assert got.hops == reference_greedy_trace(PolicyKind.PA, dep, mat, 5.0, wbf, 30)[0], trial
 
     @pytest.mark.parametrize("low", [37.58560605934042, 8.284580370165717])
@@ -597,14 +601,14 @@ class TestRerankMargins:
         coords = [here, donor, other, *map(tuple, ahead)]
         links = {(0, 3): 20.0, (0, 4): 25.0, (3, 1): 10.0, (4, 2): 10.0}
         dep, mat = make_world(coords, [False, True, True, False, False], links)
-        assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0).hops == (3, 1)
+        assert build_path(0, PolicyKind.PA, NO_BIAS, dep, mat, 5.0, **RUN).hops == (3, 1)
 
     def test_rate_past_the_float_range_ranks_by_the_finite_rate(self):
         """A biased SNR past 10 ** 308 still has a finite rate, about snr / 10 * log2(10)
         per Hz; the hop completes and ranks the candidates by that rate and their load."""
         wbf = WbfConfig(WbfKind.POLYNOMIAL, n_ht=1, k=1.0, gamma_gap_db=0.0, gamma_h_db=4000.0)
         dep, mat = make_world([(0, 0), (100, 0), (200, 0)], [False, False, True], {(0, 1): 30.0, (0, 2): 6.0})
-        path = build_path(0, PolicyKind.MLR, wbf, dep, mat, 5.0)
+        path = build_path(0, PolicyKind.MLR, wbf, dep, mat, 5.0, **RUN)
         assert path.hops == (2,) and path.outcome == PathOutcome.SUCCESS
         rates = {(snr, load): shannon_rate(400e6, snr + 4000.0, load) for snr in (6.0, 9.0) for load in (1, 2)}
         assert all(math.isfinite(r) for r in rates.values())

@@ -1,15 +1,16 @@
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from oracles import enumerate_widest
 
-from iabsim.channel import ChannelParams, RadioConfig
+from iabsim.channel import ChannelParams, RadioConfig, link_table
 from iabsim import simulate
 from iabsim.errors import ConfigError
 from iabsim.geometry import Deployment, Region
-from iabsim.policy import PathOutcome, PolicyKind
+from iabsim.policy import PathOutcome, PolicyKind, WbfConfig, build_path
 from iabsim.simulate import (
     EmpiricalCdf,
     PolicySpec,
@@ -23,6 +24,8 @@ from iabsim.simulate import (
 )
 
 SMALL = SimConfig(repetitions=30, master_seed=123, oracle_enabled=True)
+# the run's hop limit and the radio bandwidth, at their configured defaults
+RUN = {"max_hops": SimConfig().max_hops, "bandwidth_hz": RadioConfig().bandwidth_hz}
 
 
 def make_graph(coords, wired_flags, snr, origin_id=0):
@@ -221,10 +224,8 @@ class TestWidestPathOracle:
         assert res.outcome == PathOutcome.NO_CANDIDATE
         assert res.hops == ()
         # feasibility is shared: every greedy policy fails on the same instance
-        from iabsim.policy import WbfConfig, build_path
-
         for kind in PolicyKind:
-            assert not build_path(0, kind, WbfConfig(), dep, mat, 5.0).success
+            assert not build_path(0, kind, WbfConfig(), dep, mat, 5.0, **RUN).success
 
     def test_prefers_fewer_hops_on_equal_bottleneck(self):
         coords = [(0, 0), (100, 0), (50, 50), (50, -50)]
@@ -276,6 +277,31 @@ class TestWidestPathOracle:
                 assert res.outcome == PathOutcome.SUCCESS
                 assert res.bottleneck_snr_db == pytest.approx(best[0], abs=1e-12)
                 assert res.hops == best[2]
+
+
+class TestMisshapedTables:
+    """Both one-world wrappers refuse a link table that is not (n, n) for the world's n
+    gNBs, naming both shapes, before any walk or oracle step."""
+
+    WRAPPERS = {
+        "build_path": lambda dep, table: build_path(0, PolicyKind.HQF, WbfConfig(), dep, table, 5.0, **RUN),
+        "widest_path_oracle": lambda dep, table: widest_path_oracle(dep, table, 0, 5.0),
+    }
+
+    @staticmethod
+    def tables():
+        """(shape named in the error, table) for a 2x2 and a 3x5 matrix and another deployment's LinkTable."""
+        other, _ = make_graph([(0, 0), (100, 0), (50, 50), (0, 90), (90, 90)], [False, True] * 2 + [False], {})
+        links = link_table(other, RadioConfig(), ChannelParams(), np.random.default_rng(0))
+        return [((2, 2), np.full((2, 2), 20.0)), ((3, 5), np.full((3, 5), 20.0)), ((5, 5), links)]
+
+    @pytest.mark.parametrize("wrapper", sorted(WRAPPERS))
+    @pytest.mark.parametrize("case", range(3))
+    def test_refused_naming_both_shapes(self, wrapper, case):
+        dep, _ = make_graph([(0, 0), (100, 0), (50, 50)], [False, True, False], {(0, 1): 20.0})
+        shape, table = self.tables()[case]
+        with pytest.raises(ValueError, match=re.escape(f"(3, 3) link table, got one of shape {shape}")):
+            self.WRAPPERS[wrapper](dep, table)
 
 
 class TestEmpiricalCdf:
