@@ -11,16 +11,25 @@ so a change to a parsed value or a dropped echo key shows, and a change of key
 order does not. Each (workload, seed, workers) line gives the campaign digest
 and a SHA-256 of every PathResult the same campaign keeps with
 ``keep_paths=True`` (hops, outcome and exact bottleneck, the oracle's included),
-which catches a path change that the per-repetition arrays miss. Two checkouts with the same schema must print the same lines:
-a change that moves a campaign's numbers declares a new schema.
+which catches a path change that the per-repetition arrays miss. Each
+(workload, seed) also gets a ``blocks=small`` line for one worker with blocks
+of at most ``SMALL_BLOCKS[workload]`` repetitions, so that every campaign
+crosses several block edges; it lowers ``simulate.BLOCK_BYTES``, or
+``simulate.BLOCK_REPETITIONS`` in a checkout that bounds blocks by count, and
+its digests equal those of the default blocks. Two checkouts with the same
+schema must print the same lines: a change that moves a campaign's numbers
+declares a new schema.
 """
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-# Small campaigns: nomlr120's spans two of its blocks, so block edges are crossed.
+# Small campaigns, each of which fits in one block at the default bound.
 REPETITIONS = {"desk": 40, "dense480": 6, "nomlr120": 80}
+# The most repetitions a block holds in the blocks=small runs.
+SMALL_BLOCKS = {"desk": 7, "dense480": 2, "nomlr120": 15}
 SEEDS = (1, 4242)
 WORKERS = (1, 2)
 
@@ -35,11 +44,25 @@ def paths_digest(paths: dict) -> str:
     return h.hexdigest()
 
 
+@contextmanager
+def small_blocks(simulate, cfg, repetitions: int):
+    """Blocks of at most ``repetitions`` repetitions of ``cfg`` inside the block; the bound is
+    restored after. A checkout bounds blocks by bytes (``BLOCK_BYTES``) or by count."""
+    name = "BLOCK_BYTES" if hasattr(simulate, "BLOCK_BYTES") else "BLOCK_REPETITIONS"
+    saved = getattr(simulate, name)
+    setattr(simulate, name, repetitions * simulate._world_bytes(cfg) if name == "BLOCK_BYTES" else repetitions)
+    try:
+        yield
+    finally:
+        setattr(simulate, name, saved)
+
+
 def main(root: Path) -> None:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     from campaign import campaign_digest
     from iabsim.channel import STREAM_SCHEMA
     from iabsim.config import config_document, parse_config
+    from iabsim import simulate
     from iabsim.simulate import run_campaign
 
     print(f"stream_schema {STREAM_SCHEMA}")
@@ -54,6 +77,10 @@ def main(root: Path) -> None:
                 digest = campaign_digest(run_campaign(cfg, workers=workers))
                 kept = paths_digest(run_campaign(cfg, workers=workers, keep_paths=True).paths)
                 print(f"{workload} seed={seed} workers={workers} {digest} paths={kept}", flush=True)
+            with small_blocks(simulate, cfg, SMALL_BLOCKS[workload]):
+                digest = campaign_digest(run_campaign(cfg))
+                kept = paths_digest(run_campaign(cfg, keep_paths=True).paths)
+            print(f"{workload} seed={seed} workers=1 blocks=small {digest} paths={kept}", flush=True)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,9 @@ a shadowing normal (and a fading normal) for each pair that is not in
 outage, in pair order. It walks the UEs in passes of whole rows, each
 drawing its pairs' uniforms in turn, which gives the same numbers as one
 draw for all pairs. The outage law runs only on the pairs that a
-squared-distance bound (``_may_be_live``) cannot rule out.
+squared-distance bound (``_may_be_live``) cannot rule out. The repetition and
+association generators are numpy's SeedSequence streams, bit for bit, derived
+many at a time by ``streams.spawned_rngs``.
 """
 from __future__ import annotations
 
@@ -460,10 +462,10 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _child_rng(rng: np.random.Generator, layer: int) -> np.random.Generator:
     """Generator of the child ``layer`` of ``rng``'s seed sequence; ``rng`` is not advanced."""
+    from .streams import spawned_rngs
+
     ss = rng.bit_generator.seed_seq
-    return np.random.default_rng(
-        np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, layer), pool_size=ss.pool_size)
-    )
+    return next(spawned_rngs(ss.entropy, [(*ss.spawn_key, layer)], ss.pool_size))
 
 
 def associate_min_pathloss(
@@ -471,11 +473,13 @@ def associate_min_pathloss(
     deployment: Deployment,
     params: ChannelParams,
     rng: np.random.Generator,
+    child: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Serving gNB per row of the (k, 2) ``ue_positions`` (lowest realized pathloss); -1 if all in outage.
 
     The draws come from the ``ASSOC_LAYER`` child stream of ``rng``, which is
-    not advanced: a uniform for every pair, then the normals of the pairs not
+    not advanced, or from ``child`` when the caller derived that stream
+    already: a uniform for every pair, then the normals of the pairs not
     in outage. The UEs go in passes of whole rows, at most ``ASSOC_PASS_PAIRS``
     pairs each unless one row is wider; a pass draws its pairs' uniforms and
     keeps the index, distance and LOS flag of those not in outage, so only
@@ -484,7 +488,7 @@ def associate_min_pathloss(
     """
     if len(ue_positions) == 0:
         return np.empty(0, dtype=np.int64)
-    rng = _child_rng(rng, ASSOC_LAYER)
+    rng = _child_rng(rng, ASSOC_LAYER) if child is None else child
     gnb = deployment.positions
     n = len(gnb)  # at least 2: a deployment has a wired and a wireless gNB
     rows = max(1, ASSOC_PASS_PAIRS // n)

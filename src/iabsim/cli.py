@@ -126,7 +126,12 @@ def _build_parser() -> _Parser:
     parser.add_argument("--policies", help="comma-separated list among HQF,WF,PA,MLR")
     parser.add_argument("--preset-wbf", help=f"apply a bias preset to every policy: {sorted(WBF_PRESETS)}")
     parser.add_argument("--out", default="results", help="output directory (default: results)")
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="parallel worker processes; at most min(workers, repetitions, usable CPUs) start",
+    )
     parser.add_argument("--oracle", action="store_true", help="also compute the max-min bottleneck benchmark")
     return parser
 

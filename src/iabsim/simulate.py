@@ -7,11 +7,12 @@ optionally computes a centralized max-min-bottleneck benchmark path. The
 aggregation step is worker-count independent: per-repetition records are
 assembled in repetition order before any statistic is computed.
 
-Repetitions run in blocks aligned to their indices: block k holds
-repetitions [kB, (k + 1)B) of the worker's range, with B from
-``_block_size``. A block samples its worlds in repetition order and reads
-their link rows through one ``channel.RowStore``. The walks of all its
-worlds are one ``policy.WalkBlock`` and their oracles one ``OracleBlock``;
+A worker's range of repetitions runs in the fewest blocks of near-equal size
+that keep each block within ``BLOCK_BYTES``, by the per-world estimate of
+``_world_bytes``. A block derives the generators of all its repetitions (and
+their association children) in one pass, samples its worlds in repetition
+order and reads their link rows through one ``channel.RowStore``. The walks
+of all its worlds are one ``policy.WalkBlock`` and their oracles one ``OracleBlock``;
 each round, one read of the store gives every walk and every oracle the row
 it stands on, hashing and evaluating the rows not held yet, and both step,
 until all have ended. Link draws are keyed, not drawn in sequence, so when a
@@ -24,13 +25,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, LinkTable, RadioConfig, RowStore, associate_min_pathloss, link_table
+from .channel import ASSOC_LAYER, ChannelParams, LinkTable, RadioConfig, RowStore, associate_min_pathloss, link_table
 from .errors import ConfigError, _shown, check_params, key_of, param, require_number
 from .geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
 from .policy import _NO_CANDIDATE, _OUTCOMES, _SUCCESS, PathResult, PolicyKind, WalkBlock, WbfConfig, wired_bias_db
@@ -44,11 +46,15 @@ _OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}  # as 
 # allocation; the cap also lies far below ``geometry.POISSON_MAX_MEAN``, the
 # largest mean numpy's Poisson sampler takes.
 MAX_EXPECTED_NODES = 1e6
-# A block runs at most BLOCK_REPETITIONS repetitions in lockstep, and fewer
-# when their worlds would expect more than about BLOCK_EXPECTED_NODES gNBs and
-# UEs in all. The bounds cap the memory a block holds; results do not depend on them.
-BLOCK_REPETITIONS = 64
-BLOCK_EXPECTED_NODES = 8192
+# The memory a block's worlds may hold, by the estimate of ``_world_bytes``;
+# results do not depend on it. Larger blocks pay each round's numpy calls for
+# more worlds at once: over blocks of 64 repetitions, desk's campaigns ran
+# 1.25x, 1.28x and 1.33x at 768 KiB, 1 MiB and 2 MiB on a shared 2-vCPU host,
+# and its peak RSS rose 1.2%, 2.2% and 3.8%.
+BLOCK_BYTES = 1 << 20
+# Link rows a world's ``RowStore`` holds, per world: 2.6-4.6 are read on the
+# benchmark workloads, and the store grows by doubling.
+ROWS_KEPT = 6
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,11 @@ class SimConfig:
 
 
 def repetition_rng(master_seed: int, rep_index: int) -> np.random.Generator:
-    """Independent stream for one repetition, derived from (seed, index)."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(rep_index,)))
+    """Independent stream for one repetition, derived from (seed, index): numpy's
+    ``default_rng(SeedSequence(master_seed, spawn_key=(rep_index,)))``, bit for bit."""
+    from .streams import spawned_rngs
+
+    return next(spawned_rngs(master_seed, [(rep_index,)]))
 
 
 def _keeps_ues(cfg: SimConfig) -> bool:
@@ -131,7 +140,7 @@ def _keeps_ues(cfg: SimConfig) -> bool:
     return any(spec.kind == PolicyKind.MLR for spec in cfg.policies)
 
 
-def sample_world(cfg: SimConfig, rng: np.random.Generator):
+def sample_world(cfg: SimConfig, rng: np.random.Generator, child: np.random.Generator | None = None):
     """One full realization: deployment, UE loads and link table.
 
     The gNB drop is redrawn until it holds two nodes, at most ``MAX_REDRAWS``
@@ -141,7 +150,7 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator):
     the deployment holds no UEs and zero loads. The association draws from its
     own child stream, so the generator ends in the same place either way: the
     link table, and every policy, sees the same realization whichever policies
-    are configured.
+    are configured. ``child`` is that stream when the caller derived it already.
     """
     for _ in range(MAX_REDRAWS):
         points = sample_ppp(cfg.lambda_g, cfg.region, rng)
@@ -156,7 +165,7 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator):
     if cfg.lambda_ue > 0:
         if _keeps_ues(cfg):
             ues = deployment.ue_positions = sample_ppp(cfg.lambda_ue, cfg.region, rng)
-            serving = associate_min_pathloss(ues, deployment, cfg.channel, rng)
+            serving = associate_min_pathloss(ues, deployment, cfg.channel, rng, child)
             deployment.attached = np.bincount(serving[serving >= 0], minlength=deployment.n_gnbs)
         else:  # sample_ppp's draws, dropped: the count, then one double per coordinate
             rng.random(2 * int(rng.poisson(cfg.lambda_ue * cfg.region.area_km2)))
@@ -276,11 +285,19 @@ def widest_path_oracle(
     return _oracle_paths(oracle, [deployment], store, [origin_id])[0]
 
 
+def _world_bytes(cfg: SimConfig) -> int:
+    """The bytes a world of ``cfg`` holds in a block, estimated: 8 B per column of the padded width
+    (the mean gNB count plus three standard deviations) for each walk's row, the oracle's and the
+    ``ROWS_KEPT`` rows of its store, and 16 B per UE when the worlds keep their UEs."""
+    gnbs = cfg.lambda_g * cfg.region.area_km2
+    rows = len(cfg.policies) + cfg.oracle_enabled + ROWS_KEPT
+    ues = cfg.lambda_ue * cfg.region.area_km2 if _keeps_ues(cfg) else 0.0
+    return int(8 * (gnbs + 3.0 * math.sqrt(gnbs)) * rows + 16 * ues)
+
+
 def _block_size(cfg: SimConfig) -> int:
-    """Repetitions per block: at most ``BLOCK_REPETITIONS`` and about ``BLOCK_EXPECTED_NODES`` nodes
-    kept, UEs counting only when the worlds keep them."""
-    expected = (cfg.lambda_g + (cfg.lambda_ue if _keeps_ues(cfg) else 0.0)) * cfg.region.area_km2
-    return max(1, int(min(BLOCK_REPETITIONS, BLOCK_EXPECTED_NODES / max(expected, 1.0))))
+    """Repetitions per block: as many worlds as ``BLOCK_BYTES`` holds, and at least one."""
+    return max(1, BLOCK_BYTES // _world_bytes(cfg))
 
 
 def _lockstep(blocks, store: RowStore) -> None:
@@ -300,8 +317,16 @@ def _run_block(cfg: SimConfig, reps: range, keep_paths: bool) -> tuple:
     policy within one), the oracle's outcome codes and bottlenecks (None without it), and the walks' and
     the oracle's PathResults (empty without ``keep_paths``); the worlds are not kept.
     """
+    from .streams import spawned_rngs
+
     threshold = cfg.radio.snr_threshold_db
-    worlds, tables = zip(*(sample_world(cfg, repetition_rng(cfg.master_seed, rep)) for rep in reps))
+    rngs = spawned_rngs(cfg.master_seed, [(rep,) for rep in reps])
+    children = [None] * len(reps)
+    if cfg.lambda_ue > 0 and _keeps_ues(cfg):
+        children = spawned_rngs(cfg.master_seed, [(rep, ASSOC_LAYER) for rep in reps])
+    worlds, tables = zip(*(sample_world(cfg, rng, child) for rng, child in zip(rngs, children)))
+    for world in worlds:  # no step reads the UE drop once the loads are in
+        world.ue_positions = np.empty((0, 2))
     store = RowStore([d.n_gnbs for d in worlds], tables)
     origins = [d.origin_id for d in worlds]
     n_policies = len(cfg.policies)
@@ -353,33 +378,39 @@ class CampaignResult:
 
 
 def _run_range(cfg: SimConfig, start: int, stop: int, keep_paths: bool) -> list[tuple]:
-    """Repetitions [start, stop), run in the blocks [kB, (k + 1)B) that meet the range;
+    """Repetitions [start, stop), run in the fewest blocks of near-equal size within ``_block_size``;
     per block, the records of ``_run_block``."""
-    size = _block_size(cfg)
-    edges = [start, *range((start // size + 1) * size, stop, size), stop]
+    count = -(-(stop - start) // _block_size(cfg))
+    edges = [start + (stop - start) * k // count for k in range(count + 1)]
     return [_run_block(cfg, range(first, last), keep_paths) for first, last in zip(edges, edges[1:])]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> CampaignResult:
     """Execute all repetitions, optionally across processes.
 
-    The per-repetition streams depend only on (master_seed, index), and records
-    are reassembled in repetition order, so the result is identical for any
-    worker count.
+    At most ``min(workers, repetitions, usable CPUs)`` processes run, each on
+    one contiguous range of repetitions; with one, the campaign runs in this
+    process. The per-repetition streams depend only on (master_seed, index),
+    and records are reassembled in repetition order, so the result is
+    identical for any worker count.
     """
     require_number("workers", workers, integer=True, at_least=1)
-    workers = int(workers)
     reps = cfg.repetitions
-    if workers == 1 or reps == 1:
+    processes = min(int(workers), reps, _usable_cpus())
+    if processes == 1:
         blocks = _run_range(cfg, 0, reps, keep_paths)
     else:
-        bounds = np.linspace(0, reps, min(workers, reps) + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=len(bounds) - 1) as pool:
-            futures = [
-                pool.submit(_run_range, cfg, int(a), int(b), keep_paths)
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            ]
+        bounds = np.linspace(0, reps, processes + 1).astype(int).tolist()
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            futures = [pool.submit(_run_range, cfg, a, b, keep_paths) for a, b in zip(bounds, bounds[1:])]
             blocks = [block for fut in futures for block in fut.result()]
 
     labels = tuple(spec.label for spec in cfg.policies)

@@ -134,12 +134,13 @@ def dense_link_table(deployment, radio, params, rng):
     )
 
 
-def dense_associate_min_pathloss(ue_positions, deployment, params, rng):
+def dense_associate_min_pathloss(ue_positions, deployment, params, rng, child=None):
     """Serving gNB per UE from a full (UE, gNB) pathloss matrix; -1 if all in outage.
 
     The association's child stream of ``rng``'s seed sequence draws a uniform
     for every pair, then a shadowing normal (and a fading normal) for each
-    pair not in outage, in row-major order.
+    pair not in outage, in row-major order. The stream is always built through
+    numpy's own ``SeedSequence``; a ``child`` the caller derived is ignored.
     """
     if len(ue_positions) == 0:
         return np.empty(0, dtype=np.int64)

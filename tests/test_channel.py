@@ -29,6 +29,9 @@ from iabsim.channel import (
 from iabsim.errors import ConfigError
 from iabsim.geometry import Deployment, Region
 from iabsim.simulate import repetition_rng
+from iabsim.streams import _seed_words, spawned_rngs
+
+SeedSequence = np.random.SeedSequence
 
 # shadowing off, LOS guaranteed at any range (no decay, no outage)
 DETERMINISTIC_LOS = ChannelParams(
@@ -841,3 +844,73 @@ class TestOutageScreen:
         d2 = np.concatenate((rng.uniform(0.0, 1e12, 1000), [0.0, np.inf]))
         u = np.concatenate((rng.random(1000), [0.0, self.U_TOP]))
         assert _may_be_live(d2, u, params).all()
+
+
+# master seeds and repetitions at the edges of one and two uint32 words, and a seed of many words
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, int("7" * 4000))
+REPETITIONS = (0, 1, 63, 64, 2**32 - 1, 2**32, 2**33 + 7)
+FIRST_DRAWS = (
+    lambda g: g.random(),
+    lambda g: g.poisson(30.0),
+    lambda g: g.standard_normal(),
+    lambda g: g.bit_generator.random_raw(),
+)
+
+
+class TestSeedWords:
+    """A block derives its repetitions' generators, and their association children, in one
+    pass; each is numpy's ``default_rng(SeedSequence(...))``, bit for bit. One call holds keys
+    of one and two words, as a block that straddles repetition 2**32 does."""
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: f"seed{str(seed)[:12]}")
+    def test_words_equal_numpy(self, seed):
+        keys = [(rep,) for rep in REPETITIONS]
+        children = [(rep, ASSOC_LAYER) for rep in REPETITIONS]
+        for key, words in zip(keys, _seed_words(seed, keys, 4)):
+            assert np.array_equal(words, SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)), key
+        for key, words in zip(children, _seed_words(seed, children, 4)):
+            want = SeedSequence(seed, spawn_key=key, pool_size=4).generate_state(4, np.uint64)
+            assert np.array_equal(words, want), key
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: f"seed{str(seed)[:12]}")
+    def test_first_draws_equal_numpy(self, seed):
+        keys = [(rep,) for rep in REPETITIONS]
+        for key, got in zip(keys, spawned_rngs(seed, keys)):
+            want = np.random.default_rng(SeedSequence(seed, spawn_key=key))
+            for draw in FIRST_DRAWS:
+                assert draw(got) == draw(want), key
+        for rep in REPETITIONS[::3]:
+            got = _child_rng(repetition_rng(seed, rep), ASSOC_LAYER)
+            want = np.random.default_rng(SeedSequence(seed, spawn_key=(rep, ASSOC_LAYER)))
+            for draw in FIRST_DRAWS:
+                assert draw(got) == draw(want), rep
+
+    def test_seed_sequence_describes_the_stream(self):
+        ss = repetition_rng(2**40 + 1, 2**33 + 7).bit_generator.seed_seq
+        assert (ss.entropy, ss.spawn_key, ss.pool_size) == (2**40 + 1, (2**33 + 7,), 4)
+        want = SeedSequence(2**40 + 1, spawn_key=(2**33 + 7,))
+        for n_words, dtype in ((4, np.uint64), (8, np.uint32), (3, np.uint64)):
+            assert np.array_equal(ss.generate_state(n_words, dtype), want.generate_state(n_words, dtype))
+
+    @pytest.mark.parametrize(
+        "parent",
+        [
+            lambda: np.random.default_rng(12345),
+            lambda: np.random.default_rng([3, 2**40, 0]),
+            lambda: np.random.default_rng(SeedSequence(99, spawn_key=(5,), pool_size=8)),
+            lambda: np.random.default_rng(SeedSequence(2**70, pool_size=8)),
+        ],
+        ids=["int", "ints", "pool8_spawned", "pool8"],
+    )
+    def test_child_of_a_foreign_parent_is_unchanged(self, parent):
+        ss = parent().bit_generator.seed_seq
+        want = np.random.default_rng(
+            SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, ASSOC_LAYER), pool_size=ss.pool_size)
+        )
+        got = _child_rng(parent(), ASSOC_LAYER)
+        for draw in FIRST_DRAWS:
+            assert draw(got) == draw(want)
+
+    def test_negative_repetition_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            repetition_rng(1, -1)

@@ -219,15 +219,18 @@ def assert_same_path(got, want, where):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("bound", [1, 3, None], ids=["bounds1", "bounds3", "default"])
+@pytest.mark.parametrize("bound", [1, 3, None, "whole"], ids=["bounds1", "bounds3", "default", "one_block"])
 @pytest.mark.parametrize("case", range(6))
 def test_campaign_in_blocks_matches_each_repetition_alone(case, bound, workers, monkeypatch):
-    """Blocks of 1, 3 or the default number of repetitions, passes of 1, 3 or the
-    default number of pairs, and 1-3 workers, whose chunk edges fall inside blocks."""
-    if bound is not None:
-        monkeypatch.setattr(simulate, "BLOCK_REPETITIONS", bound)
-        monkeypatch.setattr(channel, "PASS_PAIRS", bound)
+    """Blocks of at most 1 or 3 worlds with passes of 1 or 3 pairs, blocks and passes at the
+    default bounds, and one block for the whole campaign; 1-3 workers, whose ranges split blocks."""
     cfg = block_config(case)
+    if bound is not None:
+        worlds = cfg.repetitions if bound == "whole" else bound
+        monkeypatch.setattr(simulate, "BLOCK_BYTES", worlds * simulate._world_bytes(cfg))
+        assert simulate._block_size(cfg) == worlds
+    if isinstance(bound, int):
+        monkeypatch.setattr(channel, "PASS_PAIRS", bound)
     result = run_campaign(cfg, workers=workers, keep_paths=True)
     expected = reference_paths(case)
     assert set(result.paths) == set(expected[0])

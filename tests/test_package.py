@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import iabsim
 
 
@@ -5,3 +10,14 @@ def test_every_exported_name_resolves():
     missing = [name for name in iabsim.__all__ if not hasattr(iabsim, name)]
     assert missing == []
     assert len(set(iabsim.__all__)) == len(iabsim.__all__)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """numpy.random costs about 6 MiB and 10-15 ms to import; a process that hands its campaign to
+    pool workers never draws, so importing the package and parsing a config must not load it."""
+    code = "import sys, iabsim; iabsim.parse_config({}); print('numpy.random' in sys.modules)"
+    src = str(Path(iabsim.__file__).resolve().parents[1])  # the directory this test imported the package from
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 import math
 import re
+from concurrent.futures import Future
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -174,21 +176,35 @@ class TestAssociationSkip:
             assert len(dep_a.ue_positions) == 0
             assert not dep_a.attached.any()
 
-    def test_block_size_counts_ues_only_with_mlr(self):
-        def size(policies, lambda_ue):
-            return simulate._block_size(SimConfig(lambda_g=480.0, lambda_ue=lambda_ue, policies=policies))
+    def test_block_size_counts_ues_only_with_mlr(self, monkeypatch):
+        def estimate(policies=NO_MLR, lambda_ue=100.0, **overrides):
+            overrides.setdefault("lambda_g", 480.0)
+            return simulate._world_bytes(SimConfig(lambda_ue=lambda_ue, policies=policies, **overrides))
 
-        assert size(NO_MLR, 0.0) == size(NO_MLR, 100.0) == size(NO_MLR, 1e5) == size(WITH_MLR, 0.0) == 8192 // 480
-        assert size(WITH_MLR, 100.0) == 8192 // 580
+        ues = 100.0 * Region().area_km2
+        assert estimate(NO_MLR, 0.0) == estimate(NO_MLR, 100.0) == estimate(NO_MLR, 1e5)
+        assert estimate(WITH_MLR, 100.0) - estimate(WITH_MLR, 0.0) == 16 * ues
+        # the padded width, the walks and the oracle each raise the estimate
+        assert estimate(lambda_g=120.0) < estimate() < estimate(lambda_g=1000.0)
+        assert estimate(NO_MLR, 0.0) < estimate(WITH_MLR, 0.0)
+        assert estimate() < estimate(oracle_enabled=True)
+        cfg = SimConfig(lambda_g=480.0, policies=WITH_MLR)
+        assert simulate._block_size(cfg) == simulate.BLOCK_BYTES // estimate(WITH_MLR) > 1
+        for bound in (estimate(WITH_MLR) - 1, 1):  # a world larger than the bound gets a block of its own
+            monkeypatch.setattr(simulate, "BLOCK_BYTES", bound)
+            assert simulate._block_size(cfg) == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("bound", [1, 3, None], ids=["bounds1", "bounds3", "default"])
+    @pytest.mark.parametrize("bound", [1, 3, None, "whole"], ids=["bounds1", "bounds3", "default", "one_block"])
     def test_campaign_without_mlr_equal_at_any_block_bound(self, bound, workers, monkeypatch):
-        """UEs no longer count toward the block size without MLR, so default blocks grow;
-        the arrays do not depend on it."""
-        assert simulate._block_size(NO_MLR_CAMPAIGN) == simulate.BLOCK_REPETITIONS < NO_MLR_CAMPAIGN.repetitions
+        """UEs do not count toward the block size without MLR, so default blocks are larger
+        than with it; the arrays do not depend on it."""
+        world = simulate._world_bytes(NO_MLR_CAMPAIGN)
+        assert world == simulate._world_bytes(replace(NO_MLR_CAMPAIGN, lambda_ue=0.0))
         if bound is not None:
-            monkeypatch.setattr(simulate, "BLOCK_REPETITIONS", bound)
+            worlds = NO_MLR_CAMPAIGN.repetitions if bound == "whole" else bound
+            monkeypatch.setattr(simulate, "BLOCK_BYTES", worlds * world)
+            assert simulate._block_size(NO_MLR_CAMPAIGN) == worlds
         result = run_campaign(NO_MLR_CAMPAIGN, workers=workers)
         for lab, (outcome, hops, bottleneck) in each_repetition_alone().items():
             assert [list(PathOutcome)[code] for code in result.outcome[lab]] == outcome
@@ -466,10 +482,54 @@ class TestCampaignAggregation:
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 8)
         cfg = SimConfig(repetitions=2, master_seed=5)
         pooled = run_campaign(cfg, workers=4)
         assert started == [2]
         assert np.array_equal(pooled.hop_count["HQF"], run_campaign(cfg).hop_count["HQF"])
+
+    @pytest.mark.parametrize(
+        "workers, reps, cpus, started",
+        [(5000, 40, 2, [2]), (3, 2, 8, [2]), (4, 40, 8, [4]), (8, 40, 1, [])],
+        ids=["cpus", "repetitions", "workers", "one_cpu"],
+    )
+    def test_pool_capped_by_workers_repetitions_and_cpus(self, workers, reps, cpus, started, monkeypatch):
+        """At most min(workers, repetitions, usable CPUs) processes, and none for one. The stub
+        pool records its size and runs each task in this process, so no process starts."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = SimConfig(lambda_g=10.0, lambda_ue=0.0, policies=NO_MLR, repetitions=reps, master_seed=5)
+        pooled = run_campaign(cfg, workers=workers)
+        assert sizes == started
+        serial = run_campaign(cfg)
+        for lab in cfg.policies:
+            assert np.array_equal(pooled.bottleneck_db[lab.label], serial.bottleneck_db[lab.label], equal_nan=True)
+            assert np.array_equal(pooled.hop_count[lab.label], serial.hop_count[lab.label])
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        assert simulate._usable_cpus() == len(simulate.os.sched_getaffinity(0))
+        monkeypatch.delattr(simulate.os, "sched_getaffinity")
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        assert simulate._usable_cpus() == 3
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        assert simulate._usable_cpus() == 1
 
     def test_keep_paths_records_every_repetition(self):
         res = run_campaign(SMALL, keep_paths=True)
