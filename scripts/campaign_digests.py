@@ -11,7 +11,8 @@ so a change to a parsed value or a dropped echo key shows, and a change of key
 order does not. Each (workload, seed, workers) line gives the campaign digest
 and a SHA-256 of every PathResult the same campaign keeps with
 ``keep_paths=True`` (hops, outcome and exact bottleneck, the oracle's included),
-which catches a path change that the per-repetition arrays miss. Each
+which catches a path change that the per-repetition arrays miss; a
+``workers=2`` line runs two pool processes even on a host with one CPU. Each
 (workload, seed) also gets a ``blocks=small`` line for one worker with blocks
 of at most ``SMALL_BLOCKS[workload]`` repetitions, so that every campaign
 crosses several block edges; it lowers ``simulate.BLOCK_BYTES``, or
@@ -65,6 +66,8 @@ def main(root: Path) -> None:
     from iabsim import simulate
     from iabsim.simulate import run_campaign
 
+    if hasattr(simulate, "_usable_cpus"):  # a workers=2 line runs two ranges in the pool on any host
+        simulate._usable_cpus = lambda: max(WORKERS)
     print(f"stream_schema {STREAM_SCHEMA}")
     for workload, reps in REPETITIONS.items():
         doc = json.loads((root / "bench" / "workloads" / f"{workload}.json").read_text())

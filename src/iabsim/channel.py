@@ -26,9 +26,9 @@ a shadowing normal (and a fading normal) for each pair that is not in
 outage, in pair order. It walks the UEs in passes of whole rows, each
 drawing its pairs' uniforms in turn, which gives the same numbers as one
 draw for all pairs. The outage law runs only on the pairs that a
-squared-distance bound (``_may_be_live``) cannot rule out. The repetition and
-association generators are numpy's SeedSequence streams, bit for bit, derived
-many at a time by ``streams.spawned_rngs``.
+squared-distance bound (``_may_be_live``) cannot rule out. A campaign block
+derives its repetition and association generators many at a time with
+``streams.spawned_rngs``, bit for bit numpy's SeedSequence streams.
 """
 from __future__ import annotations
 
@@ -462,10 +462,10 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _child_rng(rng: np.random.Generator, layer: int) -> np.random.Generator:
     """Generator of the child ``layer`` of ``rng``'s seed sequence; ``rng`` is not advanced."""
-    from .streams import spawned_rngs
-
     ss = rng.bit_generator.seed_seq
-    return next(spawned_rngs(ss.entropy, [(*ss.spawn_key, layer)], ss.pool_size))
+    return np.random.default_rng(
+        np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, layer), pool_size=ss.pool_size)
+    )
 
 
 def associate_min_pathloss(

@@ -128,11 +128,8 @@ class SimConfig:
 
 
 def repetition_rng(master_seed: int, rep_index: int) -> np.random.Generator:
-    """Independent stream for one repetition, derived from (seed, index): numpy's
-    ``default_rng(SeedSequence(master_seed, spawn_key=(rep_index,)))``, bit for bit."""
-    from .streams import spawned_rngs
-
-    return next(spawned_rngs(master_seed, [(rep_index,)]))
+    """Independent stream for one repetition, derived from (seed, index)."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(rep_index,)))
 
 
 def _keeps_ues(cfg: SimConfig) -> bool:

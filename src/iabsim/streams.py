@@ -12,8 +12,8 @@ a SeedSequence per key. Its ``bit_generator.seed_seq`` carries the
 ``entropy``, ``spawn_key`` and ``pool_size`` numpy's would.
 
 Importing this module imports ``numpy.random`` (about 6 MiB and 10-15 ms), so
-the modules that use it import it when they first draw: a process that only
-hands its campaign to pool workers never pays for it.
+``simulate`` imports it when a block first draws: a process that only hands
+its campaign to pool workers never pays for it.
 """
 from __future__ import annotations
 

@@ -879,14 +879,15 @@ class TestSeedWords:
             want = np.random.default_rng(SeedSequence(seed, spawn_key=key))
             for draw in FIRST_DRAWS:
                 assert draw(got) == draw(want), key
-        for rep in REPETITIONS[::3]:
-            got = _child_rng(repetition_rng(seed, rep), ASSOC_LAYER)
-            want = np.random.default_rng(SeedSequence(seed, spawn_key=(rep, ASSOC_LAYER)))
+        children = [(rep, ASSOC_LAYER) for rep in REPETITIONS[::3]]
+        for key, got in zip(children, spawned_rngs(seed, children)):
+            want = _child_rng(repetition_rng(seed, key[0]), ASSOC_LAYER)
             for draw in FIRST_DRAWS:
-                assert draw(got) == draw(want), rep
+                assert draw(got) == draw(want), key
 
     def test_seed_sequence_describes_the_stream(self):
-        ss = repetition_rng(2**40 + 1, 2**33 + 7).bit_generator.seed_seq
+        (rng,) = spawned_rngs(2**40 + 1, [(2**33 + 7,)])
+        ss = rng.bit_generator.seed_seq
         assert (ss.entropy, ss.spawn_key, ss.pool_size) == (2**40 + 1, (2**33 + 7,), 4)
         want = SeedSequence(2**40 + 1, spawn_key=(2**33 + 7,))
         for n_words, dtype in ((4, np.uint64), (8, np.uint32), (3, np.uint64)):
@@ -913,4 +914,4 @@ class TestSeedWords:
 
     def test_negative_repetition_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
-            repetition_rng(1, -1)
+            _seed_words(1, [(0,), (-1,)], 4)

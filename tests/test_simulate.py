@@ -26,6 +26,8 @@ from iabsim.simulate import (
 )
 
 SMALL = SimConfig(repetitions=30, master_seed=123, oracle_enabled=True)
+# the host's CPU count, taken before conftest's fixture lifts the cap for each test
+USABLE_CPUS = simulate._usable_cpus
 # the run's hop limit and the radio bandwidth, at their configured defaults
 RUN = {"max_hops": SimConfig().max_hops, "bandwidth_hz": RadioConfig().bandwidth_hz}
 
@@ -86,6 +88,13 @@ class TestRepetitionStreams:
         a = repetition_rng(7, 0).random(5)
         b = repetition_rng(7, 1).random(5)
         assert not np.array_equal(a, b)
+
+    def test_stream_is_numpys_own(self):
+        """A repetition's generator holds numpy's SeedSequence, so it spawns and reports its state."""
+        ss = repetition_rng(7, 3).bit_generator.seed_seq
+        assert isinstance(ss, np.random.SeedSequence)
+        assert (ss.entropy, ss.spawn_key) == (7, (3,))
+        assert len(repetition_rng(7, 3).spawn(2)) == 2
 
     def test_repetition_is_bit_identical(self):
         r1 = run_repetition(SMALL, 4)
@@ -482,7 +491,6 @@ class TestCampaignAggregation:
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", Recording)
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 8)
         cfg = SimConfig(repetitions=2, master_seed=5)
         pooled = run_campaign(cfg, workers=4)
         assert started == [2]
@@ -514,7 +522,7 @@ class TestCampaignAggregation:
                 return future
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
         cfg = SimConfig(lambda_g=10.0, lambda_ue=0.0, policies=NO_MLR, repetitions=reps, master_seed=5)
         pooled = run_campaign(cfg, workers=workers)
         assert sizes == started
@@ -524,12 +532,12 @@ class TestCampaignAggregation:
             assert np.array_equal(pooled.hop_count[lab.label], serial.hop_count[lab.label])
 
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
-        assert simulate._usable_cpus() == len(simulate.os.sched_getaffinity(0))
+        assert USABLE_CPUS() == len(simulate.os.sched_getaffinity(0))
         monkeypatch.delattr(simulate.os, "sched_getaffinity")
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
-        assert simulate._usable_cpus() == 3
+        assert USABLE_CPUS() == 3
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
-        assert simulate._usable_cpus() == 1
+        assert USABLE_CPUS() == 1
 
     def test_keep_paths_records_every_repetition(self):
         res = run_campaign(SMALL, keep_paths=True)
