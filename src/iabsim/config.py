@@ -9,7 +9,6 @@ The canonical echo emitted into result bundles parses back to an identical
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -25,8 +24,6 @@ WBF_PRESETS: dict[str, WbfConfig] = {
     "aggressive_exp": WbfConfig(WbfKind.EXPONENTIAL, n_ht=1, gamma=3.0, gamma_gap_db=15.0, gamma_h_db=2.0),
     "conservative_exp": WbfConfig(WbfKind.EXPONENTIAL, n_ht=6, gamma=1.5, gamma_gap_db=5.0, gamma_h_db=2.0),
 }
-
-_LABEL_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
 def _reject_unknown(section: str, doc: dict, allowed) -> None:
@@ -51,9 +48,9 @@ def _read(sections: dict, f, where: str):
     default when absent, else of the kind of that default (bool, enum or number).
     ``where`` prefixes the key in messages.
 
-    For a number, an integral float is returned as int when the field is an
-    integer, and as float otherwise. Finiteness, integrality and ranges are
-    checked where the config dataclasses are built; an int too large for a
+    A number is returned as it is for an integer field, and as float otherwise.
+    Finiteness, integrality and ranges are checked where the config dataclasses
+    are built, which hold an integer field as an int; an int too large for a
     float key is refused here, before it is converted.
     """
     section, name = f.metadata["key"].split(".")
@@ -73,7 +70,7 @@ def _read(sections: dict, f, where: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{key}' must be a number, got {value!r}")
     if f.metadata.get("integer"):
-        return int(value) if isinstance(value, float) and value.is_integer() else value
+        return value
     if isinstance(value, int):
         require_number(key, value)  # refuses one beyond the float range
     return float(value)
@@ -162,14 +159,7 @@ def _parse_policy_entry(raw, index: int) -> PolicySpec:
     if label is None:
         suffix = _wbf_label(wbf)
         label = kind.value if not suffix else f"{kind.value}_{suffix}"
-    label = str(label)
-    if not _LABEL_RE.match(label):
-        raise ConfigError(
-            f"'{where}.label' may only contain letters, digits, '._-', got {label!r}"
-        )
-    if label == "oracle":
-        raise ConfigError(f"'{where}.label' must not be 'oracle' (reserved)")
-    return PolicySpec(kind=kind, wbf=wbf, label=label)
+    return PolicySpec(kind=kind, wbf=wbf, label=str(label))
 
 
 def parse_config(source) -> SimConfig:

@@ -18,10 +18,14 @@ def param(key: str, default, **bounds):
 
 
 def check_params(obj) -> None:
-    """``require_number`` on each number field of ``obj`` declared by :func:`param`."""
+    """``require_number`` on each number field of ``obj`` declared by :func:`param`; an integer
+    field then holds its value as an int."""
     for f in fields(obj):
         if "key" in f.metadata and not isinstance(f.default, (bool, Enum)):
-            require_number(value=getattr(obj, f.name), **f.metadata)
+            value = getattr(obj, f.name)
+            require_number(value=value, **f.metadata)
+            if f.metadata.get("integer"):
+                object.__setattr__(obj, f.name, int(value))
 
 
 def key_of(obj, name: str) -> str:

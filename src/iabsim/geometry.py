@@ -15,8 +15,6 @@ from .errors import ConfigError, check_params, param
 
 # Redraws a conditioned sample may take before its law is judged unreachable.
 MAX_REDRAWS = 10_000
-# The largest mean numpy's Poisson sampler accepts (int64 max - 10 sqrt(int64 max)).
-POISSON_MAX_MEAN = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 # The origin's and PA's donor distances and MLR's Shannon rate are ranked on
 # vectors, which numpy may round differently from ``math.hypot`` and
 # ``shannon_rate`` in the last bits. The candidates within this relative margin

@@ -366,6 +366,16 @@ class WalkBlock:
         ]
 
 
+def _lockstep(blocks, store: RowStore) -> None:
+    """Step ``blocks`` (``WalkBlock``s and ``OracleBlock``s of the worlds of ``store``) until all
+    have ended; each round, one read of ``store`` gives every block still going the rows it wants."""
+    while going := [block for block in blocks if block.going]:
+        wanted = [block.wanted() for block in going]
+        snr = store.read(*np.concatenate(wanted, axis=1))
+        for block, rows in zip(going, np.split(snr, np.cumsum([w.shape[1] for w in wanted[:-1]]))):
+            block.step(rows)
+
+
 def build_path(
     origin_id: int,
     policy: PolicyKind,
@@ -392,6 +402,5 @@ def build_path(
     block = WalkBlock(
         [deployment], store, [(policy, wbf)], [0], [origin_id], [0], snr_threshold_db, max_hops, bandwidth_hz
     )
-    while block.going:
-        block.step(store.read(*block.wanted()))
+    _lockstep([block], store)
     return block.results()[0]

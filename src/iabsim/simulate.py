@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,15 +37,15 @@ from .channel import ASSOC_LAYER, ChannelParams, LinkTable, RadioConfig, RowStor
 from .errors import ConfigError, _shown, check_params, key_of, param, require_number
 from .geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
 from .policy import _NO_CANDIDATE, _OUTCOMES, _SUCCESS, PathResult, PolicyKind, WalkBlock, WbfConfig, wired_bias_db
-from .policy import _check_origin
+from .policy import _check_origin, _lockstep
 
 _OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}  # as the blocks record them
 # The most gNBs or UEs a drop may expect (density times region area). A drop
 # holds its positions and a link-table row one entry per gNB; UE association
 # runs in bounded passes but keeps one entry per UE-gNB pair not in outage
 # (every pair when the outage slope is <= 0), so far larger counts fail on
-# allocation; the cap also lies far below ``geometry.POISSON_MAX_MEAN``, the
-# largest mean numpy's Poisson sampler takes.
+# allocation; the cap also lies far below the largest mean numpy's Poisson
+# sampler takes (about 9.2e18).
 MAX_EXPECTED_NODES = 1e6
 # The memory a block's worlds may hold, by the estimate of ``_world_bytes``;
 # results do not depend on it. Larger blocks pay each round's numpy calls for
@@ -55,6 +56,8 @@ BLOCK_BYTES = 1 << 20
 # Link rows a world's ``RowStore`` holds, per world: 2.6-4.6 are read on the
 # benchmark workloads, and the store grows by doubling.
 ROWS_KEPT = 6
+# What a policy label may hold: it names output files.
+_LABEL_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,11 @@ class SimConfig:
             raise ConfigError(f"{key_of(self, 'p_w')} must lie strictly in (0, 1), got {self.p_w}")
         if not self.policies:
             raise ConfigError("at least one policy must be configured")
+        for i, spec in enumerate(self.policies):
+            if not isinstance(spec.label, str) or not _LABEL_RE.fullmatch(spec.label):
+                raise ConfigError(f"'policies[{i}].label' may only contain letters, digits, '._-', got {spec.label!r}")
+            if spec.label == "oracle":
+                raise ConfigError(f"'policies[{i}].label' must not be 'oracle' (reserved)")
         labels = [p.label for p in self.policies]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"policy labels must be unique, got {labels}")
@@ -182,12 +190,12 @@ class OracleBlock:
     at max(t, min(t_node, SNR)).
     Reached is its own mask, as -inf is a real bottleneck at a threshold of -inf.
     The max-min value is unique and max and min are exact, so no settle order
-    changes a bit. ``outcome`` (``PathOutcome`` codes) and ``bottleneck`` (NaN on
-    failure) describe every world once none is going.
+    changes a bit. ``origin`` is kept; ``outcome`` (``PathOutcome`` codes) and
+    ``bottleneck`` (NaN on failure) describe every world once none is going.
     """
 
     def __init__(self, worlds, store, origin, snr_threshold_db):
-        self.threshold = snr_threshold_db
+        self.threshold, self.origin = snr_threshold_db, origin
         count = store.sizes.size
         self.outcome = np.full(count, _NO_CANDIDATE, dtype=np.int8)
         self.bottleneck = np.full(count, math.nan)
@@ -256,11 +264,11 @@ def _fewest_hops(store: RowStore, world: int, wired: np.ndarray, origin_id: int,
     raise AssertionError("unreachable: phase 1 proved a wired node reachable")
 
 
-def _oracle_paths(oracle: OracleBlock, worlds: list[Deployment], store: RowStore, origins) -> list[PathResult]:
+def _oracle_paths(oracle: OracleBlock, worlds: list[Deployment], store: RowStore) -> list[PathResult]:
     """The PathResults of the worlds of a finished ``oracle``; phase 2 finds the hops of each success."""
     return [
         PathResult(o, _fewest_hops(store, w, d.wired, o, b) if c == _SUCCESS else (), b, _OUTCOMES[c], None, None)
-        for w, (d, o, c, b) in enumerate(zip(worlds, origins, oracle.outcome.tolist(), oracle.bottleneck.tolist()))
+        for w, (d, o, c, b) in enumerate(zip(worlds, oracle.origin, oracle.outcome.tolist(), oracle.bottleneck.tolist()))
     ]
 
 
@@ -279,7 +287,7 @@ def widest_path_oracle(
     store = RowStore([deployment.n_gnbs], [link_snr_db])
     oracle = OracleBlock([deployment], store, [origin_id], snr_threshold_db)
     _lockstep([oracle], store)
-    return _oracle_paths(oracle, [deployment], store, [origin_id])[0]
+    return _oracle_paths(oracle, [deployment], store)[0]
 
 
 def _world_bytes(cfg: SimConfig) -> int:
@@ -295,16 +303,6 @@ def _world_bytes(cfg: SimConfig) -> int:
 def _block_size(cfg: SimConfig) -> int:
     """Repetitions per block: as many worlds as ``BLOCK_BYTES`` holds, and at least one."""
     return max(1, BLOCK_BYTES // _world_bytes(cfg))
-
-
-def _lockstep(blocks, store: RowStore) -> None:
-    """Step ``blocks`` (``WalkBlock``s and ``OracleBlock``s of the worlds of ``store``) until all
-    have ended; each round, one read of ``store`` gives every block still going the rows it wants."""
-    while going := [block for block in blocks if block.going]:
-        wanted = [block.wanted() for block in going]
-        snr = store.read(*np.concatenate(wanted, axis=1))
-        for block, rows in zip(going, np.split(snr, np.cumsum([w.shape[1] for w in wanted[:-1]]))):
-            block.step(rows)
 
 
 def _run_block(cfg: SimConfig, reps: range, keep_paths: bool) -> tuple:
@@ -343,7 +341,7 @@ def _run_block(cfg: SimConfig, reps: range, keep_paths: bool) -> tuple:
     walked = walks.results() if keep_paths else []
     if oracle is None:
         return walks.outcome, walks.length, walks.final_bottleneck, None, None, walked, []
-    found = _oracle_paths(oracle, worlds, store, origins) if keep_paths else []
+    found = _oracle_paths(oracle, worlds, store) if keep_paths else []
     return walks.outcome, walks.length, walks.final_bottleneck, oracle.outcome, oracle.bottleneck, walked, found
 
 

@@ -846,8 +846,9 @@ class TestOutageScreen:
         assert _may_be_live(d2, u, params).all()
 
 
-# master seeds and repetitions at the edges of one and two uint32 words, and a seed of many words
-SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, int("7" * 4000))
+# master seeds and repetitions at the edges of one and two uint32 words, master seeds of four words (the
+# pool size) and five (the first word past the pool), and a seed of many words
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96, 2**128, int("7" * 4000))
 REPETITIONS = (0, 1, 63, 64, 2**32 - 1, 2**32, 2**33 + 7)
 FIRST_DRAWS = (
     lambda g: g.random(),
@@ -866,9 +867,9 @@ class TestSeedWords:
     def test_words_equal_numpy(self, seed):
         keys = [(rep,) for rep in REPETITIONS]
         children = [(rep, ASSOC_LAYER) for rep in REPETITIONS]
-        for key, words in zip(keys, _seed_words(seed, keys, 4)):
+        for key, words in zip(keys, _seed_words(seed, keys)):
             assert np.array_equal(words, SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)), key
-        for key, words in zip(children, _seed_words(seed, children, 4)):
+        for key, words in zip(children, _seed_words(seed, children)):
             want = SeedSequence(seed, spawn_key=key, pool_size=4).generate_state(4, np.uint64)
             assert np.array_equal(words, want), key
 
@@ -914,4 +915,4 @@ class TestSeedWords:
 
     def test_negative_repetition_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
-            _seed_words(1, [(0,), (-1,)], 4)
+            _seed_words(1, [(0,), (-1,)])

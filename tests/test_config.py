@@ -12,10 +12,12 @@ from iabsim.channel import ChannelParams, RadioConfig
 from iabsim.cli import main
 from iabsim.config import WBF_PRESETS, _wbf_label, config_document, parse_config
 from iabsim.errors import ConfigError
-from iabsim.geometry import POISSON_MAX_MEAN, Region
+from iabsim.geometry import Region
 from iabsim.policy import PolicyKind, WbfConfig, WbfKind
-from iabsim.simulate import MAX_EXPECTED_NODES, PolicySpec, SimConfig
+from iabsim.simulate import MAX_EXPECTED_NODES, PolicySpec, SimConfig, run_campaign
 
+# The largest mean numpy's Poisson sampler accepts (int64 max - 10 sqrt(int64 max)).
+POISSON_MAX_MEAN = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 # Every numeric key of a config document: (key, dataclass, field, integer)
 NUMBER_FIELDS = [
     ("deployment.lambda_g", SimConfig, "lambda_g", False),
@@ -235,6 +237,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="oracle"):
             parse_config({"policies": [{"policy": "HQF", "label": "oracle"}]})
 
+    @pytest.mark.parametrize(
+        "label, oracle, message",
+        [("oracle", True, "must not be 'oracle'"), ("../x", False, "may only contain"), ("x\n", False, "may only contain")],
+        ids=["oracle", "path", "newline"],
+    )
+    def test_label_refused_on_the_dataclass(self, label, oracle, message):
+        """Python-built configs meet the label rules too: an 'oracle' policy's paths would be
+        overwritten by the oracle's, and a label with '/' would name a file outside the output."""
+        policies = (PolicySpec(PolicyKind.HQF), PolicySpec(PolicyKind.WF, label=label))
+        with pytest.raises(ConfigError, match=re.escape(f"'policies[1].label' {message}")):
+            SimConfig(policies=policies, oracle_enabled=oracle)
+
     def test_duplicate_labels(self):
         with pytest.raises(ConfigError, match="unique"):
             parse_config({"policies": ["HQF", "HQF"]})
@@ -300,6 +314,43 @@ class TestValidation:
     def test_removed_key_is_unknown(self, doc, key):
         with pytest.raises(ConfigError, match=rf"unknown key '{key}'"):
             parse_config(doc)
+
+
+# An integral value of each integer key that differs from its default
+INTEGER_VALUES = {"radio.M": 16, "radio.S": 4, "wbf.n_ht": 2, "run.repetitions": 2, "run.master_seed": 7, "run.max_hops": 5}
+
+
+def _campaign_bytes(cfg) -> list[bytes]:
+    """The bytes of every per-repetition array of the campaign of ``cfg``."""
+    res = run_campaign(cfg)
+    arrays = [part[label] for part in (res.outcome, res.hop_count, res.bottleneck_db) for label in res.labels]
+    return [a.tobytes() for a in arrays + [res.oracle_outcome, res.oracle_bottleneck_db]]
+
+
+class TestIntegralFloats:
+    @pytest.mark.parametrize(
+        "key, cls, field", [pytest.param(key, cls, field, id=key) for key, cls, field, integer in NUMBER_FIELDS if integer]
+    )
+    def test_integer_field_holds_an_int_on_every_path(self, key, cls, field):
+        """An integral float for an integer key is held as the int a document parses it to, however
+        the config is built, and its campaign runs as the int's does."""
+        value = INTEGER_VALUES[key]
+        section, name = key.split(".")
+        wbf = {"kind": "polynomial", "n_ht": 1, "k": 1.0}
+        base = {"policies": [{"policy": "HQF", "label": "poly", "wbf": wbf}], "run": {"repetitions": 2, "oracle": True}}
+        doc = json.loads(json.dumps(base))
+        if section == "wbf":
+            doc["policies"][0]["wbf"][name] = float(value)
+        else:
+            doc.setdefault(section, {})[name] = float(value)
+        parsed, default = parse_config(doc), parse_config(base)
+        built = _with_field(default, cls, field, float(value))
+        for cfg in (parsed, built):
+            part = {SimConfig: cfg, RadioConfig: cfg.radio, WbfConfig: cfg.policies[0].wbf}[cls]
+            held = getattr(part, field)
+            assert type(held) is int and held == value
+        assert built == parsed
+        assert _campaign_bytes(built) == _campaign_bytes(_with_field(default, cls, field, value))
 
 
 class TestBadNumbers:
