@@ -235,11 +235,11 @@ def _los_codes(size: int, live: np.ndarray, los: np.ndarray) -> np.ndarray:
 
 
 class LinkTable:
-    """Shared channel realization for all gNB pairs of one deployment.
+    """Shared channel realization for all gNB pairs of one ``deployment``, which it keeps.
 
     ``table[i]`` is row i of the symmetric SNR matrix in dB, with -inf on the
     diagonal and on outage pairs, hashed and evaluated on each read by a
-    ``RowStore`` of one world; campaigns read rows through their block's store,
+    ``RowStore`` of that one world; campaigns read rows through their block's store,
     which keeps each row it reads. ``snr`` is the whole (n, n) matrix. It and
     the flat per-pair arrays (upper triangle, ``src < dst``), with
     ``gain_dbi``, ``noise_dbm`` and ``tx_power_dbm``, retain every budget
@@ -247,9 +247,9 @@ class LinkTable:
     evaluates every pair once.
     """
 
-    def __init__(self, positions, word: int, params: ChannelParams, gain_dbi, noise_dbm, tx_power_dbm):
-        self.positions = positions
-        self.n = len(positions)
+    def __init__(self, deployment: Deployment, word: int, params: ChannelParams, gain_dbi, noise_dbm, tx_power_dbm):
+        self.deployment, self.positions = deployment, deployment.positions
+        self.n = deployment.n_gnbs
         self.params = params
         self._keys = _slot_keys(word, _SLOTS_WITH_FADING if params.fading_sigma_db > 0.0 else _SLOTS)
         self.gain_dbi = gain_dbi
@@ -279,7 +279,7 @@ class LinkTable:
         return d, live, los, pathloss, shadowing, snr
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return RowStore([self.n], [self]).read(np.zeros(1, dtype=np.intp), np.array([operator.index(i)]))[0]
+        return RowStore([self.deployment], [self]).read(np.zeros(1, dtype=np.intp), np.array([operator.index(i)]))[0]
 
     @cached_property
     def _whole(self) -> dict[str, np.ndarray]:
@@ -315,24 +315,33 @@ class LinkTable:
 
 
 class RowStore:
-    """The link rows of a block of worlds, each padded with -inf to the widest world.
+    """A block of worlds: their nodes, and their link rows padded with -inf to the widest world.
 
-    World w has ``sizes[w]`` gNBs, its node j is node ``offset[w] + j`` of the
-    block, and ``tables[w]`` is a ``LinkTable``, whose rows are hashed and
-    evaluated when first read, or an (n, n) array, whose rows are held from the
-    start (one world's in place). The tables are all arrays, or all LinkTables
-    of one channel law. ``slot`` gives each node's row in ``rows`` (-1 while
-    unread), which grows geometrically: the store holds only the rows read.
+    It is the one reader of the block's ``Deployment``s ``worlds``: world w has ``sizes[w]`` gNBs
+    and origin ``origin[w]``, and its node j is node ``offset[w] + j`` of the block, which indexes
+    ``positions``, ``wired`` and ``attached``. ``tables[w]`` is a ``LinkTable`` built on the
+    positions of world w, whose rows are hashed and evaluated when first read, or an (n, n) array,
+    whose rows are held from the start (one world's in place); all arrays, or all LinkTables of one
+    channel law. ``slot`` gives each node's row in ``rows`` (-1 while unread), which grows
+    geometrically: the store holds only the rows read.
     """
 
-    def __init__(self, sizes, tables):
-        self.sizes = np.asarray(sizes, dtype=np.intp)
+    def __init__(self, worlds, tables):
+        self.sizes = np.array([d.n_gnbs for d in worlds], dtype=np.intp)
         self.width = int(self.sizes.max())
         self.offset = self.sizes.cumsum() - self.sizes
-        for n, table in zip(self.sizes.tolist(), tables):
-            shape = (table.n, table.n) if isinstance(table, LinkTable) else np.shape(table)
+        self.origin = [d.origin_id for d in worlds]
+        # per node of the block, world by world
+        self.positions = np.concatenate([d.positions for d in worlds])
+        self.wired = np.concatenate([d.wired for d in worlds])
+        self.attached = np.concatenate([d.attached for d in worlds])
+        for d, table in zip(worlds, tables):
+            n, linked = d.n_gnbs, isinstance(table, LinkTable)
+            shape = (table.n, table.n) if linked else np.shape(table)
             if shape != (n, n):
                 raise ValueError(f"a world of {n} gNBs needs an ({n}, {n}) link table, got one of shape {shape}")
+            if linked and table.positions is not d.positions and not np.array_equal(table.positions, d.positions):
+                raise ValueError("a link table must be built on the positions of its world")
         laws = {table.law if isinstance(table, LinkTable) else None for table in tables}
         if len(laws) > 1:
             raise ValueError("a row store takes arrays only, or link tables with the same channel constants only")
@@ -349,7 +358,6 @@ class RowStore:
             self.table, self.count = tables[0], 0
             self.slot = np.full(int(self.sizes.sum()), -1)
             self.rows = np.empty((0, self.width))
-            self.positions = np.concatenate([table.positions for table in tables])  # per node of the block
             self.keys = np.concatenate([table._keys for table in tables], axis=1)  # per world
 
     def read(self, world: np.ndarray, node: np.ndarray) -> np.ndarray:
@@ -407,7 +415,7 @@ def link_table(
     # Steering is ideal, so both endpoint gains sit at the coherent peak.
     gain = 10.0 * math.log10(radio.array_elements)
     noise = noise_power_dbm(radio.bandwidth_hz, radio.noise_figure_db)
-    return LinkTable(deployment.positions, word, params, gain, noise, radio.tx_power_dbm)
+    return LinkTable(deployment, word, params, gain, noise, radio.tx_power_dbm)
 
 
 @lru_cache(maxsize=16)

@@ -13,7 +13,7 @@ from dataclasses import fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigError, require_number
+from .errors import ConfigError
 from .policy import PolicyKind, WbfConfig, WbfKind
 from .simulate import PolicySpec, SimConfig
 
@@ -43,47 +43,30 @@ def _section(doc: dict, name: str, allowed) -> dict:
     return section
 
 
-def _read(sections: dict, f, where: str):
-    """The value of ``param`` field ``f`` in its section of ``sections``: the field's
-    default when absent, else of the kind of that default (bool, enum or number).
-    ``where`` prefixes the key in messages.
-
-    A number is returned as it is for an integer field, and as float otherwise.
-    Finiteness, integrality and ranges are checked where the config dataclasses
-    are built, which hold an integer field as an int; an int too large for a
-    float key is refused here, before it is converted.
-    """
+def _read(sections: dict, f):
+    """The value of ``param`` field ``f`` in its section of ``sections``, or the field's
+    default when absent; an enum field's value, in any letter case, gives its member.
+    The config dataclasses check each value where they are built, naming its key."""
     section, name = f.metadata["key"].split(".")
     if name not in sections[section]:
         return f.default
-    value, key = sections[section][name], f"{where}{section}.{name}"
-    if isinstance(f.default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"'{key}' must be a boolean, got {value!r}")
-        return value
+    value = sections[section][name]
     if isinstance(f.default, Enum):
-        kind = type(f.default)
         try:
-            return kind(str(value).lower())
+            return type(f.default)(str(value).lower())
         except ValueError:
-            raise ConfigError(f"'{key}' must be one of {[k.value for k in kind]}, got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{key}' must be a number, got {value!r}")
-    if f.metadata.get("integer"):
-        return value
-    if isinstance(value, int):
-        require_number(key, value)  # refuses one beyond the float range
-    return float(value)
+            return value  # no member: refused where the dataclass is built
+    return value
 
 
-def _build(cls, sections: dict, where: str = "", **given):
+def _build(cls, sections: dict, **given):
     """``cls`` with each ``param`` field read from its section in ``sections`` and each
     nested config dataclass built likewise; ``given`` fields are passed as they are."""
     for f in fields(cls):
         if "key" in f.metadata:
-            given[f.name] = _read(sections, f, where)
+            given[f.name] = _read(sections, f)
         elif is_dataclass(f.default):
-            given[f.name] = _build(type(f.default), sections, where)
+            given[f.name] = _build(type(f.default), sections)
     return cls(**given)
 
 
@@ -114,7 +97,7 @@ def _parse_wbf(raw, where: str) -> WbfConfig:
         raise ConfigError(f"'{where}.wbf' must be a preset name or an object, got {raw!r}")
     _reject_unknown(f"{where}.wbf", raw, _DEFAULTS["policies"][0]["wbf"])
     try:
-        return _build(WbfConfig, {"wbf": raw}, f"{where}.")
+        return _build(WbfConfig, {"wbf": raw})
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 

@@ -1,6 +1,7 @@
 import math
+import numbers
 import sys
-from dataclasses import field, fields
+from dataclasses import field, fields, is_dataclass
 from enum import Enum
 
 
@@ -18,14 +19,17 @@ def param(key: str, default, **bounds):
 
 
 def check_params(obj) -> None:
-    """``require_number`` on each number field of ``obj`` declared by :func:`param`; an integer
-    field then holds its value as an int."""
+    """Hold each field of ``obj`` declared by :func:`param`, or nesting a config dataclass, to the
+    kind of its default: a bool, a member of the same enum, that dataclass, or a number that passes
+    ``require_number``, which an integer field then holds as an int and any other as a float."""
     for f in fields(obj):
-        if "key" in f.metadata and not isinstance(f.default, (bool, Enum)):
-            value = getattr(obj, f.name)
+        value, kind = getattr(obj, f.name), type(f.default)
+        if "key" in f.metadata and not issubclass(kind, (bool, Enum)):
             require_number(value=value, **f.metadata)
-            if f.metadata.get("integer"):
-                object.__setattr__(obj, f.name, int(value))
+            object.__setattr__(obj, f.name, int(value) if f.metadata.get("integer") else float(value))
+        elif ("key" in f.metadata or is_dataclass(kind)) and not isinstance(value, kind):
+            wanted = f"one of {[k.value for k in kind]}" if issubclass(kind, Enum) else f"a {kind.__name__}"
+            raise ConfigError(f"{f.metadata.get('key', f.name)} must be {wanted}, got {value!r}")
 
 
 def key_of(obj, name: str) -> str:
@@ -34,12 +38,14 @@ def key_of(obj, name: str) -> str:
 
 
 def require_number(key: str, value, *, integer: bool = False, at_least=None, above=None) -> None:
-    """Raise a ConfigError naming ``key`` unless ``value`` is finite, integral when
-    ``integer`` is set, ``>= at_least`` and ``> above`` (bounds that are given).
+    """Raise a ConfigError naming ``key`` unless ``value`` is a number (not a bool) that is finite,
+    integral when ``integer`` is set, ``>= at_least`` and ``> above`` (bounds that are given).
 
     A Python int is checked exactly, whatever its size; for a float key it must
     also fit in a float, and it must have no more decimal digits than Python
     prints (``sys.get_int_max_str_digits``), or the outputs that echo it fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     if isinstance(value, int):
         if not integer and abs(value) > sys.float_info.max:
             raise ConfigError(f"{key} must be finite, got an integer beyond the float range")

@@ -151,12 +151,12 @@ def _check_origin(deployment: Deployment, origin_id: int) -> None:
 class WalkBlock:
     """Greedy walks over many worlds, stepped together one hop per round.
 
-    Walk w starts at node ``origin[w]`` of ``worlds[world[w]]`` and follows
-    ``policies[policy[w]]``, a (kind, wbf) pair; ``store``, the ``RowStore``
-    of the worlds, gives their sizes and node offsets. Each round, ``wanted``
-    names the (world, node id) that each walk still going stands on, and
-    ``step`` takes the rows ``store.read`` gives for them, one per walk, and
-    moves each of those walks one hop:
+    Walk w starts at node ``origin[w]`` of world ``world[w]`` of ``store``, the
+    ``RowStore`` of the block, and follows ``policies[policy[w]]``, a (kind,
+    wbf) pair. The store holds the worlds' nodes (sizes, offsets, positions,
+    wired flags and loads) and their link rows. Each round, ``step`` reads
+    from the store the row that each walk still going stands on, and moves
+    each of those walks one hop:
 
     - the admissible parents of every walk are the columns of its row whose
       raw SNR clears the threshold and that it has not visited (padding
@@ -183,30 +183,28 @@ class WalkBlock:
     every walk in the order given, and ``results`` builds their PathResults.
     """
 
-    def __init__(self, worlds, store, policies, world, origin, policy, snr_threshold_db, max_hops, bandwidth_hz):
-        self.worlds = worlds
+    def __init__(self, store, policies, world, origin, policy, snr_threshold_db, max_hops, bandwidth_hz):
+        self.store = store
         self.policies = policies
         self.threshold = snr_threshold_db
         self.max_hops = max_hops
         self.bandwidth_hz = bandwidth_hz
-        # per node of the block, world by world: node j of world w is store.offset[w] + j
-        self.wired = np.concatenate([d.wired for d in worlds])
         # a walk visits distinct nodes, so it takes at most width - 1 hops
         hops = min(max_hops, store.width)
         self.bias, self.is_wf, self.is_pa, self.is_mlr = _policy_table(tuple(policies), hops)
         if self.is_mlr.any():
-            self.share = bandwidth_hz / np.maximum(np.concatenate([d.attached for d in worlds]), 1)
+            self.share = bandwidth_hz / np.maximum(store.attached, 1)
             self.top_share = np.maximum.reduceat(self.share, store.offset)
         if self.is_pa.any():
-            self.x, self.y = np.concatenate([d.positions for d in worlds]).T
-            # column w: the wired nodes of world w in id order, padded with -1 at infinity
-            donors = self.wired.nonzero()[0]
-            counts = np.add.reduceat(self.wired, store.offset, dtype=np.intp)
+            self.x, self.y = store.positions.T
+            # column w: the block ids of the wired nodes of world w in id order, padded with -1 at infinity
+            donors = store.wired.nonzero()[0]
+            counts = np.add.reduceat(store.wired, store.offset, dtype=np.intp)
             rank = np.arange(donors.size) - np.repeat(counts.cumsum() - counts, counts)
-            at = (rank, np.repeat(np.arange(len(worlds)), counts))
-            self.donor = np.full((counts.max(), len(worlds)), -1)
+            at = (rank, np.repeat(np.arange(counts.size), counts))
+            self.donor = np.full((counts.max(), counts.size), -1)
             self.donor[at] = donors
-            self.donor_x, self.donor_y = np.full((2, counts.max(), len(worlds)), np.inf)
+            self.donor_x, self.donor_y = np.full((2, counts.max(), counts.size), np.inf)
             self.donor_x[at], self.donor_y[at] = self.x[donors], self.y[donors]
         self.origin = np.asarray(origin, dtype=np.intp)
         self.walk_policy = np.asarray(policy, dtype=np.intp)
@@ -229,19 +227,16 @@ class WalkBlock:
     def going(self) -> bool:
         return self.state.shape[1] > 0
 
-    def wanted(self) -> np.ndarray:
-        """Rows world and node id of the node each walk still going stands on."""
-        return self.state[[1, 3]]
-
-    def step(self, snr: np.ndarray) -> None:
-        """Move every walk still going one hop; row k of ``snr`` is the padded row walk k stands on."""
+    def step(self) -> None:
+        """Move every walk still going one hop, on the padded row each stands on."""
+        snr = self.store.read(self.state[1], self.state[3])
         # the admissible entries (walk, col), in walk order, then column order
         walk, col = ((snr >= self.threshold) & self.open).nonzero()
         raw = snr[walk, col]
         ids, _, base, current, policies = self.state  # views of the state rows
         count = ids.size
         node = base[walk] + col
-        wired = self.wired[node]
+        wired = self.store.wired[node]
         policy = policies[walk]
         pa, mlr = self.is_pa[policies].nonzero()[0], self.is_mlr[policies].nonzero()[0]
         # Python floats overflow quietly; so do the vectors that stand for them
@@ -310,9 +305,8 @@ class WalkBlock:
         for r in (near.sum(axis=0) > 1).nonzero()[0].tolist():
             # a near-tie, or no donor at a finite distance: rank as geometry._closest does
             donors = self.donor[:, world[r]]
-            positions = self.worlds[world[r]].positions
-            closest = _closest(donors[near[:, r] & (donors >= 0)] - base[r], positions, positions[current[r]])
-            pick[r] = (donors == base[r] + closest).argmax()
+            closest = _closest(donors[near[:, r] & (donors >= 0)], self.store.positions, self.store.positions[here[r]])
+            pick[r] = (donors == closest).argmax()
         which = np.searchsorted(pa, walk)
         at = np.arange(pa.size)
         cx, cy, ux, uy = cx[which], cy[which], dx[pick, at][which], dy[pick, at][which]
@@ -324,7 +318,7 @@ class WalkBlock:
         for w in mlr[np.bincount(walk[tie], minlength=pick.size)[mlr] > 1].tolist():
             entries = np.arange(*np.searchsorted(walk, (w, w + 1)))
             entries = entries[tie[entries]]
-            loads = self.worlds[self.state[1, w]].attached[col[entries]]
+            loads = self.store.attached[self.state[2, w] + col[entries]]
             candidates = zip(entries.tolist(), value[entries].tolist(), wired[entries].tolist(), loads.tolist())
             # a walk's entries run in column order, so -entry ranks as -id does
             pick[w] = max(candidates, key=lambda c: (shannon_rate(self.bandwidth_hz, c[1], c[3]), c[2], -c[0]))[0]
@@ -366,14 +360,12 @@ class WalkBlock:
         ]
 
 
-def _lockstep(blocks, store: RowStore) -> None:
-    """Step ``blocks`` (``WalkBlock``s and ``OracleBlock``s of the worlds of ``store``) until all
-    have ended; each round, one read of ``store`` gives every block still going the rows it wants."""
-    while going := [block for block in blocks if block.going]:
-        wanted = [block.wanted() for block in going]
-        snr = store.read(*np.concatenate(wanted, axis=1))
-        for block, rows in zip(going, np.split(snr, np.cumsum([w.shape[1] for w in wanted[:-1]]))):
-            block.step(rows)
+def _lockstep(blocks) -> None:
+    """Step each of ``blocks`` (``WalkBlock``s and ``OracleBlock``s) until it has ended. Each reads
+    its own rows from its store, and a row's bits do not depend on when it is read."""
+    for block in blocks:
+        while block.going:
+            block.step()
 
 
 def build_path(
@@ -398,9 +390,7 @@ def build_path(
     _check_origin(deployment, origin_id)
     if max_hops < 1:
         raise ConfigError(f"max_hops must be >= 1, got {max_hops}")
-    store = RowStore([deployment.n_gnbs], [link_snr_db])
-    block = WalkBlock(
-        [deployment], store, [(policy, wbf)], [0], [origin_id], [0], snr_threshold_db, max_hops, bandwidth_hz
-    )
-    _lockstep([block], store)
+    store = RowStore([deployment], [link_snr_db])
+    block = WalkBlock(store, [(policy, wbf)], [0], [origin_id], [0], snr_threshold_db, max_hops, bandwidth_hz)
+    _lockstep([block])
     return block.results()[0]

@@ -11,15 +11,14 @@ A worker's range of repetitions runs in the fewest blocks of near-equal size
 that keep each block within ``BLOCK_BYTES``, by the per-world estimate of
 ``_world_bytes``. A block derives the generators of all its repetitions (and
 their association children) in one pass, samples its worlds in repetition
-order and reads their link rows through one ``channel.RowStore``. The walks
-of all its worlds are one ``policy.WalkBlock`` and their oracles one ``OracleBlock``;
-each round, one read of the store gives every walk and every oracle the row
-it stands on, hashing and evaluating the rows not held yet, and both step,
-until all have ended. Link draws are keyed, not drawn in sequence, so when a
-row is evaluated does not change its bits: results equal those of each
-repetition run alone, and ``run_repetition`` is a block of one. A campaign
-keeps outcome, hop and bottleneck arrays; it builds PathResults, and
-searches the oracle's paths, only when it keeps paths.
+order into one ``channel.RowStore`` that holds their nodes and link rows. The
+walks of all its worlds are one ``policy.WalkBlock`` and their oracles one
+``OracleBlock``; each steps until all have ended, and each round reads from the
+store the row each walk or oracle stands on, evaluating the rows not held yet.
+Link draws are keyed, so when a row is evaluated does not change its bits:
+results equal those of each repetition run alone, and ``run_repetition`` is a
+block of one. A campaign keeps outcome, hop and bottleneck arrays; it builds
+PathResults, and searches the oracle's paths, only when it keeps paths.
 """
 from __future__ import annotations
 
@@ -69,7 +68,7 @@ class PolicySpec:
     label: str = ""
 
     def __post_init__(self):
-        if not self.label:
+        if not self.label and isinstance(self.kind, PolicyKind):  # SimConfig refuses any other kind
             object.__setattr__(self, "label", self.kind.value)
 
 
@@ -101,6 +100,11 @@ class SimConfig:
         if not self.policies:
             raise ConfigError("at least one policy must be configured")
         for i, spec in enumerate(self.policies):
+            if not isinstance(spec, PolicySpec):
+                raise ConfigError(f"'policies[{i}]' must be a PolicySpec, got {spec!r}")
+            for name, kind in (("kind", PolicyKind), ("wbf", WbfConfig)):
+                if not isinstance(getattr(spec, name), kind):
+                    raise ConfigError(f"'policies[{i}].{name}' must be a {kind.__name__}, got {getattr(spec, name)!r}")
             if not isinstance(spec.label, str) or not _LABEL_RE.fullmatch(spec.label):
                 raise ConfigError(f"'policies[{i}].label' may only contain letters, digits, '._-', got {spec.label!r}")
             if spec.label == "oracle":
@@ -180,22 +184,21 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator, child: np.random.Gene
 
 class OracleBlock:
     """Phase 1 of the oracle, a max-min Dijkstra (Pollack 1960) from node ``origin[w]``
-    of each world ``worlds[w]``, stepped together like a ``WalkBlock``; ``store``, the
-    ``RowStore`` of the worlds, gives their sizes and the padded width.
+    of each world w of ``store``, the ``RowStore`` of the block, stepped together like
+    a ``WalkBlock``; the store gives the worlds' sizes, wired flags and link rows.
 
     Each round, every world settles its reached, unsettled node with the largest
     tentative bottleneck t (lowest id on ties): SUCCESS at t if it is wired,
-    NO_CANDIDATE if there is none; else ``wanted`` names that node, ``step`` takes
-    its padded row and reaches every unsettled column that clears the threshold
-    at max(t, min(t_node, SNR)).
+    NO_CANDIDATE if there is none; else ``step`` reads that node's padded row and
+    reaches every unsettled column that clears the threshold at max(t, min(t_node, SNR)).
     Reached is its own mask, as -inf is a real bottleneck at a threshold of -inf.
     The max-min value is unique and max and min are exact, so no settle order
     changes a bit. ``origin`` is kept; ``outcome`` (``PathOutcome`` codes) and
     ``bottleneck`` (NaN on failure) describe every world once none is going.
     """
 
-    def __init__(self, worlds, store, origin, snr_threshold_db):
-        self.threshold, self.origin = snr_threshold_db, origin
+    def __init__(self, store, origin, snr_threshold_db):
+        self.store, self.threshold, self.origin = store, snr_threshold_db, np.asarray(origin, dtype=np.intp)
         count = store.sizes.size
         self.outcome = np.full(count, _NO_CANDIDATE, dtype=np.int8)
         self.bottleneck = np.full(count, math.nan)
@@ -204,18 +207,14 @@ class OracleBlock:
         self.ids = np.arange(count)
         self.settled = np.arange(store.width) >= store.sizes[:, None]
         self.wired, self.open = np.zeros((2, *self.settled.shape), dtype=bool)
-        self.wired[~self.settled] = np.concatenate([d.wired for d in worlds])
-        self.open[self.ids, origin] = True
+        self.wired[~self.settled] = store.wired
+        self.open[self.ids, self.origin] = True
         self.value = np.where(self.open, np.inf, -np.inf)
         self._settle()
 
-    def wanted(self) -> np.ndarray:
-        """Rows world and node id of the node each world still going settled this round."""
-        return np.array((self.ids, self.node))
-
-    def step(self, snr: np.ndarray) -> None:
-        """Reach out from each settled node over its padded row, row k of ``snr`` for world k
-        still going, and settle the next."""
+    def step(self) -> None:
+        """Reach out from the node each world still going settled over its padded row, and settle the next."""
+        snr = self.store.read(self.ids, self.node)
         admit = (snr >= self.threshold) & ~self.settled
         np.maximum(self.value, np.minimum(snr, self.held[:, None]), out=self.value, where=admit)
         self.open |= admit
@@ -242,11 +241,11 @@ class OracleBlock:
         self.node, self.held, self.going = node, best, node.size > 0
 
 
-def _fewest_hops(store: RowStore, world: int, wired: np.ndarray, origin_id: int, best: float) -> tuple[int, ...]:
+def _fewest_hops(store: RowStore, world: int, origin_id: int, best: float) -> tuple[int, ...]:
     """Phase 2 of the oracle: over the links with SNR >= ``best``, the hops to a wired
     node with the fewest hops and then the smallest id sequence, by a best-first
     search on that key; extending a path strictly worsens its key, so the first
-    wired node popped ends the optimum. Reads the rows of ``world`` from ``store``."""
+    wired node popped ends the optimum. Reads the wired flags and rows of ``world`` from ``store``."""
     heap = [(0, (origin_id,))]
     settled = set()
     while heap:
@@ -255,20 +254,20 @@ def _fewest_hops(store: RowStore, world: int, wired: np.ndarray, origin_id: int,
         if node in settled:
             continue
         settled.add(node)
-        if wired[node]:
+        if store.wired[store.offset[world] + node]:
             return path[1:]
-        row = store.read(np.array([world]), np.array([node]))[0, : len(wired)]
+        row = store.read(np.array([world]), np.array([node]))[0, : store.sizes[world]]
         for nxt in (row >= best).nonzero()[0].tolist():
             if nxt not in settled:
                 heapq.heappush(heap, (hops + 1, path + (nxt,)))
     raise AssertionError("unreachable: phase 1 proved a wired node reachable")
 
 
-def _oracle_paths(oracle: OracleBlock, worlds: list[Deployment], store: RowStore) -> list[PathResult]:
+def _oracle_paths(oracle: OracleBlock, store: RowStore) -> list[PathResult]:
     """The PathResults of the worlds of a finished ``oracle``; phase 2 finds the hops of each success."""
     return [
-        PathResult(o, _fewest_hops(store, w, d.wired, o, b) if c == _SUCCESS else (), b, _OUTCOMES[c], None, None)
-        for w, (d, o, c, b) in enumerate(zip(worlds, oracle.origin, oracle.outcome.tolist(), oracle.bottleneck.tolist()))
+        PathResult(o, _fewest_hops(store, w, o, b) if c == _SUCCESS else (), b, _OUTCOMES[c], None, None)
+        for w, (o, c, b) in enumerate(zip(oracle.origin.tolist(), oracle.outcome.tolist(), oracle.bottleneck.tolist()))
     ]
 
 
@@ -284,10 +283,10 @@ def widest_path_oracle(
     in ``build_path``.
     """
     _check_origin(deployment, origin_id)
-    store = RowStore([deployment.n_gnbs], [link_snr_db])
-    oracle = OracleBlock([deployment], store, [origin_id], snr_threshold_db)
-    _lockstep([oracle], store)
-    return _oracle_paths(oracle, [deployment], store)[0]
+    store = RowStore([deployment], [link_snr_db])
+    oracle = OracleBlock(store, [origin_id], snr_threshold_db)
+    _lockstep([oracle])
+    return _oracle_paths(oracle, store)[0]
 
 
 def _world_bytes(cfg: SimConfig) -> int:
@@ -310,7 +309,7 @@ def _run_block(cfg: SimConfig, reps: range, keep_paths: bool) -> tuple:
 
     Returns the walks' outcome codes, hop counts and bottlenecks (repetition by repetition, policy by
     policy within one), the oracle's outcome codes and bottlenecks (None without it), and the walks' and
-    the oracle's PathResults (empty without ``keep_paths``); the worlds are not kept.
+    the oracle's PathResults (empty without ``keep_paths``); only the block's ``RowStore`` keeps the worlds' nodes.
     """
     from .streams import spawned_rngs
 
@@ -319,29 +318,24 @@ def _run_block(cfg: SimConfig, reps: range, keep_paths: bool) -> tuple:
     children = [None] * len(reps)
     if cfg.lambda_ue > 0 and _keeps_ues(cfg):
         children = spawned_rngs(cfg.master_seed, [(rep, ASSOC_LAYER) for rep in reps])
-    worlds, tables = zip(*(sample_world(cfg, rng, child) for rng, child in zip(rngs, children)))
-    for world in worlds:  # no step reads the UE drop once the loads are in
-        world.ue_positions = np.empty((0, 2))
-    store = RowStore([d.n_gnbs for d in worlds], tables)
-    origins = [d.origin_id for d in worlds]
+    store = RowStore(*zip(*(sample_world(cfg, rng, child) for rng, child in zip(rngs, children))))
     n_policies = len(cfg.policies)
     walks = WalkBlock(
-        worlds,
         store,
         [(spec.kind, spec.wbf) for spec in cfg.policies],
-        np.repeat(np.arange(len(worlds)), n_policies),
-        np.repeat(origins, n_policies),
-        np.tile(np.arange(n_policies), len(worlds)),
+        np.repeat(np.arange(len(reps)), n_policies),
+        np.repeat(store.origin, n_policies),
+        np.tile(np.arange(n_policies), len(reps)),
         threshold,
         cfg.max_hops,
         cfg.radio.bandwidth_hz,
     )
-    oracle = OracleBlock(worlds, store, origins, threshold) if cfg.oracle_enabled else None
-    _lockstep([walks] if oracle is None else [walks, oracle], store)
+    oracle = OracleBlock(store, store.origin, threshold) if cfg.oracle_enabled else None
+    _lockstep([walks] if oracle is None else [walks, oracle])
     walked = walks.results() if keep_paths else []
     if oracle is None:
         return walks.outcome, walks.length, walks.final_bottleneck, None, None, walked, []
-    found = _oracle_paths(oracle, worlds, store) if keep_paths else []
+    found = _oracle_paths(oracle, store) if keep_paths else []
     return walks.outcome, walks.length, walks.final_bottleneck, oracle.outcome, oracle.bottleneck, walked, found
 
 

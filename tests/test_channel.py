@@ -555,7 +555,7 @@ class TestRowStore:
         triplets = [self.triplet(n, ChannelParams(fading_sigma_db=fading_db)) for n in self.SIZES]
         sizes = [table.n for table, _, _ in triplets]
         passes = self.record_passes(monkeypatch)
-        store = RowStore(sizes, [table for table, _, _ in triplets])
+        store = RowStore([table.deployment for table, _, _ in triplets], [table for table, _, _ in triplets])
         assert store.width == 120 and store.count == 0 and passes == []
         held = np.array((0, 2, 4)), np.array(sizes[:6:2]) - 1
         store.read(*held)  # rows read before the others
@@ -588,7 +588,7 @@ class TestRowStore:
 
     def test_pair_bound_splits_passes_not_bits(self, monkeypatch):
         triplets = [self.triplet(n, ChannelParams()) for n in (30, 120, 7)]
-        store = RowStore([30, 120, 7], [table for table, _, _ in triplets])
+        store = RowStore([table.deployment for table, _, _ in triplets], [table for table, _, _ in triplets])
         passes = self.record_passes(monkeypatch)
         monkeypatch.setattr(channel, "PASS_PAIRS", 300)  # two rows of the widest world, 238 pairs
         world, node = np.repeat(np.arange(3), 3), np.tile((6, 0, 3), 3)
@@ -599,7 +599,7 @@ class TestRowStore:
             assert snr[k, : store.sizes[w]].tobytes() == triplets[w][2].snr[i].tobytes()
         passes.clear()
         monkeypatch.setattr(channel, "PASS_PAIRS", 10)  # below one row: a pass per row
-        store = RowStore([120], [triplets[1][0]])
+        store = RowStore([triplets[1][0].deployment], [triplets[1][0]])
         assert store.read(np.zeros(2, dtype=int), np.array([5, 9])).tobytes() == triplets[1][2].snr[[5, 9]].tobytes()
         assert passes == [[(0, 5)], [(0, 9)]]
 
@@ -616,25 +616,25 @@ class TestRowStore:
         faded, _, _ = self.triplet(5, ChannelParams(fading_sigma_db=3.0))
         passes = self.record_passes(monkeypatch)
         with pytest.raises(ValueError, match="same channel constants"):
-            RowStore([7, 5], [plain, faded])
+            RowStore([plain.deployment, faded.deployment], [plain, faded])
         radio = RadioConfig(tx_power_dbm=40.0)
         strong = link_table(scattered_deployment(5, 5), radio, ChannelParams(), np.random.default_rng(5))
         with pytest.raises(ValueError, match="same channel constants"):
-            RowStore([7, 5], [plain, strong])
+            RowStore([plain.deployment, strong.deployment], [plain, strong])
         with pytest.raises(ValueError, match="arrays only"):
-            RowStore([7, 5], [plain, faded.snr])
+            RowStore([plain.deployment, faded.deployment], [plain, faded.snr])
         assert passes == []
 
     def test_array_tables_are_held_padded_and_one_is_read_in_place(self, monkeypatch):
         mats = [self.triplet(n, ChannelParams())[2].snr for n in (7, 30, 5)]
         passes = self.record_passes(monkeypatch)
-        store = RowStore([7, 30, 5], mats)
+        store = RowStore([scattered_deployment(n, n) for n in (7, 30, 5)], mats)
         world, node = np.array([2, 0, 1, 2, 2]), np.array([4, 6, 29, 0, 4])
         snr = store.read(world, node)
         for k, (w, i) in enumerate(zip(world.tolist(), node.tolist())):
             n = mats[w].shape[0]
             assert snr[k, :n].tobytes() == mats[w][i].tobytes() and (snr[k, n:] == -np.inf).all()
-        one = RowStore([30], [mats[1]])
+        one = RowStore([scattered_deployment(30, 30)], [mats[1]])
         assert one.rows is mats[1]  # not copied
         assert one.read(np.zeros(2, dtype=int), np.array([3, 1])).tobytes() == mats[1][[3, 1]].tobytes()
         assert passes == [] and store.count == 42
@@ -646,18 +646,31 @@ class TestRowStore:
         passes = self.record_passes(monkeypatch)
         with pytest.raises(error):
             table[i]
-        store = RowStore([7, 30], [other, table])
+        store = RowStore([other.deployment, table.deployment], [other, table])
         with pytest.raises(IndexError):  # node -1 of world 1 is not node 6 of world 0
             store.read(np.array([1, 1]), np.array([0, i]))
         assert passes == [] and store.count == 0
 
+    def test_a_table_of_other_positions_is_refused(self, monkeypatch):
+        """A table hashes its world's positions in the store: one built on other positions of the
+        same size would draw rows for neither world."""
+        plain, _, _ = self.triplet(7, ChannelParams())
+        table, _, _ = self.triplet(30, ChannelParams())
+        passes = self.record_passes(monkeypatch)
+        moved = Deployment(Region(1000, 1000), table.positions + 1.0, table.deployment.wired, 1)
+        with pytest.raises(ValueError, match="built on the positions of its world"):
+            RowStore([plain.deployment, moved], [plain, table])
+        same = Deployment(Region(1000, 1000), table.positions.copy(), table.deployment.wired, 1)
+        RowStore([plain.deployment, same], [plain, table])  # equal positions are the table's own
+        assert passes == []
+
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (3,)])
     def test_misshaped_tables_are_refused_naming_both_shapes(self, shape):
         with pytest.raises(ValueError, match=rf"\(3, 3\).*{re.escape(str(shape))}"):
-            RowStore([7, 3], [np.zeros((7, 7)), np.zeros(shape)])
+            RowStore([scattered_deployment(7, 7), scattered_deployment(3, 3)], [np.zeros((7, 7)), np.zeros(shape)])
         table, _, _ = self.triplet(4, ChannelParams())
         with pytest.raises(ValueError, match=r"\(3, 3\).*\(4, 4\)"):
-            RowStore([3], [table])
+            RowStore([scattered_deployment(3, 3)], [table])
 
     def test_a_dense480_block_holds_only_the_rows_it_reads(self):
         """14 worlds of 480 gNBs, as a dense480 block has: a few rounds of reads hold
@@ -667,11 +680,11 @@ class TestRowStore:
             link_table(scattered_deployment(w, n), RadioConfig(), ChannelParams(), np.random.default_rng(w))
             for w in range(worlds)
         ]
-        RowStore([n], [tables[0]]).read(np.zeros(1, dtype=int), np.zeros(1, dtype=int))  # fill the caches
+        tables[0][0]  # fill the caches: a read through a store of one world
         rng = np.random.default_rng(1)
         tracemalloc.start()
         try:
-            store = RowStore([n] * worlds, tables)
+            store = RowStore([table.deployment for table in tables], tables)
             for _ in range(5):  # a round of 4 walks and an oracle per world
                 store.read(np.repeat(np.arange(worlds), 5), rng.integers(0, n, 5 * worlds))
             _, peak = tracemalloc.get_traced_memory()

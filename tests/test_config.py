@@ -316,6 +316,49 @@ class TestValidation:
             parse_config(doc)
 
 
+class TestFieldTypes:
+    """Each config dataclass refuses a field of the wrong type, naming its key: unchecked, a
+    policy would run as another kind, a bias as another shape, a string or a bool would count
+    as True or as 1, or a traceback would be all a user saw."""
+
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            pytest.param(lambda: SimConfig(policies=(PolicySpec("WF", label="wf"),)), "'policies[0].kind'", id="kind"),
+            pytest.param(lambda: SimConfig(policies=(PolicySpec("WF"),)), "'policies[0].kind'", id="kind_no_label"),
+            pytest.param(lambda: SimConfig(policies=(PolicySpec(PolicyKind.HQF, "none"),)), "'policies[0].wbf'", id="wbf"),
+            pytest.param(lambda: WbfConfig(kind="polynomial"), "wbf.kind must be one of", id="wbf_kind"),
+            pytest.param(lambda: SimConfig(oracle_enabled="no"), "run.oracle must be a bool", id="oracle"),
+            pytest.param(lambda: SimConfig(repetitions=True), "run.repetitions must be a number", id="repetitions"),
+            pytest.param(lambda: SimConfig(lambda_g="30"), "deployment.lambda_g must be a number", id="lambda_g"),
+            pytest.param(lambda: SimConfig(region="x"), "region must be a Region", id="region"),
+            pytest.param(lambda: SimConfig(radio=None), "radio must be a RadioConfig", id="radio"),
+            pytest.param(lambda: SimConfig(policies=("HQF",)), "'policies[0]' must be a PolicySpec", id="policy"),
+        ],
+    )
+    def test_refused_naming_the_key(self, build, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            build()
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"run": {"oracle": "no"}}, "run.oracle must be a bool"),
+            ({"run": {"repetitions": True}}, "run.repetitions must be a number"),
+            ({"deployment": {"lambda_g": "30"}}, "deployment.lambda_g must be a number"),
+            ({"policies": [{"policy": "HQF", "wbf": {"kind": "cubic"}}]}, "wbf.kind must be one of"),
+        ],
+    )
+    def test_documents_are_refused_alike(self, doc, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(doc)
+
+    def test_a_float_field_holds_a_float(self):
+        cfg = SimConfig(lambda_g=60, radio=RadioConfig(tx_power_dbm=np.float64(20)))
+        assert type(cfg.lambda_g) is float and type(cfg.radio.tx_power_dbm) is float
+        assert cfg == parse_config({"deployment": {"lambda_g": 60}, "radio": {"ptx_dbm": 20}})
+
+
 # An integral value of each integer key that differs from its default
 INTEGER_VALUES = {"radio.M": 16, "radio.S": 4, "wbf.n_ht": 2, "run.repetitions": 2, "run.master_seed": 7, "run.max_hops": 5}
 

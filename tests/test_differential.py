@@ -98,10 +98,8 @@ def test_one_walk_block_steps_many_tied_worlds(max_hops, threshold):
     worlds = [tied_world(rng) for _ in range(BLOCK_WORLDS)]
     policies = [(kind, wbf) for kind in PolicyKind for wbf in BIASES]
     count = len(policies)
-    deps = [dep for dep, _, _ in worlds]
-    store = RowStore([dep.n_gnbs for dep in deps], [mat for _, mat, _ in worlds])
+    store = RowStore([dep for dep, _, _ in worlds], [mat for _, mat, _ in worlds])
     walks = WalkBlock(
-        deps,
         store,
         policies,
         np.repeat(np.arange(BLOCK_WORLDS), count),
@@ -111,8 +109,8 @@ def test_one_walk_block_steps_many_tied_worlds(max_hops, threshold):
         max_hops,
         BANDWIDTH_HZ,
     )
-    oracle = OracleBlock(deps, store, np.zeros(BLOCK_WORLDS, dtype=int), threshold)
-    simulate._lockstep([walks, oracle], store)
+    oracle = OracleBlock(store, np.zeros(BLOCK_WORLDS, dtype=int), threshold)
+    simulate._lockstep([walks, oracle])
     results = walks.results()
     assert {dep.n_gnbs for dep, _, _ in worlds} == set(range(3, 9))
     outcomes = list(PathOutcome)

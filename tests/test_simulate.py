@@ -329,6 +329,44 @@ class TestMisshapedTables:
             self.WRAPPERS[wrapper](dep, table)
 
 
+class TestTableOfAnotherWorld:
+    """A link table is read only with the world it was built on: a table of another world of the
+    same size would hash its own positions while PA ranks the world's, so it is refused."""
+
+    COORDS = [(0, 0), (100, 0), (50, 50), (0, 90), (90, 90)]
+    WIRED = [False, True, False, True, False]
+
+    @pytest.mark.parametrize("wrapper", sorted(TestMisshapedTables.WRAPPERS))
+    def test_refused_by_both_wrappers(self, wrapper):
+        dep, _ = make_graph(self.COORDS, self.WIRED, {})
+        other, _ = make_graph([(x + 1.0, y) for x, y in self.COORDS], self.WIRED, {})
+        links = link_table(other, RadioConfig(), ChannelParams(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="built on the positions of its world"):
+            TestMisshapedTables.WRAPPERS[wrapper](dep, links)
+        # a world at the same positions is the table's world, whatever object holds them
+        twin, _ = make_graph(self.COORDS, self.WIRED, {})
+        own = link_table(dep, RadioConfig(), ChannelParams(), np.random.default_rng(0))
+        assert TestMisshapedTables.WRAPPERS[wrapper](twin, own) == TestMisshapedTables.WRAPPERS[wrapper](dep, own)
+
+
+class TestPathResultTypes:
+    """Kept paths hold Python numbers, as their digests and JSON outputs assume: an int origin and
+    int hops, and a float bottleneck, from one repetition and from a campaign, with and without
+    the oracle."""
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["no_oracle", "oracle"])
+    def test_origin_hops_and_bottleneck_are_python_numbers(self, oracle):
+        cfg = replace(SMALL, repetitions=6, oracle_enabled=oracle)
+        campaign = run_campaign(cfg, keep_paths=True).paths
+        results = [res for rep in range(3) for res in run_repetition(cfg, rep).values()]
+        results += [res for paths in campaign.values() for res in paths]
+        assert ("oracle" in campaign) == oracle and len(results) == (3 + 6) * (len(cfg.policies) + oracle)
+        assert any(res.hops for res in results)
+        for res in results:
+            assert type(res.origin_id) is int and type(res.bottleneck_snr_db) is float, res
+            assert all(type(hop) is int for hop in res.hops), res
+
+
 class TestEmpiricalCdf:
     def test_counting_definition(self):
         cdf = EmpiricalCdf([1, 1, 2, 3])
