@@ -23,12 +23,17 @@ row's bits do not depend on when that is. UE association draws from a child
 stream of the repetition's seed sequence, so running or skipping it leaves
 the repetition generator where it was: a uniform for every UE-gNB pair, then
 a shadowing normal (and a fading normal) for each pair that is not in
-outage, in pair order. It walks the UEs in passes of whole rows, each
-drawing its pairs' uniforms in turn, which gives the same numbers as one
-draw for all pairs. The outage law runs only on the pairs that a
-squared-distance bound (``_may_be_live``) cannot rule out. A campaign block
-derives its repetition and association generators many at a time with
-``streams.spawned_rngs``, bit for bit numpy's SeedSequence streams.
+outage, in pair order. A block associates the UEs of all its worlds at once
+(``_associate``), in passes that hold whole worlds' UE rows; a world wider
+than a pass goes in passes of whole rows of its own. Each world draws its
+pairs' uniforms, and after its last pass its normals, from its own stream,
+which gives the same numbers as one draw per world for all its pairs. The
+outage law runs only on the pairs that a squared-distance bound
+(``_may_be_live``) cannot rule out. A campaign block derives its repetition
+and association generators many at a time with ``streams.spawned_rngs``, bit
+for bit numpy's SeedSequence streams, and the slot keys of all its words in
+one pass. The one-world calls (``link_table``, ``associate_min_pathloss``)
+are blocks of one.
 """
 from __future__ import annotations
 
@@ -50,7 +55,6 @@ STREAM_SCHEMA = 2
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
-_MASK_64 = (1 << 64) - 1
 # Hash slots of a gNB pair: visibility, shadowing (two), and fading (two) when it is on.
 _SLOTS, _SLOTS_WITH_FADING = 3, 5
 # Spawn-key tag of the UE association's child stream (ASCII "asoc").
@@ -182,30 +186,14 @@ def _budget(
     return pathloss, shadowing
 
 
-def _splitmix64(x: int) -> int:
-    """SplitMix64's output for the state ``x``, in Python ints."""
-    z = x & _MASK_64
-    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK_64
-    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK_64
-    return z ^ (z >> 31)
-
-
-def _slot_keys(word: int, slots: int) -> np.ndarray:
-    """(slots, 1) uint64 keys: the first ``slots`` outputs of a SplitMix64 stream seeded with ``word``."""
-    return np.array([[_splitmix64(word + (s + 1) * _GOLDEN_GAMMA)] for s in range(slots)], dtype=np.uint64)
-
-
 _GAMMA_U64, _MIX_1_U64, _MIX_2_U64 = np.uint64(_GOLDEN_GAMMA), np.uint64(_MIX_1), np.uint64(_MIX_2)
 _SHIFTS = tuple(np.uint64(b) for b in (30, 27, 31, 11))
 
 
-def _hashed_uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """(slots, m) uniforms in [0, 1) with 53 bits: SplitMix64 of keys[s] + counters[c] * gamma.
-
-    ``keys`` is a (slots, 1) uint64 column and ``counters`` a uint64 vector;
-    the arithmetic wraps modulo 2**64, as SplitMix64's does.
-    """
-    s30, s27, s31, s11 = _SHIFTS
+def _splitmix64(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """SplitMix64 outputs for the states keys + counters * gamma, broadcast, on uint64 arrays;
+    the arithmetic wraps modulo 2**64, as SplitMix64's does."""
+    s30, s27, s31, _ = _SHIFTS
     z = counters * _GAMMA_U64
     z = z + keys
     z ^= z >> s30
@@ -213,7 +201,27 @@ def _hashed_uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     z ^= z >> s27
     z *= _MIX_2_U64
     z ^= z >> s31
-    z >>= s11
+    return z
+
+
+def _slot_keys(words, slots: int) -> np.ndarray:
+    """(slots, len(words)) uint64 keys, or (slots, 1) for one word: column w holds the first
+    ``slots`` outputs of a SplitMix64 stream seeded with ``words[w]``, all in one pass."""
+    return _splitmix64(np.asarray(words, dtype=np.uint64), np.arange(1, slots + 1, dtype=np.uint64)[:, None])
+
+
+def _slot_count(params: ChannelParams) -> int:
+    """The hash slots of a gNB pair under ``params``."""
+    return _SLOTS_WITH_FADING if params.fading_sigma_db > 0.0 else _SLOTS
+
+
+def _hashed_uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """(slots, m) uniforms in [0, 1) with 53 bits: SplitMix64 of keys[s] + counters[c] * gamma.
+
+    ``keys`` is a (slots, 1) uint64 column and ``counters`` a uint64 vector.
+    """
+    z = _splitmix64(keys, counters)
+    z >>= _SHIFTS[3]
     return z * 2.0**-53
 
 
@@ -234,52 +242,61 @@ def _los_codes(size: int, live: np.ndarray, los: np.ndarray) -> np.ndarray:
     return _spread(size, live, codes, LosState.OUTAGE)
 
 
+def _evaluate(law, positions: np.ndarray, a, b, keys: np.ndarray, counters: np.ndarray):
+    """Channel, under the channel ``law`` (params, gain_dbi, noise_dbm, tx_power_dbm), of the pairs
+    (a, b) of rows of ``positions`` whose slots s are hashed from ``keys[s]`` at ``counters`` (flat
+    index + 1, uint64).
+
+    Returns (distance, live, los, pathloss, shadowing, snr); ``live`` holds
+    the positions of the pairs not in outage, and the last four are given
+    for those pairs only. The distance does not depend on which end comes
+    first, to the bit: x[b] - x[a] is exactly -(x[a] - x[b]).
+    """
+    params, gain_dbi, noise_dbm, tx_power_dbm = law
+    x, y = positions.T
+    d = np.hypot(x[a] - x[b], y[a] - y[b])
+    u = _hashed_uniforms(keys, counters)
+    live, los = _visibility(d, u[0], params)
+    v = u[1:].take(live, axis=1)
+    normals = _box_muller(v[0::2], v[1::2])  # shadowing, then fading when it is on
+    fading = normals[1] if len(normals) > 1 else None
+    pathloss, shadowing = _budget(d[live], los, normals[0], fading, params)
+    snr = tx_power_dbm + gain_dbi + gain_dbi - pathloss - shadowing - noise_dbm
+    return d, live, los, pathloss, shadowing, snr
+
+
 class LinkTable:
     """Shared channel realization for all gNB pairs of one ``deployment``, which it keeps.
 
     ``table[i]`` is row i of the symmetric SNR matrix in dB, with -inf on the
-    diagonal and on outage pairs, hashed and evaluated on each read by a
-    ``RowStore`` of that one world; campaigns read rows through their block's store,
-    which keeps each row it reads. ``snr`` is the whole (n, n) matrix. It and
-    the flat per-pair arrays (upper triangle, ``src < dst``), with
-    ``gain_dbi``, ``noise_dbm`` and ``tx_power_dbm``, retain every budget
-    component for auditing the link-budget identity; reading any of them
-    evaluates every pair once.
+    diagonal and on outage pairs, read through the ``RowStore`` of this one
+    world that the table keeps: a row is hashed and evaluated when first read,
+    by ``table[i]``, ``build_path`` or ``widest_path_oracle``, and held after.
+    Campaigns read rows through their block's store. ``snr`` is the whole
+    (n, n) matrix. It and the flat per-pair arrays (upper triangle,
+    ``src < dst``), with ``gain_dbi``, ``noise_dbm`` and ``tx_power_dbm``,
+    retain every budget component for auditing the link-budget identity;
+    reading any of them evaluates every pair once.
     """
 
     def __init__(self, deployment: Deployment, word: int, params: ChannelParams, gain_dbi, noise_dbm, tx_power_dbm):
         self.deployment, self.positions = deployment, deployment.positions
         self.n = deployment.n_gnbs
         self.params = params
-        self._keys = _slot_keys(word, _SLOTS_WITH_FADING if params.fading_sigma_db > 0.0 else _SLOTS)
+        self._keys = _slot_keys(word, _slot_count(params))
         self.gain_dbi = gain_dbi
         self.noise_dbm = noise_dbm
         self.tx_power_dbm = tx_power_dbm
 
     law = property(lambda self: (self.params, self.gain_dbi, self.noise_dbm, self.tx_power_dbm))
 
-    def _evaluate(self, positions: np.ndarray, a, b, keys: np.ndarray, counters: np.ndarray):
-        """Channel, under this table's constants, of the pairs (a, b) of rows of ``positions``
-        whose slots s are hashed from ``keys[s]`` at ``counters`` (flat index + 1, uint64).
-
-        Returns (distance, live, los, pathloss, shadowing, snr); ``live`` holds
-        the positions of the pairs not in outage, and the last four are given
-        for those pairs only. The distance does not depend on which end comes
-        first, to the bit: x[b] - x[a] is exactly -(x[a] - x[b]).
-        """
-        x, y = positions.T
-        d = np.hypot(x[a] - x[b], y[a] - y[b])
-        u = _hashed_uniforms(keys, counters)
-        live, los = _visibility(d, u[0], self.params)
-        v = u[1:].take(live, axis=1)
-        normals = _box_muller(v[0::2], v[1::2])  # shadowing, then fading when it is on
-        fading = normals[1] if len(normals) > 1 else None
-        pathloss, shadowing = _budget(d[live], los, normals[0], fading, self.params)
-        snr = self.tx_power_dbm + self.gain_dbi + self.gain_dbi - pathloss - shadowing - self.noise_dbm
-        return d, live, los, pathloss, shadowing, snr
+    @cached_property
+    def _store(self) -> "RowStore":
+        """The row store of this table's world, which holds every row read through it."""
+        return RowStore([self.deployment], [self])
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return RowStore([self.deployment], [self]).read(np.zeros(1, dtype=np.intp), np.array([operator.index(i)]))[0]
+        return self._store.read(np.zeros(1, dtype=np.intp), np.array([operator.index(i)]))[0]
 
     @cached_property
     def _whole(self) -> dict[str, np.ndarray]:
@@ -287,9 +304,7 @@ class LinkTable:
         n = self.n
         src, dst = np.triu_indices(n, k=1)
         counters = np.arange(1, src.size + 1, dtype=np.uint64)
-        d, live, los, pathloss, shadowing, snr = self._evaluate(
-            self.positions, src, dst, self._keys, counters
-        )
+        d, live, los, pathloss, shadowing, snr = _evaluate(self.law, self.positions, src, dst, self._keys, counters)
         matrix = np.full((n, n), -np.inf)
         matrix[src[live], dst[live]] = snr
         matrix[dst[live], src[live]] = snr
@@ -317,24 +332,18 @@ class LinkTable:
 class RowStore:
     """A block of worlds: their nodes, and their link rows padded with -inf to the widest world.
 
-    It is the one reader of the block's ``Deployment``s ``worlds``: world w has ``sizes[w]`` gNBs
-    and origin ``origin[w]``, and its node j is node ``offset[w] + j`` of the block, which indexes
-    ``positions``, ``wired`` and ``attached``. ``tables[w]`` is a ``LinkTable`` built on the
-    positions of world w, whose rows are hashed and evaluated when first read, or an (n, n) array,
-    whose rows are held from the start (one world's in place); all arrays, or all LinkTables of one
-    channel law. ``slot`` gives each node's row in ``rows`` (-1 while unread), which grows
-    geometrically: the store holds only the rows read.
+    World w has ``sizes[w]`` gNBs and origin ``origin[w]``, and its node j is node ``offset[w] + j``
+    of the block, which indexes ``positions``, ``wired`` and ``attached``. A campaign block samples
+    its worlds straight into a store (``of_block``), whose rows are hashed and evaluated when first
+    read. ``RowStore(worlds, tables)`` builds one from ``Deployment``s ``worlds``, of which it reads
+    the arrays (one world's in place, several concatenated once): ``tables[w]`` is a ``LinkTable``
+    built on the positions of world w, read as a block's rows are, or an (n, n) array, whose rows
+    are held from the start (one world's in place); all arrays, or all LinkTables of one channel law.
+    ``slot`` gives each node's row in ``rows`` (-1 while unread), which grows geometrically: the
+    store holds only the rows read.
     """
 
     def __init__(self, worlds, tables):
-        self.sizes = np.array([d.n_gnbs for d in worlds], dtype=np.intp)
-        self.width = int(self.sizes.max())
-        self.offset = self.sizes.cumsum() - self.sizes
-        self.origin = [d.origin_id for d in worlds]
-        # per node of the block, world by world
-        self.positions = np.concatenate([d.positions for d in worlds])
-        self.wired = np.concatenate([d.wired for d in worlds])
-        self.attached = np.concatenate([d.attached for d in worlds])
         for d, table in zip(worlds, tables):
             n, linked = d.n_gnbs, isinstance(table, LinkTable)
             shape = (table.n, table.n) if linked else np.shape(table)
@@ -345,6 +354,12 @@ class RowStore:
         laws = {table.law if isinstance(table, LinkTable) else None for table in tables}
         if len(laws) > 1:
             raise ValueError("a row store takes arrays only, or link tables with the same channel constants only")
+        positions, wired, attached = (
+            getattr(worlds[0], name) if len(worlds) == 1 else np.concatenate([getattr(d, name) for d in worlds])
+            for name in ("positions", "wired", "attached")
+        )
+        sizes = np.array([d.n_gnbs for d in worlds], dtype=np.intp)
+        self._nodes(sizes, positions, wired, attached, [d.origin_id for d in worlds])
         if None in laws:  # every row is held from the start
             self.count = int(self.sizes.sum())
             self.slot = np.arange(self.count)
@@ -354,11 +369,29 @@ class RowStore:
                 self.rows = np.full((self.count, self.width), -np.inf)
                 for start, n, table in zip(self.offset.tolist(), self.sizes.tolist(), tables):
                     self.rows[start : start + n, :n] = table
-        else:  # no row is held until it is read
-            self.table, self.count = tables[0], 0
-            self.slot = np.full(int(self.sizes.sum()), -1)
-            self.rows = np.empty((0, self.width))
-            self.keys = np.concatenate([table._keys for table in tables], axis=1)  # per world
+        else:
+            self._unread(np.concatenate([table._keys for table in tables], axis=1), tables[0].law)
+
+    @classmethod
+    def of_block(cls, sizes, positions, wired, attached, origin, words, law) -> "RowStore":
+        """The store of a block of sampled worlds, given as arrays (per world: ``sizes``, ``origin``
+        and the 64-bit link ``words``; per node: ``positions``, ``wired``, ``attached``), whose rows
+        are drawn under the channel ``law`` (params, gain_dbi, noise_dbm, tx_power_dbm)."""
+        store = cls.__new__(cls)
+        store._nodes(sizes, positions, wired, attached, origin)
+        store._unread(_slot_keys(words, _slot_count(law[0])), law)
+        return store
+
+    def _nodes(self, sizes, positions, wired, attached, origin) -> None:
+        self.sizes, self.positions, self.wired, self.attached, self.origin = sizes, positions, wired, attached, origin
+        self.width = int(sizes.max())
+        self.offset = sizes.cumsum() - sizes
+
+    def _unread(self, keys: np.ndarray, law) -> None:
+        """No row is held until it is read; world w's slot keys are column w of ``keys``."""
+        self.keys, self.law, self.count = keys, law, 0
+        self.slot = np.full(int(self.sizes.sum()), -1)
+        self.rows = np.empty((0, self.width))
 
     def read(self, world: np.ndarray, node: np.ndarray) -> np.ndarray:
         """Row ``node[k]`` of world ``world[k]`` for each k, padded. The distinct rows not held yet go
@@ -397,8 +430,28 @@ class RowStore:
         j += j >= i  # skip the row's own column
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         counters = (lo * (2 * n - lo - 1) // 2 - lo + hi).view(np.uint64)
-        _, live, _, _, _, snr = self.table._evaluate(self.positions, base + j, base + i, keys, counters)
+        _, live, _, _, _, snr = _evaluate(self.law, self.positions, base + j, base + i, keys, counters)
         self.rows.reshape(-1)[(cell + j)[live]] = snr
+
+
+def _one_world_store(deployment: Deployment, link_snr_db) -> RowStore:
+    """A ``RowStore`` of ``deployment`` and its table ``link_snr_db`` (a ``LinkTable`` or an (n, n)
+    array). A LinkTable built on this very deployment lends the store it keeps, while that store
+    still reads the deployment's arrays, so the rows any call reads are evaluated once."""
+    if isinstance(link_snr_db, LinkTable) and link_snr_db.deployment is deployment:
+        store = link_snr_db._store
+        held = (store.positions, store.wired, store.attached)
+        if all(a is b for a, b in zip(held, (deployment.positions, deployment.wired, deployment.attached))):
+            return store
+    return RowStore([deployment], [link_snr_db])
+
+
+def _channel_law(radio: RadioConfig, params: ChannelParams) -> tuple:
+    """The constants a link's SNR takes: (params, gain_dbi, noise_dbm, tx_power_dbm)."""
+    # Steering is ideal, so both endpoint gains sit at the coherent peak.
+    gain = 10.0 * math.log10(radio.array_elements)
+    noise = noise_power_dbm(radio.bandwidth_hz, radio.noise_figure_db)
+    return params, gain, noise, radio.tx_power_dbm
 
 
 def link_table(
@@ -411,11 +464,7 @@ def link_table(
 
     Nothing else is drawn: a row's pairs are hashed when the row is read.
     """
-    word = int(rng.bit_generator.random_raw())
-    # Steering is ideal, so both endpoint gains sit at the coherent peak.
-    gain = 10.0 * math.log10(radio.array_elements)
-    noise = noise_power_dbm(radio.bandwidth_hz, radio.noise_figure_db)
-    return LinkTable(deployment, word, params, gain, noise, radio.tx_power_dbm)
+    return LinkTable(deployment, int(rng.bit_generator.random_raw()), *_channel_law(radio, params))
 
 
 @lru_cache(maxsize=16)
@@ -457,23 +506,122 @@ def _may_be_live(d2: np.ndarray, u: np.ndarray, params: ChannelParams) -> np.nda
     return d2 <= table[exponent]
 
 
-def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flat squared distances from each row of ``a`` to each row of ``b``, computed in place."""
-    with np.errstate(over="ignore"):  # an infinite d2 is beyond any finite radius
-        d2 = a[:, None, 0] - b[None, :, 0]
-        d2 *= d2
-        dy = a[:, None, 1] - b[None, :, 1]
-        dy *= dy
-        d2 += dy
-    return d2.ravel()
-
-
 def _child_rng(rng: np.random.Generator, layer: int) -> np.random.Generator:
     """Generator of the child ``layer`` of ``rng``'s seed sequence; ``rng`` is not advanced."""
     ss = rng.bit_generator.seed_seq
     return np.random.default_rng(
         np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, layer), pool_size=ss.pool_size)
     )
+
+
+def _assoc_passes(ue_sizes: list[int], sizes: list[int]):
+    """The association passes over a block's UE rows, in order: (first row, stop row, the worlds
+    drawn as (world, its first row, its rows in the pass), whether the pass ends its last world).
+    A pass holds whole worlds, at most ``ASSOC_PASS_PAIRS`` pairs; a world with more goes in passes
+    of whole rows of its own, each at most ``ASSOC_PASS_PAIRS`` pairs unless one row is wider."""
+    row = w = 0
+    while w < len(sizes):
+        n, k = sizes[w], ue_sizes[w]
+        if k * n > ASSOC_PASS_PAIRS:
+            step = max(1, ASSOC_PASS_PAIRS // n)
+            for start in range(0, k, step):
+                rows = min(step, k - start)
+                yield row + start, row + start + rows, [(w, row + start, rows)], start + rows == k
+            row, w = row + k, w + 1
+            continue
+        first, drawn, total = row, [], 0
+        while w < len(sizes) and total + ue_sizes[w] * sizes[w] <= ASSOC_PASS_PAIRS:
+            drawn.append((w, row, ue_sizes[w]))
+            total, row, w = total + ue_sizes[w] * sizes[w], row + ue_sizes[w], w + 1
+        yield first, row, drawn, True
+
+
+def _screen(ues, gnbs, offset: list[int], sizes: list[int], width, drawn, streams, params: ChannelParams):
+    """The pairs not in outage of one pass: each world w of ``drawn`` pairs its UE rows in turn
+    with its ``sizes[w]`` gNBs, rows ``offset[w]`` on of ``gnbs``, and draws their uniforms from
+    ``streams[w]``; row r of the pass has ``width[r]`` pairs. Returns the first pair of each row,
+    and the index, distance and LOS flag of each pair not in outage, and their count per world of
+    ``drawn``, all in pair order."""
+    starts = width.cumsum()
+    pairs = int(starts[-1])
+    starts -= width
+    d2, dy, u = np.empty(pairs), np.empty(pairs), np.empty(pairs)
+    at, ends = 0, []
+    with np.errstate(over="ignore"):  # an infinite d2 is beyond any finite radius
+        for w, row, rows in drawn:
+            if rows:  # a world with no UE has no pair and no stream
+                ue, gnb, n = ues[row : row + rows], gnbs[offset[w] : offset[w] + sizes[w]], sizes[w]
+                block = slice(at, at + rows * n)
+                np.subtract(ue[:, None, 0], gnb[None, :, 0], out=d2[block].reshape(rows, n))
+                np.subtract(ue[:, None, 1], gnb[None, :, 1], out=dy[block].reshape(rows, n))
+                streams[w].random(out=u[block])
+                at = block.stop
+            ends.append(at)
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+    del dy
+    kept = _may_be_live(d2, u, params).nonzero()[0]
+    d = np.sqrt(d2[kept])
+    live, los = _visibility(d, u[kept], params)
+    pair = kept[live]
+    ends = np.searchsorted(pair, ends).tolist()
+    counts = [(w, stop - start) for (w, _, _), start, stop in zip(drawn, [0] + ends, ends)]
+    return starts, pair, d[live], los, counts
+
+
+def _serve(serving, held, widest: int, streams, params: ChannelParams) -> None:
+    """Fill ``serving`` for the UE rows of the passes ``held``, which end their last world, from
+    their pairs not in outage; no row has more than ``widest`` pairs. Each world then draws the
+    normals of all its pairs from ``streams[world]``. Each row's pathlosses are laid in a row of
+    +inf padded to ``widest``, whose ``np.argmin`` serves the UE, and none when that is +inf."""
+    normals = np.empty((2 if params.fading_sigma_db > 0.0 else 1, sum(p[2].size for p in held)))
+    merged = {}  # live pairs per world, in world order
+    for *_, counts in held:
+        for w, count in counts:
+            merged[w] = merged.get(w, 0) + count
+    at = 0
+    for w, count in merged.items():
+        if count:
+            for row in normals:  # shadowing, then fading
+                streams[w].standard_normal(out=row[at : at + count])
+            at += count
+    at = 0
+    for first, starts, pair, d, los, _ in held:
+        v = normals[:, at : at + pair.size]
+        at += pair.size
+        pathloss, shadowing = _budget(d, los, v[0], v[1] if len(v) > 1 else None, params)
+        row = np.searchsorted(starts, pair, side="right") - 1
+        total = np.full((starts.size, widest), np.inf)
+        total[row, pair - starts[row]] = pathloss + shadowing
+        best = np.argmin(total, axis=1)
+        best[total[np.arange(starts.size), best] == np.inf] = -1
+        serving[first : first + starts.size] = best
+
+
+def _associate(ues, ue_sizes, gnbs, sizes, params: ChannelParams, streams) -> np.ndarray:
+    """Serving gNB of each UE of a block of worlds: its id in its world, or -1 if all pairs are in outage.
+
+    World w has ``ue_sizes[w]`` UEs and ``sizes[w]`` gNBs, rows of ``ues`` and ``gnbs`` in world
+    order, and draws from ``streams[w]`` (read only when it has UEs) a uniform for each of its pairs
+    in row-major order, then the normals of its pairs not in outage. The UEs go in the passes of
+    ``_assoc_passes``; a pass keeps the index, distance and LOS flag of its pairs not in outage, so
+    only they are held across passes, and a world's UEs are served after its last pass. The
+    channel law runs only on the pairs ``_may_be_live`` keeps. Ties go to the lowest gNB id.
+    """
+    width = np.repeat(sizes, ue_sizes)  # the pairs of each UE row
+    sizes, ue_sizes = [int(n) for n in sizes], [int(k) for k in ue_sizes]
+    offset = np.cumsum([0] + sizes).tolist()
+    serving = np.empty(width.size, dtype=np.intp)
+    held, widest = [], 0
+    for first, stop, drawn, ends in _assoc_passes(ue_sizes, sizes):
+        if stop > first:
+            held.append((first, *_screen(ues, gnbs, offset, sizes, width[first:stop], drawn, streams, params)))
+            widest = max(widest, *(sizes[w] for w, _, _ in drawn))
+        if ends and held:
+            _serve(serving, held, widest, streams, params)
+            held, widest = [], 0
+    return serving
 
 
 def associate_min_pathloss(
@@ -485,42 +633,16 @@ def associate_min_pathloss(
 ) -> np.ndarray:
     """Serving gNB per row of the (k, 2) ``ue_positions`` (lowest realized pathloss); -1 if all in outage.
 
-    The draws come from the ``ASSOC_LAYER`` child stream of ``rng``, which is
-    not advanced, or from ``child`` when the caller derived that stream
-    already: a uniform for every pair, then the normals of the pairs not
-    in outage. The UEs go in passes of whole rows, at most ``ASSOC_PASS_PAIRS``
-    pairs each unless one row is wider; a pass draws its pairs' uniforms and
-    keeps the index, distance and LOS flag of those not in outage, so only
-    they are held across passes. The channel law runs only on the pairs
-    ``_may_be_live`` keeps. Ties go to the lowest gNB id.
+    A block of one world for ``_associate``. The draws come from the ``ASSOC_LAYER``
+    child stream of ``rng``, which is not advanced, or from ``child`` when the
+    caller derived that stream already: a uniform for every pair, then the
+    normals of the pairs not in outage. Ties go to the lowest gNB id.
     """
     if len(ue_positions) == 0:
         return np.empty(0, dtype=np.int64)
-    rng = _child_rng(rng, ASSOC_LAYER) if child is None else child
-    gnb = deployment.positions
-    n = len(gnb)  # at least 2: a deployment has a wired and a wireless gNB
-    rows = max(1, ASSOC_PASS_PAIRS // n)
-    passes = []  # per pass: its UE count, and its live pairs' index in the pass, distance and LOS flag
-    for first in range(0, len(ue_positions), rows):
-        ue = ue_positions[first : first + rows]
-        u = rng.random(len(ue) * n)
-        d2 = _squared_distances(ue, gnb)
-        kept = _may_be_live(d2, u, params).nonzero()[0]
-        d = np.sqrt(d2[kept])
-        live, los = _visibility(d, u[kept], params)
-        passes.append((len(ue), kept[live], d[live], los))
-    count = sum(live.size for _, live, _, _ in passes)
-    normals = rng.standard_normal((2 if params.fading_sigma_db > 0.0 else 1, count))  # shadowing, then fading
-    serving, start = [], 0
-    for size, live, d, los in passes:
-        v = normals[:, start : start + live.size]
-        start += live.size
-        pathloss, shadowing = _budget(d, los, v[0], v[1] if len(v) > 1 else None, params)
-        total = _spread(size * n, live, pathloss + shadowing, np.inf).reshape(size, n)
-        best = np.argmin(total, axis=1)
-        best[total[np.arange(size), best] == np.inf] = -1
-        serving.append(best)
-    return np.concatenate(serving)
+    ues = np.asarray(ue_positions, dtype=float)
+    child = _child_rng(rng, ASSOC_LAYER) if child is None else child
+    return _associate(ues, [len(ues)], deployment.positions, [deployment.n_gnbs], params, [child])
 
 
 def shannon_rate(bandwidth_hz: float, snr_db: float, n_attached: int) -> float:

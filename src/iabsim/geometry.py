@@ -105,14 +105,29 @@ class Deployment:
         return self.wired.size
 
 
+def _ppp_draws(mean: float, rng: np.random.Generator) -> np.ndarray:
+    """The draws of one Poisson drop of mean ``mean``: its count, then 2 * count doubles, the x
+    coordinates and then the y coordinates as unit uniforms. ``rng.uniform(0, w, count)`` draws the
+    same doubles and returns 0 + w * u, which is w * u to the bit."""
+    return rng.random(2 * int(rng.poisson(mean)))
+
+
+def _points(draws: list[np.ndarray], region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """The drops ``draws`` of ``_ppp_draws`` scaled to ``region``, as one (n, 2) array of every
+    drop's points in turn, and the size of each drop."""
+    sizes = [d.size // 2 for d in draws]
+    positions = np.empty((sum(sizes), 2))
+    for column, side in enumerate((region.width_m, region.height_m)):
+        parts = [d[n * column : n * (column + 1)] for d, n in zip(draws, sizes)]
+        np.multiply(parts[0] if len(parts) == 1 else np.concatenate(parts), side, out=positions[:, column])
+    return positions, np.array(sizes, dtype=np.intp)
+
+
 def sample_ppp(density_per_km2: float, region: Region, rng: np.random.Generator) -> np.ndarray:
     """Homogeneous Poisson scatter: Poisson(density * area) i.i.d. uniform points, as (k, 2)."""
     if density_per_km2 <= 0:
         raise ConfigError(f"density must be positive, got {density_per_km2} per km^2")
-    count = int(rng.poisson(density_per_km2 * region.area_km2))
-    xs = rng.uniform(0.0, region.width_m, count)
-    ys = rng.uniform(0.0, region.height_m, count)
-    return np.column_stack((xs, ys))
+    return _points([_ppp_draws(density_per_km2 * region.area_km2, rng)], region)[0]
 
 
 def _closest(ids: np.ndarray, positions: np.ndarray, point: np.ndarray) -> int:
@@ -125,6 +140,43 @@ def _closest(ids: np.ndarray, positions: np.ndarray, point: np.ndarray) -> int:
     return min(zip(map(math.hypot, dx, dy), ids.tolist()))[1]
 
 
+def _draw_roles(n: int, p_w: float, rng: np.random.Generator) -> np.ndarray:
+    """The wired flags of ``n`` nodes, each wired with probability ``p_w``, redrawn until both a
+    wired and a wireless node exist, at most ``MAX_REDRAWS`` times. Then one uniform per node, a
+    sector rotation that no link reads, is taken from ``rng`` and dropped, which keeps the stream
+    where it was."""
+    for _ in range(MAX_REDRAWS):
+        wired = rng.random(n) < p_w
+        if 0 < np.count_nonzero(wired) < n:
+            break
+    else:
+        raise ConfigError(
+            f"deployment.p_w = {p_w}: {MAX_REDRAWS} role draws over {n} gNBs "
+            "gave no mix of wired and wireless nodes"
+        )
+    rng.random(n)  # the sector rotations: the same doubles as uniform(0, 2 pi, n)
+    return wired
+
+
+def _origins(positions: np.ndarray, wired: np.ndarray, sizes: np.ndarray, region: Region) -> list[int]:
+    """The origin of each world of a block, as its id in its world: the wireless node nearest the
+    region center, lowest id on ties. World w holds the next ``sizes[w]`` rows of ``positions`` and
+    ``wired``. Distances are ranked by ``np.hypot``, and the nodes within ``RERANK_MARGIN`` of a
+    world's nearest (and every wireless node, when one distance is NaN) are re-ranked by ``_closest``."""
+    center = np.array((region.width_m / 2.0, region.height_m / 2.0))
+    dist = np.hypot(positions[:, 0] - center[0], positions[:, 1] - center[1])
+    dist[wired] = np.inf
+    offset = sizes.cumsum() - sizes
+    bound = np.minimum.reduceat(dist, offset) * (1.0 + RERANK_MARGIN) + RERANK_FLOOR
+    near = (~(dist > np.repeat(bound, sizes)) & ~wired).nonzero()[0]
+    first = np.searchsorted(near, offset).tolist()  # every world has a near node
+    origin = []
+    for start, stop, base in zip(first, first[1:] + [near.size], offset.tolist()):
+        node = near[start] if stop - start == 1 else _closest(near[start:stop], positions, center)
+        origin.append(int(node) - base)
+    return origin
+
+
 def assign_roles(
     positions: np.ndarray,
     p_w: float,
@@ -134,13 +186,10 @@ def assign_roles(
 ) -> Deployment:
     """Mark each node wired with probability ``p_w`` and pick the origin relay.
 
-    Role vectors are redrawn until both a wired and a wireless node exist, at
-    most ``MAX_REDRAWS`` times. Then one uniform per node, a sector rotation
-    that no link reads, is taken from ``rng`` and dropped, which keeps the
-    stream where it was; ``sectors`` is checked but unused, and stays only
-    because the benchmark replay (``bench/layers.py``) passes it. The origin
-    is the wireless node nearest the region center (lowest id on ties), which
-    keeps evaluated paths away from the border.
+    The roles come from ``_draw_roles``, and the origin from ``_origins`` for a block of one world:
+    the wireless node nearest the region center (lowest id on ties), which keeps evaluated paths
+    away from the border. ``sectors`` is checked but unused, and stays only because the benchmark
+    replay (``bench/layers.py``) passes it.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.size == 0:
@@ -152,21 +201,5 @@ def assign_roles(
     n = len(positions)
     if n < 2:
         raise ConfigError("need at least two gNBs to split into wired and wireless")
-
-    for _ in range(MAX_REDRAWS):
-        wired = rng.random(n) < p_w
-        if 0 < int(wired.sum()) < n:
-            break
-    else:
-        raise ConfigError(
-            f"deployment.p_w = {p_w}: {MAX_REDRAWS} role draws over {n} gNBs "
-            "gave no mix of wired and wireless nodes"
-        )
-    rng.random(n)  # the sector rotations: the same doubles as uniform(0, 2 pi, n)
-    center = np.array((region.width_m / 2.0, region.height_m / 2.0))
-    wireless = (~wired).nonzero()[0]
-    dist = np.hypot(*(positions[wireless] - center).T)
-    # the nodes within the re-rank margin of the nearest (and any NaN row); a near-tie is ranked by _closest
-    near = wireless[~(dist > dist.min() * (1.0 + RERANK_MARGIN) + RERANK_FLOOR)]
-    origin = int(near[0]) if near.size == 1 else _closest(near, positions, center)
-    return Deployment(region, positions, wired, origin)
+    wired = _draw_roles(n, p_w, rng)
+    return Deployment(region, positions, wired, _origins(positions, wired, np.array([n]), region)[0])

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import LinkTable, RowStore, shannon_rate
+from .channel import LinkTable, _one_world_store, shannon_rate
 from .errors import ConfigError, check_params, param
 from .geometry import RERANK_FLOOR, RERANK_MARGIN, Deployment, _closest
 
@@ -390,7 +390,7 @@ def build_path(
     _check_origin(deployment, origin_id)
     if max_hops < 1:
         raise ConfigError(f"max_hops must be >= 1, got {max_hops}")
-    store = RowStore([deployment], [link_snr_db])
+    store = _one_world_store(deployment, link_snr_db)
     block = WalkBlock(store, [(policy, wbf)], [0], [origin_id], [0], snr_threshold_db, max_hops, bandwidth_hz)
     _lockstep([block])
     return block.results()[0]

@@ -10,15 +10,18 @@ assembled in repetition order before any statistic is computed.
 A worker's range of repetitions runs in the fewest blocks of near-equal size
 that keep each block within ``BLOCK_BYTES``, by the per-world estimate of
 ``_world_bytes``. A block derives the generators of all its repetitions (and
-their association children) in one pass, samples its worlds in repetition
-order into one ``channel.RowStore`` that holds their nodes and link rows. The
-walks of all its worlds are one ``policy.WalkBlock`` and their oracles one
-``OracleBlock``; each steps until all have ended, and each round reads from the
-store the row each walk or oracle stands on, evaluating the rows not held yet.
-Link draws are keyed, so when a row is evaluated does not change its bits:
-results equal those of each repetition run alone, and ``run_repetition`` is a
-block of one. A campaign keeps outcome, hop and bottleneck arrays; it builds
-PathResults, and searches the oracle's paths, only when it keeps paths.
+their association children) in one pass and samples its worlds at once into
+one ``channel.RowStore`` that holds their nodes and link rows: each world takes
+only its draws from its own generators, in stream order, and the scaling, the
+origin pick, the link keys and the UE association run once for the block.
+``sample_world`` is a block of one. The walks of all its worlds are one
+``policy.WalkBlock`` and their oracles one ``OracleBlock``; each steps until all
+have ended, and each round reads from the store the row each walk or oracle
+stands on, evaluating the rows not held yet. Link draws are keyed, so when a
+row is evaluated does not change its bits: results equal those of each
+repetition run alone, and ``run_repetition`` is a block of one. A campaign
+keeps outcome, hop and bottleneck arrays; it builds PathResults, and searches
+the oracle's paths, only when it keeps paths.
 """
 from __future__ import annotations
 
@@ -32,9 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ASSOC_LAYER, ChannelParams, LinkTable, RadioConfig, RowStore, associate_min_pathloss, link_table
+from .channel import ASSOC_LAYER, ChannelParams, LinkTable, RadioConfig, RowStore, _associate, _child_rng
+from .channel import _channel_law, _one_world_store
 from .errors import ConfigError, _shown, check_params, key_of, param, require_number
-from .geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
+from .geometry import MAX_REDRAWS, Deployment, Region, _draw_roles, _origins, _points, _ppp_draws
 from .policy import _NO_CANDIDATE, _OUTCOMES, _SUCCESS, PathResult, PolicyKind, WalkBlock, WbfConfig, wired_bias_db
 from .policy import _check_origin, _lockstep
 
@@ -149,37 +153,73 @@ def _keeps_ues(cfg: SimConfig) -> bool:
     return any(spec.kind == PolicyKind.MLR for spec in cfg.policies)
 
 
+def _sample_worlds(cfg: SimConfig, rngs, children) -> tuple[RowStore, np.ndarray | None, list[int]]:
+    """The worlds of the generators ``rngs``, in order: their ``RowStore``, the UE drops it kept
+    (None unless the worlds keep their UEs) and the 64-bit link word of each.
+
+    Each world first takes its draws from its own generator, in stream order: the gNB drop, redrawn
+    until it holds two nodes, at most ``MAX_REDRAWS`` times; its roles and sector rotations; the UE
+    drop; and the link word. The drops are then scaled, the origins picked and the UEs associated
+    for all the worlds at once. The UE drop and its association, which fills the loads, are kept
+    only when some configured policy is MLR, the one policy that reads the loads; otherwise the UE
+    draws are taken and dropped, and the loads are zero. World w's association draws from
+    ``children[w]``, its own child stream, or one derived from its generator when that is None, so
+    the generator ends in the same place either way: the link table, and every policy, sees the
+    same realization whichever policies are configured.
+    """
+    keep_ues = cfg.lambda_ue > 0 and _keeps_ues(cfg)
+    area = cfg.region.area_km2
+    gnbs, wired, ues, words = [], [], [], []
+    for rng in rngs:
+        for _ in range(MAX_REDRAWS):
+            drop = _ppp_draws(cfg.lambda_g * area, rng)
+            if drop.size >= 4:
+                break
+        else:
+            raise ConfigError(
+                f"{key_of(cfg, 'lambda_g')} = {cfg.lambda_g}: {MAX_REDRAWS} drops in a row "
+                "held fewer than two gNBs"
+            )
+        gnbs.append(drop)
+        wired.append(_draw_roles(drop.size // 2, cfg.p_w, rng))
+        if cfg.lambda_ue > 0:
+            drop = _ppp_draws(cfg.lambda_ue * area, rng)
+            if keep_ues:
+                ues.append(drop)
+        words.append(rng.bit_generator.random_raw())
+    positions, sizes = _points(gnbs, cfg.region)
+    wired = wired[0] if len(wired) == 1 else np.concatenate(wired)
+    origin = _origins(positions, wired, sizes, cfg.region)
+    ue_positions = None
+    if keep_ues:
+        ue_positions, ue_sizes = _points(ues, cfg.region)
+        streams = [
+            (_child_rng(rng, ASSOC_LAYER) if child is None else child) if k else None
+            for rng, child, k in zip(rngs, children, ue_sizes.tolist())
+        ]
+        serving = _associate(ue_positions, ue_sizes, positions, sizes, cfg.channel, streams)
+        served = serving >= 0
+        at = np.repeat(sizes.cumsum() - sizes, ue_sizes)[served] + serving[served]
+        attached = np.bincount(at, minlength=positions.shape[0])
+    else:
+        attached = np.zeros(positions.shape[0], dtype=np.int64)
+    law = _channel_law(cfg.radio, cfg.channel)
+    store = RowStore.of_block(sizes, positions, wired, attached, origin, np.array(words, dtype=np.uint64), law)
+    return store, ue_positions, words
+
+
 def sample_world(cfg: SimConfig, rng: np.random.Generator, child: np.random.Generator | None = None):
     """One full realization: deployment, UE loads and link table.
 
-    The gNB drop is redrawn until it holds two nodes, at most ``MAX_REDRAWS``
-    times. The UE drop and its association, which fills ``deployment.attached``,
-    are kept only when some configured policy is MLR, the one policy that reads
-    the loads; otherwise the UE draws are taken from ``rng`` and dropped, and
-    the deployment holds no UEs and zero loads. The association draws from its
-    own child stream, so the generator ends in the same place either way: the
-    link table, and every policy, sees the same realization whichever policies
-    are configured. ``child`` is that stream when the caller derived it already.
+    A block of one world for ``_sample_worlds``, whose arrays the deployment holds. The UE drop is
+    kept (``deployment.ue_positions``) only when some configured policy is MLR. ``child`` is the
+    association's stream when the caller derived it already.
     """
-    for _ in range(MAX_REDRAWS):
-        points = sample_ppp(cfg.lambda_g, cfg.region, rng)
-        if len(points) >= 2:
-            break
-    else:
-        raise ConfigError(
-            f"{key_of(cfg, 'lambda_g')} = {cfg.lambda_g}: {MAX_REDRAWS} drops in a row "
-            "held fewer than two gNBs"
-        )
-    deployment = assign_roles(points, cfg.p_w, cfg.region, rng)
-    if cfg.lambda_ue > 0:
-        if _keeps_ues(cfg):
-            ues = deployment.ue_positions = sample_ppp(cfg.lambda_ue, cfg.region, rng)
-            serving = associate_min_pathloss(ues, deployment, cfg.channel, rng, child)
-            deployment.attached = np.bincount(serving[serving >= 0], minlength=deployment.n_gnbs)
-        else:  # sample_ppp's draws, dropped: the count, then one double per coordinate
-            rng.random(2 * int(rng.poisson(cfg.lambda_ue * cfg.region.area_km2)))
-    links = link_table(deployment, cfg.radio, cfg.channel, rng)
-    return deployment, links
+    store, ues, words = _sample_worlds(cfg, [rng], [child])
+    deployment = Deployment(cfg.region, store.positions, store.wired, store.origin[0], store.attached)
+    if ues is not None:
+        deployment.ue_positions = ues
+    return deployment, LinkTable(deployment, words[0], *store.law)
 
 
 class OracleBlock:
@@ -283,7 +323,7 @@ def widest_path_oracle(
     in ``build_path``.
     """
     _check_origin(deployment, origin_id)
-    store = RowStore([deployment], [link_snr_db])
+    store = _one_world_store(deployment, link_snr_db)
     oracle = OracleBlock(store, [origin_id], snr_threshold_db)
     _lockstep([oracle])
     return _oracle_paths(oracle, store)[0]
@@ -304,21 +344,27 @@ def _block_size(cfg: SimConfig) -> int:
     return max(1, BLOCK_BYTES // _world_bytes(cfg))
 
 
+def _sample_block(cfg: SimConfig, reps: range) -> RowStore:
+    """The ``RowStore`` of the worlds of the repetitions ``reps``, sampled by ``_sample_worlds`` from
+    the repetition generators (and association children) that the block derives in one pass."""
+    from .streams import spawned_rngs
+
+    children = [None] * len(reps)
+    if cfg.lambda_ue > 0 and _keeps_ues(cfg):
+        children = list(spawned_rngs(cfg.master_seed, [(rep, ASSOC_LAYER) for rep in reps]))
+    return _sample_worlds(cfg, list(spawned_rngs(cfg.master_seed, [(rep,) for rep in reps])), children)[0]
+
+
 def _run_block(cfg: SimConfig, reps: range, keep_paths: bool) -> tuple:
     """Every policy (and the oracle) on the world of each repetition in ``reps``, stepped in lockstep.
 
     Returns the walks' outcome codes, hop counts and bottlenecks (repetition by repetition, policy by
     policy within one), the oracle's outcome codes and bottlenecks (None without it), and the walks' and
-    the oracle's PathResults (empty without ``keep_paths``); only the block's ``RowStore`` keeps the worlds' nodes.
+    the oracle's PathResults (empty without ``keep_paths``); only the block's ``RowStore`` (``_sample_block``)
+    keeps the worlds' nodes.
     """
-    from .streams import spawned_rngs
-
     threshold = cfg.radio.snr_threshold_db
-    rngs = spawned_rngs(cfg.master_seed, [(rep,) for rep in reps])
-    children = [None] * len(reps)
-    if cfg.lambda_ue > 0 and _keeps_ues(cfg):
-        children = spawned_rngs(cfg.master_seed, [(rep, ASSOC_LAYER) for rep in reps])
-    store = RowStore(*zip(*(sample_world(cfg, rng, child) for rng, child in zip(rngs, children))))
+    store = _sample_block(cfg, reps)
     n_policies = len(cfg.policies)
     walks = WalkBlock(
         store,

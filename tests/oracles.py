@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from iabsim.channel import ASSOC_LAYER, LosState
+from iabsim.geometry import Deployment
 from iabsim.policy import PolicyKind, WbfKind
 
 
@@ -281,3 +282,46 @@ def half_plane_filter(current, wired_target, points):
     if ux == 0.0 and uy == 0.0:
         raise ValueError("wired_target must differ from current position")
     return [(x - cx) * ux + (y - cy) * uy > 0.0 for x, y in points]
+
+
+def reference_world(cfg, rng, max_redraws=10_000):
+    """One repetition's world and its dense link table, drawn from ``rng`` call by call as the
+    schema-2 sequence takes them, with plain numpy calls: the gNB count and its x then y
+    coordinates (redrawn until two gNBs), the role draws (redrawn until both roles occur), the
+    sector rotations, the origin by ``math.hypot`` (lowest id on ties), the UE count and its
+    coordinates, the association on the dense reference when an MLR policy reads the loads, and
+    one ``random_raw`` word keying the link table, which ``table.word`` holds. ``world.redraws``
+    counts the gNB drops and the role draws that were redrawn.
+    """
+    region, area = cfg.region, cfg.region.area_km2
+    for drops in range(1, max_redraws + 1):
+        count = int(rng.poisson(cfg.lambda_g * area))
+        xs, ys = rng.uniform(0.0, region.width_m, count), rng.uniform(0.0, region.height_m, count)
+        if count >= 2:
+            break
+    else:
+        raise AssertionError("no drop of two gNBs")
+    positions = np.column_stack((xs, ys))
+    for roles in range(1, max_redraws + 1):
+        wired = rng.random(count) < cfg.p_w
+        if 0 < wired.sum() < count:
+            break
+    else:
+        raise AssertionError("no mix of roles")
+    rng.uniform(0.0, 2.0 * math.pi, count)  # sector rotations
+    origin = closest_wireless(positions, wired, region)
+    world = Deployment(region, positions, wired, origin)
+    world.redraws = (drops - 1, roles - 1)
+    if cfg.lambda_ue > 0:
+        k = int(rng.poisson(cfg.lambda_ue * area))
+        ues = np.column_stack((rng.uniform(0.0, region.width_m, k), rng.uniform(0.0, region.height_m, k)))
+        if any(spec.kind == PolicyKind.MLR for spec in cfg.policies):
+            world.ue_positions = ues
+            serving = dense_associate_min_pathloss(ues, world, cfg.channel, rng)
+            world.attached = np.bincount(serving[serving >= 0], minlength=count)
+    state = rng.bit_generator.state
+    word = int(rng.bit_generator.random_raw())  # the word the table takes next
+    rng.bit_generator.state = state
+    table = dense_link_table(world, cfg.radio, cfg.channel, rng)
+    table.word = word
+    return world, table

@@ -603,13 +603,16 @@ class TestRowStore:
         assert store.read(np.zeros(2, dtype=int), np.array([5, 9])).tobytes() == triplets[1][2].snr[[5, 9]].tobytes()
         assert passes == [[(0, 5)], [(0, 9)]]
 
-    def test_getitem_is_a_one_row_read_with_no_cache(self, monkeypatch):
+    def test_getitem_reads_each_row_once_through_the_tables_store(self, monkeypatch):
         table, _, ref = self.triplet(30, ChannelParams())
         passes = self.record_passes(monkeypatch)
         assert table[np.int64(4)].tobytes() == ref.snr[4].tobytes()
-        assert table[4].tobytes() == ref.snr[4].tobytes()
-        assert passes == [[(0, 4)], [(0, 4)]]
-        assert "rows" not in vars(table) and "_whole" not in vars(table)
+        row = table[4]
+        assert row.tobytes() == ref.snr[4].tobytes()
+        row[:] = 0.0  # a copy: the held row stays
+        assert table[7].tobytes() == ref.snr[7].tobytes() and table[4].tobytes() == ref.snr[4].tobytes()
+        assert passes == [[(0, 4)], [(0, 7)]]
+        assert table._store.count == 2 and "_whole" not in vars(table)
 
     def test_tables_under_different_channel_laws_are_refused_when_built(self, monkeypatch):
         plain, _, _ = self.triplet(7, ChannelParams())

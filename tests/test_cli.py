@@ -108,6 +108,47 @@ class TestWriteResults:
             assert 0.0 <= policy_doc["failure_probability"] <= 1.0
 
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+
+
+class TestSummaryBytes:
+    """summary.json is, to the byte, ``json.dumps(doc, indent=2)`` of its document with every CDF
+    table in place as [value, cdf] rows of ``EmpiricalCdf.steps()`` (none when a policy never
+    succeeded), and each CSV table holds the same steps."""
+
+    @staticmethod
+    def bundle(doc, reps):
+        doc = json.loads(json.dumps(doc))
+        doc["run"]["repetitions"] = reps
+        cfg = parse_config(doc)
+        return ResultBundle(config_document(cfg), cfg.master_seed, "0.1.0", aggregate(cfg, run_campaign(cfg)))
+
+    CASES = {
+        # PA never succeeds within two hops here, HQF and WF do
+        "empty_cdf": ({"policies": ["HQF", "WF", "PA"], "run": {"master_seed": 1, "max_hops": 2}}, 3),
+        "desk": (json.loads((WORKLOADS / "desk.json").read_text()), 40),
+        "nomlr120": (json.loads((WORKLOADS / "nomlr120.json").read_text()), 40),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_summary_is_the_indented_dump_of_its_document(self, case, tmp_path):
+        bundle = self.bundle(*self.CASES[case])
+        write_results(bundle, tmp_path)
+        text = (tmp_path / "summary.json").read_text()
+        doc = json.loads(text)
+        sizes = []
+        for label, s in bundle.summary.policies.items():
+            for table, cdf in (("hops_cdf", s.hops_cdf), ("snr_cdf", s.snr_cdf)):
+                rows = [] if cdf is None else [[float(v), float(p)] for v, p in zip(*cdf.steps())]
+                assert doc["policies"][label][table] == rows, (label, table)
+                doc["policies"][label][table] = rows
+                csv = (tmp_path / f"{label}_{table}.csv").read_text().splitlines()
+                assert csv == ["value,cdf"] + [f"{v:.6g},{p:.6f}" for v, p in rows], (label, table)
+                sizes.append(len(rows))
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert max(sizes) > 1 and (case != "empty_cdf" or min(sizes) == 0)
+
+
 class TestMain:
     def test_deterministic_outputs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from oracles import dense_associate_min_pathloss, dense_link_table, enumerate_widest, reference_greedy_trace
+from oracles import enumerate_widest, reference_greedy_trace, reference_world, splitmix64
 
 from iabsim import channel, simulate
 from iabsim.channel import ChannelParams, RadioConfig, RowStore
@@ -139,19 +139,17 @@ def test_one_walk_block_steps_many_tied_worlds(max_hops, threshold):
 
 
 @pytest.mark.parametrize("lambda_g", [30.0, 480.0])
-def test_campaign_on_lazy_rows_matches_dense_reference(lambda_g, monkeypatch):
+def test_campaign_on_lazy_rows_matches_dense_reference(lambda_g):
     """Walks and the oracle of a campaign, which read rows of the lazy link table,
-    equal the same walks and oracle run on the dense reference world: the
-    reference matrix and the reference MLR loads, drawn from the same keys."""
+    equal the same walks and oracle run on the reference world: the dense
+    reference matrix and the reference MLR loads, drawn from the same streams."""
     # 20 UEs give MLR loads of 0-2 at lambda_g = 30 and keep the association cheap at 480
     cfg = SimConfig(
         lambda_g=lambda_g, lambda_ue=20.0, repetitions=CAMPAIGN_WORLDS, master_seed=11, oracle_enabled=True
     )
     result = run_campaign(cfg, keep_paths=True)
-    monkeypatch.setattr(simulate, "link_table", dense_link_table)
-    monkeypatch.setattr(simulate, "associate_min_pathloss", dense_associate_min_pathloss)
     for rep in range(cfg.repetitions):
-        dep, ref = simulate.sample_world(cfg, simulate.repetition_rng(cfg.master_seed, rep))
+        dep, ref = reference_world(cfg, simulate.repetition_rng(cfg.master_seed, rep))
         expected = {
             spec.label: build_path(
                 dep.origin_id, spec.kind, spec.wbf, dep, ref.snr, cfg.radio.snr_threshold_db,
@@ -164,6 +162,62 @@ def test_campaign_on_lazy_rows_matches_dense_reference(lambda_g, monkeypatch):
             got = result.paths[label][rep]
             assert (got.hops, got.outcome) == (want.hops, want.outcome), (rep, label)
             assert np.array_equal(got.bottleneck_snr_db, want.bottleneck_snr_db, equal_nan=True), (rep, label)
+
+
+NO_MLR = tuple(PolicySpec(kind) for kind in (PolicyKind.HQF, PolicyKind.WF, PolicyKind.PA))
+# Per case: config overrides, repetitions (one block), and the association pass bound (None: the
+# default). lambda_g = 1.5 redraws more than half the gNB drops; p_w = 0.03 and 0.97 over about
+# five gNBs redraw most role draws; 600 pairs and 120 x 136 pairs put worlds on both sides of a pass.
+SAMPLER_CASES = {
+    "ppp_redraws": (dict(lambda_g=1.5, lambda_ue=20.0), 60, None),
+    "few_wired": (dict(lambda_g=5.0, p_w=0.03, lambda_ue=20.0), 50, None),
+    "few_wireless": (dict(lambda_g=5.0, p_w=0.97, lambda_ue=20.0), 50, None),
+    "no_ues": (dict(lambda_ue=0.0), 40, None),
+    "fading": (dict(lambda_ue=60.0, channel=ChannelParams(fading_sigma_db=3.0)), 40, None),
+    "no_mlr": (dict(lambda_ue=60.0, policies=NO_MLR), 40, None),
+    "mixed_passes": (dict(lambda_ue=20.0, channel=ChannelParams(fading_sigma_db=3.0)), 50, 600),
+    "wide_and_narrow": (dict(lambda_g=120.0, lambda_ue=136.0), 16, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+def test_block_sampler_matches_reference_worlds(case, monkeypatch):
+    """A block's store holds, bit for bit, each repetition's reference world: positions, wired
+    flags, origin, loads and link slot keys; and ``sample_world``, a block of one, gives it too."""
+    overrides, reps, pass_pairs = SAMPLER_CASES[case]
+    if overrides.get("lambda_g", 30.0) < 3.0:
+        with pytest.warns(UserWarning, match="expected gNB count"):
+            cfg = SimConfig(repetitions=reps, master_seed=31, **overrides)
+    else:
+        cfg = SimConfig(repetitions=reps, master_seed=31, **overrides)
+    if pass_pairs is not None:
+        monkeypatch.setattr(channel, "ASSOC_PASS_PAIRS", pass_pairs)
+    store = simulate._sample_block(cfg, range(reps))
+    slots = np.arange(1, 6 if cfg.channel.fading_sigma_db > 0 else 4)
+    redraws, pairs = np.zeros(2, dtype=int), []
+    for rep in range(reps):
+        world, table = reference_world(cfg, simulate.repetition_rng(cfg.master_seed, rep))
+        start, n = int(store.offset[rep]), int(store.sizes[rep])
+        assert n == world.n_gnbs, rep
+        assert store.positions[start : start + n].tobytes() == world.positions.tobytes(), rep
+        assert store.wired[start : start + n].tolist() == world.wired.tolist(), rep
+        assert store.origin[rep] == world.origin_id, rep
+        assert store.attached[start : start + n].tolist() == world.attached.tolist(), rep
+        assert store.keys[:, rep].tolist() == splitmix64(table.word, slots).tolist(), rep
+        redraws += world.redraws
+        pairs.append(len(world.ue_positions) * n)
+        if rep < 5:
+            dep, links = simulate.sample_world(cfg, simulate.repetition_rng(cfg.master_seed, rep))
+            for name in ("positions", "wired", "attached", "ue_positions"):
+                assert getattr(dep, name).tobytes() == getattr(world, name).tobytes(), (rep, name)
+            assert dep.origin_id == world.origin_id and links._keys[:, 0].tolist() == store.keys[:, rep].tolist()
+    bound = channel.ASSOC_PASS_PAIRS
+    if case == "ppp_redraws":
+        assert redraws[0] > 0
+    if case.startswith("few_"):
+        assert redraws[1] > 0
+    if pass_pairs is not None or case == "wide_and_narrow":
+        assert min(pairs) <= bound < max(pairs)
 
 
 def block_config(case: int) -> SimConfig:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iabsim.errors import ConfigError
-from iabsim.geometry import MAX_REDRAWS, Deployment, Region, assign_roles, sample_ppp
+from iabsim.geometry import MAX_REDRAWS, Deployment, Region, _origins, assign_roles, sample_ppp
 from oracles import closest_wireless, half_plane_filter, nearest_wired
 
 TWO_PI = 2.0 * math.pi
@@ -218,6 +218,30 @@ class TestOriginPick:
         for _ in range(100):
             positions = rng.integers(0, 3, (int(rng.integers(2, 8)), 2)) * 5e-311
             _assert_origin_matches_reference(positions, tiny, 5, int(rng.integers(2**31)))
+
+    def test_block_of_grids_symmetric_about_the_center(self):
+        """One block pick over worlds of grid points placed symmetrically about the center, in
+        half of them moved by a few ulps (near-ties that round apart), some worlds of one or two
+        nodes: each world's origin is its own reference pick, whatever its neighbors hold."""
+        rng = np.random.default_rng(45)
+        region = Region(1000, 1000)
+        worlds = []
+        for _ in range(300):
+            side = int(rng.integers(1, 6))
+            steps = np.arange(side) - (side - 1) / 2.0  # a side x side grid centered on the center
+            grid = 500.0 + 25.0 * np.stack(np.meshgrid(steps, steps), axis=-1).reshape(-1, 2)
+            positions = grid[rng.permutation(len(grid))[: int(rng.integers(1, len(grid) + 1))]]
+            if len(positions) < 2:
+                positions = np.concatenate([positions, 1000.0 - positions])  # its mirror image ties it
+            if rng.random() < 0.5:
+                positions = positions + rng.integers(-3, 4, positions.shape) * np.spacing(positions)
+            wired = rng.random(len(positions)) < 0.5
+            wired[rng.integers(len(positions))] = False  # at least one wireless node
+            worlds.append((positions, wired))
+        sizes = np.array([len(p) for p, _ in worlds])
+        got = _origins(np.concatenate([p for p, _ in worlds]), np.concatenate([w for _, w in worlds]), sizes, region)
+        assert got == [closest_wireless(p, w, region) for p, w in worlds]
+        assert all(isinstance(origin, int) for origin in got)
 
     def test_region_beyond_the_squared_distance_range(self):
         rng = np.random.default_rng(44)

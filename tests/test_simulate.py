@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import enumerate_widest
 
-from iabsim.channel import ChannelParams, RadioConfig, link_table
+from iabsim.channel import ChannelParams, RadioConfig, RowStore, link_table
 from iabsim import simulate
 from iabsim.errors import ConfigError
 from iabsim.geometry import Deployment, Region
@@ -347,6 +347,42 @@ class TestTableOfAnotherWorld:
         twin, _ = make_graph(self.COORDS, self.WIRED, {})
         own = link_table(dep, RadioConfig(), ChannelParams(), np.random.default_rng(0))
         assert TestMisshapedTables.WRAPPERS[wrapper](twin, own) == TestMisshapedTables.WRAPPERS[wrapper](dep, own)
+
+
+class TestOneWorldCallsShareRows:
+    """``build_path`` and ``widest_path_oracle`` on one ``LinkTable`` read through the row store the
+    table keeps: four policies and the oracle evaluate each row they stand on once, and give what
+    they give on the table's dense matrix."""
+
+    def test_one_pass_per_distinct_row(self, monkeypatch):
+        cfg = replace(SMALL, lambda_g=60.0, oracle_enabled=True)
+        threshold = cfg.radio.snr_threshold_db
+        passes, real = [], RowStore._pass
+
+        def record(store, at):
+            passes.append(at.tolist())
+            real(store, at)
+
+        for rep in range(4):
+            dep, links = sample_world(cfg, repetition_rng(cfg.master_seed, rep))
+
+            def calls(table):
+                walks = [
+                    build_path(
+                        dep.origin_id, spec.kind, spec.wbf, dep, table, threshold,
+                        max_hops=cfg.max_hops, bandwidth_hz=cfg.radio.bandwidth_hz,
+                    )
+                    for spec in cfg.policies
+                ]
+                return walks + [widest_path_oracle(dep, table, dep.origin_id, threshold)]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(RowStore, "_pass", record)
+                passes.clear()
+                got = calls(links)
+            rows = [row for rows in passes for row in rows]
+            assert len(rows) == len(set(rows)) == links._store.count and len(passes) == len(rows), rep
+            assert got == calls(links.snr), rep
 
 
 class TestPathResultTypes:
