@@ -433,9 +433,12 @@ def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> 
 
     At most ``min(workers, repetitions, usable CPUs)`` processes run, each on
     one contiguous range of repetitions; with one, the campaign runs in this
-    process. The per-repetition streams depend only on (master_seed, index),
-    and records are reassembled in repetition order, so the result is
-    identical for any worker count.
+    process. Before it starts a pool, this process imports ``streams``, and
+    with it ``numpy.random``, so workers forked from it inherit the module
+    rather than each import it again; under the ``spawn`` and ``forkserver``
+    start methods each worker still imports it. The per-repetition streams
+    depend only on (master_seed, index), and records are reassembled in
+    repetition order, so the result is identical for any worker count.
     """
     require_number("workers", workers, integer=True, at_least=1)
     reps = cfg.repetitions
@@ -443,6 +446,8 @@ def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> 
     if processes == 1:
         blocks = _run_range(cfg, 0, reps, keep_paths)
     else:
+        from . import streams  # noqa: F401  (for the forked workers to inherit)
+
         bounds = np.linspace(0, reps, processes + 1).astype(int).tolist()
         with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [pool.submit(_run_range, cfg, a, b, keep_paths) for a, b in zip(bounds, bounds[1:])]

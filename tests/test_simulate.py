@@ -1,8 +1,13 @@
 import math
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from concurrent.futures import Future
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -465,6 +470,42 @@ class TestEmpiricalCdf:
             EmpiricalCdf([])
 
 
+# The script of ``test_pool_workers_import_nothing``. The serial campaigns run last, on the share
+# unwrapped, since they load ``streams`` in the parent themselves.
+POOL_IMPORTS_NOTHING = """
+import sys
+from iabsim import simulate
+from iabsim.policy import PolicyKind
+from iabsim.simulate import PolicySpec, SimConfig, run_campaign
+
+share = simulate._run_range
+
+
+def importing_nothing(*args):
+    before = set(sys.modules)
+    blocks = share(*args)
+    if set(sys.modules) != before:
+        raise AssertionError(f"a worker's share imported {sorted(set(sys.modules) - before)}")
+    return blocks
+
+
+def records(result):
+    arrays = [*result.outcome.values(), *result.hop_count.values(), *result.bottleneck_db.values()]
+    return [None if a is None else a.tobytes() for a in [*arrays, result.oracle_outcome, result.oracle_bottleneck_db]]
+
+
+campaigns = [
+    SimConfig(repetitions=6, master_seed=3, oracle_enabled=True),
+    SimConfig(lambda_g=120.0, policies=(PolicySpec(PolicyKind.HQF), PolicySpec(PolicyKind.PA)), repetitions=5),
+]
+simulate._usable_cpus = lambda: 2
+simulate._run_range = importing_nothing
+pooled = [records(run_campaign(cfg, workers=2)) for cfg in campaigns]
+simulate._run_range = share
+assert pooled == [records(run_campaign(cfg)) for cfg in campaigns]
+"""
+
+
 class TestCampaignAggregation:
     def test_failure_accounting(self):
         res = run_campaign(SMALL)
@@ -612,6 +653,21 @@ class TestCampaignAggregation:
         assert USABLE_CPUS() == 3
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
         assert USABLE_CPUS() == 1
+
+    @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork", reason="only forked workers inherit modules")
+    def test_pool_workers_import_nothing(self):
+        """Workers forked from ``run_campaign`` find ``streams`` and ``numpy.random`` loaded: a share
+        that imports a module fails. The campaigns run in a fresh interpreter, since this one has
+        loaded both long since, and on two CPUs whatever the host has."""
+        src = str(Path(simulate.__file__).resolve().parents[1])  # the directory this test imported the package from
+        out = subprocess.run(
+            [sys.executable, "-c", POOL_IMPORTS_NOTHING],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
 
     def test_keep_paths_records_every_repetition(self):
         res = run_campaign(SMALL, keep_paths=True)
