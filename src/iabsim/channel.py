@@ -33,7 +33,8 @@ outage law runs only on the pairs that a squared-distance bound
 and association generators many at a time with ``streams.spawned_rngs``, bit
 for bit numpy's SeedSequence streams, and the slot keys of all its words in
 one pass. The one-world calls (``link_table``, ``associate_min_pathloss``)
-are blocks of one.
+are blocks of one: a ``LinkTable`` reads through a ``RowStore`` of its one
+world, which reads that world's own arrays.
 """
 from __future__ import annotations
 
@@ -269,34 +270,23 @@ class LinkTable:
     """Shared channel realization for all gNB pairs of one ``deployment``, which it keeps.
 
     ``table[i]`` is row i of the symmetric SNR matrix in dB, with -inf on the
-    diagonal and on outage pairs, read through the ``RowStore`` of this one
-    world that the table keeps: a row is hashed and evaluated when first read,
-    by ``table[i]``, ``build_path`` or ``widest_path_oracle``, and held after.
-    Campaigns read rows through their block's store. ``snr`` is the whole
-    (n, n) matrix. It and the flat per-pair arrays (upper triangle,
-    ``src < dst``), with ``gain_dbi``, ``noise_dbm`` and ``tx_power_dbm``,
-    retain every budget component for auditing the link-budget identity;
-    reading any of them evaluates every pair once.
+    diagonal and on outage pairs, read through ``store``, the ``RowStore`` of
+    this one world, which reads the deployment's own arrays: a row is hashed
+    and evaluated when first read, by ``table[i]``, ``build_path`` or
+    ``widest_path_oracle``, and held after. ``snr`` is the whole (n, n)
+    matrix. It and the flat per-pair arrays (upper triangle, ``src < dst``),
+    with the store's channel law (``params``, ``gain_dbi``, ``noise_dbm``,
+    ``tx_power_dbm``), retain every budget component for auditing the
+    link-budget identity; reading any array evaluates every pair once.
     """
 
-    def __init__(self, deployment: Deployment, word: int, params: ChannelParams, gain_dbi, noise_dbm, tx_power_dbm):
-        self.deployment, self.positions = deployment, deployment.positions
-        self.n = deployment.n_gnbs
-        self.params = params
-        self._keys = _slot_keys(word, _slot_count(params))
-        self.gain_dbi = gain_dbi
-        self.noise_dbm = noise_dbm
-        self.tx_power_dbm = tx_power_dbm
-
-    law = property(lambda self: (self.params, self.gain_dbi, self.noise_dbm, self.tx_power_dbm))
-
-    @cached_property
-    def _store(self) -> "RowStore":
-        """The row store of this table's world, which holds every row read through it."""
-        return RowStore([self.deployment], [self])
+    def __init__(self, deployment: Deployment, store: "RowStore"):
+        self.deployment, self.store = deployment, store
+        self.positions, self.n = deployment.positions, deployment.n_gnbs
+        self.params, self.gain_dbi, self.noise_dbm, self.tx_power_dbm = store.law
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return self._store.read(np.zeros(1, dtype=np.intp), np.array([operator.index(i)]))[0]
+        return self.store.read(np.zeros(1, dtype=np.intp), np.array([operator.index(i)]))[0]
 
     @cached_property
     def _whole(self) -> dict[str, np.ndarray]:
@@ -304,7 +294,8 @@ class LinkTable:
         n = self.n
         src, dst = np.triu_indices(n, k=1)
         counters = np.arange(1, src.size + 1, dtype=np.uint64)
-        d, live, los, pathloss, shadowing, snr = _evaluate(self.law, self.positions, src, dst, self._keys, counters)
+        store = self.store
+        d, live, los, pathloss, shadowing, snr = _evaluate(store.law, self.positions, src, dst, store.keys, counters)
         matrix = np.full((n, n), -np.inf)
         matrix[src[live], dst[live]] = snr
         matrix[dst[live], src[live]] = snr
@@ -333,65 +324,50 @@ class RowStore:
     """A block of worlds: their nodes, and their link rows padded with -inf to the widest world.
 
     World w has ``sizes[w]`` gNBs and origin ``origin[w]``, and its node j is node ``offset[w] + j``
-    of the block, which indexes ``positions``, ``wired`` and ``attached``. A campaign block samples
-    its worlds straight into a store (``of_block``), whose rows are hashed and evaluated when first
-    read. ``RowStore(worlds, tables)`` builds one from ``Deployment``s ``worlds``, of which it reads
-    the arrays (one world's in place, several concatenated once): ``tables[w]`` is a ``LinkTable``
-    built on the positions of world w, read as a block's rows are, or an (n, n) array, whose rows
-    are held from the start (one world's in place); all arrays, or all LinkTables of one channel law.
-    ``slot`` gives each node's row in ``rows`` (-1 while unread), which grows geometrically: the
-    store holds only the rows read.
+    of the block, which indexes ``positions``, ``wired`` and ``attached``; the store keeps these
+    arrays as given. It holds no row until it is read, and then hashes and evaluates it under the
+    channel ``law`` (params, gain_dbi, noise_dbm, tx_power_dbm) from the slot keys of world w's
+    64-bit link word ``words[w]``, column w of ``keys``: a campaign block samples its worlds into
+    one, and a ``LinkTable`` reads through one of its world. ``RowStore.held`` holds the rows of
+    arrays from the start. ``slot`` gives each node's row in ``rows`` (-1 while unread), which
+    grows geometrically: the store holds only the rows read.
     """
 
-    def __init__(self, worlds, tables):
-        for d, table in zip(worlds, tables):
-            n, linked = d.n_gnbs, isinstance(table, LinkTable)
-            shape = (table.n, table.n) if linked else np.shape(table)
+    def __init__(self, sizes, positions, wired, attached, origin, words, law):
+        self._nodes(sizes, positions, wired, attached, origin)
+        self.keys, self.law, self.count = _slot_keys(words, _slot_count(law[0])), law, 0
+        self.slot = np.full(int(sizes.sum()), -1)
+        self.rows = np.empty((0, self.width))
+
+    @classmethod
+    def held(cls, worlds, mats) -> "RowStore":
+        """The store of the ``Deployment``s ``worlds`` whose rows are the (n, n) arrays ``mats``, held
+        from the start: one world's arrays and rows are read in place, several worlds' joined once."""
+        for d, mat in zip(worlds, mats):
+            n, shape = d.n_gnbs, np.shape(mat)
             if shape != (n, n):
                 raise ValueError(f"a world of {n} gNBs needs an ({n}, {n}) link table, got one of shape {shape}")
-            if linked and table.positions is not d.positions and not np.array_equal(table.positions, d.positions):
-                raise ValueError("a link table must be built on the positions of its world")
-        laws = {table.law if isinstance(table, LinkTable) else None for table in tables}
-        if len(laws) > 1:
-            raise ValueError("a row store takes arrays only, or link tables with the same channel constants only")
         positions, wired, attached = (
             getattr(worlds[0], name) if len(worlds) == 1 else np.concatenate([getattr(d, name) for d in worlds])
             for name in ("positions", "wired", "attached")
         )
-        sizes = np.array([d.n_gnbs for d in worlds], dtype=np.intp)
-        self._nodes(sizes, positions, wired, attached, [d.origin_id for d in worlds])
-        if None in laws:  # every row is held from the start
-            self.count = int(self.sizes.sum())
-            self.slot = np.arange(self.count)
-            if len(tables) == 1:
-                self.rows = np.asarray(tables[0], dtype=float)
-            else:
-                self.rows = np.full((self.count, self.width), -np.inf)
-                for start, n, table in zip(self.offset.tolist(), self.sizes.tolist(), tables):
-                    self.rows[start : start + n, :n] = table
-        else:
-            self._unread(np.concatenate([table._keys for table in tables], axis=1), tables[0].law)
-
-    @classmethod
-    def of_block(cls, sizes, positions, wired, attached, origin, words, law) -> "RowStore":
-        """The store of a block of sampled worlds, given as arrays (per world: ``sizes``, ``origin``
-        and the 64-bit link ``words``; per node: ``positions``, ``wired``, ``attached``), whose rows
-        are drawn under the channel ``law`` (params, gain_dbi, noise_dbm, tx_power_dbm)."""
         store = cls.__new__(cls)
-        store._nodes(sizes, positions, wired, attached, origin)
-        store._unread(_slot_keys(words, _slot_count(law[0])), law)
+        sizes = np.array([d.n_gnbs for d in worlds], dtype=np.intp)
+        store._nodes(sizes, positions, wired, attached, [d.origin_id for d in worlds])
+        store.count = int(sizes.sum())
+        store.slot = np.arange(store.count)
+        if len(mats) == 1:
+            store.rows = np.asarray(mats[0], dtype=float)
+        else:
+            store.rows = np.full((store.count, store.width), -np.inf)
+            for start, n, mat in zip(store.offset.tolist(), sizes.tolist(), mats):
+                store.rows[start : start + n, :n] = mat
         return store
 
     def _nodes(self, sizes, positions, wired, attached, origin) -> None:
         self.sizes, self.positions, self.wired, self.attached, self.origin = sizes, positions, wired, attached, origin
         self.width = int(sizes.max())
         self.offset = sizes.cumsum() - sizes
-
-    def _unread(self, keys: np.ndarray, law) -> None:
-        """No row is held until it is read; world w's slot keys are column w of ``keys``."""
-        self.keys, self.law, self.count = keys, law, 0
-        self.slot = np.full(int(self.sizes.sum()), -1)
-        self.rows = np.empty((0, self.width))
 
     def read(self, world: np.ndarray, node: np.ndarray) -> np.ndarray:
         """Row ``node[k]`` of world ``world[k]`` for each k, padded. The distinct rows not held yet go
@@ -435,15 +411,15 @@ class RowStore:
 
 
 def _one_world_store(deployment: Deployment, link_snr_db) -> RowStore:
-    """A ``RowStore`` of ``deployment`` and its table ``link_snr_db`` (a ``LinkTable`` or an (n, n)
-    array). A LinkTable built on this very deployment lends the store it keeps, while that store
-    still reads the deployment's arrays, so the rows any call reads are evaluated once."""
-    if isinstance(link_snr_db, LinkTable) and link_snr_db.deployment is deployment:
-        store = link_snr_db._store
-        held = (store.positions, store.wired, store.attached)
-        if all(a is b for a, b in zip(held, (deployment.positions, deployment.wired, deployment.attached))):
-            return store
-    return RowStore([deployment], [link_snr_db])
+    """A ``RowStore`` of ``deployment`` and its table ``link_snr_db``: the one a ``LinkTable`` keeps, so
+    the rows any call reads are evaluated once, or one holding an (n, n) array's rows. A LinkTable is
+    read only with the deployment it was built on, while that holds the arrays its store reads."""
+    if not isinstance(link_snr_db, LinkTable):
+        return RowStore.held([deployment], [link_snr_db])
+    store, names = link_snr_db.store, ("positions", "wired", "attached")
+    if link_snr_db.deployment is not deployment or any(getattr(store, a) is not getattr(deployment, a) for a in names):
+        raise ValueError("a link table is read with the deployment it was built on")
+    return store
 
 
 def _channel_law(radio: RadioConfig, params: ChannelParams) -> tuple:
@@ -462,9 +438,12 @@ def link_table(
 ) -> LinkTable:
     """The pairwise link realization of one repetition, keyed by one 64-bit word of ``rng``.
 
-    Nothing else is drawn: a row's pairs are hashed when the row is read.
+    Nothing else is drawn: a row's pairs are hashed when the row is read, through a store of this
+    one world that reads the deployment's own arrays.
     """
-    return LinkTable(deployment, int(rng.bit_generator.random_raw()), *_channel_law(radio, params))
+    d, words = deployment, np.array([rng.bit_generator.random_raw()], dtype=np.uint64)
+    sizes, law = np.array([d.n_gnbs], dtype=np.intp), _channel_law(radio, params)
+    return LinkTable(d, RowStore(sizes, d.positions, d.wired, d.attached, [d.origin_id], words, law))
 
 
 @lru_cache(maxsize=16)
@@ -629,19 +608,19 @@ def associate_min_pathloss(
     deployment: Deployment,
     params: ChannelParams,
     rng: np.random.Generator,
-    child: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Serving gNB per row of the (k, 2) ``ue_positions`` (lowest realized pathloss); -1 if all in outage.
 
     A block of one world for ``_associate``. The draws come from the ``ASSOC_LAYER``
-    child stream of ``rng``, which is not advanced, or from ``child`` when the
-    caller derived that stream already: a uniform for every pair, then the
-    normals of the pairs not in outage. Ties go to the lowest gNB id.
+    child stream of ``rng``, which is not advanced: a uniform for every pair, then
+    the normals of the pairs not in outage. Ties go to the lowest gNB id.
     """
     if len(ue_positions) == 0:
         return np.empty(0, dtype=np.int64)
     ues = np.asarray(ue_positions, dtype=float)
-    child = _child_rng(rng, ASSOC_LAYER) if child is None else child
+    if ues.ndim != 2 or ues.shape[1] != 2:
+        raise ConfigError(f"UE positions must be a (k, 2) array, got one of shape {ues.shape}")
+    child = _child_rng(rng, ASSOC_LAYER)
     return _associate(ues, [len(ues)], deployment.positions, [deployment.n_gnbs], params, [child])
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import LinkTable, _one_world_store, shannon_rate
-from .errors import ConfigError, check_params, param
+from .errors import check_params, param, require_number
 from .geometry import RERANK_FLOOR, RERANK_MARGIN, Deployment, _closest
 
 
@@ -388,9 +388,8 @@ def build_path(
     walk is a ``WalkBlock`` of one.
     """
     _check_origin(deployment, origin_id)
-    if max_hops < 1:
-        raise ConfigError(f"max_hops must be >= 1, got {max_hops}")
+    require_number("max_hops", max_hops, integer=True, at_least=1)
     store = _one_world_store(deployment, link_snr_db)
-    block = WalkBlock(store, [(policy, wbf)], [0], [origin_id], [0], snr_threshold_db, max_hops, bandwidth_hz)
+    block = WalkBlock(store, [(policy, wbf)], [0], [origin_id], [0], snr_threshold_db, int(max_hops), bandwidth_hz)
     _lockstep([block])
     return block.results()[0]

@@ -14,14 +14,15 @@ their association children) in one pass and samples its worlds at once into
 one ``channel.RowStore`` that holds their nodes and link rows: each world takes
 only its draws from its own generators, in stream order, and the scaling, the
 origin pick, the link keys and the UE association run once for the block.
-``sample_world`` is a block of one. The walks of all its worlds are one
-``policy.WalkBlock`` and their oracles one ``OracleBlock``; each steps until all
-have ended, and each round reads from the store the row each walk or oracle
-stands on, evaluating the rows not held yet. Link draws are keyed, so when a
-row is evaluated does not change its bits: results equal those of each
-repetition run alone, and ``run_repetition`` is a block of one. A campaign
-keeps outcome, hop and bottleneck arrays; it builds PathResults, and searches
-the oracle's paths, only when it keeps paths.
+``sample_world`` is a block of one, whose ``LinkTable`` reads through the
+block's store. The walks of all its worlds are one ``policy.WalkBlock`` and
+their oracles one ``OracleBlock``; each steps until all have ended, and each
+round reads from the store the row each walk or oracle stands on, evaluating
+the rows not held yet. Link draws are keyed, so when a row is evaluated does
+not change its bits: results equal those of each repetition run alone, and
+``run_repetition`` is a block of one. A campaign keeps outcome, hop and
+bottleneck arrays; it builds PathResults, and searches the oracle's paths,
+only when it keeps paths.
 """
 from __future__ import annotations
 
@@ -153,9 +154,9 @@ def _keeps_ues(cfg: SimConfig) -> bool:
     return any(spec.kind == PolicyKind.MLR for spec in cfg.policies)
 
 
-def _sample_worlds(cfg: SimConfig, rngs, children) -> tuple[RowStore, np.ndarray | None, list[int]]:
-    """The worlds of the generators ``rngs``, in order: their ``RowStore``, the UE drops it kept
-    (None unless the worlds keep their UEs) and the 64-bit link word of each.
+def _sample_worlds(cfg: SimConfig, rngs, children) -> tuple[RowStore, np.ndarray | None]:
+    """The worlds of the generators ``rngs``, in order: their ``RowStore`` and the UE drops it kept
+    (None unless the worlds keep their UEs).
 
     Each world first takes its draws from its own generator, in stream order: the gNB drop, redrawn
     until it holds two nodes, at most ``MAX_REDRAWS`` times; its roles and sector rotations; the UE
@@ -204,22 +205,22 @@ def _sample_worlds(cfg: SimConfig, rngs, children) -> tuple[RowStore, np.ndarray
     else:
         attached = np.zeros(positions.shape[0], dtype=np.int64)
     law = _channel_law(cfg.radio, cfg.channel)
-    store = RowStore.of_block(sizes, positions, wired, attached, origin, np.array(words, dtype=np.uint64), law)
-    return store, ue_positions, words
+    store = RowStore(sizes, positions, wired, attached, origin, np.array(words, dtype=np.uint64), law)
+    return store, ue_positions
 
 
-def sample_world(cfg: SimConfig, rng: np.random.Generator, child: np.random.Generator | None = None):
+def sample_world(cfg: SimConfig, rng: np.random.Generator):
     """One full realization: deployment, UE loads and link table.
 
-    A block of one world for ``_sample_worlds``, whose arrays the deployment holds. The UE drop is
-    kept (``deployment.ue_positions``) only when some configured policy is MLR. ``child`` is the
-    association's stream when the caller derived it already.
+    A block of one world for ``_sample_worlds``: the deployment holds the arrays of the block's
+    store, and the link table reads its rows through that store. The UE drop is kept
+    (``deployment.ue_positions``) only when some configured policy is MLR.
     """
-    store, ues, words = _sample_worlds(cfg, [rng], [child])
+    store, ues = _sample_worlds(cfg, [rng], [None])
     deployment = Deployment(cfg.region, store.positions, store.wired, store.origin[0], store.attached)
     if ues is not None:
         deployment.ue_positions = ues
-    return deployment, LinkTable(deployment, words[0], *store.law)
+    return deployment, LinkTable(deployment, store)
 
 
 class OracleBlock:

@@ -448,6 +448,12 @@ class TestSparseKernelMatchesDenseReference:
         assert associate_min_pathloss([], dep, ChannelParams(), rng).size == 0
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 1)])
+    def test_ue_positions_not_k_by_2_are_refused_naming_the_shape(self, shape):
+        dep = scattered_deployment(3, 5)
+        with pytest.raises(ConfigError, match=re.escape(f"(k, 2) array, got one of shape {shape}")):
+            associate_min_pathloss(np.zeros(shape), dep, ChannelParams(), np.random.default_rng(0))
+
 
 class TestAssociationPasses:
     """Passes of whole UE rows draw and serve as one dense draw over every pair does,
@@ -522,15 +528,24 @@ class TestAssociationPasses:
         assert peak < k * n * 8 / 2, peak
 
 
+def block_store(deployments, words, law):
+    """The ``RowStore`` of a block of the worlds ``deployments``, as a campaign block builds one:
+    their arrays concatenated, world w keyed by the 64-bit link word ``words[w]`` under ``law``."""
+    arrays = (np.concatenate([getattr(d, name) for d in deployments]) for name in ("positions", "wired", "attached"))
+    sizes = np.array([d.n_gnbs for d in deployments], dtype=np.intp)
+    return RowStore(sizes, *arrays, [d.origin_id for d in deployments], np.array(words, dtype=np.uint64), law)
+
+
 class TestRowStore:
-    """``RowStore``: the rows of many tables of a block read in hashed passes, the same bits as any other read."""
+    """``RowStore``: the rows of many worlds of a block read in hashed passes, the same bits as any other read."""
 
     # tables of different sizes, stored together under each channel law
     SIZES = (2, 7, 30, 120, 5, 30)
 
     @staticmethod
     def triplet(n, params):
-        """Three tables of one world, keyed alike: for the store, for single reads, and the dense reference."""
+        """Three tables of one world, keyed alike by the first word of ``default_rng(n)``: for the
+        store, for single reads, and the dense reference."""
         dep = scattered_deployment(n, n)
         return tuple(
             build(dep, RadioConfig(), params, np.random.default_rng(n))
@@ -550,12 +565,18 @@ class TestRowStore:
         monkeypatch.setattr(RowStore, "_pass", record)
         return passes
 
+    @staticmethod
+    def block(tables):
+        """The store of a block of the worlds of ``tables`` (from ``triplet``), keyed as each table is."""
+        words = [np.random.default_rng(table.n).bit_generator.random_raw() for table in tables]
+        return block_store([table.deployment for table in tables], words, tables[0].store.law)
+
     @pytest.mark.parametrize("fading_db", [0.0, 3.0])
     def test_mixed_tables_repeats_and_held_rows_match_rows_read_alone(self, fading_db, monkeypatch):
         triplets = [self.triplet(n, ChannelParams(fading_sigma_db=fading_db)) for n in self.SIZES]
         sizes = [table.n for table, _, _ in triplets]
         passes = self.record_passes(monkeypatch)
-        store = RowStore([table.deployment for table, _, _ in triplets], [table for table, _, _ in triplets])
+        store = self.block([table for table, _, _ in triplets])
         assert store.width == 120 and store.count == 0 and passes == []
         held = np.array((0, 2, 4)), np.array(sizes[:6:2]) - 1
         store.read(*held)  # rows read before the others
@@ -588,7 +609,7 @@ class TestRowStore:
 
     def test_pair_bound_splits_passes_not_bits(self, monkeypatch):
         triplets = [self.triplet(n, ChannelParams()) for n in (30, 120, 7)]
-        store = RowStore([table.deployment for table, _, _ in triplets], [table for table, _, _ in triplets])
+        store = self.block([table for table, _, _ in triplets])
         passes = self.record_passes(monkeypatch)
         monkeypatch.setattr(channel, "PASS_PAIRS", 300)  # two rows of the widest world, 238 pairs
         world, node = np.repeat(np.arange(3), 3), np.tile((6, 0, 3), 3)
@@ -599,11 +620,12 @@ class TestRowStore:
             assert snr[k, : store.sizes[w]].tobytes() == triplets[w][2].snr[i].tobytes()
         passes.clear()
         monkeypatch.setattr(channel, "PASS_PAIRS", 10)  # below one row: a pass per row
-        store = RowStore([triplets[1][0].deployment], [triplets[1][0]])
+        store = self.block([triplets[1][0]])
         assert store.read(np.zeros(2, dtype=int), np.array([5, 9])).tobytes() == triplets[1][2].snr[[5, 9]].tobytes()
         assert passes == [[(0, 5)], [(0, 9)]]
 
     def test_getitem_reads_each_row_once_through_the_tables_store(self, monkeypatch):
+        """A table's store reads its deployment's own arrays, and holds each row read through it."""
         table, _, ref = self.triplet(30, ChannelParams())
         passes = self.record_passes(monkeypatch)
         assert table[np.int64(4)].tobytes() == ref.snr[4].tobytes()
@@ -612,32 +634,20 @@ class TestRowStore:
         row[:] = 0.0  # a copy: the held row stays
         assert table[7].tobytes() == ref.snr[7].tobytes() and table[4].tobytes() == ref.snr[4].tobytes()
         assert passes == [[(0, 4)], [(0, 7)]]
-        assert table._store.count == 2 and "_whole" not in vars(table)
-
-    def test_tables_under_different_channel_laws_are_refused_when_built(self, monkeypatch):
-        plain, _, _ = self.triplet(7, ChannelParams())
-        faded, _, _ = self.triplet(5, ChannelParams(fading_sigma_db=3.0))
-        passes = self.record_passes(monkeypatch)
-        with pytest.raises(ValueError, match="same channel constants"):
-            RowStore([plain.deployment, faded.deployment], [plain, faded])
-        radio = RadioConfig(tx_power_dbm=40.0)
-        strong = link_table(scattered_deployment(5, 5), radio, ChannelParams(), np.random.default_rng(5))
-        with pytest.raises(ValueError, match="same channel constants"):
-            RowStore([plain.deployment, strong.deployment], [plain, strong])
-        with pytest.raises(ValueError, match="arrays only"):
-            RowStore([plain.deployment, faded.deployment], [plain, faded.snr])
-        assert passes == []
+        assert table.store.count == 2 and "_whole" not in vars(table)
+        dep, store = table.deployment, table.store
+        assert store.positions is dep.positions and store.wired is dep.wired and store.attached is dep.attached
 
     def test_array_tables_are_held_padded_and_one_is_read_in_place(self, monkeypatch):
         mats = [self.triplet(n, ChannelParams())[2].snr for n in (7, 30, 5)]
         passes = self.record_passes(monkeypatch)
-        store = RowStore([scattered_deployment(n, n) for n in (7, 30, 5)], mats)
+        store = RowStore.held([scattered_deployment(n, n) for n in (7, 30, 5)], mats)
         world, node = np.array([2, 0, 1, 2, 2]), np.array([4, 6, 29, 0, 4])
         snr = store.read(world, node)
         for k, (w, i) in enumerate(zip(world.tolist(), node.tolist())):
             n = mats[w].shape[0]
             assert snr[k, :n].tobytes() == mats[w][i].tobytes() and (snr[k, n:] == -np.inf).all()
-        one = RowStore([scattered_deployment(30, 30)], [mats[1]])
+        one = RowStore.held([scattered_deployment(30, 30)], [mats[1]])
         assert one.rows is mats[1]  # not copied
         assert one.read(np.zeros(2, dtype=int), np.array([3, 1])).tobytes() == mats[1][[3, 1]].tobytes()
         assert passes == [] and store.count == 42
@@ -649,45 +659,30 @@ class TestRowStore:
         passes = self.record_passes(monkeypatch)
         with pytest.raises(error):
             table[i]
-        store = RowStore([other.deployment, table.deployment], [other, table])
+        store = self.block([other, table])
         with pytest.raises(IndexError):  # node -1 of world 1 is not node 6 of world 0
             store.read(np.array([1, 1]), np.array([0, i]))
         assert passes == [] and store.count == 0
 
-    def test_a_table_of_other_positions_is_refused(self, monkeypatch):
-        """A table hashes its world's positions in the store: one built on other positions of the
-        same size would draw rows for neither world."""
-        plain, _, _ = self.triplet(7, ChannelParams())
-        table, _, _ = self.triplet(30, ChannelParams())
-        passes = self.record_passes(monkeypatch)
-        moved = Deployment(Region(1000, 1000), table.positions + 1.0, table.deployment.wired, 1)
-        with pytest.raises(ValueError, match="built on the positions of its world"):
-            RowStore([plain.deployment, moved], [plain, table])
-        same = Deployment(Region(1000, 1000), table.positions.copy(), table.deployment.wired, 1)
-        RowStore([plain.deployment, same], [plain, table])  # equal positions are the table's own
-        assert passes == []
-
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (3,)])
     def test_misshaped_tables_are_refused_naming_both_shapes(self, shape):
         with pytest.raises(ValueError, match=rf"\(3, 3\).*{re.escape(str(shape))}"):
-            RowStore([scattered_deployment(7, 7), scattered_deployment(3, 3)], [np.zeros((7, 7)), np.zeros(shape)])
-        table, _, _ = self.triplet(4, ChannelParams())
-        with pytest.raises(ValueError, match=r"\(3, 3\).*\(4, 4\)"):
-            RowStore([scattered_deployment(3, 3)], [table])
+            RowStore.held([scattered_deployment(7, 7), scattered_deployment(3, 3)], [np.zeros((7, 7)), np.zeros(shape)])
+        with pytest.raises(ValueError, match=rf"\(3, 3\).*{re.escape(str(shape))}"):
+            RowStore.held([scattered_deployment(3, 3)], [np.zeros(shape)])
 
     def test_a_dense480_block_holds_only_the_rows_it_reads(self):
         """14 worlds of 480 gNBs, as a dense480 block has: a few rounds of reads hold
         a few rows per world, far below a row for every node."""
         worlds, n = 14, 480
-        tables = [
-            link_table(scattered_deployment(w, n), RadioConfig(), ChannelParams(), np.random.default_rng(w))
-            for w in range(worlds)
-        ]
-        tables[0][0]  # fill the caches: a read through a store of one world
+        deployments = [scattered_deployment(w, n) for w in range(worlds)]
+        words = [np.random.default_rng(w).bit_generator.random_raw() for w in range(worlds)]
+        table = link_table(deployments[0], RadioConfig(), ChannelParams(), np.random.default_rng(0))
+        table[0]  # fill the caches: a read through a store of one world
         rng = np.random.default_rng(1)
         tracemalloc.start()
         try:
-            store = RowStore([table.deployment for table in tables], tables)
+            store = block_store(deployments, words, table.store.law)
             for _ in range(5):  # a round of 4 walks and an oracle per world
                 store.read(np.repeat(np.arange(worlds), 5), rng.integers(0, n, 5 * worlds))
             _, peak = tracemalloc.get_traced_memory()

@@ -98,7 +98,7 @@ def test_one_walk_block_steps_many_tied_worlds(max_hops, threshold):
     worlds = [tied_world(rng) for _ in range(BLOCK_WORLDS)]
     policies = [(kind, wbf) for kind in PolicyKind for wbf in BIASES]
     count = len(policies)
-    store = RowStore([dep for dep, _, _ in worlds], [mat for _, mat, _ in worlds])
+    store = RowStore.held([dep for dep, _, _ in worlds], [mat for _, mat, _ in worlds])
     walks = WalkBlock(
         store,
         policies,
@@ -210,7 +210,7 @@ def test_block_sampler_matches_reference_worlds(case, monkeypatch):
             dep, links = simulate.sample_world(cfg, simulate.repetition_rng(cfg.master_seed, rep))
             for name in ("positions", "wired", "attached", "ue_positions"):
                 assert getattr(dep, name).tobytes() == getattr(world, name).tobytes(), (rep, name)
-            assert dep.origin_id == world.origin_id and links._keys[:, 0].tolist() == store.keys[:, rep].tolist()
+            assert dep.origin_id == world.origin_id and links.store.keys[:, 0].tolist() == store.keys[:, rep].tolist()
     bound = channel.ASSOC_PASS_PAIRS
     if case == "ppp_redraws":
         assert redraws[0] > 0

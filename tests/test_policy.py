@@ -363,6 +363,12 @@ class TestBuildPath:
         assert res.hops == ()
         assert math.isnan(res.bottleneck_snr_db)
 
+    @pytest.mark.parametrize("max_hops", [0, 2.5, True])
+    def test_a_hop_limit_that_is_not_a_positive_integer_is_refused(self, max_hops):
+        dep, mat = make_world([(500, 500), (600, 500)], [False, True], {(0, 1): 20.0})
+        with pytest.raises(ConfigError, match="max_hops"):
+            build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, 5.0, max_hops=max_hops, bandwidth_hz=BANDWIDTH_HZ)
+
     def test_max_hops_cutoff(self):
         # a long wireless chain before the only wired node
         n = 6

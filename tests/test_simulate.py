@@ -14,7 +14,7 @@ import pytest
 from oracles import enumerate_widest
 
 from iabsim.channel import ChannelParams, RadioConfig, RowStore, link_table
-from iabsim import simulate
+from iabsim import channel, simulate
 from iabsim.errors import ConfigError
 from iabsim.geometry import Deployment, Region
 from iabsim.policy import PathOutcome, PolicyKind, WbfConfig, build_path
@@ -318,40 +318,43 @@ class TestMisshapedTables:
         "widest_path_oracle": lambda dep, table: widest_path_oracle(dep, table, 0, 5.0),
     }
 
-    @staticmethod
-    def tables():
-        """(shape named in the error, table) for a 2x2 and a 3x5 matrix and another deployment's LinkTable."""
-        other, _ = make_graph([(0, 0), (100, 0), (50, 50), (0, 90), (90, 90)], [False, True] * 2 + [False], {})
-        links = link_table(other, RadioConfig(), ChannelParams(), np.random.default_rng(0))
-        return [((2, 2), np.full((2, 2), 20.0)), ((3, 5), np.full((3, 5), 20.0)), ((5, 5), links)]
+    # shapes of array tables that a 3-gNB world refuses
+    SHAPES = [(2, 2), (3, 5)]
 
     @pytest.mark.parametrize("wrapper", sorted(WRAPPERS))
-    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("case", range(len(SHAPES)))
     def test_refused_naming_both_shapes(self, wrapper, case):
         dep, _ = make_graph([(0, 0), (100, 0), (50, 50)], [False, True, False], {(0, 1): 20.0})
-        shape, table = self.tables()[case]
+        shape = self.SHAPES[case]
         with pytest.raises(ValueError, match=re.escape(f"(3, 3) link table, got one of shape {shape}")):
-            self.WRAPPERS[wrapper](dep, table)
+            self.WRAPPERS[wrapper](dep, np.full(shape, 20.0))
 
 
 class TestTableOfAnotherWorld:
-    """A link table is read only with the world it was built on: a table of another world of the
-    same size would hash its own positions while PA ranks the world's, so it is refused."""
+    """A link table is read only with the deployment it was built on, while that deployment holds
+    the arrays the table's store reads: a table of any other world, even a twin at the same
+    positions, or of a deployment whose arrays were rebound since, is refused before any step."""
 
     COORDS = [(0, 0), (100, 0), (50, 50), (0, 90), (90, 90)]
     WIRED = [False, True, False, True, False]
+    REFUSED = "a link table is read with the deployment it was built on"
 
     @pytest.mark.parametrize("wrapper", sorted(TestMisshapedTables.WRAPPERS))
-    def test_refused_by_both_wrappers(self, wrapper):
+    def test_refused_by_both_wrappers(self, wrapper, monkeypatch):
+        call = TestMisshapedTables.WRAPPERS[wrapper]
         dep, _ = make_graph(self.COORDS, self.WIRED, {})
         other, _ = make_graph([(x + 1.0, y) for x, y in self.COORDS], self.WIRED, {})
-        links = link_table(other, RadioConfig(), ChannelParams(), np.random.default_rng(0))
-        with pytest.raises(ValueError, match="built on the positions of its world"):
-            TestMisshapedTables.WRAPPERS[wrapper](dep, links)
-        # a world at the same positions is the table's world, whatever object holds them
         twin, _ = make_graph(self.COORDS, self.WIRED, {})
         own = link_table(dep, RadioConfig(), ChannelParams(), np.random.default_rng(0))
-        assert TestMisshapedTables.WRAPPERS[wrapper](twin, own) == TestMisshapedTables.WRAPPERS[wrapper](dep, own)
+        passes = []
+        monkeypatch.setattr(RowStore, "_pass", lambda store, at: passes.append(at))
+        for world in (other, twin):
+            with pytest.raises(ValueError, match=self.REFUSED):
+                call(world, own)
+        dep.attached = dep.attached.copy()  # equal loads, but not the array the store reads
+        with pytest.raises(ValueError, match=self.REFUSED):
+            call(dep, own)
+        assert passes == []
 
 
 class TestOneWorldCallsShareRows:
@@ -386,8 +389,29 @@ class TestOneWorldCallsShareRows:
                 passes.clear()
                 got = calls(links)
             rows = [row for rows in passes for row in rows]
-            assert len(rows) == len(set(rows)) == links._store.count and len(passes) == len(rows), rep
+            assert len(rows) == len(set(rows)) == links.store.count and len(passes) == len(rows), rep
             assert got == calls(links.snr), rep
+
+    def test_sample_world_reads_through_the_store_its_block_sampled(self, monkeypatch):
+        """The table of ``sample_world`` wraps the block's own store, so its slot keys are derived
+        once, and each distinct row it reads takes one pass."""
+        cfg = replace(SMALL, lambda_g=60.0)
+        keyed, passes = [], []
+        slot_keys, real_pass = channel._slot_keys, RowStore._pass
+        monkeypatch.setattr(channel, "_slot_keys", lambda *a: keyed.append(a) or slot_keys(*a))
+        monkeypatch.setattr(RowStore, "_pass", lambda store, at: passes.append(at.tolist()) or real_pass(store, at))
+        for rep in range(4):
+            keyed.clear()
+            dep, links = sample_world(cfg, repetition_rng(cfg.master_seed, rep))
+            assert len(keyed) == 1 and links.store.keys.shape == (3, 1), rep
+            store = links.store
+            assert store.positions is dep.positions and store.wired is dep.wired and store.attached is dep.attached
+            passes.clear()
+            nodes = [dep.origin_id, 0, dep.origin_id, dep.n_gnbs - 1, 0]
+            rows = [links[i] for i in nodes]
+            assert passes == [[i] for i in dict.fromkeys(nodes)] and store.count == len(set(nodes)), rep
+            assert len(keyed) == 1 and "_whole" not in vars(links), rep
+            assert all(row.tobytes() == links.snr[i].tobytes() for i, row in zip(nodes, rows)), rep
 
 
 class TestPathResultTypes:
@@ -474,7 +498,7 @@ class TestEmpiricalCdf:
 # unwrapped, since they load ``streams`` in the parent themselves.
 POOL_IMPORTS_NOTHING = """
 import sys
-from iabsim import simulate
+from iabsim import channel, simulate
 from iabsim.policy import PolicyKind
 from iabsim.simulate import PolicySpec, SimConfig, run_campaign
 
