@@ -15,9 +15,8 @@ which catches a path change that the per-repetition arrays miss; a
 ``workers=2`` line runs two pool processes even on a host with one CPU. Each
 (workload, seed) also gets a ``blocks=small`` line for one worker with blocks
 of at most ``SMALL_BLOCKS[workload]`` repetitions, so that every campaign
-crosses several block edges; it lowers ``simulate.BLOCK_BYTES``, or
-``simulate.BLOCK_REPETITIONS`` in a checkout that bounds blocks by count, and
-its digests equal those of the default blocks. Two checkouts with the same
+crosses several block edges; it lowers ``simulate.BLOCK_BYTES``, and its
+digests equal those of the default blocks. Two checkouts with the same
 schema must print the same lines: a change that moves a campaign's numbers
 declares a new schema.
 """
@@ -47,15 +46,14 @@ def paths_digest(paths: dict) -> str:
 
 @contextmanager
 def small_blocks(simulate, cfg, repetitions: int):
-    """Blocks of at most ``repetitions`` repetitions of ``cfg`` inside the block; the bound is
-    restored after. A checkout bounds blocks by bytes (``BLOCK_BYTES``) or by count."""
-    name = "BLOCK_BYTES" if hasattr(simulate, "BLOCK_BYTES") else "BLOCK_REPETITIONS"
-    saved = getattr(simulate, name)
-    setattr(simulate, name, repetitions * simulate._world_bytes(cfg) if name == "BLOCK_BYTES" else repetitions)
+    """Blocks of at most ``repetitions`` repetitions of ``cfg`` inside the block; the bound
+    (``BLOCK_BYTES``) is restored after."""
+    saved = simulate.BLOCK_BYTES
+    simulate.BLOCK_BYTES = repetitions * simulate._world_bytes(cfg)
     try:
         yield
     finally:
-        setattr(simulate, name, saved)
+        simulate.BLOCK_BYTES = saved
 
 
 def main(root: Path) -> None:
@@ -66,8 +64,7 @@ def main(root: Path) -> None:
     from iabsim import simulate
     from iabsim.simulate import run_campaign
 
-    if hasattr(simulate, "_usable_cpus"):  # a workers=2 line runs two ranges in the pool on any host
-        simulate._usable_cpus = lambda: max(WORKERS)
+    simulate._usable_cpus = lambda: max(WORKERS)  # a workers=2 line runs two ranges in the pool on any host
     print(f"stream_schema {STREAM_SCHEMA}")
     for workload, reps in REPETITIONS.items():
         doc = json.loads((root / "bench" / "workloads" / f"{workload}.json").read_text())

@@ -286,6 +286,8 @@ class LinkTable:
         self.params, self.gain_dbi, self.noise_dbm, self.tx_power_dbm = store.law
 
     def __getitem__(self, i: int) -> np.ndarray:
+        if isinstance(i, bool):
+            raise TypeError(f"a link table row is read by an integer node id, got {i!r}")
         return self.store.read(np.zeros(1, dtype=np.intp), np.array([operator.index(i)]))[0]
 
     @cached_property

@@ -14,17 +14,8 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import ConfigError
-from .policy import PolicyKind, WbfConfig, WbfKind
+from .policy import WBF_PRESETS, PolicyKind, WbfConfig
 from .simulate import PolicySpec, SimConfig
-
-WBF_PRESETS: dict[str, WbfConfig] = {
-    "none": WbfConfig(),
-    "aggressive_poly": WbfConfig(WbfKind.POLYNOMIAL, n_ht=1, k=3.0, gamma_gap_db=15.0, gamma_h_db=2.0),
-    "conservative_poly": WbfConfig(WbfKind.POLYNOMIAL, n_ht=6, k=1.0, gamma_gap_db=5.0, gamma_h_db=2.0),
-    "aggressive_exp": WbfConfig(WbfKind.EXPONENTIAL, n_ht=1, gamma=3.0, gamma_gap_db=15.0, gamma_h_db=2.0),
-    "conservative_exp": WbfConfig(WbfKind.EXPONENTIAL, n_ht=6, gamma=1.5, gamma_gap_db=5.0, gamma_h_db=2.0),
-}
-
 
 def _reject_unknown(section: str, doc: dict, allowed) -> None:
     for key in doc:
@@ -102,27 +93,6 @@ def _parse_wbf(raw, where: str) -> WbfConfig:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _label_number(value: float) -> str:
-    """``value`` as ``:g`` prints it when that is exact and has no '+'; otherwise its
-    shortest round-trip form without the '+'. ``float`` of either gives ``value``
-    back, so the numbers of an automatic label fix it, and it stays a legal label."""
-    text = f"{value:g}"
-    if "+" in text or float(text) != value:
-        text = repr(float(value)).replace("+", "")
-    return text
-
-
-def _wbf_label(wbf: WbfConfig) -> str:
-    for name, preset in WBF_PRESETS.items():
-        if wbf == preset and name != "none":
-            return name
-    if wbf.kind == WbfKind.NONE:
-        return ""
-    shape = "poly" if wbf.kind == WbfKind.POLYNOMIAL else "exp"
-    knob = f"k{_label_number(wbf.k)}" if wbf.kind == WbfKind.POLYNOMIAL else f"g{_label_number(wbf.gamma)}"
-    return f"{shape}_nht{wbf.n_ht}_{knob}_gap{_label_number(wbf.gamma_gap_db)}_h{_label_number(wbf.gamma_h_db)}"
-
-
 def _parse_policy_entry(raw, index: int) -> PolicySpec:
     where = f"policies[{index}]"
     if isinstance(raw, str):
@@ -137,12 +107,8 @@ def _parse_policy_entry(raw, index: int) -> PolicySpec:
         raise ConfigError(
             f"'{where}.policy' must be one of {[p.value for p in PolicyKind]}, got {raw.get('policy')!r}"
         ) from None
-    wbf = _parse_wbf(raw.get("wbf"), where)
     label = raw.get("label")
-    if label is None:
-        suffix = _wbf_label(wbf)
-        label = kind.value if not suffix else f"{kind.value}_{suffix}"
-    return PolicySpec(kind=kind, wbf=wbf, label=str(label))
+    return PolicySpec(kind=kind, wbf=_parse_wbf(raw.get("wbf"), where), label="" if label is None else str(label))
 
 
 def parse_config(source) -> SimConfig:

@@ -2,7 +2,8 @@
 
 All coordinates and distances are in meters; densities are in nodes per km^2.
 Every sampling routine takes an explicit ``numpy.random.Generator`` so callers
-own their streams and repetitions stay reproducible.
+own their streams and repetitions stay reproducible. One rule, ``_nearest``,
+picks both the origin relay and the wired donor a PA walk heads for.
 """
 from __future__ import annotations
 
@@ -158,23 +159,37 @@ def _draw_roles(n: int, p_w: float, rng: np.random.Generator) -> np.ndarray:
     return wired
 
 
+def _padded_ids(mask: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """One row per world of a block, whose world w holds the nodes ``offset[w]`` on: the ids of
+    the nodes of w with ``mask`` set, in id order, padded with -1 to the longest row."""
+    counts = np.add.reduceat(mask, offset, dtype=np.intp)
+    table = np.full((counts.size, counts.max()), -1)
+    table[np.arange(counts.max()) < counts[:, None]] = mask.nonzero()[0]  # row by row, as the ids run
+    return table
+
+
+def _nearest(ids: np.ndarray, positions: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """For each row r of the padded id table ``ids`` (-1 pads, after the ids), the id in it
+    nearest to ``points[r]``, lowest id on ties. Distances are ranked by ``np.hypot``, and the ids
+    within ``RERANK_MARGIN`` of a row's nearest (the whole row, when the nearest is at infinity or
+    one distance is NaN, which is also when a pad is near) are re-ranked by ``_closest``."""
+    x, y = positions.T
+    dist = np.hypot(x.take(ids) - points[:, :1], y.take(ids) - points[:, 1:])
+    dist[ids < 0] = np.inf
+    near = ~(dist > dist.min(axis=1, keepdims=True) * (1.0 + RERANK_MARGIN) + RERANK_FLOOR)
+    pick = ids[np.arange(len(ids)), near.argmax(axis=1)]
+    for r in (near.sum(axis=1) > 1).nonzero()[0].tolist():
+        pick[r] = _closest(ids[r, near[r] & (ids[r] >= 0)], positions, points[r])
+    return pick
+
+
 def _origins(positions: np.ndarray, wired: np.ndarray, sizes: np.ndarray, region: Region) -> list[int]:
-    """The origin of each world of a block, as its id in its world: the wireless node nearest the
-    region center, lowest id on ties. World w holds the next ``sizes[w]`` rows of ``positions`` and
-    ``wired``. Distances are ranked by ``np.hypot``, and the nodes within ``RERANK_MARGIN`` of a
-    world's nearest (and every wireless node, when one distance is NaN) are re-ranked by ``_closest``."""
-    center = np.array((region.width_m / 2.0, region.height_m / 2.0))
-    dist = np.hypot(positions[:, 0] - center[0], positions[:, 1] - center[1])
-    dist[wired] = np.inf
+    """The origin of each world of a block, as its id in its world: by ``_nearest``, the wireless
+    node nearest the region center, lowest id on ties. World w holds the next ``sizes[w]`` rows of
+    ``positions`` and ``wired``."""
     offset = sizes.cumsum() - sizes
-    bound = np.minimum.reduceat(dist, offset) * (1.0 + RERANK_MARGIN) + RERANK_FLOOR
-    near = (~(dist > np.repeat(bound, sizes)) & ~wired).nonzero()[0]
-    first = np.searchsorted(near, offset).tolist()  # every world has a near node
-    origin = []
-    for start, stop, base in zip(first, first[1:] + [near.size], offset.tolist()):
-        node = near[start] if stop - start == 1 else _closest(near[start:stop], positions, center)
-        origin.append(int(node) - base)
-    return origin
+    center = np.array((region.width_m / 2.0, region.height_m / 2.0))
+    return (_nearest(_padded_ids(~wired, offset), positions, np.tile(center, (sizes.size, 1))) - offset).tolist()
 
 
 def assign_roles(

@@ -15,7 +15,6 @@ worlds, as arrays, one hop per round, and ``build_path`` runs a block of one.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from enum import Enum
@@ -24,7 +23,7 @@ import numpy as np
 
 from .channel import LinkTable, _one_world_store, shannon_rate
 from .errors import check_params, param, require_number
-from .geometry import RERANK_FLOOR, RERANK_MARGIN, Deployment, _closest
+from .geometry import RERANK_FLOOR, RERANK_MARGIN, Deployment, _nearest, _padded_ids
 
 
 class WbfKind(Enum):
@@ -66,6 +65,38 @@ class WbfConfig:
 
     def __post_init__(self):
         check_params(self)
+
+
+WBF_PRESETS: dict[str, WbfConfig] = {
+    "none": WbfConfig(),
+    "aggressive_poly": WbfConfig(WbfKind.POLYNOMIAL, n_ht=1, k=3.0, gamma_gap_db=15.0, gamma_h_db=2.0),
+    "conservative_poly": WbfConfig(WbfKind.POLYNOMIAL, n_ht=6, k=1.0, gamma_gap_db=5.0, gamma_h_db=2.0),
+    "aggressive_exp": WbfConfig(WbfKind.EXPONENTIAL, n_ht=1, gamma=3.0, gamma_gap_db=15.0, gamma_h_db=2.0),
+    "conservative_exp": WbfConfig(WbfKind.EXPONENTIAL, n_ht=6, gamma=1.5, gamma_gap_db=5.0, gamma_h_db=2.0),
+}
+
+
+def _label_number(value: float) -> str:
+    """``value`` as ``:g`` prints it when that is exact and has no '+'; otherwise its
+    shortest round-trip form without the '+'. ``float`` of either gives ``value``
+    back, so the numbers of an automatic label fix it, and it stays a legal label."""
+    text = f"{value:g}"
+    if "+" in text or float(text) != value:
+        text = repr(float(value)).replace("+", "")
+    return text
+
+
+def _wbf_label(wbf: WbfConfig) -> str:
+    """The suffix of a policy's automatic label: the preset's name, or the bias's shape and
+    numbers, and none for no bias."""
+    for name, preset in WBF_PRESETS.items():
+        if wbf == preset and name != "none":
+            return name
+    if wbf.kind == WbfKind.NONE:
+        return ""
+    shape = "poly" if wbf.kind == WbfKind.POLYNOMIAL else "exp"
+    knob = f"k{_label_number(wbf.k)}" if wbf.kind == WbfKind.POLYNOMIAL else f"g{_label_number(wbf.gamma)}"
+    return f"{shape}_nht{wbf.n_ht}_{knob}_gap{_label_number(wbf.gamma_gap_db)}_h{_label_number(wbf.gamma_h_db)}"
 
 
 @dataclass(frozen=True)
@@ -140,12 +171,16 @@ def vector_rates(share: np.ndarray, snr_db: np.ndarray) -> np.ndarray:
         return share * rate
 
 
-def _check_origin(deployment: Deployment, origin_id: int) -> None:
-    """Refuse a path origin outside the deployment (IndexError) or on a wired gNB (ValueError)."""
+def _check_origin(deployment: Deployment, origin_id: int) -> int:
+    """``origin_id`` as an int; a path origin that is not an integer (ConfigError), outside the
+    deployment (IndexError) or on a wired gNB (ValueError) is refused."""
+    require_number("origin_id", origin_id, integer=True)
+    origin_id = int(origin_id)
     if not 0 <= origin_id < deployment.n_gnbs:
         raise IndexError(f"no gNB with id {origin_id} among {deployment.n_gnbs}")
     if deployment.wired[origin_id]:
         raise ValueError("path origin must be a wireless gNB")
+    return origin_id
 
 
 class WalkBlock:
@@ -153,17 +188,19 @@ class WalkBlock:
 
     Walk w starts at node ``origin[w]`` of world ``world[w]`` of ``store``, the
     ``RowStore`` of the block, and follows ``policies[policy[w]]``, a (kind,
-    wbf) pair. The store holds the worlds' nodes (sizes, offsets, positions,
-    wired flags and loads) and their link rows. Each round, ``step`` reads
-    from the store the row that each walk still going stands on, and moves
-    each of those walks one hop:
+    wbf) pair. The store holds the worlds' nodes and link rows; the block holds
+    its walks' ``world``, ``policy``, current ``node`` (in its world),
+    ``outcome``, ``length`` and ``bottleneck`` by walk id, and only ``ids`` (the
+    walks still going) and ``open`` shrink as walks end. Each round, ``step``
+    reads from the store the row that each walk still going stands on, and
+    moves each of those walks one hop:
 
     - the admissible parents of every walk are the columns of its row whose
       raw SNR clears the threshold and that it has not visited (padding
       counts as visited); the rest of the round runs on these (walk, column)
       entries;
     - WF narrows a walk's pool to wired nodes, and PA to the nodes j ahead of
-      its current node c toward the wired node t nearest c: those with
+      its current node c toward the wired node t nearest c (``_nearest``): those with
       (p_j - p_c) . (p_t - p_c) > 0, so a node on the perpendicular is not
       ahead. Either narrows only when that leaves a candidate;
     - the key is the raw SNR plus, on wired nodes, the bias of the walk's
@@ -179,8 +216,8 @@ class WalkBlock:
     Python does, so every walk takes the hops of a walk on Python floats.
 
     When no walk is going, ``outcome`` (codes in ``PathOutcome`` order),
-    ``length`` and ``final_bottleneck`` (NaN for a walk with no hop) describe
-    every walk in the order given, and ``results`` builds their PathResults.
+    ``length`` and ``bottleneck`` (NaN for a walk with no hop) describe every
+    walk in the order given, and ``results`` builds their PathResults.
     """
 
     def __init__(self, store, policies, world, origin, policy, snr_threshold_db, max_hops, bandwidth_hz):
@@ -196,56 +233,44 @@ class WalkBlock:
             self.share = bandwidth_hz / np.maximum(store.attached, 1)
             self.top_share = np.maximum.reduceat(self.share, store.offset)
         if self.is_pa.any():
-            self.x, self.y = store.positions.T
-            # column w: the block ids of the wired nodes of world w in id order, padded with -1 at infinity
-            donors = store.wired.nonzero()[0]
-            counts = np.add.reduceat(store.wired, store.offset, dtype=np.intp)
-            rank = np.arange(donors.size) - np.repeat(counts.cumsum() - counts, counts)
-            at = (rank, np.repeat(np.arange(counts.size), counts))
-            self.donor = np.full((counts.max(), counts.size), -1)
-            self.donor[at] = donors
-            self.donor_x, self.donor_y = np.full((2, counts.max(), counts.size), np.inf)
-            self.donor_x[at], self.donor_y[at] = self.x[donors], self.y[donors]
+            self.donors = _padded_ids(store.wired, store.offset)
+        self.world = np.asarray(world, dtype=np.intp)
         self.origin = np.asarray(origin, dtype=np.intp)
-        self.walk_policy = np.asarray(policy, dtype=np.intp)
+        self.policy = np.asarray(policy, dtype=np.intp)
+        self.node = self.origin.copy()
         count = self.origin.size
-        self.trail = []  # per round: the ids of the walks that moved, and the nodes they moved to
         self.outcome = np.zeros(count, dtype=np.int8)
         self.length = np.zeros(count, dtype=np.intp)
-        self.final_bottleneck = np.zeros(count)
-        # the walks still going: rows id, world, first node of the world in the
-        # block, current node and policy of ``state``; the columns each may still
-        # visit; their bottlenecks
-        world = np.asarray(world, dtype=np.intp)
-        self.state = np.array((np.arange(count), world, store.offset[world], self.origin, self.walk_policy))
-        self.open = np.arange(store.width) < store.sizes[world][:, None]
-        self.open[self.state[0], self.origin] = False
         self.bottleneck = np.full(count, math.inf)
+        self.trail = []  # per round: the ids of the walks that moved, and the nodes they moved to
+        # the walks still going, and the columns each may still visit
+        self.ids, self.going = np.arange(count), count > 0
+        self.open = np.arange(store.width) < store.sizes[self.world][:, None]
+        self.open[self.ids, self.origin] = False
         self.hop = 0
-
-    @property
-    def going(self) -> bool:
-        return self.state.shape[1] > 0
 
     def step(self) -> None:
         """Move every walk still going one hop, on the padded row each stands on."""
-        snr = self.store.read(self.state[1], self.state[3])
+        ids = self.ids
+        world, current, policies = self.world[ids], self.node[ids], self.policy[ids]
+        snr = self.store.read(world, current)
         # the admissible entries (walk, col), in walk order, then column order
         walk, col = ((snr >= self.threshold) & self.open).nonzero()
         raw = snr[walk, col]
-        ids, _, base, current, policies = self.state  # views of the state rows
         count = ids.size
+        base = self.store.offset[world]
         node = base[walk] + col
         wired = self.store.wired[node]
         policy = policies[walk]
         pa, mlr = self.is_pa[policies].nonzero()[0], self.is_mlr[policies].nonzero()[0]
         # Python floats overflow quietly; so do the vectors that stand for them
-        with np.errstate(over="ignore", invalid="ignore") if pa.size or mlr.size else nullcontext():
+        with np.errstate(over="ignore", invalid="ignore"):
             # the pool: WF keeps the wired entries and PA the forward ones, when there are any
             prefer = wired | ~self.is_wf[policy]
             if pa.size:
                 entries = self.is_pa[policy].nonzero()[0]
-                prefer[entries] = self._ahead(pa, walk[entries], node[entries])
+                which = np.searchsorted(pa, walk[entries])
+                prefer[entries] = self._ahead(world[pa], base[pa] + current[pa], which, node[entries])
             some = np.zeros(count, dtype=bool)
             some[walk[prefer]] = True
             pool = prefer | ~some[walk]
@@ -261,7 +286,7 @@ class WalkBlock:
             np.maximum.at(best, walk, key)
             if mlr.size:
                 top = best[mlr]
-                margin = RERANK_MARGIN * (top + self.top_share[self.state[1, mlr]]) + RERANK_FLOOR
+                margin = RERANK_MARGIN * (top + self.top_share[world[mlr]]) + RERANK_FLOOR
                 best[mlr] = np.where(top == np.inf, -np.inf, top - margin)
             tie = pool & (key >= best[walk])
         on_wired = tie & wired
@@ -271,16 +296,16 @@ class WalkBlock:
         pick = np.full(count, -1)
         pick[walk[final[::-1]]] = final[::-1]  # the first final entry of each walk
         if mlr.size:
-            self._rerank(pick, mlr, walk, tie, value, wired, col)
+            self._rerank(pick, mlr, walk, tie, value, wired, node)
 
         moves = (pick >= 0).nonzero()[0]
         entry = pick[moves]
-        chosen, link = col[entry], raw[entry]
-        held = self.bottleneck[moves]
-        self.bottleneck[moves] = np.where(link < held, link, held)
-        self.trail.append((ids[moves], chosen))
+        moved, chosen, link = ids[moves], col[entry], raw[entry]
+        held = self.bottleneck[moved]
+        self.bottleneck[moved] = np.where(link < held, link, held)
+        self.node[moved] = chosen
+        self.trail.append((moved, chosen))
         self.open[moves, chosen] = False
-        current[moves] = chosen
         self.hop += 1
         code = np.full(count, _NO_CANDIDATE, dtype=np.int8)
         code[moves] = np.where(wired[entry], _SUCCESS, _MAX_HOPS)
@@ -290,50 +315,38 @@ class WalkBlock:
         if done.any():
             self._end(done, code[done])
 
-    def _ahead(self, pa: np.ndarray, walk: np.ndarray, node: np.ndarray) -> np.ndarray:
-        """Whether each entry (``walk``, ``node``) of the PA walks ``pa`` lies on the
-        wired side of the perpendicular at the walk's node toward its nearest wired
-        node (lowest id on ties); nothing is forward when the node shares that
-        donor's position."""
-        _, world, base, current, _ = self.state[:, pa]
-        here = base + current
-        cx, cy = self.x[here], self.y[here]
-        dx, dy = self.donor_x[:, world] - cx, self.donor_y[:, world] - cy
-        dist = np.hypot(dx, dy)
-        near = dist <= dist.min(axis=0) * (1.0 + RERANK_MARGIN) + RERANK_FLOOR
-        pick = near.argmax(axis=0)
-        for r in (near.sum(axis=0) > 1).nonzero()[0].tolist():
-            # a near-tie, or no donor at a finite distance: rank as geometry._closest does
-            donors = self.donor[:, world[r]]
-            closest = _closest(donors[near[:, r] & (donors >= 0)], self.store.positions, self.store.positions[here[r]])
-            pick[r] = (donors == closest).argmax()
-        which = np.searchsorted(pa, walk)
-        at = np.arange(pa.size)
-        cx, cy, ux, uy = cx[which], cy[which], dx[pick, at][which], dy[pick, at][which]
-        return (self.x[node] - cx) * ux + (self.y[node] - cy) * uy > 0.0
+    def _ahead(self, world: np.ndarray, at: np.ndarray, which: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Whether each block node ``node[e]`` lies ahead of the walk standing on block node
+        ``at[which[e]]`` of world ``world[which[e]]``: on the wired side of the perpendicular at
+        that node toward its nearest wired node (``geometry._nearest``); nothing is ahead when
+        the node shares that donor's position."""
+        positions = self.store.positions
+        here = positions[at]
+        toward = positions[_nearest(self.donors[world], positions, here)] - here
+        step, toward = positions[node] - here[which], toward[which]
+        return step[:, 0] * toward[:, 0] + step[:, 1] * toward[:, 1] > 0.0
 
-    def _rerank(self, pick, mlr, walk, tie, value, wired, col) -> None:
+    def _rerank(self, pick, mlr, walk, tie, value, wired, node) -> None:
         """Re-rank on Python floats, as ``shannon_rate`` ranks them, the MLR walks with
         more than one entry in ``tie``."""
         for w in mlr[np.bincount(walk[tie], minlength=pick.size)[mlr] > 1].tolist():
             entries = np.arange(*np.searchsorted(walk, (w, w + 1)))
             entries = entries[tie[entries]]
-            loads = self.store.attached[self.state[2, w] + col[entries]]
+            loads = self.store.attached[node[entries]]
             candidates = zip(entries.tolist(), value[entries].tolist(), wired[entries].tolist(), loads.tolist())
             # a walk's entries run in column order, so -entry ranks as -id does
             pick[w] = max(candidates, key=lambda c: (shannon_rate(self.bandwidth_hz, c[1], c[3]), c[2], -c[0]))[0]
 
     def _end(self, done, code) -> None:
-        """Record the walks in ``done`` as ended with outcome ``code`` and drop them."""
-        gone = self.state[0, done]
+        """Record the walks still going at ``done`` as ended with outcome ``code`` and drop them."""
+        gone = self.ids[done]
         self.outcome[gone] = code
         self.length[gone] = self.hop  # less the round that found no candidate, once all have ended
-        self.final_bottleneck[gone] = self.bottleneck[done]
         keep = ~done
-        self.state, self.open, self.bottleneck = self.state[:, keep], self.open[keep], self.bottleneck[keep]
+        self.ids, self.open, self.going = self.ids[keep], self.open[keep], bool(keep.any())
         if not self.going:
             self.length -= self.outcome == _NO_CANDIDATE
-            self.final_bottleneck[self.length == 0] = math.nan
+            self.bottleneck[self.length == 0] = math.nan
 
     def results(self) -> list[PathResult]:
         """The PathResult of every walk, in the order they were given; all must have ended."""
@@ -341,20 +354,13 @@ class WalkBlock:
         for hop, (ids, nodes) in enumerate(self.trail):
             path[ids, hop] = nodes
         return [
-            PathResult(
-                origin_id=origin,
-                hops=tuple(nodes[:length]),
-                bottleneck_snr_db=bottleneck,
-                outcome=_OUTCOMES[code],
-                policy=self.policies[p][0],
-                wbf=self.policies[p][1],
-            )
+            PathResult(origin, tuple(nodes[:length]), bottleneck, _OUTCOMES[code], *self.policies[p])
             for origin, p, nodes, length, bottleneck, code in zip(
                 self.origin.tolist(),
-                self.walk_policy.tolist(),
+                self.policy.tolist(),
                 path.tolist(),
                 self.length.tolist(),
-                self.final_bottleneck.tolist(),
+                self.bottleneck.tolist(),
                 self.outcome.tolist(),
             )
         ]
@@ -387,7 +393,7 @@ def build_path(
     or an (n, n) array, is read through a ``RowStore`` of one world, and the
     walk is a ``WalkBlock`` of one.
     """
-    _check_origin(deployment, origin_id)
+    origin_id = _check_origin(deployment, origin_id)
     require_number("max_hops", max_hops, integer=True, at_least=1)
     store = _one_world_store(deployment, link_snr_db)
     block = WalkBlock(store, [(policy, wbf)], [0], [origin_id], [0], snr_threshold_db, int(max_hops), bandwidth_hz)

@@ -41,7 +41,7 @@ from .channel import _channel_law, _one_world_store
 from .errors import ConfigError, _shown, check_params, key_of, param, require_number
 from .geometry import MAX_REDRAWS, Deployment, Region, _draw_roles, _origins, _points, _ppp_draws
 from .policy import _NO_CANDIDATE, _OUTCOMES, _SUCCESS, PathResult, PolicyKind, WalkBlock, WbfConfig, wired_bias_db
-from .policy import _check_origin, _lockstep
+from .policy import _check_origin, _lockstep, _wbf_label
 
 _OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}  # as the blocks record them
 # The most gNBs or UEs a drop may expect (density times region area). A drop
@@ -66,15 +66,18 @@ _LABEL_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """One policy variant to evaluate, with a label used in outputs."""
+    """One policy variant to evaluate, with a label used in outputs; with none, it gets the label
+    ``parse_config`` gives, such as ``HQF`` or ``HQF_aggressive_poly``."""
 
     kind: PolicyKind
     wbf: WbfConfig = WbfConfig()
     label: str = ""
 
     def __post_init__(self):
-        if not self.label and isinstance(self.kind, PolicyKind):  # SimConfig refuses any other kind
-            object.__setattr__(self, "label", self.kind.value)
+        # SimConfig refuses any other kind or wbf
+        if not self.label and isinstance(self.kind, PolicyKind) and isinstance(self.wbf, WbfConfig):
+            suffix = _wbf_label(self.wbf)
+            object.__setattr__(self, "label", f"{self.kind.value}_{suffix}" if suffix else self.kind.value)
 
 
 @dataclass(frozen=True)
@@ -226,7 +229,8 @@ def sample_world(cfg: SimConfig, rng: np.random.Generator):
 class OracleBlock:
     """Phase 1 of the oracle, a max-min Dijkstra (Pollack 1960) from node ``origin[w]``
     of each world w of ``store``, the ``RowStore`` of the block, stepped together like
-    a ``WalkBlock``; the store gives the worlds' sizes, wired flags and link rows.
+    a ``WalkBlock``. The block reads the worlds' sizes, offsets, wired flags and link
+    rows from the store, and holds only each world's search state.
 
     Each round, every world settles its reached, unsettled node with the largest
     tentative bottleneck t (lowest id on ties): SUCCESS at t if it is wired,
@@ -243,12 +247,11 @@ class OracleBlock:
         count = store.sizes.size
         self.outcome = np.full(count, _NO_CANDIDATE, dtype=np.int8)
         self.bottleneck = np.full(count, math.nan)
-        # the worlds still going: ids, and per column wired, settled (as padding is), open (reached, not
+        # the worlds still going: ids, and per column settled (as padding is), open (reached, not
         # settled) and the tentative bottleneck
         self.ids = np.arange(count)
         self.settled = np.arange(store.width) >= store.sizes[:, None]
-        self.wired, self.open = np.zeros((2, *self.settled.shape), dtype=bool)
-        self.wired[~self.settled] = store.wired
+        self.open = np.zeros_like(self.settled)
         self.open[self.ids, self.origin] = True
         self.value = np.where(self.open, np.inf, -np.inf)
         self._settle()
@@ -267,7 +270,7 @@ class OracleBlock:
         node = (self.open & (self.value >= best[:, None])).argmax(axis=1)
         rows = np.arange(node.size)
         found = self.open[rows, node]
-        wired = found & self.wired[rows, node]
+        wired = found & self.store.wired[self.store.offset[self.ids] + node]
         self.open[rows, node] = False
         self.settled[rows, node] = True
         done = wired | ~found
@@ -275,8 +278,8 @@ class OracleBlock:
             self.outcome[self.ids[wired]] = _SUCCESS
             self.bottleneck[self.ids[wired]] = best[wired]
             keep = ~done
-            self.ids, self.settled, self.wired, self.open, self.value = (
-                a[keep] for a in (self.ids, self.settled, self.wired, self.open, self.value)
+            self.ids, self.settled, self.open, self.value = (
+                a[keep] for a in (self.ids, self.settled, self.open, self.value)
             )
             node, best = node[keep], best[keep]
         self.node, self.held, self.going = node, best, node.size > 0
@@ -323,7 +326,7 @@ def widest_path_oracle(
     or an (n, n) array) through a ``RowStore`` of one world; the origin is checked as
     in ``build_path``.
     """
-    _check_origin(deployment, origin_id)
+    origin_id = _check_origin(deployment, origin_id)
     store = _one_world_store(deployment, link_snr_db)
     oracle = OracleBlock(store, [origin_id], snr_threshold_db)
     _lockstep([oracle])
@@ -381,9 +384,9 @@ def _run_block(cfg: SimConfig, reps: range, keep_paths: bool) -> tuple:
     _lockstep([walks] if oracle is None else [walks, oracle])
     walked = walks.results() if keep_paths else []
     if oracle is None:
-        return walks.outcome, walks.length, walks.final_bottleneck, None, None, walked, []
+        return walks.outcome, walks.length, walks.bottleneck, None, None, walked, []
     found = _oracle_paths(oracle, store) if keep_paths else []
-    return walks.outcome, walks.length, walks.final_bottleneck, oracle.outcome, oracle.bottleneck, walked, found
+    return walks.outcome, walks.length, walks.bottleneck, oracle.outcome, oracle.bottleneck, walked, found
 
 
 def run_repetition(cfg: SimConfig, rep_index: int) -> dict[str, PathResult]:
@@ -480,12 +483,14 @@ def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> 
 
 
 class EmpiricalCdf:
-    """Right-continuous empirical distribution of a finite sample."""
+    """Right-continuous empirical distribution of a finite sample that holds no NaN."""
 
     def __init__(self, values):
         arr = np.sort(np.asarray(values, dtype=float))
         if arr.size == 0:
             raise ValueError("empirical CDF needs at least one sample")
+        if np.isnan(arr[-1]):  # sorting puts any NaN last
+            raise ValueError("empirical CDF samples must not be NaN")
         self.values = arr
 
     @property

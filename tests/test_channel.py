@@ -664,6 +664,15 @@ class TestRowStore:
             store.read(np.array([1, 1]), np.array([0, i]))
         assert passes == [] and store.count == 0
 
+    @pytest.mark.parametrize("i", [True, False])
+    def test_bool_rows_are_refused(self, i, monkeypatch):
+        """A bool is no node id, though Python's ``operator.index(True)`` is 1."""
+        table, _, _ = self.triplet(30, ChannelParams())
+        passes = self.record_passes(monkeypatch)
+        with pytest.raises(TypeError):
+            table[i]
+        assert passes == [] and table.store.count == 0
+
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (3,)])
     def test_misshaped_tables_are_refused_naming_both_shapes(self, shape):
         with pytest.raises(ValueError, match=rf"\(3, 3\).*{re.escape(str(shape))}"):

@@ -10,10 +10,10 @@ import pytest
 
 from iabsim.channel import ChannelParams, RadioConfig
 from iabsim.cli import main
-from iabsim.config import WBF_PRESETS, _wbf_label, config_document, parse_config
+from iabsim.config import WBF_PRESETS, config_document, parse_config
 from iabsim.errors import ConfigError
 from iabsim.geometry import Region
-from iabsim.policy import PolicyKind, WbfConfig, WbfKind
+from iabsim.policy import PolicyKind, WbfConfig, WbfKind, _wbf_label
 from iabsim.simulate import MAX_EXPECTED_NODES, PolicySpec, SimConfig, run_campaign
 
 # The largest mean numpy's Poisson sampler accepts (int64 max - 10 sqrt(int64 max)).
@@ -145,6 +145,19 @@ class TestAutoLabels:
             "MLR_aggressive_poly",
             "WF_poly_nht6_k1e-05_gap123456_h2",
         ]
+
+    def test_a_spec_built_without_a_label_gets_the_parsed_label(self):
+        entries = [
+            "HQF",
+            {"policy": "HQF", "wbf": "aggressive_poly"},
+            {"policy": "WF", "wbf": "conservative_exp"},
+            {"policy": "PA", "wbf": {"kind": "exponential", "n_ht": 3, "gamma": 2.5, "gamma_gap_db": 0.125}},
+            {"policy": "MLR", "wbf": {"kind": "polynomial", "k": 1e-05, "gamma_gap_db": 1e6}},
+        ]
+        parsed = parse_config({"policies": entries}).policies
+        built = SimConfig(policies=tuple(PolicySpec(spec.kind, spec.wbf) for spec in parsed)).policies
+        assert built == parsed
+        assert [spec.label for spec in built][:2] == ["HQF", "HQF_aggressive_poly"]
 
     def test_labels_are_legal_and_tell_every_number_apart(self):
         rng = np.random.default_rng(12)

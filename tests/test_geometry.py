@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from iabsim.errors import ConfigError
-from iabsim.geometry import MAX_REDRAWS, Deployment, Region, _origins, assign_roles, sample_ppp
+from iabsim.geometry import (
+    MAX_REDRAWS,
+    Deployment,
+    Region,
+    _closest,
+    _nearest,
+    _origins,
+    _padded_ids,
+    assign_roles,
+    sample_ppp,
+)
 from oracles import closest_wireless, half_plane_filter, nearest_wired
 
 TWO_PI = 2.0 * math.pi
@@ -251,6 +261,43 @@ class TestOriginPick:
             half = rng.uniform(0, 1e300, (int(rng.integers(1, 10)), 2))
             positions = rng.permutation(np.concatenate([half, 1e300 - half]))  # mirror images tie or nearly tie
             _assert_origin_matches_reference(positions, region, 5, int(rng.integers(2**31)))
+
+
+class TestNearest:
+    """``_nearest``, the one nearest-node rule of the origin pick and of PA, against
+    ``_closest`` over each whole row of a padded id table."""
+
+    def test_matches_closest_on_padded_tables(self):
+        """Blocks of grid worlds, where distances tie exactly, scaled so that some squared
+        distances underflow or overflow; some rows' points lie so far off that every distance
+        is infinite, and some nodes sit at infinity or at NaN, whose distance is NaN."""
+        rng = np.random.default_rng(47)
+        kinds = {"tie": 0, "inf": 0, "nan": 0}
+        for trial in range(300):
+            scale = float(rng.choice([5e-311, 1.0, 1e150, 1e300]))
+            sizes = rng.integers(1, 12, int(rng.integers(1, 6)))
+            positions = rng.integers(-3, 4, (sizes.sum(), 2)) * scale
+            positions[rng.random(sizes.sum()) < 0.05] = np.inf
+            positions[rng.random(sizes.sum()) < 0.05] = np.nan
+            mask = rng.random(sizes.sum()) < 0.6
+            offset = sizes.cumsum() - sizes
+            mask[offset] = True  # every world has a node of the class
+            ids = _padded_ids(mask, offset)
+            rows = [np.flatnonzero(mask[a : a + n]) + a for a, n in zip(offset.tolist(), sizes.tolist())]
+            assert ids.shape == (sizes.size, max(map(len, rows)))
+            for row, want in zip(ids, rows):
+                assert row[: len(want)].tolist() == want.tolist() and (row[len(want) :] == -1).all()
+            points = rng.integers(-3, 4, (sizes.size, 2)) * scale
+            points[rng.random(sizes.size) < 0.2] = -1.7e308  # every finite node beyond the float range
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _nearest(ids, positions, points).tolist()
+            for r, (row, point) in enumerate(zip(rows, points)):
+                assert got[r] == _closest(row, positions, point), (trial, r)
+                dist = [math.hypot(*(point - positions[i]).tolist()) for i in row.tolist()]
+                kinds["tie"] += dist.count(min(dist)) > 1
+                kinds["inf"] += all(d == math.inf for d in dist)
+                kinds["nan"] += any(math.isnan(d) for d in dist)
+        assert min(kinds.values()) > 20, kinds
 
 
 class TestNearestWired:

@@ -392,6 +392,18 @@ class TestBuildPath:
         with pytest.raises(IndexError):
             build_path(origin, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, **RUN)
 
+    @pytest.mark.parametrize("origin", [True, False, 0.5, np.float64(2.5)])
+    def test_an_origin_that_is_no_integer_is_refused(self, origin):
+        dep, mat = make_world([(0, 0), (10, 10)], [False, True], {(0, 1): 10.0}, origin_id=0)
+        with pytest.raises(ConfigError, match="origin_id"):
+            build_path(origin, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, **RUN)
+
+    def test_an_integral_float_origin_walks_as_its_integer(self):
+        dep, mat = make_world([(0, 0), (10, 10), (20, 0)], [False, False, True], {(1, 2): 10.0, (0, 1): 8.0})
+        got = build_path(1.0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, **RUN)
+        assert got == build_path(1, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, **RUN)
+        assert type(got.origin_id) is int and got.hops == (2,)
+
     def test_star_topology_matches_enumerated_trace(self):
         # five nodes, all links enumerated; trace each policy by hand-rolled greedy
         coords = [(500, 500), (650, 500), (500, 650), (350, 500), (500, 350)]
@@ -583,6 +595,28 @@ class TestRerankMargins:
             for wbf in (NO_BIAS, CONSERVATIVE_POLY):
                 got = build_path(0, PolicyKind.PA, wbf, dep, mat, 5.0, **RUN)
                 assert got.hops == reference_greedy_trace(PolicyKind.PA, dep, mat, 5.0, wbf, 30)[0], trial
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e300])
+    def test_pa_walks_toward_mirror_image_donors_match_the_reference(self, scale):
+        """PA walks from the center of grid worlds whose other nodes come in mirror-image
+        pairs about it, so donors of a pair tie in distance from the center and grid nodes
+        tie from elsewhere; at 1e300 the squared distances overflow, as the origin pick's
+        ``test_region_beyond_the_squared_distance_range`` has them."""
+        rng = np.random.default_rng(13)
+        for trial in range(150):
+            half = rng.integers(0, 5, (int(rng.integers(2, 5)), 2)) * (scale / 4.0)
+            others = rng.permutation(np.concatenate([half, scale - half]))
+            coords = np.concatenate([[(scale / 2.0, scale / 2.0)], others])
+            n = len(coords)
+            wired = [False] + (rng.random(n - 1) < 0.5).tolist()
+            wired[int(rng.integers(1, n))] = True
+            snr = {(i, j): float(rng.integers(5, 9)) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6}
+            dep, mat = make_world(coords, wired, snr)
+            for wbf in (NO_BIAS, AGGRESSIVE_POLY):
+                got = build_path(0, PolicyKind.PA, wbf, dep, mat, 5.0, **RUN)
+                hops, bottleneck, ok = reference_greedy_trace(PolicyKind.PA, dep, mat, 5.0, wbf, 30)
+                assert (got.hops, got.success) == (hops, ok), trial
+                assert not hops or got.bottleneck_snr_db == bottleneck, trial
 
     @pytest.mark.parametrize("low", [37.58560605934042, 8.284580370165717])
     def test_rate_rounded_apart_by_numpy_still_ties(self, low):

@@ -285,6 +285,17 @@ class TestWidestPathOracle:
         with pytest.raises(IndexError):
             widest_path_oracle(dep, mat, origin, 5.0)
 
+    @pytest.mark.parametrize("origin", [True, 0.5, np.float64(2.5)])
+    def test_an_origin_that_is_no_integer_is_refused(self, origin):
+        dep, mat = make_graph([(0, 0), (100, 0), (50, 50)], [False, True, False], {(0, 1): 10.0})
+        with pytest.raises(ConfigError, match="origin_id"):
+            widest_path_oracle(dep, mat, origin, 5.0)
+
+    def test_an_integral_float_origin_searches_as_its_integer(self):
+        dep, mat = make_graph([(0, 0), (100, 0), (50, 50)], [False, True, False], {(2, 1): 10.0, (0, 2): 8.0})
+        got = widest_path_oracle(dep, mat, 2.0, 5.0)
+        assert got == widest_path_oracle(dep, mat, 2, 5.0) and type(got.origin_id) is int and got.hops == (1,)
+
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
@@ -492,6 +503,11 @@ class TestEmpiricalCdf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one sample"):
             EmpiricalCdf([])
+
+    @pytest.mark.parametrize("values", [[1.0, math.nan, 2.0], [math.nan], [-math.inf, math.nan]])
+    def test_nan_rejected(self, values):
+        with pytest.raises(ValueError, match="NaN"):
+            EmpiricalCdf(values)
 
 
 # The script of ``test_pool_workers_import_nothing``. The serial campaigns run last, on the share
