@@ -38,6 +38,7 @@ world, which reads that world's own arrays.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -63,6 +64,10 @@ ASSOC_LAYER = 0x61736F63
 # The most pairs one hashed pass over link-table rows takes; it caps the pass's
 # temporaries, and the bits of a row do not depend on it.
 PASS_PAIRS = 4096
+# Link rows a ``RowStore`` makes room for per world up front: 2.7-4.1 are read
+# on the benchmark workloads, so a store seldom grows (by doubling), and rows
+# it never writes are never touched, so they take no resident memory.
+ROWS_KEPT = 6
 # The most UE-gNB pairs one association pass takes (or one UE row, when a row
 # is wider): each float64 temporary stays at or below 128 KiB, which malloc
 # serves from its heap instead of mapping, and faulting in, fresh pages per call.
@@ -219,7 +224,7 @@ def _slot_count(params: ChannelParams) -> int:
 def _hashed_uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """(slots, m) uniforms in [0, 1) with 53 bits: SplitMix64 of keys[s] + counters[c] * gamma.
 
-    ``keys`` is a (slots, 1) uint64 column and ``counters`` a uint64 vector.
+    ``keys`` is a (slots, 1) uint64 column, or (slots, m), and ``counters`` a uint64 vector.
     """
     z = _splitmix64(keys, counters)
     z >>= _SHIFTS[3]
@@ -245,20 +250,22 @@ def _los_codes(size: int, live: np.ndarray, los: np.ndarray) -> np.ndarray:
 
 def _evaluate(law, positions: np.ndarray, a, b, keys: np.ndarray, counters: np.ndarray):
     """Channel, under the channel ``law`` (params, gain_dbi, noise_dbm, tx_power_dbm), of the pairs
-    (a, b) of rows of ``positions`` whose slots s are hashed from ``keys[s]`` at ``counters`` (flat
-    index + 1, uint64).
+    (a, b) of rows of ``positions`` whose slots s are hashed from ``keys[s]``, a (slots, pairs) array
+    (a broadcast view when the pairs share their keys), at ``counters`` (flat index + 1, uint64).
 
-    Returns (distance, live, los, pathloss, shadowing, snr); ``live`` holds
-    the positions of the pairs not in outage, and the last four are given
-    for those pairs only. The distance does not depend on which end comes
-    first, to the bit: x[b] - x[a] is exactly -(x[a] - x[b]).
+    Slot 0 is hashed for every pair, and the shadowing and fading slots only
+    for the pairs not in outage: each draw is keyed by its slot and counter,
+    so these are the bits that hashing every slot gives. Returns (distance,
+    live, los, pathloss, shadowing, snr); ``live`` holds the positions of the
+    pairs not in outage, and the last four are given for those pairs only.
+    The distance does not depend on which end comes first, to the bit:
+    x[b] - x[a] is exactly -(x[a] - x[b]).
     """
     params, gain_dbi, noise_dbm, tx_power_dbm = law
     x, y = positions.T
     d = np.hypot(x[a] - x[b], y[a] - y[b])
-    u = _hashed_uniforms(keys, counters)
-    live, los = _visibility(d, u[0], params)
-    v = u[1:].take(live, axis=1)
+    live, los = _visibility(d, _hashed_uniforms(keys[:1], counters)[0], params)
+    v = _hashed_uniforms(keys[1:].take(live, axis=1), counters[live])
     normals = _box_muller(v[0::2], v[1::2])  # shadowing, then fading when it is on
     fading = normals[1] if len(normals) > 1 else None
     pathloss, shadowing = _budget(d[live], los, normals[0], fading, params)
@@ -288,7 +295,8 @@ class LinkTable:
     def __getitem__(self, i: int) -> np.ndarray:
         if isinstance(i, bool):
             raise TypeError(f"a link table row is read by an integer node id, got {i!r}")
-        return self.store.read(np.zeros(1, dtype=np.intp), np.array([operator.index(i)]))[0]
+        rows, _ = self.store.read(np.zeros(1, dtype=np.intp), np.array([operator.index(i)]))
+        return rows[0]
 
     @cached_property
     def _whole(self) -> dict[str, np.ndarray]:
@@ -297,7 +305,8 @@ class LinkTable:
         src, dst = np.triu_indices(n, k=1)
         counters = np.arange(1, src.size + 1, dtype=np.uint64)
         store = self.store
-        d, live, los, pathloss, shadowing, snr = _evaluate(store.law, self.positions, src, dst, store.keys, counters)
+        keys = np.broadcast_to(store.keys, (len(store.keys), src.size))
+        d, live, los, pathloss, shadowing, snr = _evaluate(store.law, self.positions, src, dst, keys, counters)
         matrix = np.full((n, n), -np.inf)
         matrix[src[live], dst[live]] = snr
         matrix[dst[live], src[live]] = snr
@@ -332,14 +341,15 @@ class RowStore:
     64-bit link word ``words[w]``, column w of ``keys``: a campaign block samples its worlds into
     one, and a ``LinkTable`` reads through one of its world. ``RowStore.held`` holds the rows of
     arrays from the start. ``slot`` gives each node's row in ``rows`` (-1 while unread), which
-    grows geometrically: the store holds only the rows read.
+    makes room for ``ROWS_KEPT`` rows per world and then grows geometrically: the store writes only
+    the rows read.
     """
 
     def __init__(self, sizes, positions, wired, attached, origin, words, law):
         self._nodes(sizes, positions, wired, attached, origin)
         self.keys, self.law, self.count = _slot_keys(words, _slot_count(law[0])), law, 0
         self.slot = np.full(int(sizes.sum()), -1)
-        self.rows = np.empty((0, self.width))
+        self.rows = np.empty((ROWS_KEPT * sizes.size, self.width))
 
     @classmethod
     def held(cls, worlds, mats) -> "RowStore":
@@ -371,16 +381,22 @@ class RowStore:
         self.width = int(sizes.max())
         self.offset = sizes.cumsum() - sizes
 
-    def read(self, world: np.ndarray, node: np.ndarray) -> np.ndarray:
-        """Row ``node[k]`` of world ``world[k]`` for each k, padded. The distinct rows not held yet go
-        through hashed passes of at most ``PASS_PAIRS`` pairs (or one row, when wider), then all are gathered."""
+    def read(self, world: np.ndarray, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows that the entries (``world[k]``, ``node[k]``) stand on, each distinct row once and
+        padded, in block node order, and the index of each entry's row among them. The distinct rows
+        not held yet go through hashed passes of whole rows, each of at most ``PASS_PAIRS`` pairs (or
+        one row, when wider), so one read for every kernel of a round hashes all their missing rows
+        together."""
         if ((node < 0) | (node >= self.sizes[world])).any():
             raise IndexError(f"node ids {node} reach outside their worlds of {self.sizes[world]} gNBs")
         at = self.offset[world] + node
-        slot = self.slot[at]
-        if (slot < 0).any():
-            # distinct nodes; a plain np.unique would import numpy.ma (about 15 ms) in every new pool worker
-            missing = np.bincount(at[slot < 0], minlength=self.slot.size).nonzero()[0]
+        # distinct nodes; a plain np.unique would import numpy.ma (about 15 ms) in every new pool worker
+        seen = np.zeros(self.slot.size, dtype=bool)
+        seen[at] = True
+        distinct = seen.nonzero()[0]
+        slot = self.slot[distinct]
+        missing = distinct[slot < 0]
+        if missing.size:
             first, self.count = self.count, self.count + missing.size
             if self.count > len(self.rows):
                 rows = np.empty((max(self.count, 2 * len(self.rows)), self.width))
@@ -388,26 +404,31 @@ class RowStore:
                 self.rows = rows
             self.rows[first : self.count] = -np.inf
             self.slot[missing] = np.arange(first, self.count)
-            step = max(1, PASS_PAIRS // max(self.width - 1, 1))
-            for start in range(0, missing.size, step):
-                self._pass(missing[start : start + step])
-            slot = self.slot[at]
-        return self.rows.take(slot, axis=0)
+            # each pass takes the next rows while their pairs stay within PASS_PAIRS, and at least one
+            ends = (self.sizes[np.searchsorted(self.offset, missing, side="right") - 1] - 1).cumsum().tolist()
+            start = 0
+            while start < missing.size:
+                stop = max(start + 1, bisect.bisect_right(ends, (ends[start - 1] if start else 0) + PASS_PAIRS))
+                self._pass(missing[start:stop])
+                start = stop
+            slot = self.slot[distinct]
+        return self.rows.take(slot, axis=0), distinct.searchsorted(at)
 
     def _pass(self, at: np.ndarray) -> None:
         """One hashed pass over the rows of the block nodes ``at``, into their slots. The pair (i, j)
-        of an n-node world takes counter c[min(i, j)] + max(i, j), where c[a] = a(2n - a - 1)/2 - a
-        puts the pair (a, b), a < b, at its flat upper-triangle index + 1: it draws what any read draws."""
+        of an n-node world takes counter c[min(i, j)] + max(i, j), where c[a] = a(2n - a - 3)/2
+        puts the pair (a, b), a < b, at its flat upper-triangle index + 1: it draws what any read
+        draws. a(2n - a - 3) is even, so the halving is a shift."""
         world = np.searchsorted(self.offset, at, side="right") - 1
         base, n = self.offset[world], self.sizes[world]
         keys = np.repeat(self.keys[:, world], n - 1, axis=1)
         ends = (n - 1).cumsum()  # row r has the n - 1 pairs [ends[r] - n + 1, ends[r])
         cell = self.slot[at] * self.width  # the flat index of each row's first column in ``rows``
-        i, n, base, cell, start = np.repeat((at - base, n, base, cell, ends - n + 1), n - 1, axis=1)
+        i, m, base, cell, start = np.repeat((at - base, 2 * n - 3, base, cell, ends - n + 1), n - 1, axis=1)
         j = np.arange(i.size) - start
         j += j >= i  # skip the row's own column
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        counters = (lo * (2 * n - lo - 1) // 2 - lo + hi).view(np.uint64)
+        counters = ((lo * (m - lo) >> 1) + hi).view(np.uint64)
         _, live, _, _, _, snr = _evaluate(self.law, self.positions, base + j, base + i, keys, counters)
         self.rows.reshape(-1)[(cell + j)[live]] = snr
 

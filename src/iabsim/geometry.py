@@ -12,10 +12,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_params, param
+from .errors import ConfigError, check_params, param, require_number
 
 # Redraws a conditioned sample may take before its law is judged unreachable.
 MAX_REDRAWS = 10_000
+# The most gNBs or UEs a drop may expect (density times region area). A drop
+# holds its positions and a link-table row one entry per gNB; UE association
+# runs in bounded passes but keeps one entry per UE-gNB pair not in outage
+# (every pair when the outage slope is <= 0), so far larger counts fail on
+# allocation; the cap also lies far below the largest mean numpy's Poisson
+# sampler takes (about 9.2e18).
+MAX_EXPECTED_NODES = 1e6
 # The origin's and PA's donor distances and MLR's Shannon rate are ranked on
 # vectors, which numpy may round differently from ``math.hypot`` and
 # ``shannon_rate`` in the last bits. The candidates within this relative margin
@@ -92,10 +99,7 @@ class Deployment:
         n_wired = int(self.wired.sum())
         if n_wired == 0 or n_wired == n:
             raise ConfigError("deployment needs at least one wired and one wireless gNB")
-        if not 0 <= self.origin_id < n:
-            raise IndexError(f"no gNB with id {self.origin_id} among {n}")
-        if self.wired[self.origin_id]:
-            raise ConfigError("origin must be a wireless gNB")
+        self.origin_id = _origin_id(self.origin_id, self.wired)
 
     @property
     def gnbs(self) -> list[GnbNode]:
@@ -104,6 +108,31 @@ class Deployment:
     @property
     def n_gnbs(self) -> int:
         return self.wired.size
+
+
+def _origin_id(origin_id, wired: np.ndarray) -> int:
+    """``origin_id`` as an int, among the nodes with the ``wired`` flags. An origin that is not an
+    integer (a bool included) gets a ConfigError naming ``origin_id``, one outside the nodes an
+    IndexError, and one on a wired node a ConfigError."""
+    require_number("origin_id", origin_id, integer=True)
+    origin_id = int(origin_id)
+    if not 0 <= origin_id < wired.size:
+        raise IndexError(f"no gNB with id {origin_id} among {wired.size}")
+    if wired[origin_id]:
+        raise ConfigError("origin must be a wireless gNB")
+    return origin_id
+
+
+def _expected_nodes(key: str, density: float, region: Region) -> float:
+    """The expected node count of ``density`` per km^2 over ``region``; a ConfigError names ``key``
+    when it passes ``MAX_EXPECTED_NODES``."""
+    expected = density * region.area_km2  # inf when the area overflows
+    if not expected <= MAX_EXPECTED_NODES:
+        raise ConfigError(
+            f"{key} times the region area gives {expected:.4g} expected nodes, "
+            f"beyond the cap of {MAX_EXPECTED_NODES:.4g}"
+        )
+    return expected
 
 
 def _ppp_draws(mean: float, rng: np.random.Generator) -> np.ndarray:
@@ -125,10 +154,10 @@ def _points(draws: list[np.ndarray], region: Region) -> tuple[np.ndarray, np.nda
 
 
 def sample_ppp(density_per_km2: float, region: Region, rng: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson scatter: Poisson(density * area) i.i.d. uniform points, as (k, 2)."""
-    if density_per_km2 <= 0:
-        raise ConfigError(f"density must be positive, got {density_per_km2} per km^2")
-    return _points([_ppp_draws(density_per_km2 * region.area_km2, rng)], region)[0]
+    """Homogeneous Poisson scatter: Poisson(density * area) i.i.d. uniform points, as (k, 2). The
+    density must be a finite positive number whose expected count stays within ``MAX_EXPECTED_NODES``."""
+    require_number("density_per_km2", density_per_km2, above=0)
+    return _points([_ppp_draws(_expected_nodes("density_per_km2", density_per_km2, region), rng)], region)[0]
 
 
 def _closest(ids: np.ndarray, positions: np.ndarray, point: np.ndarray) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import LinkTable, _one_world_store, shannon_rate
 from .errors import check_params, param, require_number
-from .geometry import RERANK_FLOOR, RERANK_MARGIN, Deployment, _nearest, _padded_ids
+from .geometry import RERANK_FLOOR, RERANK_MARGIN, Deployment, _nearest, _origin_id, _padded_ids
 
 
 class WbfKind(Enum):
@@ -171,18 +171,6 @@ def vector_rates(share: np.ndarray, snr_db: np.ndarray) -> np.ndarray:
         return share * rate
 
 
-def _check_origin(deployment: Deployment, origin_id: int) -> int:
-    """``origin_id`` as an int; a path origin that is not an integer (ConfigError), outside the
-    deployment (IndexError) or on a wired gNB (ValueError) is refused."""
-    require_number("origin_id", origin_id, integer=True)
-    origin_id = int(origin_id)
-    if not 0 <= origin_id < deployment.n_gnbs:
-        raise IndexError(f"no gNB with id {origin_id} among {deployment.n_gnbs}")
-    if deployment.wired[origin_id]:
-        raise ValueError("path origin must be a wireless gNB")
-    return origin_id
-
-
 class WalkBlock:
     """Greedy walks over many worlds, stepped together one hop per round.
 
@@ -192,13 +180,15 @@ class WalkBlock:
     its walks' ``world``, ``policy``, current ``node`` (in its world),
     ``outcome``, ``length`` and ``bottleneck`` by walk id, and only ``ids`` (the
     walks still going) and ``open`` shrink as walks end. Each round, ``step``
-    reads from the store the row that each walk still going stands on, and
-    moves each of those walks one hop:
+    gets the distinct rows that the walks still going stand on and the index
+    of each walk's row among them (``_lockstep`` reads them from the store for
+    every kernel at once), and moves each of those walks one hop:
 
     - the admissible parents of every walk are the columns of its row whose
       raw SNR clears the threshold and that it has not visited (padding
-      counts as visited); the rest of the round runs on these (walk, column)
-      entries;
+      counts as visited), a bool gather through the index; the rest of the
+      round runs on these (walk, column) entries, whose raw SNR is read by
+      index, so no walk holds a float row of its own;
     - WF narrows a walk's pool to wired nodes, and PA to the nodes j ahead of
       its current node c toward the wired node t nearest c (``_nearest``): those with
       (p_j - p_c) . (p_t - p_c) > 0, so a node on the perpendicular is not
@@ -249,14 +239,17 @@ class WalkBlock:
         self.open[self.ids, self.origin] = False
         self.hop = 0
 
-    def step(self) -> None:
-        """Move every walk still going one hop, on the padded row each stands on."""
+    def standing(self) -> tuple[np.ndarray, np.ndarray]:
+        """The world and the node of each walk still going, in ``ids`` order."""
+        return self.world[self.ids], self.node[self.ids]
+
+    def step(self, rows: np.ndarray, index: np.ndarray) -> None:
+        """Move every walk still going one hop: walk ``ids[k]`` stands on row ``index[k]`` of ``rows``."""
         ids = self.ids
         world, current, policies = self.world[ids], self.node[ids], self.policy[ids]
-        snr = self.store.read(world, current)
         # the admissible entries (walk, col), in walk order, then column order
-        walk, col = ((snr >= self.threshold) & self.open).nonzero()
-        raw = snr[walk, col]
+        walk, col = ((rows >= self.threshold)[index] & self.open).nonzero()
+        raw = rows[index[walk], col]
         count = ids.size
         base = self.store.offset[world]
         node = base[walk] + col
@@ -367,11 +360,19 @@ class WalkBlock:
 
 
 def _lockstep(blocks) -> None:
-    """Step each of ``blocks`` (``WalkBlock``s and ``OracleBlock``s) until it has ended. Each reads
-    its own rows from its store, and a row's bits do not depend on when it is read."""
-    for block in blocks:
-        while block.going:
-            block.step()
+    """Step ``blocks`` (``WalkBlock``s and ``OracleBlock``s of one store) together until all have
+    ended. Each round makes one ``RowStore.read`` of the (world, node) that every kernel still going
+    stands on, so a row that several kernels stand on is read, and hashed, once; each kernel then
+    steps on its entries' rows through the index that read returns. A row's bits do not depend on
+    when it is read, so neither does any kernel's result."""
+    store = blocks[0].store
+    while going := [block for block in blocks if block.going]:
+        standing = [block.standing() for block in going]
+        rows, index = store.read(*(np.concatenate(part) for part in zip(*standing)))
+        start = 0
+        for block, (world, _) in zip(going, standing):
+            block.step(rows, index[start : start + world.size])
+            start += world.size
 
 
 def build_path(
@@ -393,7 +394,7 @@ def build_path(
     or an (n, n) array, is read through a ``RowStore`` of one world, and the
     walk is a ``WalkBlock`` of one.
     """
-    origin_id = _check_origin(deployment, origin_id)
+    origin_id = _origin_id(origin_id, deployment.wired)
     require_number("max_hops", max_hops, integer=True, at_least=1)
     store = _one_world_store(deployment, link_snr_db)
     block = WalkBlock(store, [(policy, wbf)], [0], [origin_id], [0], snr_threshold_db, int(max_hops), bandwidth_hz)

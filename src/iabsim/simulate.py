@@ -16,10 +16,12 @@ only its draws from its own generators, in stream order, and the scaling, the
 origin pick, the link keys and the UE association run once for the block.
 ``sample_world`` is a block of one, whose ``LinkTable`` reads through the
 block's store. The walks of all its worlds are one ``policy.WalkBlock`` and
-their oracles one ``OracleBlock``; each steps until all have ended, and each
-round reads from the store the row each walk or oracle stands on, evaluating
-the rows not held yet. Link draws are keyed, so when a row is evaluated does
-not change its bits: results equal those of each repetition run alone, and
+their oracles one ``OracleBlock``, stepped in lockstep until all have ended:
+each round makes one read of the store for the row every walk and oracle
+still going stands on, evaluating the rows not held yet, and each kernel steps
+on its entries' rows through the index the read returns. Link draws are
+keyed, so when a row is evaluated does not change its bits: results equal
+those of each repetition run alone, and
 ``run_repetition`` is a block of one. A campaign keeps outcome, hop and
 bottleneck arrays; it builds PathResults, and searches the oracle's paths,
 only when it keeps paths.
@@ -31,35 +33,33 @@ import math
 import os
 import re
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ASSOC_LAYER, ChannelParams, LinkTable, RadioConfig, RowStore, _associate, _child_rng
+from .channel import ASSOC_LAYER, ROWS_KEPT, ChannelParams, LinkTable, RadioConfig, RowStore, _associate, _child_rng
 from .channel import _channel_law, _one_world_store
 from .errors import ConfigError, _shown, check_params, key_of, param, require_number
-from .geometry import MAX_REDRAWS, Deployment, Region, _draw_roles, _origins, _points, _ppp_draws
+from .geometry import MAX_REDRAWS, Deployment, Region, _draw_roles, _expected_nodes, _origin_id, _origins, _points
+from .geometry import _ppp_draws
 from .policy import _NO_CANDIDATE, _OUTCOMES, _SUCCESS, PathResult, PolicyKind, WalkBlock, WbfConfig, wired_bias_db
-from .policy import _check_origin, _lockstep, _wbf_label
+from .policy import _lockstep, _wbf_label
 
 _OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}  # as the blocks record them
-# The most gNBs or UEs a drop may expect (density times region area). A drop
-# holds its positions and a link-table row one entry per gNB; UE association
-# runs in bounded passes but keeps one entry per UE-gNB pair not in outage
-# (every pair when the outage slope is <= 0), so far larger counts fail on
-# allocation; the cap also lies far below the largest mean numpy's Poisson
-# sampler takes (about 9.2e18).
-MAX_EXPECTED_NODES = 1e6
 # The memory a block's worlds may hold, by the estimate of ``_world_bytes``;
 # results do not depend on it. Larger blocks pay each round's numpy calls for
-# more worlds at once: over blocks of 64 repetitions, desk's campaigns ran
-# 1.25x, 1.28x and 1.33x at 768 KiB, 1 MiB and 2 MiB on a shared 2-vCPU host,
-# and its peak RSS rose 1.2%, 2.2% and 3.8%.
-BLOCK_BYTES = 1 << 20
-# Link rows a world's ``RowStore`` holds, per world: 2.6-4.6 are read on the
-# benchmark workloads, and the store grows by doubling.
-ROWS_KEPT = 6
+# more worlds at once. Against blocks of 1 MiB with one read per kernel, on a
+# shared 2-vCPU host (campaign CPU time on one worker, median of 20 alternating
+# pairs; peak RSS of bench/run_bench.py, median of 2 runs):
+#
+#   bound   desk           dense480       nomlr120
+#   1 MiB   1.02x, -3.0%   1.07x, -2.6%   1.09x, +0.1%
+#   2 MiB   1.09x, -1.9%   1.07x, -0.9%   1.28x, +0.7%
+#   4 MiB   1.17x, +3.3%   1.20x, +4.1%   1.29x, +0.9%
+#
+# 4 MiB lifts the peak RSS of desk and dense480 by more than 3%; at 2 MiB a
+# nomlr120 worker's 150 repetitions are one block.
+BLOCK_BYTES = 2 << 20
 # What a policy label may hold: it names output files.
 _LABEL_RE = re.compile(r"[A-Za-z0-9._-]+")
 
@@ -131,13 +131,9 @@ class SimConfig:
                     f"policy '{spec.label}': the wired bias of its 'wbf' is not finite "
                     f"at every hop below {key_of(self, 'max_hops')} = {_shown(self.max_hops)}"
                 )
-        for key, density in ((key_of(self, name), getattr(self, name)) for name in ("lambda_g", "lambda_ue")):
-            expected = density * self.region.area_km2  # inf when the area overflows
-            if density > 0 and not expected <= MAX_EXPECTED_NODES:
-                raise ConfigError(
-                    f"{key} times the region area gives {expected:.4g} expected nodes, "
-                    f"beyond the cap of {MAX_EXPECTED_NODES:.4g}"
-                )
+        for name in ("lambda_g", "lambda_ue"):
+            if getattr(self, name) > 0:
+                _expected_nodes(key_of(self, name), getattr(self, name), self.region)
         expected_nodes = self.lambda_g * self.region.area_km2
         if expected_nodes < 3.0:
             warnings.warn(
@@ -234,7 +230,7 @@ class OracleBlock:
 
     Each round, every world settles its reached, unsettled node with the largest
     tentative bottleneck t (lowest id on ties): SUCCESS at t if it is wired,
-    NO_CANDIDATE if there is none; else ``step`` reads that node's padded row and
+    NO_CANDIDATE if there is none; else ``step``, handed that node's row by the round's read,
     reaches every unsettled column that clears the threshold at max(t, min(t_node, SNR)).
     Reached is its own mask, as -inf is a real bottleneck at a threshold of -inf.
     The max-min value is unique and max and min are exact, so no settle order
@@ -256,11 +252,18 @@ class OracleBlock:
         self.value = np.where(self.open, np.inf, -np.inf)
         self._settle()
 
-    def step(self) -> None:
-        """Reach out from the node each world still going settled over its padded row, and settle the next."""
-        snr = self.store.read(self.ids, self.node)
-        admit = (snr >= self.threshold) & ~self.settled
-        np.maximum(self.value, np.minimum(snr, self.held[:, None]), out=self.value, where=admit)
+    def standing(self) -> tuple[np.ndarray, np.ndarray]:
+        """The world still going and the node it settled last, in ``ids`` order."""
+        return self.ids, self.node
+
+    def step(self, rows: np.ndarray, index: np.ndarray) -> None:
+        """Reach out from the node each world still going settled, whose row is ``index[k]`` of
+        ``rows`` for world ``ids[k]``, over the unsettled columns that clear the threshold, and
+        settle the next."""
+        admit = (rows >= self.threshold)[index] & ~self.settled
+        world, col = admit.nonzero()
+        reach = np.minimum(rows[index[world], col], self.held[world])
+        self.value[world, col] = np.maximum(self.value[world, col], reach)
         self.open |= admit
         self._settle()
 
@@ -300,7 +303,7 @@ def _fewest_hops(store: RowStore, world: int, origin_id: int, best: float) -> tu
         settled.add(node)
         if store.wired[store.offset[world] + node]:
             return path[1:]
-        row = store.read(np.array([world]), np.array([node]))[0, : store.sizes[world]]
+        row = store.read(np.array([world]), np.array([node]))[0][0, : store.sizes[world]]
         for nxt in (row >= best).nonzero()[0].tolist():
             if nxt not in settled:
                 heapq.heappush(heap, (hops + 1, path + (nxt,)))
@@ -326,7 +329,7 @@ def widest_path_oracle(
     or an (n, n) array) through a ``RowStore`` of one world; the origin is checked as
     in ``build_path``.
     """
-    origin_id = _check_origin(deployment, origin_id)
+    origin_id = _origin_id(origin_id, deployment.wired)
     store = _one_world_store(deployment, link_snr_db)
     oracle = OracleBlock(store, [origin_id], snr_threshold_db)
     _lockstep([oracle])
@@ -334,13 +337,16 @@ def widest_path_oracle(
 
 
 def _world_bytes(cfg: SimConfig) -> int:
-    """The bytes a world of ``cfg`` holds in a block, estimated: 8 B per column of the padded width
-    (the mean gNB count plus three standard deviations) for each walk's row, the oracle's and the
-    ``ROWS_KEPT`` rows of its store, and 16 B per UE when the worlds keep their UEs."""
+    """The bytes a world of ``cfg`` holds in a block, estimated per column of the padded width (the
+    mean gNB count plus three standard deviations): 8 B for each of the ``ROWS_KEPT`` rows its store
+    makes room for and for the row a round's read gathers (at most one per world on the benchmark
+    workloads), 2 B per walk (its open columns, and its admissible ones in a round) and 19 B for
+    the oracle (its settled, open and admissible columns, and its tentative bottlenecks and their
+    copy while it settles); and 16 B per UE when the worlds keep their UEs."""
     gnbs = cfg.lambda_g * cfg.region.area_km2
-    rows = len(cfg.policies) + cfg.oracle_enabled + ROWS_KEPT
+    columns = 8 * (ROWS_KEPT + 1) + 2 * len(cfg.policies) + 19 * cfg.oracle_enabled
     ues = cfg.lambda_ue * cfg.region.area_km2 if _keeps_ues(cfg) else 0.0
-    return int(8 * (gnbs + 3.0 * math.sqrt(gnbs)) * rows + 16 * ues)
+    return int((gnbs + 3.0 * math.sqrt(gnbs)) * columns + 16 * ues)
 
 
 def _block_size(cfg: SimConfig) -> int:
@@ -437,8 +443,8 @@ def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> 
 
     At most ``min(workers, repetitions, usable CPUs)`` processes run, each on
     one contiguous range of repetitions; with one, the campaign runs in this
-    process. Before it starts a pool, this process imports ``streams``, and
-    with it ``numpy.random``, so workers forked from it inherit the module
+    process. With more, this process imports the pool, and then ``streams``
+    with ``numpy.random``, so workers forked from it inherit the module
     rather than each import it again; under the ``spawn`` and ``forkserver``
     start methods each worker still imports it. The per-repetition streams
     depend only on (master_seed, index), and records are reassembled in
@@ -450,6 +456,8 @@ def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> 
     if processes == 1:
         blocks = _run_range(cfg, 0, reps, keep_paths)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # with multiprocessing, about 20 ms to import
+
         from . import streams  # noqa: F401  (for the forked workers to inherit)
 
         bounds = np.linspace(0, reps, processes + 1).astype(int).tolist()

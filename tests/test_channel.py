@@ -536,6 +536,16 @@ def block_store(deployments, words, law):
     return RowStore(sizes, *arrays, [d.origin_id for d in deployments], np.array(words, dtype=np.uint64), law)
 
 
+def read_entries(store, world, node):
+    """The padded row of each entry (world[k], node[k]) from one ``store.read``, which must give
+    each distinct (world, node) row once, in block node order, and an index per entry."""
+    rows, index = store.read(world, node)
+    at = (store.offset[world] + node).tolist()
+    assert rows.shape == (len(set(at)), store.width) and index.shape == world.shape
+    assert [sorted(set(at))[i] for i in index.tolist()] == at
+    return rows[index]
+
+
 class TestRowStore:
     """``RowStore``: the rows of many worlds of a block read in hashed passes, the same bits as any other read."""
 
@@ -589,7 +599,7 @@ class TestRowStore:
         order = rng.permutation(world.size)
         world, node = world[order], node[order]
         passes.clear()
-        snr = store.read(world, node)
+        snr = read_entries(store, world, node)
         read = set(zip(world.tolist(), node.tolist()))
         fresh = read - {(w, sizes[w] - 1) for w in (0, 2, 4)}
         evaluated = [row for rows in passes for row in rows]
@@ -605,23 +615,44 @@ class TestRowStore:
         for table, _, _ in triplets:
             assert "_whole" not in vars(table)  # no pass evaluated the whole table
         passes.clear()
-        assert store.read(world, node).tobytes() == snr.tobytes() and passes == []  # read again: no pass
+        assert read_entries(store, world, node).tobytes() == snr.tobytes() and passes == []  # read again: no pass
+
+    @pytest.mark.parametrize("fading_db", [0.0, 3.0])
+    def test_shadowing_and_fading_slots_are_hashed_only_for_live_pairs(self, fading_db, monkeypatch):
+        """Slot 0 is hashed for every pair, and the shadowing (and fading) slots for the pairs not in
+        outage only: the rows of a pass and the whole table keep the dense reference's bits."""
+        table, alone, ref = self.triplet(120, ChannelParams(fading_sigma_db=fading_db))
+        hashed, real = [], channel._hashed_uniforms
+        monkeypatch.setattr(channel, "_hashed_uniforms", lambda k, c: hashed.append((k.shape, c.size)) or real(k, c))
+        slots = 5 if fading_db else 3
+        nodes = np.array([0, 7, 119, 7])
+        snr = read_entries(self.block([table]), np.zeros(4, dtype=int), nodes)
+        live = int(np.isfinite(snr[:3]).sum())  # a pair not in outage has a finite SNR
+        assert 0 < live < 3 * 119 // 4
+        assert hashed == [((1, 3 * 119), 3 * 119), ((slots - 1, live), live)]
+        assert snr.tobytes() == ref.snr[nodes].tobytes()
+        hashed.clear()
+        pairs, live = 120 * 119 // 2, int(np.isfinite(ref.snr).sum()) // 2
+        assert alone.snr.tobytes() == ref.snr.tobytes()
+        assert hashed == [((1, pairs), pairs), ((slots - 1, live), live)]
 
     def test_pair_bound_splits_passes_not_bits(self, monkeypatch):
         triplets = [self.triplet(n, ChannelParams()) for n in (30, 120, 7)]
         store = self.block([table for table, _, _ in triplets])
         passes = self.record_passes(monkeypatch)
-        monkeypatch.setattr(channel, "PASS_PAIRS", 300)  # two rows of the widest world, 238 pairs
+        monkeypatch.setattr(channel, "PASS_PAIRS", 300)  # rows of 29, 119 and 6 pairs
         world, node = np.repeat(np.arange(3), 3), np.tile((6, 0, 3), 3)
-        snr = store.read(world, node)
+        snr = read_entries(store, world, node)
         rows = [[(w, i) for i in (0, 3, 6)] for w in range(3)]
-        assert passes == [rows[0][:2], [rows[0][2], rows[1][0]], rows[1][1:], rows[2][:2], rows[2][2:]]
+        # a pass takes rows in node order while their pairs stay within the bound: 206, then 256
+        assert passes == [rows[0] + rows[1][:1], rows[1][1:] + rows[2]]
         for k, (w, i) in enumerate(zip(world.tolist(), node.tolist())):
             assert snr[k, : store.sizes[w]].tobytes() == triplets[w][2].snr[i].tobytes()
         passes.clear()
         monkeypatch.setattr(channel, "PASS_PAIRS", 10)  # below one row: a pass per row
         store = self.block([triplets[1][0]])
-        assert store.read(np.zeros(2, dtype=int), np.array([5, 9])).tobytes() == triplets[1][2].snr[[5, 9]].tobytes()
+        got = read_entries(store, np.zeros(2, dtype=int), np.array([5, 9]))
+        assert got.tobytes() == triplets[1][2].snr[[5, 9]].tobytes()
         assert passes == [[(0, 5)], [(0, 9)]]
 
     def test_getitem_reads_each_row_once_through_the_tables_store(self, monkeypatch):
@@ -643,13 +674,13 @@ class TestRowStore:
         passes = self.record_passes(monkeypatch)
         store = RowStore.held([scattered_deployment(n, n) for n in (7, 30, 5)], mats)
         world, node = np.array([2, 0, 1, 2, 2]), np.array([4, 6, 29, 0, 4])
-        snr = store.read(world, node)
+        snr = read_entries(store, world, node)
         for k, (w, i) in enumerate(zip(world.tolist(), node.tolist())):
             n = mats[w].shape[0]
             assert snr[k, :n].tobytes() == mats[w][i].tobytes() and (snr[k, n:] == -np.inf).all()
         one = RowStore.held([scattered_deployment(30, 30)], [mats[1]])
         assert one.rows is mats[1]  # not copied
-        assert one.read(np.zeros(2, dtype=int), np.array([3, 1])).tobytes() == mats[1][[3, 1]].tobytes()
+        assert read_entries(one, np.zeros(2, dtype=int), np.array([3, 1])).tobytes() == mats[1][[3, 1]].tobytes()
         assert passes == [] and store.count == 42
 
     @pytest.mark.parametrize("i, error", [(-1, IndexError), (30, IndexError), (2.0, TypeError)])

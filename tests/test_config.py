@@ -12,9 +12,9 @@ from iabsim.channel import ChannelParams, RadioConfig
 from iabsim.cli import main
 from iabsim.config import WBF_PRESETS, config_document, parse_config
 from iabsim.errors import ConfigError
-from iabsim.geometry import Region
+from iabsim.geometry import MAX_EXPECTED_NODES, Region
 from iabsim.policy import PolicyKind, WbfConfig, WbfKind, _wbf_label
-from iabsim.simulate import MAX_EXPECTED_NODES, PolicySpec, SimConfig, run_campaign
+from iabsim.simulate import PolicySpec, SimConfig, run_campaign
 
 # The largest mean numpy's Poisson sampler accepts (int64 max - 10 sqrt(int64 max)).
 POISSON_MAX_MEAN = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))

@@ -86,8 +86,8 @@ def test_policies_and_oracle_match_references_under_ties():
 def test_one_walk_block_steps_many_tied_worlds(max_hops, threshold):
     """Every policy under every bias from the origin of each of many tied worlds
     of 3..8 gNBs, stepped as one WalkBlock in lockstep with the OracleBlock of
-    the same worlds: each walk equals the reference trace, and each oracle value
-    the exhaustive widest path.
+    the same worlds, on one read of the store per round: each walk equals the
+    reference trace, and each oracle value the exhaustive widest path.
 
     Rows of smaller worlds are padded to the widest one; with no threshold every
     padded column would clear it, so a walk or an oracle that took one would
@@ -110,7 +110,11 @@ def test_one_walk_block_steps_many_tied_worlds(max_hops, threshold):
         BANDWIDTH_HZ,
     )
     oracle = OracleBlock(store, np.zeros(BLOCK_WORLDS, dtype=int), threshold)
+    reads, read = [], store.read
+    store.read = lambda world, node: reads.append(world.size) or read(world, node)
     simulate._lockstep([walks, oracle])
+    # one read per round, over every walk and oracle still going: all of them in the first
+    assert reads[0] == BLOCK_WORLDS * (count + 1) and len(reads) >= walks.hop and reads == sorted(reads)[::-1]
     results = walks.results()
     assert {dep.n_gnbs for dep, _, _ in worlds} == set(range(3, 9))
     outcomes = list(PathOutcome)

@@ -5,6 +5,7 @@ import pytest
 
 from iabsim.errors import ConfigError
 from iabsim.geometry import (
+    MAX_EXPECTED_NODES,
     MAX_REDRAWS,
     Deployment,
     Region,
@@ -96,6 +97,17 @@ class TestSamplePpp:
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
             sample_ppp(0.0, Region(1000, 1000), rng)
+
+    @pytest.mark.parametrize(
+        "density", [math.nan, math.inf, True, 1e30, float(np.nextafter(MAX_EXPECTED_NODES, np.inf)), -1.0, "30"]
+    )
+    def test_density_refused_before_any_draw_naming_the_key(self, density):
+        """NaN, inf and 1e30 once reached numpy's Poisson sampler, and True drew at density 1."""
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="density_per_km2"):
+            sample_ppp(density, Region(1000, 1000), rng)
+        assert rng.bit_generator.state == state
 
 
 class TestAssignRoles:
@@ -412,6 +424,17 @@ class TestDeployment:
     def test_origin_out_of_range_raises_index_error(self, origin_id):
         with pytest.raises(IndexError):
             make_deployment([(0, 0), (1, 0), (2, 0)], [False, True, False], origin_id)
+
+    @pytest.mark.parametrize("origin_id", [True, False, 1.5, math.nan, "2", None, np.array([2])])
+    def test_origin_that_is_no_integer_names_the_key(self, origin_id):
+        """True once failed in numpy's truth test and 1.5 as an array index."""
+        with pytest.raises(ConfigError, match="origin_id"):
+            make_deployment([(0, 0), (1, 0), (2, 0)], [True, False, False], origin_id)
+
+    @pytest.mark.parametrize("origin_id", [2.0, np.int64(2), np.float32(2.0)])
+    def test_integral_origin_is_held_as_an_int(self, origin_id):
+        dep = make_deployment([(0, 0), (1, 0), (2, 0)], [True, False, False], origin_id)
+        assert dep.origin_id == 2 and type(dep.origin_id) is int
 
 
 class TestRedrawBound:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -13,11 +14,11 @@ import numpy as np
 import pytest
 from oracles import enumerate_widest
 
-from iabsim.channel import ChannelParams, RadioConfig, RowStore, link_table
+from iabsim.channel import ROWS_KEPT, ChannelParams, RadioConfig, RowStore, link_table
 from iabsim import channel, simulate
 from iabsim.errors import ConfigError
 from iabsim.geometry import Deployment, Region
-from iabsim.policy import PathOutcome, PolicyKind, WbfConfig, build_path
+from iabsim.policy import WBF_PRESETS, PathOutcome, PolicyKind, WalkBlock, WbfConfig, build_path
 from iabsim.simulate import (
     EmpiricalCdf,
     PolicySpec,
@@ -208,6 +209,18 @@ class TestAssociationSkip:
             monkeypatch.setattr(simulate, "BLOCK_BYTES", bound)
             assert simulate._block_size(cfg) == 1
 
+    def test_world_bytes_count_store_rows_and_kernel_masks(self):
+        """Per column of the padded width, a world holds 8 B for each of the ``ROWS_KEPT`` rows its
+        store makes room for and for the row a round's read gathers, 2 B per walk (its open and
+        admissible columns; no float row per walk) and 19 B for the oracle."""
+        width = 120.0 + 3.0 * math.sqrt(120.0)
+        cfg = SimConfig(lambda_g=120.0, policies=NO_MLR)
+        rows = 8 * (ROWS_KEPT + 1)
+        assert simulate._world_bytes(cfg) == int(width * (rows + 2 * 3))
+        assert simulate._world_bytes(replace(cfg, oracle_enabled=True)) == int(width * (rows + 2 * 3 + 19))
+        ues = 16 * 100.0 * Region().area_km2
+        assert simulate._world_bytes(replace(cfg, policies=WITH_MLR)) == int(width * (rows + 2 * 4) + ues)
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("bound", [1, 3, None, "whole"], ids=["bounds1", "bounds3", "default", "one_block"])
     def test_campaign_without_mlr_equal_at_any_block_bound(self, bound, workers, monkeypatch):
@@ -366,6 +379,62 @@ class TestTableOfAnotherWorld:
         with pytest.raises(ValueError, match=self.REFUSED):
             call(dep, own)
         assert passes == []
+
+
+class TestOneReadPerRound:
+    """``_lockstep`` reads each round's rows for every kernel at once: on a desk-like block, six walks
+    per world and the oracle make one ``RowStore.read`` per round over the (world, node) of every
+    walk and world still going, and each row is hashed once, also when several kernels stand on it,
+    as every kernel of a world stands on its origin in the first round."""
+
+    BIASED = tuple(PolicySpec(PolicyKind.HQF, WBF_PRESETS[name]) for name in ("aggressive_poly", "aggressive_exp"))
+    DESK = replace(SMALL, repetitions=40, policies=WITH_MLR + BIASED)
+
+    def test_desk_block(self, monkeypatch):
+        events, hashed = [], []
+        read, one_pass = RowStore.read, RowStore._pass
+
+        def record_read(store, world, node):
+            events.append(("read", list(zip(world.tolist(), node.tolist()))))
+            return read(store, world, node)
+
+        def record_pass(store, at):
+            world = np.searchsorted(store.offset, at, side="right") - 1
+            hashed.append(list(zip(world.tolist(), (at - store.offset[world]).tolist())))
+            one_pass(store, at)
+
+        def record_step(kind, step):
+            def recorded(block, rows, index):
+                events.append((kind, list(zip(*(a.tolist() for a in block.standing())))))
+                step(block, rows, index)
+
+            return recorded
+
+        monkeypatch.setattr(RowStore, "read", record_read)
+        monkeypatch.setattr(RowStore, "_pass", record_pass)
+        monkeypatch.setattr(WalkBlock, "step", record_step("walks", WalkBlock.step))
+        monkeypatch.setattr(simulate.OracleBlock, "step", record_step("oracle", simulate.OracleBlock.step))
+        cfg = self.DESK
+        codes, hops, _, _, oracle_bottleneck, _, _ = simulate._run_block(cfg, range(cfg.repetitions), False)
+        rounds = [[events[0]]]
+        for event in events[1:]:
+            if event[0] == "read":
+                rounds.append([])
+            rounds[-1].append(event)
+        assert len(rounds) >= max(hops) > 4  # a round for each hop of the longest walk
+        for k, ((kind, entries), *steps) in enumerate(rounds):
+            assert kind == "read" and steps and [s[0] for s in steps] in (["walks", "oracle"], ["walks"], ["oracle"]), k
+            assert entries == [entry for _, standing in steps for entry in standing], k  # every kernel still going
+        walks, oracle = rounds[0][1][1], rounds[0][2][1]
+        origin = [(w, int(o)) for w, o in enumerate(simulate._sample_block(cfg, range(cfg.repetitions)).origin)]
+        assert walks == [entry for entry in origin for _ in cfg.policies] and oracle == origin
+        assert hashed[0] == origin  # all seven kernels of a world stand on its origin: one row each
+        rows = [row for rows in hashed for row in rows]
+        assert len(rows) == len(set(rows))  # no row is hashed twice
+        alone = run_campaign(cfg)
+        for p, label in enumerate(alone.labels):
+            assert codes[p :: len(cfg.policies)].tolist() == alone.outcome[label].tolist()
+        assert np.array_equal(oracle_bottleneck, alone.oracle_bottleneck_db, equal_nan=True)
 
 
 class TestOneWorldCallsShareRows:
@@ -640,12 +709,12 @@ class TestCampaignAggregation:
     def test_pool_starts_one_worker_per_chunk(self, monkeypatch):
         started = []
 
-        class Recording(simulate.ProcessPoolExecutor):
+        class Recording(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)  # imported when a pool starts
         cfg = SimConfig(repetitions=2, master_seed=5)
         pooled = run_campaign(cfg, workers=4)
         assert started == [2]
@@ -676,7 +745,7 @@ class TestCampaignAggregation:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
         cfg = SimConfig(lambda_g=10.0, lambda_ue=0.0, policies=NO_MLR, repetitions=reps, master_seed=5)
         pooled = run_campaign(cfg, workers=workers)
