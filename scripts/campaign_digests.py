@@ -15,8 +15,11 @@ which catches a path change that the per-repetition arrays miss; a
 ``workers=2`` line runs two pool processes even on a host with one CPU. Each
 (workload, seed) also gets a ``blocks=small`` line for one worker with blocks
 of at most ``SMALL_BLOCKS[workload]`` repetitions, so that every campaign
-crosses several block edges; it lowers ``simulate.BLOCK_BYTES``, and its
-digests equal those of the default blocks. Two checkouts with the same
+crosses several block edges; it lowers ``simulate.BLOCK_BYTES``, and also the
+pass bounds to ``SMALL_PASSES``, so that every desk world (about 3000 UE-gNB
+pairs) is associated in passes of whole UE rows of its own and every dense480
+link row is hashed in a pass of its own. No bit depends on a block or pass
+bound, so its digests equal those of the default bounds. Two checkouts with the same
 schema must print the same lines: a change that moves a campaign's numbers
 declares a new schema.
 """
@@ -30,6 +33,8 @@ from pathlib import Path
 REPETITIONS = {"desk": 40, "dense480": 6, "nomlr120": 80}
 # The most repetitions a block holds in the blocks=small runs.
 SMALL_BLOCKS = {"desk": 7, "dense480": 2, "nomlr120": 15}
+# The pairs a link-row pass (PASS_PAIRS) and an association pass (ASSOC_PASS_PAIRS) take in those runs.
+SMALL_PASSES = {"PASS_PAIRS": 300, "ASSOC_PASS_PAIRS": 1000}
 SEEDS = (1, 4242)
 WORKERS = (1, 2)
 
@@ -45,15 +50,19 @@ def paths_digest(paths: dict) -> str:
 
 
 @contextmanager
-def small_blocks(simulate, cfg, repetitions: int):
-    """Blocks of at most ``repetitions`` repetitions of ``cfg`` inside the block; the bound
-    (``BLOCK_BYTES``) is restored after."""
-    saved = simulate.BLOCK_BYTES
+def small_blocks(simulate, channel, cfg, repetitions: int):
+    """Blocks of at most ``repetitions`` repetitions of ``cfg``, and passes of ``SMALL_PASSES``
+    pairs, inside the block; the bounds are restored after."""
+    saved = simulate.BLOCK_BYTES, {name: getattr(channel, name) for name in SMALL_PASSES}
     simulate.BLOCK_BYTES = repetitions * simulate._world_bytes(cfg)
+    for name, pairs in SMALL_PASSES.items():
+        setattr(channel, name, pairs)
     try:
         yield
     finally:
-        simulate.BLOCK_BYTES = saved
+        simulate.BLOCK_BYTES = saved[0]
+        for name, pairs in saved[1].items():
+            setattr(channel, name, pairs)
 
 
 def main(root: Path) -> None:
@@ -61,7 +70,7 @@ def main(root: Path) -> None:
     from campaign import campaign_digest
     from iabsim.channel import STREAM_SCHEMA
     from iabsim.config import config_document, parse_config
-    from iabsim import simulate
+    from iabsim import channel, simulate
     from iabsim.simulate import run_campaign
 
     simulate._usable_cpus = lambda: max(WORKERS)  # a workers=2 line runs two ranges in the pool on any host
@@ -77,7 +86,7 @@ def main(root: Path) -> None:
                 digest = campaign_digest(run_campaign(cfg, workers=workers))
                 kept = paths_digest(run_campaign(cfg, workers=workers, keep_paths=True).paths)
                 print(f"{workload} seed={seed} workers={workers} {digest} paths={kept}", flush=True)
-            with small_blocks(simulate, cfg, SMALL_BLOCKS[workload]):
+            with small_blocks(simulate, channel, cfg, SMALL_BLOCKS[workload]):
                 digest = campaign_digest(run_campaign(cfg))
                 kept = paths_digest(run_campaign(cfg, keep_paths=True).paths)
             print(f"{workload} seed={seed} workers=1 blocks=small {digest} paths={kept}", flush=True)

@@ -25,7 +25,8 @@ the repetition generator where it was: a uniform for every UE-gNB pair, then
 a shadowing normal (and a fading normal) for each pair that is not in
 outage, in pair order. A block associates the UEs of all its worlds at once
 (``_associate``), in passes that hold whole worlds' UE rows; a world wider
-than a pass goes in passes of whole rows of its own. Each world draws its
+than a pass goes in passes of whole rows of its own. ``_passes`` plans these
+passes and the hashed passes over link rows by one rule. Each world draws its
 pairs' uniforms, and after its last pass its normals, from its own stream,
 which gives the same numbers as one draw per world for all its pairs. The
 outage law runs only on the pairs that a squared-distance bound
@@ -47,7 +48,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, check_params, key_of, param
+from .errors import ConfigError, check_params, key_of, param, require_number
 from .geometry import Deployment
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -130,9 +131,9 @@ class ChannelParams:
 
 
 def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
-    """Thermal noise floor: -174 dBm/Hz + 10*log10(B) + NF."""
-    if bandwidth_hz <= 0:
-        raise ConfigError(f"bandwidth must be positive, got {bandwidth_hz}")
+    """Thermal noise floor: -174 dBm/Hz + 10*log10(B) + NF, for a finite B > 0 and a finite NF."""
+    require_number("bandwidth_hz", bandwidth_hz, above=0)
+    require_number("noise_figure_db", noise_figure_db)
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
@@ -331,6 +332,17 @@ class LinkTable:
     pair_snr_db = property(lambda self: self._whole["pair_snr_db"])
 
 
+def _passes(pairs, bound: int):
+    """The passes, as (start, stop), over items of ``pairs[i]`` pairs each, in order: a pass takes the
+    next whole items while their pairs stay within ``bound``, and at least one item."""
+    ends = np.cumsum(pairs).tolist()
+    start = 0
+    while start < len(ends):
+        stop = max(start + 1, bisect.bisect_right(ends, (ends[start - 1] if start else 0) + bound))
+        yield start, stop
+        start = stop
+
+
 class RowStore:
     """A block of worlds: their nodes, and their link rows padded with -inf to the widest world.
 
@@ -384,9 +396,9 @@ class RowStore:
     def read(self, world: np.ndarray, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows that the entries (``world[k]``, ``node[k]``) stand on, each distinct row once and
         padded, in block node order, and the index of each entry's row among them. The distinct rows
-        not held yet go through hashed passes of whole rows, each of at most ``PASS_PAIRS`` pairs (or
-        one row, when wider), so one read for every kernel of a round hashes all their missing rows
-        together."""
+        not held yet go through hashed passes of whole rows that ``_passes`` plans, each of at most
+        ``PASS_PAIRS`` pairs (or one row, when wider), so one read for every kernel of a round hashes
+        all their missing rows together."""
         if ((node < 0) | (node >= self.sizes[world])).any():
             raise IndexError(f"node ids {node} reach outside their worlds of {self.sizes[world]} gNBs")
         at = self.offset[world] + node
@@ -404,13 +416,9 @@ class RowStore:
                 self.rows = rows
             self.rows[first : self.count] = -np.inf
             self.slot[missing] = np.arange(first, self.count)
-            # each pass takes the next rows while their pairs stay within PASS_PAIRS, and at least one
-            ends = (self.sizes[np.searchsorted(self.offset, missing, side="right") - 1] - 1).cumsum().tolist()
-            start = 0
-            while start < missing.size:
-                stop = max(start + 1, bisect.bisect_right(ends, (ends[start - 1] if start else 0) + PASS_PAIRS))
+            pairs = self.sizes[np.searchsorted(self.offset, missing, side="right") - 1] - 1
+            for start, stop in _passes(pairs, PASS_PAIRS):
                 self._pass(missing[start:stop])
-                start = stop
             slot = self.slot[distinct]
         return self.rows.take(slot, axis=0), distinct.searchsorted(at)
 
@@ -516,34 +524,13 @@ def _child_rng(rng: np.random.Generator, layer: int) -> np.random.Generator:
     )
 
 
-def _assoc_passes(ue_sizes: list[int], sizes: list[int]):
-    """The association passes over a block's UE rows, in order: (first row, stop row, the worlds
-    drawn as (world, its first row, its rows in the pass), whether the pass ends its last world).
-    A pass holds whole worlds, at most ``ASSOC_PASS_PAIRS`` pairs; a world with more goes in passes
-    of whole rows of its own, each at most ``ASSOC_PASS_PAIRS`` pairs unless one row is wider."""
-    row = w = 0
-    while w < len(sizes):
-        n, k = sizes[w], ue_sizes[w]
-        if k * n > ASSOC_PASS_PAIRS:
-            step = max(1, ASSOC_PASS_PAIRS // n)
-            for start in range(0, k, step):
-                rows = min(step, k - start)
-                yield row + start, row + start + rows, [(w, row + start, rows)], start + rows == k
-            row, w = row + k, w + 1
-            continue
-        first, drawn, total = row, [], 0
-        while w < len(sizes) and total + ue_sizes[w] * sizes[w] <= ASSOC_PASS_PAIRS:
-            drawn.append((w, row, ue_sizes[w]))
-            total, row, w = total + ue_sizes[w] * sizes[w], row + ue_sizes[w], w + 1
-        yield first, row, drawn, True
-
-
-def _screen(ues, gnbs, offset: list[int], sizes: list[int], width, drawn, streams, params: ChannelParams):
-    """The pairs not in outage of one pass: each world w of ``drawn`` pairs its UE rows in turn
-    with its ``sizes[w]`` gNBs, rows ``offset[w]`` on of ``gnbs``, and draws their uniforms from
-    ``streams[w]``; row r of the pass has ``width[r]`` pairs. Returns the first pair of each row,
-    and the index, distance and LOS flag of each pair not in outage, and their count per world of
-    ``drawn``, all in pair order."""
+def _screen(ues, gnbs, offset: list[int], sizes: list[int], drawn, streams, params: ChannelParams):
+    """The pairs not in outage of one pass: each (world w, first row, rows) of ``drawn`` pairs those
+    UE rows of ``ues`` in turn with its ``sizes[w]`` gNBs, rows ``offset[w]`` on of ``gnbs``, and
+    draws their uniforms from ``streams[w]``. Returns the pass's first UE row, the first pair of
+    each row, and the index, distance and LOS flag of each pair not in outage, and their count per
+    world of ``drawn``, all in pair order."""
+    width = np.repeat([sizes[w] for w, _, _ in drawn], [rows for _, _, rows in drawn])  # the pairs of each row
     starts = width.cumsum()
     pairs = int(starts[-1])
     starts -= width
@@ -569,14 +556,15 @@ def _screen(ues, gnbs, offset: list[int], sizes: list[int], width, drawn, stream
     pair = kept[live]
     ends = np.searchsorted(pair, ends).tolist()
     counts = [(w, stop - start) for (w, _, _), start, stop in zip(drawn, [0] + ends, ends)]
-    return starts, pair, d[live], los, counts
+    return drawn[0][1], starts, pair, d[live], los, counts
 
 
-def _serve(serving, held, widest: int, streams, params: ChannelParams) -> None:
-    """Fill ``serving`` for the UE rows of the passes ``held``, which end their last world, from
-    their pairs not in outage; no row has more than ``widest`` pairs. Each world then draws the
-    normals of all its pairs from ``streams[world]``. Each row's pathlosses are laid in a row of
-    +inf padded to ``widest``, whose ``np.argmin`` serves the UE, and none when that is +inf."""
+def _serve(serving, held, streams, params: ChannelParams) -> None:
+    """Fill ``serving`` for the UE rows of the passes ``held``, as ``_screen`` returns them, which
+    end their last world, from their pairs not in outage. Each world first draws the normals of all
+    its pairs from ``streams[world]``. A UE is served by the pair of the lowest total pathloss among
+    its pairs not in outage, a segment minimum, and by the first of them (the lowest gNB id) when
+    several reach it; by none when that minimum is not finite, NaN included, as in ``np.min``."""
     normals = np.empty((2 if params.fading_sigma_db > 0.0 else 1, sum(p[2].size for p in held)))
     merged = {}  # live pairs per world, in world order
     for *_, counts in held:
@@ -593,12 +581,15 @@ def _serve(serving, held, widest: int, streams, params: ChannelParams) -> None:
         v = normals[:, at : at + pair.size]
         at += pair.size
         pathloss, shadowing = _budget(d, los, v[0], v[1] if len(v) > 1 else None, params)
+        total = pathloss + shadowing
         row = np.searchsorted(starts, pair, side="right") - 1
-        total = np.full((starts.size, widest), np.inf)
-        total[row, pair - starts[row]] = pathloss + shadowing
-        best = np.argmin(total, axis=1)
-        best[total[np.arange(starts.size), best] == np.inf] = -1
-        serving[first : first + starts.size] = best
+        best = np.full(starts.size, np.inf)
+        np.minimum.at(best, row, total)
+        hit = (total == best[row]).nonzero()[0][::-1]  # backwards: a row's first pair at its minimum is written last
+        served = np.full(starts.size, -1)
+        served[row[hit]] = pair[hit] - starts[row[hit]]
+        served[~np.isfinite(best)] = -1
+        serving[first : first + starts.size] = served
 
 
 def _associate(ues, ue_sizes, gnbs, sizes, params: ChannelParams, streams) -> np.ndarray:
@@ -606,23 +597,25 @@ def _associate(ues, ue_sizes, gnbs, sizes, params: ChannelParams, streams) -> np
 
     World w has ``ue_sizes[w]`` UEs and ``sizes[w]`` gNBs, rows of ``ues`` and ``gnbs`` in world
     order, and draws from ``streams[w]`` (read only when it has UEs) a uniform for each of its pairs
-    in row-major order, then the normals of its pairs not in outage. The UEs go in the passes of
-    ``_assoc_passes``; a pass keeps the index, distance and LOS flag of its pairs not in outage, so
-    only they are held across passes, and a world's UEs are served after its last pass. The
-    channel law runs only on the pairs ``_may_be_live`` keeps. Ties go to the lowest gNB id.
+    in row-major order, then the normals of its pairs not in outage. ``_passes`` plans the passes:
+    whole worlds by their pairs within ``ASSOC_PASS_PAIRS``, each served after its pass, and a
+    wider world alone, in passes of whole rows planned the same way, which keep only the index,
+    distance and LOS flag of their pairs not in outage until the world is served after its last.
+    The channel law runs only on the pairs ``_may_be_live`` keeps. Ties go to the lowest gNB id.
     """
-    width = np.repeat(sizes, ue_sizes)  # the pairs of each UE row
     sizes, ue_sizes = [int(n) for n in sizes], [int(k) for k in ue_sizes]
-    offset = np.cumsum([0] + sizes).tolist()
-    serving = np.empty(width.size, dtype=np.intp)
-    held, widest = [], 0
-    for first, stop, drawn, ends in _assoc_passes(ue_sizes, sizes):
-        if stop > first:
-            held.append((first, *_screen(ues, gnbs, offset, sizes, width[first:stop], drawn, streams, params)))
-            widest = max(widest, *(sizes[w] for w, _, _ in drawn))
-        if ends and held:
-            _serve(serving, held, widest, streams, params)
-            held, widest = [], 0
+    offset, row = np.cumsum([0] + sizes).tolist(), np.cumsum([0] + ue_sizes).tolist()
+    serving = np.empty(row[-1], dtype=np.intp)
+    bound = ASSOC_PASS_PAIRS
+    for first, last in _passes([k * n for k, n in zip(ue_sizes, sizes)], bound):
+        k, n = ue_sizes[first], sizes[first]
+        if k * n > bound:  # a world alone, in passes of whole rows
+            parts = [[(first, row[first] + a, b - a)] for a, b in _passes([n] * k, bound)]
+        elif row[first] < row[last]:
+            parts = [[(w, row[w], ue_sizes[w]) for w in range(first, last)]]
+        else:
+            continue  # no UE
+        _serve(serving, [_screen(ues, gnbs, offset, sizes, part, streams, params) for part in parts], streams, params)
     return serving
 
 
@@ -648,9 +641,8 @@ def associate_min_pathloss(
 
 
 def shannon_rate(bandwidth_hz: float, snr_db: float, n_attached: int) -> float:
-    """Achievable rate in bit/s when the band is split across ``n_attached`` users."""
-    if bandwidth_hz <= 0:
-        raise ConfigError(f"bandwidth must be positive, got {bandwidth_hz}")
+    """Achievable rate in bit/s when the band, finite and > 0, is split across ``n_attached`` users."""
+    require_number("bandwidth_hz", bandwidth_hz, above=0)
     if snr_db == -math.inf:
         return 0.0
     share = bandwidth_hz / max(n_attached, 1)

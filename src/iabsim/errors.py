@@ -62,6 +62,12 @@ def require_number(key: str, value, *, integer: bool = False, at_least=None, abo
         raise ConfigError(f"{key} must have at most {digits} decimal digits, got {_shown(value)}")
 
 
+def require_number_or_inf(key: str, value) -> None:
+    """Raise a ConfigError naming ``key`` unless ``value`` is +inf, -inf or passes ``require_number``."""
+    if not (isinstance(value, numbers.Real) and value in (math.inf, -math.inf)):
+        require_number(key, value)
+
+
 def _shown(value) -> str:
     """``value`` for an error message; an int too long to print in full is given by its size.
 

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import LinkTable, _one_world_store, shannon_rate
-from .errors import check_params, param, require_number
+from .errors import ConfigError, check_params, param, require_number, require_number_or_inf
 from .geometry import RERANK_FLOOR, RERANK_MARGIN, Deployment, _nearest, _origin_id, _padded_ids
 
 
@@ -392,10 +392,17 @@ def build_path(
     Terminates with SUCCESS on choosing a wired node, NO_CANDIDATE when no
     admissible parent remains, or MAX_HOPS. ``link_snr_db``, a ``LinkTable``
     or an (n, n) array, is read through a ``RowStore`` of one world, and the
-    walk is a ``WalkBlock`` of one.
+    walk is a ``WalkBlock`` of one. A ``policy`` or ``wbf`` of another type, a
+    threshold that is NaN or no number, and a bandwidth that is not finite and
+    > 0 get a ConfigError naming the argument.
     """
+    for name, value, kind in (("policy", policy, PolicyKind), ("wbf", wbf, WbfConfig)):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
     origin_id = _origin_id(origin_id, deployment.wired)
+    require_number_or_inf("snr_threshold_db", snr_threshold_db)
     require_number("max_hops", max_hops, integer=True, at_least=1)
+    require_number("bandwidth_hz", bandwidth_hz, above=0)
     store = _one_world_store(deployment, link_snr_db)
     block = WalkBlock(store, [(policy, wbf)], [0], [origin_id], [0], snr_threshold_db, int(max_hops), bandwidth_hz)
     _lockstep([block])

@@ -39,7 +39,7 @@ import numpy as np
 
 from .channel import ASSOC_LAYER, ROWS_KEPT, ChannelParams, LinkTable, RadioConfig, RowStore, _associate, _child_rng
 from .channel import _channel_law, _one_world_store
-from .errors import ConfigError, _shown, check_params, key_of, param, require_number
+from .errors import ConfigError, _shown, check_params, key_of, param, require_number, require_number_or_inf
 from .geometry import MAX_REDRAWS, Deployment, Region, _draw_roles, _expected_nodes, _origin_id, _origins, _points
 from .geometry import _ppp_draws
 from .policy import _NO_CANDIDATE, _OUTCOMES, _SUCCESS, PathResult, PolicyKind, WalkBlock, WbfConfig, wired_bias_db
@@ -326,10 +326,11 @@ def widest_path_oracle(
     An ``OracleBlock`` of one world finds the optimal bottleneck b*, and among the
     paths over links with SNR >= b* ``_fewest_hops`` finds the one with the fewest
     hops and then the smallest id sequence. Both read ``link_snr_db`` (a ``LinkTable``
-    or an (n, n) array) through a ``RowStore`` of one world; the origin is checked as
-    in ``build_path``.
+    or an (n, n) array) through a ``RowStore`` of one world; the origin and the threshold
+    are checked as in ``build_path``.
     """
     origin_id = _origin_id(origin_id, deployment.wired)
+    require_number_or_inf("snr_threshold_db", snr_threshold_db)
     store = _one_world_store(deployment, link_snr_db)
     oracle = OracleBlock(store, [origin_id], snr_threshold_db)
     _lockstep([oracle])
@@ -399,8 +400,11 @@ def run_repetition(cfg: SimConfig, rep_index: int) -> dict[str, PathResult]:
     """Run every configured policy (and the oracle) on one fresh realization.
 
     Returns a mapping from policy label to its PathResult; the oracle result,
-    when enabled, is stored under the reserved label ``"oracle"``.
+    when enabled, is stored under the reserved label ``"oracle"``. ``rep_index`` must be an
+    integer >= 0 (not a bool).
     """
+    require_number("rep_index", rep_index, integer=True, at_least=0)
+    rep_index = int(rep_index)
     *_, walked, found = _run_block(cfg, range(rep_index, rep_index + 1), keep_paths=True)
     return dict(zip([spec.label for spec in cfg.policies] + ["oracle"], walked + found))  # found is [] without the oracle
 

@@ -18,6 +18,7 @@ from iabsim.channel import (
     _child_rng,
     _hashed_uniforms,
     _may_be_live,
+    _passes,
     _slot_keys,
     _visibility,
     associate_min_pathloss,
@@ -70,6 +71,22 @@ class TestNoisePower:
     def test_invalid_bandwidth(self):
         with pytest.raises(ConfigError):
             noise_power_dbm(0.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "bandwidth_hz, noise_figure_db, key",
+        [
+            (-1.0, 5.0, "bandwidth_hz"),
+            (math.nan, 5.0, "bandwidth_hz"),  # a NaN floor, without the check
+            (math.inf, 5.0, "bandwidth_hz"),
+            ("4e8", 5.0, "bandwidth_hz"),
+            (400e6, math.nan, "noise_figure_db"),
+            (400e6, -math.inf, "noise_figure_db"),
+            (400e6, "5", "noise_figure_db"),
+        ],
+    )
+    def test_bad_numbers_are_refused_naming_the_argument(self, bandwidth_hz, noise_figure_db, key):
+        with pytest.raises(ConfigError, match=key):
+            noise_power_dbm(bandwidth_hz, noise_figure_db)
 
 
 class TestLosModel:
@@ -269,6 +286,11 @@ class TestShannonRate:
         assert rate == pytest.approx(822949283.442718, rel=1e-9)
         assert abs(rate - 830e6) / 830e6 < 0.02
 
+    @pytest.mark.parametrize("bandwidth_hz", [0.0, -1.0, math.nan, math.inf, "4e8", True])
+    def test_a_bandwidth_that_is_not_finite_and_positive_is_refused(self, bandwidth_hz):
+        with pytest.raises(ConfigError, match="bandwidth_hz"):
+            shannon_rate(bandwidth_hz, 5.0, 1)
+
     def test_outage_gives_zero(self):
         assert shannon_rate(400e6, -math.inf, 1) == 0.0
         assert shannon_rate(400e6, -math.inf, 7) == 0.0
@@ -455,6 +477,22 @@ class TestSparseKernelMatchesDenseReference:
             associate_min_pathloss(np.zeros(shape), dep, ChannelParams(), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "pairs, bound, passes",
+    [
+        ([], 10, []),
+        ([4, 6, 5], 10, [(0, 2), (2, 3)]),  # a pass fills up to the bound
+        ([3, 12, 3], 10, [(0, 1), (1, 2), (2, 3)]),  # an item above the bound is a pass of its own
+        ([12], 10, [(0, 1)]),
+        ([0, 0, 12, 0, 5, 0], 10, [(0, 2), (2, 3), (3, 6)]),  # items of no pair join the pass they fall in
+        ([0, 0, 0], 10, [(0, 3)]),
+        (np.array([29] * 3 + [119] * 3 + [6] * 3), 300, [(0, 4), (4, 9)]),  # 206 pairs, then 256
+    ],
+)
+def test_passes_take_whole_items_within_the_bound(pairs, bound, passes):
+    assert list(_passes(pairs, bound)) == passes
+
+
 class TestAssociationPasses:
     """Passes of whole UE rows draw and serve as one dense draw over every pair does,
     at, around and across the pass bound, and leave the parent stream where it was."""
@@ -497,6 +535,20 @@ class TestAssociationPasses:
         serving = self.check(ues, dep, self.CASES[case], seed=k)
         assert serving.shape == (k,)
         assert (serving >= 0).any()
+
+    @pytest.mark.parametrize("fading_db", [0.0, 3.0])
+    @pytest.mark.parametrize("exponent, expected", [(2.0, [-1, -1, -1, 1]), (0.0, [-1] * 4), (-1.0, [-1] * 4)])
+    def test_non_finite_totals_serve_as_the_reference(self, exponent, expected, fading_db):
+        """Squared distances overflow across a region 1e300 m wide, and no pair is in outage: the
+        far pairs' totals are +inf (exponent 2), NaN (exponent 0, as 0 * inf) or -inf (exponent -1).
+        A UE whose lowest total is not finite, or NaN beside finite ones, is served by none."""
+        dep = Deployment(Region(1e300, 1.0), [(0.0, 0.5), (1e300, 0.5), (5e299, 0.5)], [False, True, False], 0)
+        ues = np.array([(2e299, 0.5), (7e299, 0.5), (9e299, 0.5), (1e300, 0.2)])  # only the last has a near gNB
+        params = ChannelParams(
+            outage_slope_per_m=-0.01, los_exponent=exponent, nlos_exponent=exponent, fading_sigma_db=fading_db
+        )
+        with np.errstate(all="ignore"):
+            assert self.check(ues, dep, params).tolist() == expected
 
     def test_ties_across_a_pass_boundary_go_to_the_lowest_id(self):
         """Two gNBs at each site, shadowing off: every UE's nearest site is a tie."""

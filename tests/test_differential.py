@@ -171,7 +171,8 @@ def test_campaign_on_lazy_rows_matches_dense_reference(lambda_g):
 NO_MLR = tuple(PolicySpec(kind) for kind in (PolicyKind.HQF, PolicyKind.WF, PolicyKind.PA))
 # Per case: config overrides, repetitions (one block), and the association pass bound (None: the
 # default). lambda_g = 1.5 redraws more than half the gNB drops; p_w = 0.03 and 0.97 over about
-# five gNBs redraw most role draws; 600 pairs and 120 x 136 pairs put worlds on both sides of a pass.
+# five gNBs redraw most role draws; 600 pairs and 120 x 136 pairs put worlds on both sides of a pass,
+# and 35 pairs put worlds that drew no UE right before and after worlds of 3 rows of about 16 pairs.
 SAMPLER_CASES = {
     "ppp_redraws": (dict(lambda_g=1.5, lambda_ue=20.0), 60, None),
     "few_wired": (dict(lambda_g=5.0, p_w=0.03, lambda_ue=20.0), 50, None),
@@ -181,6 +182,7 @@ SAMPLER_CASES = {
     "no_mlr": (dict(lambda_ue=60.0, policies=NO_MLR), 40, None),
     "mixed_passes": (dict(lambda_ue=20.0, channel=ChannelParams(fading_sigma_db=3.0)), 50, 600),
     "wide_and_narrow": (dict(lambda_g=120.0, lambda_ue=136.0), 16, None),
+    "no_ues_around_wide": (dict(lambda_g=10.0, lambda_ue=1.0), 40, 35),
 }
 
 
@@ -222,6 +224,8 @@ def test_block_sampler_matches_reference_worlds(case, monkeypatch):
         assert redraws[1] > 0
     if pass_pairs is not None or case == "wide_and_narrow":
         assert min(pairs) <= bound < max(pairs)
+    if case == "no_ues_around_wide":
+        assert any(pairs[r - 1] == 0 == pairs[r + 1] and pairs[r] > bound for r in range(1, reps - 1))
 
 
 def block_config(case: int) -> SimConfig:

@@ -369,6 +369,40 @@ class TestBuildPath:
         with pytest.raises(ConfigError, match="max_hops"):
             build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, 5.0, max_hops=max_hops, bandwidth_hz=BANDWIDTH_HZ)
 
+    def test_a_policy_or_bias_of_another_type_is_refused(self):
+        """A kind's name walks no rule of its own: "WF" here would walk HQF's hops (1, 2), labelled
+        WF, where WF takes the wired node 3 at once; and a preset's name is no ``WbfConfig``."""
+        snr = {(0, 1): 30.0, (1, 2): 20.0, (0, 3): 10.0}
+        dep, mat = make_world([(0, 0), (100, 0), (200, 0), (0, 100)], [False, False, True, True], snr)
+        assert build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, 5.0, **RUN).hops == (3,)
+        assert build_path(0, PolicyKind.HQF, NO_BIAS, dep, mat, 5.0, **RUN).hops == (1, 2)
+        with pytest.raises(ConfigError, match="policy must be a PolicyKind"):
+            build_path(0, "WF", NO_BIAS, dep, mat, 5.0, **RUN)
+        with pytest.raises(ConfigError, match="wbf must be a WbfConfig"):
+            build_path(0, PolicyKind.HQF, "aggressive_poly", dep, mat, 5.0, **RUN)
+
+    @pytest.mark.parametrize("threshold", [math.nan, "5", None, True])
+    def test_a_threshold_that_is_nan_or_no_number_is_refused(self, threshold):
+        """NaN would admit no link and end the walk NO_CANDIDATE without a word."""
+        dep, mat = make_world([(500, 500), (600, 500)], [False, True], {(0, 1): 20.0})
+        with pytest.raises(ConfigError, match="snr_threshold_db"):
+            build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, threshold, **RUN)
+
+    @pytest.mark.parametrize("threshold, hops", [(-math.inf, (1,)), (math.inf, ())])
+    def test_an_infinite_threshold_admits_every_link_or_none(self, threshold, hops):
+        dep, mat = make_world([(500, 500), (600, 500)], [False, True], {(0, 1): 20.0})
+        assert build_path(0, PolicyKind.WF, NO_BIAS, dep, mat, threshold, **RUN).hops == hops
+
+    @pytest.mark.parametrize("bandwidth_hz", [-1.0, math.nan, math.inf, 0.0, "4e8", True])
+    def test_a_bandwidth_that_is_not_finite_and_positive_is_refused(self, bandwidth_hz):
+        """MLR would end NO_CANDIDATE at -1 or NaN though node 1 is admissible, rank every rate
+        as +inf and so take the wired node 2 at once at +inf, and fail inside its re-rank at 0."""
+        snr = {(0, 1): 30.0, (0, 2): 20.0, (1, 2): 20.0}
+        dep, mat = make_world([(0, 0), (100, 0), (200, 0)], [False, False, True], snr)
+        assert build_path(0, PolicyKind.MLR, NO_BIAS, dep, mat, 5.0, **RUN).hops == (1, 2)
+        with pytest.raises(ConfigError, match="bandwidth_hz"):
+            build_path(0, PolicyKind.MLR, NO_BIAS, dep, mat, 5.0, max_hops=30, bandwidth_hz=bandwidth_hz)
+
     def test_max_hops_cutoff(self):
         # a long wireless chain before the only wired node
         n = 6

@@ -107,6 +107,15 @@ class TestRepetitionStreams:
         r2 = run_repetition(SMALL, 4)
         assert r1 == r2
 
+    @pytest.mark.parametrize("rep_index", [True, 1.5, -1, "1"])
+    def test_a_repetition_index_that_is_no_integer_at_least_0_is_refused(self, rep_index):
+        """``True`` would run repetition 1, and -1 fail inside the stream module naming no key."""
+        with pytest.raises(ConfigError, match="rep_index"):
+            run_repetition(SMALL, rep_index)
+
+    def test_an_integral_float_repetition_index_runs_as_its_integer(self):
+        assert run_repetition(SMALL, 2.0) == run_repetition(SMALL, 2)
+
     def test_repetitions_are_distinct(self):
         r0 = run_repetition(SMALL, 0)
         r1 = run_repetition(SMALL, 1)
@@ -303,6 +312,17 @@ class TestWidestPathOracle:
         dep, mat = make_graph([(0, 0), (100, 0), (50, 50)], [False, True, False], {(0, 1): 10.0})
         with pytest.raises(ConfigError, match="origin_id"):
             widest_path_oracle(dep, mat, origin, 5.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, "5", None, True])
+    def test_a_threshold_that_is_nan_or_no_number_is_refused(self, threshold):
+        dep, mat = make_graph([(0, 0), (100, 0), (50, 50)], [False, True, False], {(0, 1): 10.0})
+        with pytest.raises(ConfigError, match="snr_threshold_db"):
+            widest_path_oracle(dep, mat, 0, threshold)
+
+    @pytest.mark.parametrize("threshold, hops", [(-math.inf, (1,)), (math.inf, ())])
+    def test_an_infinite_threshold_admits_every_link_or_none(self, threshold, hops):
+        dep, mat = make_graph([(0, 0), (100, 0), (50, 50)], [False, True, False], {(0, 1): 10.0})
+        assert widest_path_oracle(dep, mat, 0, threshold).hops == hops
 
     def test_an_integral_float_origin_searches_as_its_integer(self):
         dep, mat = make_graph([(0, 0), (100, 0), (50, 50)], [False, True, False], {(2, 1): 10.0, (0, 2): 8.0})
