@@ -7,7 +7,7 @@ bottleneck-SNR distributions, optionally against a centralized max-min
 bottleneck benchmark.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .channel import (
     ChannelParams,

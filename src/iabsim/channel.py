@@ -48,7 +48,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, check_params, key_of, param, require_number
+from .errors import ConfigError, check_params, key_of, param, require_number, require_number_or_inf
 from .geometry import Deployment
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -146,8 +146,12 @@ def _los_probability(d: np.ndarray, p_out: np.ndarray, params: ChannelParams) ->
 
 
 def los_probabilities(d_m, params: ChannelParams = ChannelParams()):
-    """Closed-form (P_LOS, P_NLOS, P_OUTAGE) at distance ``d_m`` (scalar or array)."""
+    """Closed-form (P_LOS, P_NLOS, P_OUTAGE) at distance ``d_m`` (scalar or array), each >= 0 and
+    finite or +inf."""
     d = np.asarray(d_m, dtype=float)
+    nearest = float(d.min()) if d.size else 0.0  # NaN when any distance is NaN
+    if nearest != math.inf:
+        require_number("d_m", nearest, at_least=0)
     p_out = _outage_probability(d, params)
     p_los = _los_probability(d, p_out, params)
     p_nlos = 1.0 - p_out - p_los
@@ -641,8 +645,11 @@ def associate_min_pathloss(
 
 
 def shannon_rate(bandwidth_hz: float, snr_db: float, n_attached: int) -> float:
-    """Achievable rate in bit/s when the band, finite and > 0, is split across ``n_attached`` users."""
+    """Achievable rate in bit/s when the band, finite and > 0, is split across ``n_attached`` users,
+    an integer >= 0, at an SNR that is a number or +-inf (0 at -inf)."""
     require_number("bandwidth_hz", bandwidth_hz, above=0)
+    require_number_or_inf("snr_db", snr_db)
+    require_number("n_attached", n_attached, integer=True, at_least=0)
     if snr_db == -math.inf:
         return 0.0
     share = bandwidth_hz / max(n_attached, 1)

@@ -31,33 +31,8 @@ class ResultBundle:
     summary: CampaignSummary
 
 
-# A CDF row's depth in summary.json (policies, label, table, row): json.dumps(..., indent=2)
-# puts each row, each of its numbers and the table's closing bracket on a line of their own,
-# indented this far.
-_ROW, _NUMBER, _CLOSE = ("\n" + " " * width for width in (8, 10, 6))
-
-
-def _cdf_rows(cdf: EmpiricalCdf | None) -> list[list[float]]:
-    """The (value, cdf) rows of ``cdf``'s steps as Python floats; none without a CDF."""
-    if cdf is None:
-        return []
-    values, probs = cdf.steps()
-    return [[v, p] for v, p in zip(values.tolist(), probs.tolist())]
-
-
-def _rows_json(rows: list[list[float]]) -> str:
-    """``rows`` as ``json.dumps(..., indent=2)`` writes a CDF table in summary.json, to the byte.
-    The pure-Python encoder that ``indent`` selects is slow on long tables, so the rows go through
-    the C encoder on one line, which is then broken and indented."""
-    if not rows:
-        return "[]"
-    text = json.dumps(rows)[2:-2].replace("], [", f"{_ROW}],{_ROW}[{_NUMBER}").replace(", ", f",{_NUMBER}")
-    return f"[{_ROW}[{_NUMBER}{text}{_ROW}]{_CLOSE}]"
-
-
 def _bundle_doc(bundle: ResultBundle) -> dict:
-    """The document of summary.json, with each CDF table replaced by a NUL character and its key
-    "<label>_<table>", which no other string of the document holds."""
+    """The document of summary.json: the run's metadata and each policy's statistics, no CDF rows."""
     policies = {}
     for label, s in bundle.summary.policies.items():
         policies[label] = {
@@ -73,8 +48,6 @@ def _bundle_doc(bundle: ResultBundle) -> dict:
             if s.snr_mean_db is None
             else {"mean": s.snr_mean_db, "median": s.snr_median_db, "p95": s.snr_p95_db},
             "mean_oracle_gap_db": s.mean_oracle_gap_db,
-            "hops_cdf": f"\0{label}_hops_cdf",
-            "snr_cdf": f"\0{label}_snr_cdf",
         }
     return {
         "metadata": {
@@ -87,18 +60,9 @@ def _bundle_doc(bundle: ResultBundle) -> dict:
     }
 
 
-def _summary_text(bundle: ResultBundle, tables: dict) -> str:
-    """summary.json as ``json.dumps(doc, indent=2)`` writes it, with the CDF rows that ``tables``
-    holds by key spliced in from ``_rows_json`` where ``_bundle_doc`` left each key."""
-    head, *parts = json.dumps(_bundle_doc(bundle), indent=2).split('"\\u0000')
-    text = [head]
-    for part in parts:  # a key, its closing quote, and the text up to the next key
-        key, rest = part.split('"', 1)
-        text += [_rows_json(tables[key]), rest]
-    return "".join(text) + "\n"
-
-
-def _cdf_csv_text(rows: list[list[float]]) -> str:
+def _cdf_csv_text(cdf: EmpiricalCdf | None) -> str:
+    """``cdf``'s steps as ``value,cdf`` rows at 6 digits; the header alone without a CDF."""
+    rows = () if cdf is None else zip(*(steps.tolist() for steps in cdf.steps()))
     return "".join(["value,cdf\n", *(f"{v:.6g},{p:.6f}\n" for v, p in rows)])
 
 
@@ -125,14 +89,13 @@ def write_results(bundle: ResultBundle, out_dir) -> list[Path]:
     summary_path = out / "summary.json"
     for old in (summary_path, *out.glob("*_hops_cdf.csv"), *out.glob("*_snr_cdf.csv")):
         old.unlink(missing_ok=True)
-    rows = {}  # each CDF's steps, taken once for its table and for summary.json
+    tables = []
     for label, s in bundle.summary.policies.items():
         for suffix, cdf in (("hops_cdf", s.hops_cdf), ("snr_cdf", s.snr_cdf)):
-            key = f"{label}_{suffix}"
-            rows[key] = _cdf_rows(cdf)
-            _replace_text(out / f"{key}.csv", _cdf_csv_text(rows[key]))
-    _replace_text(summary_path, _summary_text(bundle, rows))
-    return [summary_path, *(out / f"{key}.csv" for key in rows)]
+            tables.append(out / f"{label}_{suffix}.csv")
+            _replace_text(tables[-1], _cdf_csv_text(cdf))
+    _replace_text(summary_path, json.dumps(_bundle_doc(bundle), indent=2) + "\n")
+    return [summary_path, *tables]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -125,17 +125,21 @@ class PathResult:
 
 
 def wbf_poly(n_hops: int, cfg: WbfConfig) -> float:
-    """Polynomial wired bias in dB after ``n_hops`` traveled hops."""
+    """Polynomial wired bias in dB after ``n_hops`` traveled hops, an integer >= 0."""
+    require_number("n_hops", n_hops, integer=True, at_least=0)
     return (n_hops / cfg.n_ht) ** cfg.k * cfg.gamma_gap_db + cfg.gamma_h_db
 
 
 def wbf_exp(n_hops: int, cfg: WbfConfig) -> float:
-    """Exponential wired bias in dB after ``n_hops`` traveled hops."""
+    """Exponential wired bias in dB after ``n_hops`` traveled hops, an integer >= 0."""
+    require_number("n_hops", n_hops, integer=True, at_least=0)
     return cfg.gamma ** (n_hops / cfg.n_ht) * cfg.gamma_gap_db + cfg.gamma_h_db
 
 
 def wired_bias_db(n_hops: int, cfg: WbfConfig) -> float:
+    """The wired bias of ``cfg`` in dB after ``n_hops`` traveled hops, an integer >= 0."""
     if cfg.kind == WbfKind.NONE:
+        require_number("n_hops", n_hops, integer=True, at_least=0)
         return 0.0
     if cfg.kind == WbfKind.POLYNOMIAL:
         return wbf_poly(n_hops, cfg)

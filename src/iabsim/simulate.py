@@ -105,6 +105,9 @@ class SimConfig:
         check_params(self)
         if not 0.0 < self.p_w < 1.0:
             raise ConfigError(f"{key_of(self, 'p_w')} must lie strictly in (0, 1), got {self.p_w}")
+        if not isinstance(self.policies, (list, tuple)):
+            raise ConfigError(f"'policies' must be a list or tuple of PolicySpec, got {self.policies!r}")
+        object.__setattr__(self, "policies", tuple(self.policies))
         if not self.policies:
             raise ConfigError("at least one policy must be configured")
         for i, spec in enumerate(self.policies):

@@ -101,6 +101,16 @@ class TestLosModel:
         assert p_out == 0.0
         assert p_los == pytest.approx(math.exp(-1.0), abs=1e-12)
 
+    @pytest.mark.parametrize("d_m", [-5.0, math.nan, -math.inf, [10.0, -1e-9], [math.inf, math.nan]])
+    def test_a_negative_or_nan_distance_is_refused(self, d_m):
+        """-5 m gave P_LOS 1.077 and P_NLOS -0.077."""
+        with pytest.raises(ConfigError, match="d_m"):
+            los_probabilities(d_m)
+
+    def test_an_infinite_distance_is_in_outage(self):
+        assert [float(p) for p in los_probabilities(math.inf)] == [0.0, 0.0, 1.0]
+        assert [p.shape for p in los_probabilities([])] == [(0,)] * 3
+
     def test_probabilities_form_a_distribution(self):
         d = np.linspace(0.1, 2000.0, 4000)
         p_los, p_nlos, p_out = los_probabilities(d)
@@ -294,6 +304,18 @@ class TestShannonRate:
     def test_outage_gives_zero(self):
         assert shannon_rate(400e6, -math.inf, 1) == 0.0
         assert shannon_rate(400e6, -math.inf, 7) == 0.0
+
+    @pytest.mark.parametrize("snr_db", [math.nan, "5", True])
+    def test_an_snr_that_is_nan_or_no_number_is_refused(self, snr_db):
+        """NaN gave a NaN rate."""
+        with pytest.raises(ConfigError, match="snr_db"):
+            shannon_rate(400e6, snr_db, 1)
+
+    @pytest.mark.parametrize("n_attached", [-3, 1.5, math.nan, True])
+    def test_a_load_that_is_no_integer_at_least_0_is_refused(self, n_attached):
+        """-3 gave the full-band rate, and 1.5 split the band by 1.5."""
+        with pytest.raises(ConfigError, match="n_attached"):
+            shannon_rate(400e6, 5.0, n_attached)
 
     def test_rate_divides_by_load(self):
         assert shannon_rate(400e6, 5.0, 2) == pytest.approx(shannon_rate(400e6, 5.0, 1) / 2)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from iabsim import __version__
 from iabsim.cli import ResultBundle, _apply_overrides, _build_parser, main, write_results
 from iabsim.config import config_document, parse_config
 from iabsim.simulate import EmpiricalCdf, aggregate, run_campaign
@@ -112,16 +113,16 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 class TestSummaryBytes:
-    """summary.json is, to the byte, ``json.dumps(doc, indent=2)`` of its document with every CDF
-    table in place as [value, cdf] rows of ``EmpiricalCdf.steps()`` (none when a policy never
-    succeeded), and each CSV table holds the same steps."""
+    """summary.json is, to the byte, ``json.dumps(doc, indent=2)`` of a document that holds the
+    statistics and no CDF rows; each CDF is written once, as its CSV table of ``EmpiricalCdf.steps()``
+    at 6 digits (the header alone when a policy never succeeded)."""
 
     @staticmethod
     def bundle(doc, reps):
         doc = json.loads(json.dumps(doc))
         doc["run"]["repetitions"] = reps
         cfg = parse_config(doc)
-        return ResultBundle(config_document(cfg), cfg.master_seed, "0.1.0", aggregate(cfg, run_campaign(cfg)))
+        return ResultBundle(config_document(cfg), cfg.master_seed, __version__, aggregate(cfg, run_campaign(cfg)))
 
     CASES = {
         # PA never succeeds within two hops here, HQF and WF do
@@ -136,16 +137,16 @@ class TestSummaryBytes:
         write_results(bundle, tmp_path)
         text = (tmp_path / "summary.json").read_text()
         doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert doc["metadata"]["version"] == __version__
         sizes = []
         for label, s in bundle.summary.policies.items():
+            assert not {"hops_cdf", "snr_cdf"} & set(doc["policies"][label]), label
             for table, cdf in (("hops_cdf", s.hops_cdf), ("snr_cdf", s.snr_cdf)):
-                rows = [] if cdf is None else [[float(v), float(p)] for v, p in zip(*cdf.steps())]
-                assert doc["policies"][label][table] == rows, (label, table)
-                doc["policies"][label][table] = rows
+                rows = [] if cdf is None else list(zip(*(steps.tolist() for steps in cdf.steps())))
                 csv = (tmp_path / f"{label}_{table}.csv").read_text().splitlines()
                 assert csv == ["value,cdf"] + [f"{v:.6g},{p:.6f}" for v, p in rows], (label, table)
                 sizes.append(len(rows))
-        assert text == json.dumps(doc, indent=2) + "\n"
         assert max(sizes) > 1 and (case != "empty_cdf" or min(sizes) == 0)
 
 

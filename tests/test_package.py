@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,11 @@ def test_import_leaves_numpy_random_unloaded():
     )
     by_numpy, after, *loaded = out.stdout.split()
     assert after == by_numpy and dict(zip(modules, loaded)) == dict.fromkeys(modules, "False")
+
+
+def test_pyproject_version_is_the_package_version():
+    """summary.json records ``iabsim.__version__``, and a change of the output format bumps it; the
+    distribution's version must say the same. Python 3.10 has no ``tomllib``, so a pattern reads it."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'(?m)^version\s*=\s*"([^"]+)"\s*$', pyproject)
+    assert version == iabsim.__version__

@@ -123,6 +123,17 @@ class TestBiasFunctions:
     def test_none_kind_contributes_nothing(self):
         assert wired_bias_db(5, NO_BIAS) == 0.0
 
+    @pytest.mark.parametrize("n_hops", [-1, math.nan, True, 1.5, "1"])
+    @pytest.mark.parametrize("law", [wbf_poly, wbf_exp, wired_bias_db])
+    def test_a_hop_count_that_is_no_integer_at_least_0_is_refused(self, law, n_hops):
+        """-1 hops gave the polynomial law a complex bias, NaN a NaN bias, and True counted as 1 hop."""
+        for cfg in (WbfConfig(WbfKind.POLYNOMIAL, k=1.5), CONSERVATIVE_EXP) + ((NO_BIAS,) if law is wired_bias_db else ()):
+            with pytest.raises(ConfigError, match="n_hops"):
+                law(n_hops, cfg)
+
+    def test_an_integral_float_hop_count_is_its_integer(self):
+        assert wired_bias_db(2.0, CONSERVATIVE_POLY) == wired_bias_db(2, CONSERVATIVE_POLY)
+
 
 class TestBiasedMetric:
     # the ranking metric is the raw SNR plus, for wired nodes only, the bias;

@@ -15,6 +15,7 @@ import pytest
 from oracles import enumerate_widest
 
 from iabsim.channel import ROWS_KEPT, ChannelParams, RadioConfig, RowStore, link_table
+from iabsim.config import config_document, parse_config
 from iabsim import channel, simulate
 from iabsim.errors import ConfigError
 from iabsim.geometry import Deployment, Region
@@ -74,6 +75,24 @@ class TestSimConfig:
     def test_non_finite_density_names_the_key(self, key, bad):
         with pytest.raises(ConfigError, match=f"deployment.{key}"):
             SimConfig(**{key: bad})
+
+    def test_a_policy_list_is_held_as_a_tuple(self):
+        """A list stayed a list: the config was unhashable and did not equal its own echo."""
+        specs = [PolicySpec(PolicyKind.HQF), PolicySpec(PolicyKind.WF)]
+        cfg = SimConfig(policies=specs)
+        assert cfg.policies == tuple(specs) and cfg == SimConfig(policies=tuple(specs))
+        assert hash(cfg) == hash(SimConfig(policies=tuple(specs)))
+        assert parse_config(config_document(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "policies",
+        [iter([PolicySpec(PolicyKind.HQF)]), (spec for spec in [PolicySpec(PolicyKind.HQF)]), "HQF", PolicySpec(PolicyKind.HQF)],
+    )
+    def test_policies_that_are_no_list_or_tuple_are_refused(self, policies):
+        """An iterator was consumed by validation and the campaign failed on its length; a string
+        was read letter by letter."""
+        with pytest.raises(ConfigError, match="'policies' must be a list or tuple"):
+            SimConfig(policies=policies)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigError):
