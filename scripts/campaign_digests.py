@@ -12,7 +12,8 @@ order does not. Each (workload, seed, workers) line gives the campaign digest
 and a SHA-256 of every PathResult the same campaign keeps with
 ``keep_paths=True`` (hops, outcome and exact bottleneck, the oracle's included),
 which catches a path change that the per-repetition arrays miss; a
-``workers=2`` line runs two pool processes even on a host with one CPU. Each
+``workers=2`` line runs two pool processes even on a host with one CPU, and
+although its campaign is smaller than the work that pays for a pool. Each
 (workload, seed) also gets a ``blocks=small`` line for one worker with blocks
 of at most ``SMALL_BLOCKS[workload]`` repetitions, so that every campaign
 crosses several block edges; it lowers ``simulate.BLOCK_BYTES``, and also the
@@ -73,7 +74,9 @@ def main(root: Path) -> None:
     from iabsim import channel, simulate
     from iabsim.simulate import run_campaign
 
-    simulate._usable_cpus = lambda: max(WORKERS)  # a workers=2 line runs two ranges in the pool on any host
+    # a workers=2 line runs two ranges in the pool on any host, however small its campaign
+    simulate._usable_cpus = lambda: max(WORKERS)
+    simulate._work_cap = lambda cfg: max(WORKERS)
     print(f"stream_schema {STREAM_SCHEMA}")
     for workload, reps in REPETITIONS.items():
         doc = json.loads((root / "bench" / "workloads" / f"{workload}.json").read_text())

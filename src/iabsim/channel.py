@@ -147,7 +147,12 @@ def _los_probability(d: np.ndarray, p_out: np.ndarray, params: ChannelParams) ->
 
 def los_probabilities(d_m, params: ChannelParams = ChannelParams()):
     """Closed-form (P_LOS, P_NLOS, P_OUTAGE) at distance ``d_m`` (scalar or array), each >= 0 and
-    finite or +inf."""
+    finite or +inf. A bool or a string is no distance, alone or in a list or array."""
+    kind = d_m.dtype.kind if isinstance(d_m, np.ndarray) else "O"  # objects are looked at one by one
+    if kind in "bSU" or kind == "O" and any(
+        isinstance(x, (bool, np.bool_, str, bytes)) for x in np.asarray(d_m, dtype=object).flat
+    ):
+        raise ConfigError(f"d_m must be a number of meters or an array of them, not bools or strings, got {d_m!r}")
     d = np.asarray(d_m, dtype=float)
     nearest = float(d.min()) if d.size else 0.0  # NaN when any distance is NaN
     if nearest != math.inf:

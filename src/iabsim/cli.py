@@ -115,7 +115,8 @@ def _build_parser() -> _Parser:
         "--workers",
         type=int,
         default=1,
-        help="parallel worker processes; at most min(workers, repetitions, usable CPUs) start",
+        help="parallel worker processes; at most min(workers, repetitions, usable CPUs) start, and only as "
+        "many as the campaign's estimated work pays for",
     )
     parser.add_argument("--oracle", action="store_true", help="also compute the max-min bottleneck benchmark")
     return parser

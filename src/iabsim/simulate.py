@@ -57,9 +57,33 @@ _OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}  # as 
 #   2 MiB   1.09x, -1.9%   1.07x, -0.9%   1.28x, +0.7%
 #   4 MiB   1.17x, +3.3%   1.20x, +4.1%   1.29x, +0.9%
 #
-# 4 MiB lifts the peak RSS of desk and dense480 by more than 3%; at 2 MiB a
-# nomlr120 worker's 150 repetitions are one block.
+# 4 MiB lifts the peak RSS of desk and dense480 by more than 3%; at 2 MiB the
+# 150 repetitions of each of two nomlr120 workers were one block.
 BLOCK_BYTES = 2 << 20
+# A pool starts only when each of its processes gets at least POOL_SHARE_US of
+# one-worker work, as ``_rep_cost_us`` estimates it from the config: a start and
+# a stop cost 7-9 ms, and a forked worker's first share runs cold. One-worker
+# campaign wall time against 2 workers, on a shared 2-vCPU host (median of 7
+# after a warm campaign, each in a fresh process, 3 alternations):
+#
+#   workload  reps  estimate  1 worker   2 workers
+#   nomlr120   300     20 ms  23-26 ms   31-33 ms
+#   nomlr120   600     39 ms  45-53 ms   43-54 ms
+#   nomlr120  1200     79 ms  87-92 ms   66-86 ms
+#   desk       400     39 ms  50-56 ms   46-59 ms
+#   desk       800     79 ms  99-104 ms  81-128 ms
+#   dense480    40     51 ms  53-55 ms   55-70 ms
+#   dense480    60     76 ms  82-89 ms   70-93 ms
+#   dense480   120    152 ms  160-209 ms 106-136 ms
+#
+# The pool breaks even at 40-65 ms of estimated work. The estimate's terms, fitted
+# to one-worker time on 18 configs (lambda_g 30-480, 1-7 policies, with and
+# without the oracle and MLR) to within 30%: a fixed part, a part per expected
+# gNB, per expected gNB and walk, per expected gNB for the oracle, and per
+# expected UE-gNB pair when MLR keeps the UEs. The walks run in lockstep, so one
+# more costs little.
+POOL_SHARE_US = 25_000
+REP_US, GNB_US, WALK_US, ORACLE_US, UE_PAIR_US = 20.0, 0.35, 0.01, 0.2, 0.02
 # What a policy label may hold: it names output files.
 _LABEL_RE = re.compile(r"[A-Za-z0-9._-]+")
 
@@ -109,7 +133,7 @@ class SimConfig:
             raise ConfigError(f"'policies' must be a list or tuple of PolicySpec, got {self.policies!r}")
         object.__setattr__(self, "policies", tuple(self.policies))
         if not self.policies:
-            raise ConfigError("at least one policy must be configured")
+            raise ConfigError("'policies' must hold at least one PolicySpec")
         for i, spec in enumerate(self.policies):
             if not isinstance(spec, PolicySpec):
                 raise ConfigError(f"'policies[{i}]' must be a PolicySpec, got {spec!r}")
@@ -353,6 +377,15 @@ def _world_bytes(cfg: SimConfig) -> int:
     return int((gnbs + 3.0 * math.sqrt(gnbs)) * columns + 16 * ues)
 
 
+def _rep_cost_us(cfg: SimConfig) -> float:
+    """One worker's time per repetition of ``cfg`` in µs, estimated from the expected gNB count n,
+    the walks, the oracle and, when the worlds keep their UEs, the expected UE-gNB pairs."""
+    gnbs = cfg.lambda_g * cfg.region.area_km2
+    per_gnb = GNB_US + WALK_US * len(cfg.policies) + ORACLE_US * cfg.oracle_enabled
+    ues = cfg.lambda_ue * cfg.region.area_km2 if _keeps_ues(cfg) else 0.0
+    return REP_US + gnbs * per_gnb + UE_PAIR_US * gnbs * ues
+
+
 def _block_size(cfg: SimConfig) -> int:
     """Repetitions per block: as many worlds as ``BLOCK_BYTES`` holds, and at least one."""
     return max(1, BLOCK_BYTES // _world_bytes(cfg))
@@ -445,11 +478,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _work_cap(cfg: SimConfig) -> int:
+    """The most processes that each get ``POOL_SHARE_US`` of the campaign's estimated one-worker time,
+    and at least one."""
+    return max(1, int(cfg.repetitions * _rep_cost_us(cfg) // POOL_SHARE_US))
+
+
 def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> CampaignResult:
     """Execute all repetitions, optionally across processes.
 
-    At most ``min(workers, repetitions, usable CPUs)`` processes run, each on
-    one contiguous range of repetitions; with one, the campaign runs in this
+    At most ``min(workers, repetitions, usable CPUs, work cap)`` processes run,
+    each on one contiguous range of repetitions. The work cap (``_work_cap``)
+    gives each process at least ``POOL_SHARE_US`` of the one-worker time that
+    ``_rep_cost_us`` estimates from the config, since a smaller share does not
+    pay for starting the pool. With one process, the campaign runs in this
     process. With more, this process imports the pool, and then ``streams``
     with ``numpy.random``, so workers forked from it inherit the module
     rather than each import it again; under the ``spawn`` and ``forkserver``
@@ -459,7 +501,7 @@ def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> 
     """
     require_number("workers", workers, integer=True, at_least=1)
     reps = cfg.repetitions
-    processes = min(int(workers), reps, _usable_cpus())
+    processes = min(int(workers), reps, _usable_cpus(), _work_cap(cfg))
     if processes == 1:
         blocks = _run_range(cfg, 0, reps, keep_paths)
     else:

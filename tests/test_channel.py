@@ -107,6 +107,28 @@ class TestLosModel:
         with pytest.raises(ConfigError, match="d_m"):
             los_probabilities(d_m)
 
+    @pytest.mark.parametrize(
+        "d_m",
+        [True, False, np.True_, [True, 5.0], [5.0, False], [[10.0], [True]], np.array([True, False]), np.array(True)],
+    )
+    def test_a_bool_distance_is_refused(self, d_m):
+        """True was read as a distance of 1 m, also in a list that numpy made a float array."""
+        with pytest.raises(ConfigError, match="d_m"):
+            los_probabilities(d_m)
+
+    @pytest.mark.parametrize("d_m", ["5", b"5", ["5", 1.0], [1.0, b"5"], np.array(["5"]), np.array([b"5"])])
+    def test_a_string_distance_is_refused(self, d_m):
+        """The string '5' was read as 5 m."""
+        with pytest.raises(ConfigError, match="d_m"):
+            los_probabilities(d_m)
+
+    @pytest.mark.parametrize(
+        "d_m", [67.1, 67, np.float32(67.1), [10.0, 67], (0, 500.5), np.array([10, 67]), np.array([[1.0], [2.0]])]
+    )
+    def test_numbers_of_any_type_are_distances(self, d_m):
+        as_floats = los_probabilities(np.asarray(d_m, dtype=float))
+        assert all(np.array_equal(p, q) for p, q in zip(los_probabilities(d_m), as_floats))
+
     def test_an_infinite_distance_is_in_outage(self):
         assert [float(p) for p in los_probabilities(math.inf)] == [0.0, 0.0, 1.0]
         assert [p.shape for p in los_probabilities([])] == [(0,)] * 3

@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import math
 import multiprocessing
 import os
@@ -16,7 +17,7 @@ from oracles import enumerate_widest
 
 from iabsim.channel import ROWS_KEPT, ChannelParams, RadioConfig, RowStore, link_table
 from iabsim.config import config_document, parse_config
-from iabsim import channel, simulate
+from iabsim import channel, cli, simulate
 from iabsim.errors import ConfigError
 from iabsim.geometry import Deployment, Region
 from iabsim.policy import WBF_PRESETS, PathOutcome, PolicyKind, WalkBlock, WbfConfig, build_path
@@ -33,8 +34,9 @@ from iabsim.simulate import (
 )
 
 SMALL = SimConfig(repetitions=30, master_seed=123, oracle_enabled=True)
-# the host's CPU count, taken before conftest's fixture lifts the cap for each test
-USABLE_CPUS = simulate._usable_cpus
+# the host's CPU count and the work cap, taken before conftest's fixture lifts both caps for each test
+USABLE_CPUS, WORK_CAP = simulate._usable_cpus, simulate._work_cap
+ROOT = Path(__file__).resolve().parents[1]
 # the run's hop limit and the radio bandwidth, at their configured defaults
 RUN = {"max_hops": SimConfig().max_hops, "bandwidth_hz": RadioConfig().bandwidth_hz}
 
@@ -92,6 +94,12 @@ class TestSimConfig:
         """An iterator was consumed by validation and the campaign failed on its length; a string
         was read letter by letter."""
         with pytest.raises(ConfigError, match="'policies' must be a list or tuple"):
+            SimConfig(policies=policies)
+
+    @pytest.mark.parametrize("policies", [(), []])
+    def test_no_policy_names_the_key(self, policies):
+        """The refusal named no key, while ``parse_config``'s names 'policies'."""
+        with pytest.raises(ConfigError, match="'policies'"):
             SimConfig(policies=policies)
 
     def test_duplicate_labels_rejected(self):
@@ -647,6 +655,7 @@ campaigns = [
     SimConfig(lambda_g=120.0, policies=(PolicySpec(PolicyKind.HQF), PolicySpec(PolicyKind.PA)), repetitions=5),
 ]
 simulate._usable_cpus = lambda: 2
+simulate._work_cap = lambda cfg: 2  # these small campaigns would run in process
 simulate._run_range = importing_nothing
 pooled = [records(run_campaign(cfg, workers=2)) for cfg in campaigns]
 simulate._run_range = share
@@ -760,13 +769,24 @@ class TestCampaignAggregation:
         assert np.array_equal(pooled.hop_count["HQF"], run_campaign(cfg).hop_count["HQF"])
 
     @pytest.mark.parametrize(
-        "workers, reps, cpus, started",
-        [(5000, 40, 2, [2]), (3, 2, 8, [2]), (4, 40, 8, [4]), (8, 40, 1, [])],
-        ids=["cpus", "repetitions", "workers", "one_cpu"],
+        "workers, reps, cpus, workload, started",
+        [
+            (5000, 40, 2, None, [2]),
+            (3, 2, 8, None, [2]),
+            (4, 40, 8, None, [4]),
+            (8, 40, 1, None, []),
+            (2, 300, 2, "nomlr120", []),
+            (2, 2400, 2, "nomlr120", [2]),
+            (2, 120, 2, "dense480", [2]),
+        ],
+        ids=["cpus", "repetitions", "workers", "one_cpu", "work_nomlr120_300", "work_nomlr120_2400",
+             "work_dense480_120"],
     )
-    def test_pool_capped_by_workers_repetitions_and_cpus(self, workers, reps, cpus, started, monkeypatch):
-        """At most min(workers, repetitions, usable CPUs) processes, and none for one. The stub
-        pool records its size and runs each task in this process, so no process starts."""
+    def test_pool_capped_by_workers_repetitions_and_cpus(self, workers, reps, cpus, workload, started, monkeypatch):
+        """At most min(workers, repetitions, usable CPUs, work cap) processes, and none for one. A
+        benchmark workload runs under the work cap; the small campaign of the other cases runs with
+        it lifted. The stub pool records its size and runs each task in this process, so no process
+        starts."""
         sizes = []
 
         class RecordingPool:
@@ -786,13 +806,45 @@ class TestCampaignAggregation:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
-        cfg = SimConfig(lambda_g=10.0, lambda_ue=0.0, policies=NO_MLR, repetitions=reps, master_seed=5)
+        if workload is None:
+            cfg = SimConfig(lambda_g=10.0, lambda_ue=0.0, policies=NO_MLR, repetitions=reps, master_seed=5)
+        else:
+            monkeypatch.setattr(simulate, "_work_cap", WORK_CAP)
+            doc = json.loads((ROOT / "bench" / "workloads" / f"{workload}.json").read_text())
+            cfg = replace(parse_config(doc), repetitions=reps)
         pooled = run_campaign(cfg, workers=workers)
         assert sizes == started
         serial = run_campaign(cfg)
         for lab in cfg.policies:
             assert np.array_equal(pooled.bottleneck_db[lab.label], serial.bottleneck_db[lab.label], equal_nan=True)
             assert np.array_equal(pooled.hop_count[lab.label], serial.hop_count[lab.label])
+
+    def test_work_estimate_reads_only_the_config(self):
+        """The estimate is a deterministic function of the config: it grows with the gNB density, the
+        policy count and the oracle, and with the UE density only when MLR keeps the UEs."""
+        base = SimConfig(lambda_g=120.0, lambda_ue=100.0, policies=NO_MLR)
+        cost = simulate._rep_cost_us
+        assert cost(base) == cost(replace(base, master_seed=7, repetitions=3)) == cost(SimConfig(**vars(base)))
+        assert cost(replace(base, lambda_g=240.0)) > cost(base)
+        assert cost(replace(base, policies=NO_MLR[:2])) < cost(base)
+        assert cost(replace(base, oracle_enabled=True)) > cost(base)
+        assert cost(replace(base, lambda_ue=400.0)) == cost(base) == cost(replace(base, lambda_ue=0.0))
+        mlr = replace(base, policies=WITH_MLR)
+        assert cost(replace(mlr, lambda_ue=400.0)) > cost(mlr) > cost(replace(mlr, lambda_ue=0.0))
+        assert WORK_CAP(replace(base, repetitions=1)) == 1
+        assert WORK_CAP(replace(base, repetitions=10**6)) > WORK_CAP(replace(base, repetitions=10**4)) > 1
+
+    def test_ci_pool_step_crosses_the_work_cap(self):
+        """Each CLI run that CI gives 2 workers is a campaign large enough to start 2 processes, so the
+        step runs the pool under ``-W error``."""
+        workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+        commands = [line.split("-m iabsim", 1)[1].split() for line in workflow.splitlines() if "--workers" in line]
+        assert len(commands) == 2  # both tier-1 jobs
+        for argv in commands:
+            argv = argv[: argv.index("--out")]
+            args = cli._build_parser().parse_args(argv)
+            cfg = cli._apply_overrides(parse_config(ROOT / args.config), args)
+            assert args.workers == 2 and WORK_CAP(cfg) >= 2, argv
 
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
         assert USABLE_CPUS() == len(simulate.os.sched_getaffinity(0))
