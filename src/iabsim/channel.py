@@ -305,7 +305,10 @@ class LinkTable:
     def __getitem__(self, i: int) -> np.ndarray:
         if isinstance(i, bool):
             raise TypeError(f"a link table row is read by an integer node id, got {i!r}")
-        rows, _ = self.store.read(np.zeros(1, dtype=np.intp), np.array([operator.index(i)]))
+        i = operator.index(i)
+        if not 0 <= i < self.n:
+            raise IndexError(f"node id {i} is outside a table of {self.n} gNBs")
+        rows, _ = self.store.read(np.array([i]))
         return rows[0]
 
     @cached_property
@@ -402,15 +405,12 @@ class RowStore:
         self.width = int(sizes.max())
         self.offset = sizes.cumsum() - sizes
 
-    def read(self, world: np.ndarray, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows that the entries (``world[k]``, ``node[k]``) stand on, each distinct row once and
-        padded, in block node order, and the index of each entry's row among them. The distinct rows
-        not held yet go through hashed passes of whole rows that ``_passes`` plans, each of at most
-        ``PASS_PAIRS`` pairs (or one row, when wider), so one read for every kernel of a round hashes
-        all their missing rows together."""
-        if ((node < 0) | (node >= self.sizes[world])).any():
-            raise IndexError(f"node ids {node} reach outside their worlds of {self.sizes[world]} gNBs")
-        at = self.offset[world] + node
+    def read(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the block nodes ``at`` (unchecked: ``LinkTable[i]`` checks the ids it is given),
+        each distinct row once and padded, in block node order, and the index of each entry's row
+        among them. The distinct rows not held yet go through hashed passes of whole rows that
+        ``_passes`` plans, each of at most ``PASS_PAIRS`` pairs (or one row, when wider), so one read
+        for every kernel of a round hashes all their missing rows together."""
         # distinct nodes; a plain np.unique would import numpy.ma (about 15 ms) in every new pool worker
         seen = np.zeros(self.slot.size, dtype=bool)
         seen[at] = True
@@ -545,7 +545,7 @@ def _screen(ues, gnbs, offset: list[int], sizes: list[int], drawn, streams, para
     starts -= width
     d2, dy, u = np.empty(pairs), np.empty(pairs), np.empty(pairs)
     at, ends = 0, []
-    with np.errstate(over="ignore"):  # an infinite d2 is beyond any finite radius
+    with np.errstate(over="ignore"):  # an infinite distance, squared or not, is beyond any finite radius
         for w, row, rows in drawn:
             if rows:  # a world with no UE has no pair and no stream
                 ue, gnb, n = ues[row : row + rows], gnbs[offset[w] : offset[w] + sizes[w]], sizes[w]
@@ -558,9 +558,16 @@ def _screen(ues, gnbs, offset: list[int], sizes: list[int], drawn, streams, para
         d2 *= d2
         dy *= dy
         d2 += dy
-    del dy
-    kept = _may_be_live(d2, u, params).nonzero()[0]
-    d = np.sqrt(d2[kept])
+        del dy
+        kept = _may_be_live(d2, u, params).nonzero()[0]
+        d = np.sqrt(d2[kept])
+        far = (~np.isfinite(d)).nonzero()[0]
+        if far.size:  # the square overflowed: the hypot of the differences, as a link row takes it
+            pair = kept[far]
+            row = np.searchsorted(starts, pair, side="right") - 1
+            base = np.repeat([offset[w] for w, _, _ in drawn], [rows for _, _, rows in drawn])  # per UE row: its first gNB
+            gnb = base[row] + pair - starts[row]
+            d[far] = np.hypot(*(ues[drawn[0][1] + row] - gnbs[gnb]).T)
     live, los = _visibility(d, u[kept], params)
     pair = kept[live]
     ends = np.searchsorted(pair, ends).tolist()
@@ -594,7 +601,9 @@ def _serve(serving, held, streams, params: ChannelParams) -> None:
         row = np.searchsorted(starts, pair, side="right") - 1
         best = np.full(starts.size, np.inf)
         np.minimum.at(best, row, total)
-        hit = (total == best[row]).nonzero()[0][::-1]  # backwards: a row's first pair at its minimum is written last
+        hit = (total == best[row]).nonzero()[0]
+        lead = row[hit]  # in row order: the first pair of each row at its minimum is where ``lead`` changes
+        hit = hit[lead != np.concatenate(([-1], lead[:-1]))]
         served = np.full(starts.size, -1)
         served[row[hit]] = pair[hit] - starts[row[hit]]
         served[~np.isfinite(best)] = -1

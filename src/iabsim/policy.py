@@ -181,12 +181,12 @@ class WalkBlock:
     Walk w starts at node ``origin[w]`` of world ``world[w]`` of ``store``, the
     ``RowStore`` of the block, and follows ``policies[policy[w]]``, a (kind,
     wbf) pair. The store holds the worlds' nodes and link rows; the block holds
-    its walks' ``world``, ``policy``, current ``node`` (in its world),
-    ``outcome``, ``length`` and ``bottleneck`` by walk id, and only ``ids`` (the
-    walks still going) and ``open`` shrink as walks end. Each round, ``step``
-    gets the distinct rows that the walks still going stand on and the index
-    of each walk's row among them (``_lockstep`` reads them from the store for
-    every kernel at once), and moves each of those walks one hop:
+    its walks' ``world``, ``policy``, ``outcome``, ``length`` and ``bottleneck``
+    by walk id, and only ``ids`` (the walks still going), ``at`` (the block node
+    each of them stands on) and ``open`` shrink as walks end. Each round,
+    ``step`` gets the distinct rows of ``at`` and the index of each walk's row
+    among them (``_lockstep`` reads them from the store for every kernel at
+    once), and moves each of those walks one hop:
 
     - the admissible parents of every walk are the columns of its row whose
       raw SNR clears the threshold and that it has not visited (padding
@@ -231,32 +231,26 @@ class WalkBlock:
         self.world = np.asarray(world, dtype=np.intp)
         self.origin = np.asarray(origin, dtype=np.intp)
         self.policy = np.asarray(policy, dtype=np.intp)
-        self.node = self.origin.copy()
         count = self.origin.size
         self.outcome = np.zeros(count, dtype=np.int8)
         self.length = np.zeros(count, dtype=np.intp)
         self.bottleneck = np.full(count, math.inf)
         self.trail = []  # per round: the ids of the walks that moved, and the nodes they moved to
-        # the walks still going, and the columns each may still visit
-        self.ids, self.going = np.arange(count), count > 0
+        # the walks still going, the block node each stands on, and the columns each may still visit
+        self.ids, self.at = np.arange(count), store.offset[self.world] + self.origin
         self.open = np.arange(store.width) < store.sizes[self.world][:, None]
         self.open[self.ids, self.origin] = False
         self.hop = 0
 
-    def standing(self) -> tuple[np.ndarray, np.ndarray]:
-        """The world and the node of each walk still going, in ``ids`` order."""
-        return self.world[self.ids], self.node[self.ids]
-
     def step(self, rows: np.ndarray, index: np.ndarray) -> None:
         """Move every walk still going one hop: walk ``ids[k]`` stands on row ``index[k]`` of ``rows``."""
         ids = self.ids
-        world, current, policies = self.world[ids], self.node[ids], self.policy[ids]
+        world, policies = self.world[ids], self.policy[ids]
         # the admissible entries (walk, col), in walk order, then column order
         walk, col = ((rows >= self.threshold)[index] & self.open).nonzero()
         raw = rows[index[walk], col]
         count = ids.size
-        base = self.store.offset[world]
-        node = base[walk] + col
+        node = self.store.offset[world][walk] + col
         wired = self.store.wired[node]
         policy = policies[walk]
         pa, mlr = self.is_pa[policies].nonzero()[0], self.is_mlr[policies].nonzero()[0]
@@ -267,7 +261,7 @@ class WalkBlock:
             if pa.size:
                 entries = self.is_pa[policy].nonzero()[0]
                 which = np.searchsorted(pa, walk[entries])
-                prefer[entries] = self._ahead(world[pa], base[pa] + current[pa], which, node[entries])
+                prefer[entries] = self._ahead(world[pa], self.at[pa], which, node[entries])
             some = np.zeros(count, dtype=bool)
             some[walk[prefer]] = True
             pool = prefer | ~some[walk]
@@ -290,8 +284,10 @@ class WalkBlock:
         some[:] = False
         some[walk[on_wired]] = True
         final = (on_wired | (tie & ~some[walk])).nonzero()[0]
+        lead = walk[final]  # in walk order: the first final entry of each walk is where ``lead`` changes
+        final = final[lead != np.concatenate(([-1], lead[:-1]))]
         pick = np.full(count, -1)
-        pick[walk[final[::-1]]] = final[::-1]  # the first final entry of each walk
+        pick[walk[final]] = final
         if mlr.size:
             self._rerank(pick, mlr, walk, tie, value, wired, node)
 
@@ -300,7 +296,7 @@ class WalkBlock:
         moved, chosen, link = ids[moves], col[entry], raw[entry]
         held = self.bottleneck[moved]
         self.bottleneck[moved] = np.where(link < held, link, held)
-        self.node[moved] = chosen
+        self.at[moves] = node[entry]
         self.trail.append((moved, chosen))
         self.open[moves, chosen] = False
         self.hop += 1
@@ -340,8 +336,8 @@ class WalkBlock:
         self.outcome[gone] = code
         self.length[gone] = self.hop  # less the round that found no candidate, once all have ended
         keep = ~done
-        self.ids, self.open, self.going = self.ids[keep], self.open[keep], bool(keep.any())
-        if not self.going:
+        self.ids, self.at, self.open = self.ids[keep], self.at[keep], self.open[keep]
+        if not self.ids.size:
             self.length -= self.outcome == _NO_CANDIDATE
             self.bottleneck[self.length == 0] = math.nan
 
@@ -365,18 +361,17 @@ class WalkBlock:
 
 def _lockstep(blocks) -> None:
     """Step ``blocks`` (``WalkBlock``s and ``OracleBlock``s of one store) together until all have
-    ended. Each round makes one ``RowStore.read`` of the (world, node) that every kernel still going
-    stands on, so a row that several kernels stand on is read, and hashed, once; each kernel then
-    steps on its entries' rows through the index that read returns. A row's bits do not depend on
-    when it is read, so neither does any kernel's result."""
+    ended. Each round makes one ``RowStore.read`` of the block nodes ``at`` of every kernel still
+    going, so a row that several kernels stand on is read, and hashed, once; each kernel then steps
+    on its slice of the index that read returns, cut by the sizes of ``at`` taken before any step,
+    as a step shrinks its own ``at``. A row's bits do not depend on when it is read, so neither
+    does any kernel's result."""
     store = blocks[0].store
-    while going := [block for block in blocks if block.going]:
-        standing = [block.standing() for block in going]
-        rows, index = store.read(*(np.concatenate(part) for part in zip(*standing)))
-        start = 0
-        for block, (world, _) in zip(going, standing):
-            block.step(rows, index[start : start + world.size])
-            start += world.size
+    while going := [block for block in blocks if block.at.size]:
+        bounds = np.cumsum([0] + [block.at.size for block in going]).tolist()
+        rows, index = store.read(np.concatenate([block.at for block in going]))
+        for block, start, stop in zip(going, bounds, bounds[1:]):
+            block.step(rows, index[start:stop])
 
 
 def build_path(

@@ -176,8 +176,8 @@ def repetition_rng(master_seed: int, rep_index: int) -> np.random.Generator:
 
 
 def _keeps_ues(cfg: SimConfig) -> bool:
-    """Whether the worlds of ``cfg`` keep their UE drops: only MLR reads the loads."""
-    return any(spec.kind == PolicyKind.MLR for spec in cfg.policies)
+    """Whether the worlds of ``cfg`` drop UEs and keep them: only MLR reads the loads."""
+    return cfg.lambda_ue > 0 and any(spec.kind == PolicyKind.MLR for spec in cfg.policies)
 
 
 def _sample_worlds(cfg: SimConfig, rngs, children) -> tuple[RowStore, np.ndarray | None]:
@@ -194,7 +194,7 @@ def _sample_worlds(cfg: SimConfig, rngs, children) -> tuple[RowStore, np.ndarray
     the generator ends in the same place either way: the link table, and every policy, sees the
     same realization whichever policies are configured.
     """
-    keep_ues = cfg.lambda_ue > 0 and _keeps_ues(cfg)
+    keep_ues = _keeps_ues(cfg)
     area = cfg.region.area_km2
     gnbs, wired, ues, words = [], [], [], []
     for rng in rngs:
@@ -259,10 +259,11 @@ class OracleBlock:
     tentative bottleneck t (lowest id on ties): SUCCESS at t if it is wired,
     NO_CANDIDATE if there is none; else ``step``, handed that node's row by the round's read,
     reaches every unsettled column that clears the threshold at max(t, min(t_node, SNR)).
-    Reached is its own mask, as -inf is a real bottleneck at a threshold of -inf.
-    The max-min value is unique and max and min are exact, so no settle order
-    changes a bit. ``origin`` is kept; ``outcome`` (``PathOutcome`` codes) and
-    ``bottleneck`` (NaN on failure) describe every world once none is going.
+    A column's tentative bottleneck is NaN while it is not open (unreached or settled), as -inf
+    is a real bottleneck at a threshold of -inf, and fmax passes over NaN. The max-min value is
+    unique and max, min and fmax are exact, so no settle order changes a bit. ``origin`` is kept
+    and ``at`` is the block node each world still going settled last; ``outcome`` (``PathOutcome``
+    codes) and ``bottleneck`` (NaN on failure) describe every world once none is going.
     """
 
     def __init__(self, store, origin, snr_threshold_db):
@@ -270,49 +271,41 @@ class OracleBlock:
         count = store.sizes.size
         self.outcome = np.full(count, _NO_CANDIDATE, dtype=np.int8)
         self.bottleneck = np.full(count, math.nan)
-        # the worlds still going: ids, and per column settled (as padding is), open (reached, not
-        # settled) and the tentative bottleneck
+        # the worlds still going: ids, and per column settled (as padding is) and the tentative bottleneck
         self.ids = np.arange(count)
         self.settled = np.arange(store.width) >= store.sizes[:, None]
-        self.open = np.zeros_like(self.settled)
-        self.open[self.ids, self.origin] = True
-        self.value = np.where(self.open, np.inf, -np.inf)
+        self.value = np.full(self.settled.shape, math.nan)
+        self.value[self.ids, self.origin] = math.inf
         self._settle()
-
-    def standing(self) -> tuple[np.ndarray, np.ndarray]:
-        """The world still going and the node it settled last, in ``ids`` order."""
-        return self.ids, self.node
 
     def step(self, rows: np.ndarray, index: np.ndarray) -> None:
         """Reach out from the node each world still going settled, whose row is ``index[k]`` of
         ``rows`` for world ``ids[k]``, over the unsettled columns that clear the threshold, and
         settle the next."""
-        admit = (rows >= self.threshold)[index] & ~self.settled
-        world, col = admit.nonzero()
+        world, col = ((rows >= self.threshold)[index] & ~self.settled).nonzero()
         reach = np.minimum(rows[index[world], col], self.held[world])
-        self.value[world, col] = np.maximum(self.value[world, col], reach)
-        self.open |= admit
+        self.value[world, col] = np.fmax(self.value[world, col], reach)
         self._settle()
 
     def _settle(self) -> None:
         """Settle the best open node of every world still going, and drop the worlds that end."""
-        best = np.where(self.open, self.value, -np.inf).max(axis=1)
-        node = (self.open & (self.value >= best[:, None])).argmax(axis=1)
+        best = np.fmax.reduce(self.value, axis=1)  # NaN when no column is open
+        node = (self.value == best[:, None]).argmax(axis=1)
+        found = ~np.isnan(best)
+        at = self.store.offset[self.ids] + node
+        wired = found & self.store.wired[at]
         rows = np.arange(node.size)
-        found = self.open[rows, node]
-        wired = found & self.store.wired[self.store.offset[self.ids] + node]
-        self.open[rows, node] = False
+        self.value[rows, node] = math.nan
         self.settled[rows, node] = True
         done = wired | ~found
         if done.any():
             self.outcome[self.ids[wired]] = _SUCCESS
             self.bottleneck[self.ids[wired]] = best[wired]
             keep = ~done
-            self.ids, self.settled, self.open, self.value = (
-                a[keep] for a in (self.ids, self.settled, self.open, self.value)
+            self.ids, self.settled, self.value, at, best = (
+                a[keep] for a in (self.ids, self.settled, self.value, at, best)
             )
-            node, best = node[keep], best[keep]
-        self.node, self.held, self.going = node, best, node.size > 0
+        self.at, self.held = at, best
 
 
 def _fewest_hops(store: RowStore, world: int, origin_id: int, best: float) -> tuple[int, ...]:
@@ -330,7 +323,7 @@ def _fewest_hops(store: RowStore, world: int, origin_id: int, best: float) -> tu
         settled.add(node)
         if store.wired[store.offset[world] + node]:
             return path[1:]
-        row = store.read(np.array([world]), np.array([node]))[0][0, : store.sizes[world]]
+        row = store.read(np.array([store.offset[world] + node]))[0][0, : store.sizes[world]]
         for nxt in (row >= best).nonzero()[0].tolist():
             if nxt not in settled:
                 heapq.heappush(heap, (hops + 1, path + (nxt,)))
@@ -368,11 +361,11 @@ def _world_bytes(cfg: SimConfig) -> int:
     """The bytes a world of ``cfg`` holds in a block, estimated per column of the padded width (the
     mean gNB count plus three standard deviations): 8 B for each of the ``ROWS_KEPT`` rows its store
     makes room for and for the row a round's read gathers (at most one per world on the benchmark
-    workloads), 2 B per walk (its open columns, and its admissible ones in a round) and 19 B for
-    the oracle (its settled, open and admissible columns, and its tentative bottlenecks and their
-    copy while it settles); and 16 B per UE when the worlds keep their UEs."""
+    workloads), 2 B per walk (its open columns, and its admissible ones in a round) and 10 B for
+    the oracle (its settled columns, its admissible ones in a round, and its tentative
+    bottlenecks); and 16 B per UE when the worlds keep their UEs."""
     gnbs = cfg.lambda_g * cfg.region.area_km2
-    columns = 8 * (ROWS_KEPT + 1) + 2 * len(cfg.policies) + 19 * cfg.oracle_enabled
+    columns = 8 * (ROWS_KEPT + 1) + 2 * len(cfg.policies) + 10 * cfg.oracle_enabled
     ues = cfg.lambda_ue * cfg.region.area_km2 if _keeps_ues(cfg) else 0.0
     return int((gnbs + 3.0 * math.sqrt(gnbs)) * columns + 16 * ues)
 
@@ -397,7 +390,7 @@ def _sample_block(cfg: SimConfig, reps: range) -> RowStore:
     from .streams import spawned_rngs
 
     children = [None] * len(reps)
-    if cfg.lambda_ue > 0 and _keeps_ues(cfg):
+    if _keeps_ues(cfg):
         children = list(spawned_rngs(cfg.master_seed, [(rep, ASSOC_LAYER) for rep in reps]))
     return _sample_worlds(cfg, list(spawned_rngs(cfg.master_seed, [(rep,) for rep in reps])), children)[0]
 

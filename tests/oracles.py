@@ -153,6 +153,8 @@ def dense_associate_min_pathloss(ue_positions, deployment, params, rng, child=No
     ue = np.asarray(ue_positions)
     dx, dy = ue[:, None, 0] - gnb[None, :, 0], ue[:, None, 1] - gnb[None, :, 1]
     d = np.sqrt(dx * dx + dy * dy)
+    far = ~np.isfinite(d)  # the square overflowed: the hypot of the differences, as a link row takes it
+    d[far] = np.hypot(dx[far], dy[far])
     u = child.random(d.shape)
     live = _dense_law(d, u, params)[0] != LosState.OUTAGE
     shadow = np.zeros(d.shape)

@@ -111,7 +111,7 @@ def test_one_walk_block_steps_many_tied_worlds(max_hops, threshold):
     )
     oracle = OracleBlock(store, np.zeros(BLOCK_WORLDS, dtype=int), threshold)
     reads, read = [], store.read
-    store.read = lambda world, node: reads.append(world.size) or read(world, node)
+    store.read = lambda at: reads.append(at.size) or read(at)
     simulate._lockstep([walks, oracle])
     # one read per round, over every walk and oracle still going: all of them in the first
     assert reads[0] == BLOCK_WORLDS * (count + 1) and len(reads) >= walks.hop and reads == sorted(reads)[::-1]

@@ -248,12 +248,13 @@ class TestAssociationSkip:
     def test_world_bytes_count_store_rows_and_kernel_masks(self):
         """Per column of the padded width, a world holds 8 B for each of the ``ROWS_KEPT`` rows its
         store makes room for and for the row a round's read gathers, 2 B per walk (its open and
-        admissible columns; no float row per walk) and 19 B for the oracle."""
+        admissible columns; no float row per walk) and 10 B for the oracle (its settled and
+        admissible columns and its tentative bottlenecks; no open mask and no copy while it settles)."""
         width = 120.0 + 3.0 * math.sqrt(120.0)
         cfg = SimConfig(lambda_g=120.0, policies=NO_MLR)
         rows = 8 * (ROWS_KEPT + 1)
         assert simulate._world_bytes(cfg) == int(width * (rows + 2 * 3))
-        assert simulate._world_bytes(replace(cfg, oracle_enabled=True)) == int(width * (rows + 2 * 3 + 19))
+        assert simulate._world_bytes(replace(cfg, oracle_enabled=True)) == int(width * (rows + 2 * 3 + 10))
         ues = 16 * 100.0 * Region().area_km2
         assert simulate._world_bytes(replace(cfg, policies=WITH_MLR)) == int(width * (rows + 2 * 4) + ues)
 
@@ -356,6 +357,22 @@ class TestWidestPathOracle:
         got = widest_path_oracle(dep, mat, 2.0, 5.0)
         assert got == widest_path_oracle(dep, mat, 2, 5.0) and type(got.origin_id) is int and got.hops == (1,)
 
+    def test_a_block_at_no_threshold_tells_an_outage_bottleneck_from_no_path(self):
+        """An ``OracleBlock`` at a threshold of -inf, where -inf is a real bottleneck. World 0 has
+        only NaN links to its wired node 2, which clear no threshold: NO_CANDIDATE with NaN, though
+        its padded column 3 holds -inf and is block node 3, world 1's wired node 0. World 1 reaches
+        that node only over outage links: SUCCESS with bottleneck -inf."""
+        links = {(0, 1): 7.0, (0, 2): math.nan, (1, 2): math.nan}
+        none, none_mat = make_graph([(0, 0), (100, 0), (50, 50)], [False, False, True], links)
+        coords = [(0, 0), (100, 0), (200, 0), (300, 0)]
+        outage, outage_mat = make_graph(coords, [True, False, False, False], {(1, 2): 10.0, (2, 3): 12.0}, origin_id=1)
+        oracle = simulate.OracleBlock(RowStore.held([none, outage], [none_mat, outage_mat]), [0, 1], -math.inf)
+        simulate._lockstep([oracle])
+        assert [list(PathOutcome)[c] for c in oracle.outcome] == [PathOutcome.NO_CANDIDATE, PathOutcome.SUCCESS]
+        assert math.isnan(oracle.bottleneck[0]) and oracle.bottleneck[1] == -math.inf and oracle.at.size == 0
+        alone = widest_path_oracle(outage, outage_mat, 1, -math.inf)
+        assert (alone.outcome, alone.bottleneck_snr_db, alone.hops) == (PathOutcome.SUCCESS, -math.inf, (0,))
+
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
@@ -430,7 +447,7 @@ class TestTableOfAnotherWorld:
 
 class TestOneReadPerRound:
     """``_lockstep`` reads each round's rows for every kernel at once: on a desk-like block, six walks
-    per world and the oracle make one ``RowStore.read`` per round over the (world, node) of every
+    per world and the oracle make one ``RowStore.read`` per round over the block node ``at`` of every
     walk and world still going, and each row is hashed once, also when several kernels stand on it,
     as every kernel of a world stands on its origin in the first round."""
 
@@ -441,18 +458,17 @@ class TestOneReadPerRound:
         events, hashed = [], []
         read, one_pass = RowStore.read, RowStore._pass
 
-        def record_read(store, world, node):
-            events.append(("read", list(zip(world.tolist(), node.tolist()))))
-            return read(store, world, node)
+        def record_read(store, at):
+            events.append(("read", at.tolist()))
+            return read(store, at)
 
         def record_pass(store, at):
-            world = np.searchsorted(store.offset, at, side="right") - 1
-            hashed.append(list(zip(world.tolist(), (at - store.offset[world]).tolist())))
+            hashed.append(at.tolist())
             one_pass(store, at)
 
         def record_step(kind, step):
             def recorded(block, rows, index):
-                events.append((kind, list(zip(*(a.tolist() for a in block.standing())))))
+                events.append((kind, block.at.tolist()))
                 step(block, rows, index)
 
             return recorded
@@ -473,7 +489,8 @@ class TestOneReadPerRound:
             assert kind == "read" and steps and [s[0] for s in steps] in (["walks", "oracle"], ["walks"], ["oracle"]), k
             assert entries == [entry for _, standing in steps for entry in standing], k  # every kernel still going
         walks, oracle = rounds[0][1][1], rounds[0][2][1]
-        origin = [(w, int(o)) for w, o in enumerate(simulate._sample_block(cfg, range(cfg.repetitions)).origin)]
+        store = simulate._sample_block(cfg, range(cfg.repetitions))
+        origin = (store.offset + store.origin).tolist()
         assert walks == [entry for entry in origin for _ in cfg.policies] and oracle == origin
         assert hashed[0] == origin  # all seven kernels of a world stand on its origin: one row each
         rows = [row for rows in hashed for row in rows]
@@ -839,7 +856,7 @@ class TestCampaignAggregation:
         step runs the pool under ``-W error``."""
         workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
         commands = [line.split("-m iabsim", 1)[1].split() for line in workflow.splitlines() if "--workers" in line]
-        assert len(commands) == 2  # both tier-1 jobs
+        assert len(commands) == 1  # the tier-1 job, which runs it on every entry of its matrix
         for argv in commands:
             argv = argv[: argv.index("--out")]
             args = cli._build_parser().parse_args(argv)
