@@ -14,7 +14,12 @@ and a SHA-256 of every PathResult the same campaign keeps with
 which catches a path change that the per-repetition arrays miss; a
 ``workers=2`` line runs two pool processes even on a host with one CPU, and
 although its campaign is smaller than the work that pays for a pool. Each
-(workload, seed) also gets a ``blocks=small`` line for one worker with blocks
+(workload, seed) gets a ``summary=`` line, a SHA-256 of what ``aggregate`` makes
+of the one-worker campaign: per policy its successes, failure probability, the
+mean, median and 95th percentile of hops and of bottleneck SNR, and the mean
+oracle gap, each float as ``float.hex``, so a change to the aggregation shows
+even where the CLI's bytes are not compared. Each (workload, seed) also gets a
+``blocks=small`` line for one worker with blocks
 of at most ``SMALL_BLOCKS[workload]`` repetitions, so that every campaign
 crosses several block edges; it lowers ``simulate.BLOCK_BYTES``, and also the
 pass bounds to ``SMALL_PASSES``, so that every desk world (about 3000 UE-gNB
@@ -50,6 +55,17 @@ def paths_digest(paths: dict) -> str:
     return h.hexdigest()
 
 
+def summary_digest(summary) -> str:
+    """SHA-256 over the numbers ``aggregate`` gives each policy of a ``CampaignSummary``, in its order."""
+    h = hashlib.sha256()
+    for label, s in summary.policies.items():
+        numbers = (s.failure_probability, s.hop_mean, s.hop_median, s.hop_p95, s.snr_mean_db, s.snr_median_db)
+        numbers += (s.snr_p95_db, s.mean_oracle_gap_db)
+        fields = (label, s.successes, *(None if x is None else float(x).hex() for x in numbers))
+        h.update(f"{fields}\n".encode())
+    return h.hexdigest()
+
+
 @contextmanager
 def small_blocks(simulate, channel, cfg, repetitions: int):
     """Blocks of at most ``repetitions`` repetitions of ``cfg``, and passes of ``SMALL_PASSES``
@@ -72,7 +88,7 @@ def main(root: Path) -> None:
     from iabsim.channel import STREAM_SCHEMA
     from iabsim.config import config_document, parse_config
     from iabsim import channel, simulate
-    from iabsim.simulate import run_campaign
+    from iabsim.simulate import aggregate, run_campaign
 
     # a workers=2 line runs two ranges in the pool on any host, however small its campaign
     simulate._usable_cpus = lambda: max(WORKERS)
@@ -86,9 +102,11 @@ def main(root: Path) -> None:
             doc["run"].update(repetitions=reps, master_seed=seed)
             cfg = parse_config(doc)
             for workers in WORKERS:
-                digest = campaign_digest(run_campaign(cfg, workers=workers))
+                result = run_campaign(cfg, workers=workers)
                 kept = paths_digest(run_campaign(cfg, workers=workers, keep_paths=True).paths)
-                print(f"{workload} seed={seed} workers={workers} {digest} paths={kept}", flush=True)
+                print(f"{workload} seed={seed} workers={workers} {campaign_digest(result)} paths={kept}", flush=True)
+                if workers == 1:
+                    print(f"{workload} seed={seed} summary={summary_digest(aggregate(cfg, result))}", flush=True)
             with small_blocks(simulate, channel, cfg, SMALL_BLOCKS[workload]):
                 digest = campaign_digest(run_campaign(cfg))
                 kept = paths_digest(run_campaign(cfg, keep_paths=True).paths)

@@ -112,19 +112,20 @@ class ChannelParams:
     zero-mean Gaussian shadowing of the given sigma. The outage probability is
     max(0, 1 - exp(-slope*d + intercept)) and the LOS share of the remainder
     decays as exp(-los_decay*d). ``fading_sigma_db`` > 0 adds one extra
-    lognormal perturbation per link (off by default).
+    lognormal perturbation per link (off by default). The sigmas and the LOS
+    decay must be >= 0; the outage slope and the exponents may be negative.
     """
 
     los_alpha_db: float = param("channel.los_alpha_db", 61.4)
     los_exponent: float = param("channel.los_exponent", 2.0)
-    los_sigma_db: float = param("channel.los_sigma_db", 5.8)
+    los_sigma_db: float = param("channel.los_sigma_db", 5.8, at_least=0)
     nlos_alpha_db: float = param("channel.nlos_alpha_db", 72.0)
     nlos_exponent: float = param("channel.nlos_exponent", 2.92)
-    nlos_sigma_db: float = param("channel.nlos_sigma_db", 8.7)
+    nlos_sigma_db: float = param("channel.nlos_sigma_db", 8.7, at_least=0)
     outage_slope_per_m: float = param("channel.outage_slope_per_m", 1.0 / 30.0)
     outage_intercept: float = param("channel.outage_intercept", 5.2)
-    los_decay_per_m: float = param("channel.los_decay_per_m", 1.0 / 67.1)
-    fading_sigma_db: float = param("channel.fading_sigma_db", 0.0)
+    los_decay_per_m: float = param("channel.los_decay_per_m", 1.0 / 67.1, at_least=0)
+    fading_sigma_db: float = param("channel.fading_sigma_db", 0.0, at_least=0)
 
     def __post_init__(self):
         check_params(self)
@@ -273,7 +274,8 @@ def _evaluate(law, positions: np.ndarray, a, b, keys: np.ndarray, counters: np.n
     """
     params, gain_dbi, noise_dbm, tx_power_dbm = law
     x, y = positions.T
-    d = np.hypot(x[a] - x[b], y[a] - y[b])
+    with np.errstate(over="ignore"):  # as in ``_screen``: a difference beyond the float range is +inf away
+        d = np.hypot(x[a] - x[b], y[a] - y[b])
     live, los = _visibility(d, _hashed_uniforms(keys[:1], counters)[0], params)
     v = _hashed_uniforms(keys[1:].take(live, axis=1), counters[live])
     normals = _box_muller(v[0::2], v[1::2])  # shadowing, then fading when it is on

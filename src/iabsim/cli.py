@@ -31,6 +31,11 @@ class ResultBundle:
     summary: CampaignSummary
 
 
+def _cdf_stats(cdf: EmpiricalCdf | None) -> dict | None:
+    """The mean, median and 95th percentile of ``cdf``; None without a CDF."""
+    return None if cdf is None else {"mean": cdf.mean, "median": cdf.quantile(0.5), "p95": cdf.quantile(0.95)}
+
+
 def _bundle_doc(bundle: ResultBundle) -> dict:
     """The document of summary.json: the run's metadata and each policy's statistics, no CDF rows."""
     policies = {}
@@ -41,12 +46,8 @@ def _bundle_doc(bundle: ResultBundle) -> dict:
             "repetitions": s.repetitions,
             "successes": s.successes,
             "failure_probability": s.failure_probability,
-            "hops": None
-            if s.hop_mean is None
-            else {"mean": s.hop_mean, "median": s.hop_median, "p95": s.hop_p95},
-            "bottleneck_snr_db": None
-            if s.snr_mean_db is None
-            else {"mean": s.snr_mean_db, "median": s.snr_median_db, "p95": s.snr_p95_db},
+            "hops": _cdf_stats(s.hops_cdf),
+            "bottleneck_snr_db": _cdf_stats(s.snr_cdf),
             "mean_oracle_gap_db": s.mean_oracle_gap_db,
         }
     return {

@@ -22,9 +22,9 @@ still going stands on, evaluating the rows not held yet, and each kernel steps
 on its entries' rows through the index the read returns. Link draws are
 keyed, so when a row is evaluated does not change its bits: results equal
 those of each repetition run alone, and
-``run_repetition`` is a block of one. A campaign keeps outcome, hop and
-bottleneck arrays; it builds PathResults, and searches the oracle's paths,
-only when it keeps paths.
+``run_repetition`` is a block of one. A block keeps each label's outcome, hop
+and bottleneck arrays, which a campaign joins label by label; it builds
+PathResults, and searches the oracle's paths, only when it keeps paths.
 """
 from __future__ import annotations
 
@@ -395,34 +395,37 @@ def _sample_block(cfg: SimConfig, reps: range) -> RowStore:
     return _sample_worlds(cfg, list(spawned_rngs(cfg.master_seed, [(rep,) for rep in reps])), children)[0]
 
 
-def _run_block(cfg: SimConfig, reps: range, keep_paths: bool) -> tuple:
+def _run_block(cfg: SimConfig, reps: range, keep_paths: bool) -> dict[str, dict]:
     """Every policy (and the oracle) on the world of each repetition in ``reps``, stepped in lockstep.
 
-    Returns the walks' outcome codes, hop counts and bottlenecks (repetition by repetition, policy by
-    policy within one), the oracle's outcome codes and bottlenecks (None without it), and the walks' and
-    the oracle's PathResults (empty without ``keep_paths``); only the block's ``RowStore`` (``_sample_block``)
-    keeps the worlds' nodes.
+    Returns one record per label, the oracle's under ``"oracle"``: the ``outcome`` codes, ``hop_count``
+    (none for the oracle), ``bottleneck_db`` and ``paths`` (PathResults, empty without ``keep_paths``)
+    of its repetitions in order; only the block's ``RowStore`` (``_sample_block``) keeps the worlds' nodes.
     """
     threshold = cfg.radio.snr_threshold_db
     store = _sample_block(cfg, reps)
-    n_policies = len(cfg.policies)
-    walks = WalkBlock(
+    walks = WalkBlock(  # policy by policy, repetition by repetition within one
         store,
         [(spec.kind, spec.wbf) for spec in cfg.policies],
-        np.repeat(np.arange(len(reps)), n_policies),
-        np.repeat(store.origin, n_policies),
-        np.tile(np.arange(n_policies), len(reps)),
+        np.tile(np.arange(len(reps)), len(cfg.policies)),
+        np.tile(store.origin, len(cfg.policies)),
+        np.repeat(np.arange(len(cfg.policies)), len(reps)),
         threshold,
         cfg.max_hops,
         cfg.radio.bandwidth_hz,
     )
-    oracle = OracleBlock(store, store.origin, threshold) if cfg.oracle_enabled else None
-    _lockstep([walks] if oracle is None else [walks, oracle])
+    oracles = [OracleBlock(store, store.origin, threshold)] if cfg.oracle_enabled else []
+    _lockstep([walks, *oracles])
     walked = walks.results() if keep_paths else []
-    if oracle is None:
-        return walks.outcome, walks.length, walks.bottleneck, None, None, walked, []
-    found = _oracle_paths(oracle, store) if keep_paths else []
-    return walks.outcome, walks.length, walks.bottleneck, oracle.outcome, oracle.bottleneck, walked, found
+    columns = dict(outcome=walks.outcome, hop_count=walks.length, bottleneck_db=walks.bottleneck, paths=walked)
+    records = {}
+    for p, spec in enumerate(cfg.policies):
+        part = slice(p * len(reps), (p + 1) * len(reps))
+        records[spec.label] = {key: column[part] for key, column in columns.items()}
+    for oracle in oracles:  # the one oracle, when enabled
+        found = _oracle_paths(oracle, store) if keep_paths else []
+        records["oracle"] = dict(outcome=oracle.outcome, bottleneck_db=oracle.bottleneck, paths=found)
+    return records
 
 
 def run_repetition(cfg: SimConfig, rep_index: int) -> dict[str, PathResult]:
@@ -434,8 +437,7 @@ def run_repetition(cfg: SimConfig, rep_index: int) -> dict[str, PathResult]:
     """
     require_number("rep_index", rep_index, integer=True, at_least=0)
     rep_index = int(rep_index)
-    *_, walked, found = _run_block(cfg, range(rep_index, rep_index + 1), keep_paths=True)
-    return dict(zip([spec.label for spec in cfg.policies] + ["oracle"], walked + found))  # found is [] without the oracle
+    return {label: rec["paths"][0] for label, rec in _run_block(cfg, range(rep_index, rep_index + 1), True).items()}
 
 
 @dataclass
@@ -508,27 +510,21 @@ def run_campaign(cfg: SimConfig, workers: int = 1, keep_paths: bool = False) -> 
             blocks = [block for fut in futures for block in fut.result()]
 
     labels = tuple(spec.label for spec in cfg.policies)
-    codes, hops, bottlenecks, oracle_codes, oracle_bottlenecks, walked, found = zip(*blocks)
-    outcome, hop_count, bottleneck = (
-        np.concatenate(part).reshape(reps, len(labels)) for part in (codes, hops, bottlenecks)
-    )
-    paths = oracle_outcome = oracle_bottleneck = None
-    if keep_paths:
-        walked = [res for part in walked for res in part]
-        paths = {lab: walked[p :: len(labels)] for p, lab in enumerate(labels)}
-        if cfg.oracle_enabled:
-            paths["oracle"] = [res for part in found for res in part]
-    if cfg.oracle_enabled:
-        oracle_outcome, oracle_bottleneck = np.concatenate(oracle_codes), np.concatenate(oracle_bottlenecks)
+    joined = {}  # each label's records of every block, joined in repetition order
+    for label in blocks[0]:
+        parts = [block[label] for block in blocks]
+        joined[label] = {key: np.concatenate([part[key] for part in parts]) for key in parts[0] if key != "paths"}
+        joined[label]["paths"] = [res for part in parts for res in part["paths"]]
+    oracle = joined.get("oracle", {})
     return CampaignResult(
         labels=labels,
         repetitions=reps,
-        outcome={lab: outcome[:, p].copy() for p, lab in enumerate(labels)},
-        hop_count={lab: hop_count[:, p].astype(np.int32) for p, lab in enumerate(labels)},
-        bottleneck_db={lab: bottleneck[:, p].copy() for p, lab in enumerate(labels)},
-        oracle_outcome=oracle_outcome,
-        oracle_bottleneck_db=oracle_bottleneck,
-        paths=paths,
+        outcome={lab: joined[lab]["outcome"] for lab in labels},
+        hop_count={lab: joined[lab]["hop_count"].astype(np.int32) for lab in labels},
+        bottleneck_db={lab: joined[lab]["bottleneck_db"] for lab in labels},
+        oracle_outcome=oracle.get("outcome"),
+        oracle_bottleneck_db=oracle.get("bottleneck_db"),
+        paths={label: record["paths"] for label, record in joined.items()} if keep_paths else None,
     )
 
 
@@ -583,10 +579,10 @@ class EmpiricalCdf:
 class PolicySummary:
     """Aggregated statistics for one policy over a campaign.
 
-    CDFs and metric statistics cover successful paths only and are ``None``
-    when a policy never succeeded. ``mean_oracle_gap_db`` averages
-    (oracle bottleneck - policy bottleneck) over repetitions where both
-    succeeded.
+    CDFs cover successful paths only and are ``None``, as are the statistics
+    read from them, when a policy never succeeded. ``mean_oracle_gap_db``
+    averages (oracle bottleneck - policy bottleneck) over repetitions where
+    both succeeded.
     """
 
     label: str
@@ -597,13 +593,14 @@ class PolicySummary:
     failure_probability: float
     hops_cdf: EmpiricalCdf | None
     snr_cdf: EmpiricalCdf | None
-    hop_mean: float | None
-    hop_median: float | None
-    hop_p95: float | None
-    snr_mean_db: float | None
-    snr_median_db: float | None
-    snr_p95_db: float | None
     mean_oracle_gap_db: float | None
+    # read-only, from the CDFs
+    hop_mean = property(lambda s: None if s.hops_cdf is None else s.hops_cdf.mean)
+    hop_median = property(lambda s: None if s.hops_cdf is None else s.hops_cdf.quantile(0.5))
+    hop_p95 = property(lambda s: None if s.hops_cdf is None else s.hops_cdf.quantile(0.95))
+    snr_mean_db = property(lambda s: None if s.snr_cdf is None else s.snr_cdf.mean)
+    snr_median_db = property(lambda s: None if s.snr_cdf is None else s.snr_cdf.quantile(0.5))
+    snr_p95_db = property(lambda s: None if s.snr_cdf is None else s.snr_cdf.quantile(0.95))
 
 
 @dataclass
@@ -612,7 +609,7 @@ class CampaignSummary:
 
 
 def aggregate(cfg: SimConfig, result: CampaignResult) -> CampaignSummary:
-    """Reduce per-repetition records to per-policy CDFs and summary statistics."""
+    """Reduce per-repetition records to per-policy CDFs, success counts and oracle gaps."""
     if result.repetitions < 1:
         raise ConfigError("cannot aggregate an empty campaign")
     summary = CampaignSummary()
@@ -620,21 +617,14 @@ def aggregate(cfg: SimConfig, result: CampaignResult) -> CampaignSummary:
         lab = spec.label
         ok = result.success_mask(lab)
         successes = int(ok.sum())
-        hops_cdf = snr_cdf = None
-        hop_stats = (None, None, None)
-        snr_stats = (None, None, None)
-        gap = None
+        hops_cdf = snr_cdf = gap = None
         if successes > 0:
             hops_cdf = EmpiricalCdf(result.hop_count[lab][ok])
             snr_cdf = EmpiricalCdf(result.bottleneck_db[lab][ok])
-            hop_stats = (hops_cdf.mean, hops_cdf.quantile(0.5), hops_cdf.quantile(0.95))
-            snr_stats = (snr_cdf.mean, snr_cdf.quantile(0.5), snr_cdf.quantile(0.95))
             if result.oracle_outcome is not None:
                 both = ok & (result.oracle_outcome == _SUCCESS)
                 if both.any():
-                    gap = float(
-                        np.mean(result.oracle_bottleneck_db[both] - result.bottleneck_db[lab][both])
-                    )
+                    gap = float(np.mean(result.oracle_bottleneck_db[both] - result.bottleneck_db[lab][both]))
         summary.policies[lab] = PolicySummary(
             label=lab,
             kind=spec.kind,
@@ -644,12 +634,6 @@ def aggregate(cfg: SimConfig, result: CampaignResult) -> CampaignSummary:
             failure_probability=1.0 - successes / result.repetitions,
             hops_cdf=hops_cdf,
             snr_cdf=snr_cdf,
-            hop_mean=hop_stats[0],
-            hop_median=hop_stats[1],
-            hop_p95=hop_stats[2],
-            snr_mean_db=snr_stats[0],
-            snr_median_db=snr_stats[1],
-            snr_p95_db=snr_stats[2],
             mean_oracle_gap_db=gap,
         )
     return summary

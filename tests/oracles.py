@@ -100,7 +100,8 @@ def dense_link_table(deployment, radio, params, rng):
     pos = deployment.positions
     n = len(pos)
     src, dst = np.triu_indices(n, k=1)
-    d = np.hypot(pos[src, 0] - pos[dst, 0], pos[src, 1] - pos[dst, 1])
+    with np.errstate(over="ignore"):  # a difference beyond the float range is +inf away
+        d = np.hypot(pos[src, 0] - pos[dst, 0], pos[src, 1] - pos[dst, 1])
     counters = np.arange(1, src.size + 1)
     u = hashed_uniforms(word, 0, counters)
     live = _dense_law(d, u, params)[0] != LosState.OUTAGE

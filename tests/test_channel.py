@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +407,15 @@ class TestChannelParams:
         with pytest.raises(ConfigError, match=rf"channel\.{field} must be finite"):
             ChannelParams(**{field: value})
 
+    @pytest.mark.parametrize("field", ["los_sigma_db", "nlos_sigma_db", "fading_sigma_db", "los_decay_per_m"])
+    def test_negative_spread_or_decay_names_the_key(self, field):
+        """A negative sigma would turn fading off unsaid or flip the shadowing, and a negative decay
+        gives LOS probabilities above 1; zero stays legal, and so do negative slopes and exponents."""
+        with pytest.raises(ConfigError, match=rf"channel\.{field} must be >= 0, got -0.05"):
+            ChannelParams(**{field: -0.05})
+        assert getattr(ChannelParams(**{field: 0}), field) == 0.0
+        ChannelParams(outage_slope_per_m=-0.01, los_exponent=-1.0, nlos_exponent=-1.0)
+
 
 def scattered_deployment(seed, n, side=1000.0):
     """n gNBs dropped uniformly on a square; every third one wired, origin 1."""
@@ -598,6 +608,25 @@ class TestAssociationPasses:
         with np.errstate(all="ignore"):
             serving = self.check(ues, dep, params).tolist()
         assert serving[2] >= 0 and serving[:2] + serving[3:] == expected
+
+    @pytest.mark.parametrize("fading_db", [0.0, 3.0])
+    @pytest.mark.parametrize("exponent", [None, -1.0])
+    def test_overflowing_differences_give_infinite_links_quietly(self, exponent, fading_db):
+        """The link rows of the three-corner world above: every coordinate difference overflows, so
+        every distance is +inf, and the rows equal the dense reference's (-inf SNR at the default
+        exponents, +inf at -1) with no warning, as the association takes such a distance quietly."""
+        big = 1e308
+        dep = Deployment(Region(1e300, 1.0), [(-big, -big), (big, big), (-big, big)], [False, True, False], 0)
+        shape = {} if exponent is None else {"los_exponent": exponent, "nlos_exponent": exponent}
+        params = ChannelParams(outage_slope_per_m=-0.01, fading_sigma_db=fading_db, **shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = dense_link_table(dep, RadioConfig(), params, np.random.default_rng(5)).snr
+            row = link_table(dep, RadioConfig(), params, np.random.default_rng(5))[0]
+            whole = link_table(dep, RadioConfig(), params, np.random.default_rng(5)).snr
+        assert row.tobytes() == ref[0].tobytes() and whole.tobytes() == ref.tobytes()
+        off_diagonal = ref[~np.eye(3, dtype=bool)]
+        assert (off_diagonal == (-math.inf if exponent is None else math.inf)).all()
 
     def test_ties_across_a_pass_boundary_go_to_the_lowest_id(self):
         """Two gNBs at each site, shadowing off: every UE's nearest site is a tie."""

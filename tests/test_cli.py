@@ -210,6 +210,14 @@ class TestMain:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["los_sigma_db", "nlos_sigma_db", "fading_sigma_db", "los_decay_per_m"])
+    def test_negative_channel_spread_or_decay_exits_1(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"channel": {key: -3}}))
+        assert run_cli(["--config", str(cfg_path), "--reps", "2", "--out", str(tmp_path / "o")]) == 1
+        assert f"channel.{key} must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_fractional_repetitions_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"run": {"repetitions": 2.9}}))

@@ -478,27 +478,30 @@ class TestOneReadPerRound:
         monkeypatch.setattr(WalkBlock, "step", record_step("walks", WalkBlock.step))
         monkeypatch.setattr(simulate.OracleBlock, "step", record_step("oracle", simulate.OracleBlock.step))
         cfg = self.DESK
-        codes, hops, _, _, oracle_bottleneck, _, _ = simulate._run_block(cfg, range(cfg.repetitions), False)
+        records = simulate._run_block(cfg, range(cfg.repetitions), False)
         rounds = [[events[0]]]
         for event in events[1:]:
             if event[0] == "read":
                 rounds.append([])
             rounds[-1].append(event)
-        assert len(rounds) >= max(hops) > 4  # a round for each hop of the longest walk
+        hops = max(records[spec.label]["hop_count"].max() for spec in cfg.policies)
+        assert len(rounds) >= hops > 4  # a round for each hop of the longest walk
         for k, ((kind, entries), *steps) in enumerate(rounds):
             assert kind == "read" and steps and [s[0] for s in steps] in (["walks", "oracle"], ["walks"], ["oracle"]), k
             assert entries == [entry for _, standing in steps for entry in standing], k  # every kernel still going
         walks, oracle = rounds[0][1][1], rounds[0][2][1]
         store = simulate._sample_block(cfg, range(cfg.repetitions))
         origin = (store.offset + store.origin).tolist()
-        assert walks == [entry for entry in origin for _ in cfg.policies] and oracle == origin
+        assert walks == [entry for _ in cfg.policies for entry in origin] and oracle == origin  # policy by policy
         assert hashed[0] == origin  # all seven kernels of a world stand on its origin: one row each
         rows = [row for rows in hashed for row in rows]
         assert len(rows) == len(set(rows))  # no row is hashed twice
         alone = run_campaign(cfg)
-        for p, label in enumerate(alone.labels):
-            assert codes[p :: len(cfg.policies)].tolist() == alone.outcome[label].tolist()
-        assert np.array_equal(oracle_bottleneck, alone.oracle_bottleneck_db, equal_nan=True)
+        assert list(records) == [*alone.labels, "oracle"] and "hop_count" not in records["oracle"]
+        for label in alone.labels:
+            assert records[label]["outcome"].tolist() == alone.outcome[label].tolist()
+            assert records[label]["paths"] == []  # none kept
+        assert np.array_equal(records["oracle"]["bottleneck_db"], alone.oracle_bottleneck_db, equal_nan=True)
 
 
 class TestOneWorldCallsShareRows:
@@ -703,6 +706,40 @@ class TestCampaignAggregation:
         assert s.failure_probability == 1.0
         assert s.hops_cdf is None and s.snr_cdf is None
         assert s.hop_mean is None and s.snr_mean_db is None
+
+    def test_statistics_are_read_from_the_cdfs(self):
+        """Each policy's six statistics are its CDFs' mean, median and 95th percentile, and None for
+        a policy that never succeeded; they are read-only."""
+        cfg = replace(SMALL, policies=SMALL.policies + (PolicySpec(PolicyKind.HQF, WBF_PRESETS["aggressive_poly"]),))
+        summary = aggregate(cfg, run_campaign(cfg))
+        for s in summary.policies.values():
+            assert s.successes > 0, s.label
+            hops, snr = (s.hop_mean, s.hop_median, s.hop_p95), (s.snr_mean_db, s.snr_median_db, s.snr_p95_db)
+            for cdf, stats in ((s.hops_cdf, hops), (s.snr_cdf, snr)):
+                assert stats == (cdf.mean, cdf.quantile(0.5), cdf.quantile(0.95)), s.label
+                assert all(type(x) is float for x in stats), s.label
+        with pytest.raises(AttributeError):
+            s.hop_mean = 1.0
+        never = replace(cfg, radio=RadioConfig(snr_threshold_db=1e9), oracle_enabled=False)
+        for s in aggregate(never, run_campaign(never)).policies.values():
+            assert s.successes == 0 and s.hops_cdf is None and s.snr_cdf is None, s.label
+            stats = (s.hop_mean, s.hop_median, s.hop_p95, s.snr_mean_db, s.snr_median_db, s.snr_p95_db)
+            assert stats == (None,) * 6, s.label
+
+    def test_campaign_arrays_are_own_writable_copies(self):
+        """Every array of a campaign is its own, writable, of the dtype and shape it always had, also
+        over several blocks and processes."""
+        for workers in (1, 2):
+            res = run_campaign(SMALL, workers=workers)
+            arrays = [res.oracle_outcome, res.oracle_bottleneck_db]
+            for lab in res.labels:
+                arrays += [res.outcome[lab], res.hop_count[lab], res.bottleneck_db[lab]]
+                assert res.outcome[lab].dtype == np.int8 and res.hop_count[lab].dtype == np.int32, lab
+                assert res.bottleneck_db[lab].dtype == np.float64, lab
+            assert res.oracle_outcome.dtype == np.int8 and res.oracle_bottleneck_db.dtype == np.float64
+            for k, a in enumerate(arrays):
+                assert a.shape == (SMALL.repetitions,) and a.flags.writeable, (workers, k)
+                assert not any(np.shares_memory(a, b) for b in arrays[k + 1 :]), (workers, k)
 
     def test_singleton_success_steps(self):
         cfg = SimConfig(repetitions=1, master_seed=2, policies=(PolicySpec(PolicyKind.WF),))
